@@ -129,7 +129,13 @@ def _table(data, columns, fmt: str) -> str:
     return export_table(data, fmt, columns)
 
 
+def _check_samples(count: int):
+    if count < 2:
+        raise RangeError(f"--samples: need at least 2 samples, got {count}")
+
+
 def _cmd_basis(args):
+    _check_samples(args.samples)
     space = BasisSpace(_kind_flag(args.kind), args.order, _angle_flag(args.alpha, "--alpha"))
     us = np.linspace(0.0, space.alpha, args.samples)
     mat = basis_matrix(space, us)
@@ -195,16 +201,12 @@ def _describe_surface(doc: SpecDocument, args):
             raise RangeError("--format: obj needs 3-d points")
         return export_obj(grid.points)
     dims = grid.points.shape[:-1]
-    rows = []
-    for idx in np.ndindex(dims):
-        row = list(idx) + list(grid.points[idx])
-        if grid.weights is not None:
-            row.append(grid.weights[idx])
-        rows.append(row)
+    blocks = [np.indices(dims).reshape(len(dims), -1).T, grid.points.reshape(-1, channels)]
     columns = [f"i{j + 1}" for j in range(len(dims))] + _coord_names(channels)
     if grid.weights is not None:
+        blocks.append(grid.weights.reshape(-1, 1))
         columns.append("weight")
-    return _table(np.array(rows), columns, args.format)
+    return _table(np.hstack(blocks), columns, args.format)
 
 
 def _cmd_describe(args, require_rational=False):
@@ -217,6 +219,7 @@ def _cmd_describe(args, require_rational=False):
 
 
 def _cmd_sample(args):
+    _check_samples(args.samples)
     doc = _load_document(args)
     spec = doc.spec
     if isinstance(spec, CurveSpec):

@@ -84,6 +84,25 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+# Rows per ``%`` operation in :func:`_format_rows`: large enough to amortize
+# the call, small enough that a block's Python floats stay a few hundred kB.
+_BLOCK_ROWS = 2048
+
+
+def _format_rows(template: str, rows: np.ndarray) -> list[str]:
+    """``template % tuple(row)`` for every row of a 2-d array, one string per block.
+
+    ``tolist`` turns float64 into Python floats exactly and ``%r`` of a
+    Python float is its ``repr``, so ``%r`` fields print the bytes of
+    :func:`format_float`.  Each block of rows is formatted by one ``%``.
+    """
+    blocks = []
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        blocks.append((template * len(block)) % tuple(block.ravel().tolist()))
+    return blocks
+
+
 @dataclass(frozen=True)
 class SpecDocument:
     """A parsed document: the spec plus its declared rationality."""
@@ -347,37 +366,49 @@ def export_svg(paths, margin: float = 0.05) -> str:
     radius = extent / 120.0
     font = extent / 30.0
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{f(lo[0] - pad)} {f(lo[1] - pad)} {f(width)} {f(height)}">',
+        f'viewBox="{f(lo[0] - pad)} {f(lo[1] - pad)} {f(width)} {f(height)}">\n',
     ]
     for path, pts in flipped:
-        d = "M " + " L ".join(f"{f(x)},{f(y)}" for x, y in pts)
+        d = "M %r,%r" % tuple(pts[0].tolist()) + "".join(_format_rows(" L %r,%r", pts[1:]))
         color = _SVG_COLORS[path.role]
         if path.role == "curve":
-            lines.append(
-                f'  <path d="{d}" fill="none" stroke="{color}" stroke-width="{f(stroke)}"/>'
+            parts.append(
+                f'  <path d="{d}" fill="none" stroke="{color}" stroke-width="{f(stroke)}"/>\n'
             )
         else:
-            lines.append(
+            parts.append(
                 f'  <path d="{d}" fill="none" stroke="{color}" '
-                f'stroke-width="{f(stroke)}" stroke-dasharray="{f(4 * stroke)} {f(3 * stroke)}"/>'
+                f'stroke-width="{f(stroke)}" stroke-dasharray="{f(4 * stroke)} {f(3 * stroke)}"/>\n'
             )
-            for i, (x, y) in enumerate(pts):
-                lines.append(
-                    f'  <circle cx="{f(x)}" cy="{f(y)}" r="{f(radius)}" fill="{color}"/>'
-                )
-                lines.append(
-                    f'  <text x="{f(x + 1.6 * radius)}" y="{f(y - 1.6 * radius)}" '
-                    f'font-size="{f(font)}" fill="{color}">{path.label}{i}</text>'
-                )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            label = path.label.replace("%", "%%")
+            marker = (
+                f'  <circle cx="%r" cy="%r" r="{f(radius)}" fill="{color}"/>\n'
+                f'  <text x="%r" y="%r" font-size="{f(font)}" fill="{color}">{label}%d</text>\n'
+            )
+            # The vertex number rides along as a float column; %d prints it as an integer.
+            offset = 1.6 * radius
+            rows = np.column_stack(
+                [pts, pts[:, 0] + offset, pts[:, 1] - offset, np.arange(len(pts))]
+            )
+            parts += _format_rows(marker, rows)
+    parts.append("</svg>\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
 # OBJ
+
+
+def _quads(slabs: np.ndarray) -> np.ndarray:
+    """Quads of an id array indexed ``(p, q, slab)``, in that row-major order.
+
+    Each quad is ``(p, q) (p+1, q) (p+1, q+1) (p, q+1)`` within its slab.
+    """
+    corners = (slabs[:-1, :-1], slabs[1:, :-1], slabs[1:, 1:], slabs[:-1, 1:])
+    return np.stack(corners, axis=-1).reshape(-1, 4)
 
 
 def export_obj(samples, control_net=None) -> str:
@@ -396,56 +427,21 @@ def export_obj(samples, control_net=None) -> str:
         raise RangeError("need at least 2 samples per lattice axis")
     if not np.all(np.isfinite(samples)):
         raise RangeError("samples contain non-finite points")
-    f = format_float
-    lines = ["g samples"]
-    flat = samples.reshape(-1, 3)
-    for x, y, z in flat:
-        lines.append(f"v {f(x)} {f(y)} {f(z)}")
-
-    def vid(shape, idx):
-        flat_idx = 0
-        for s, i in zip(shape, idx):
-            flat_idx = flat_idx * s + i
-        return flat_idx + 1
-
-    shape = samples.shape[:-1]
+    ids = np.arange(1, samples[..., 0].size + 1).reshape(samples.shape[:-1])
+    parts = ["g samples\n", *_format_rows("v %r %r %r\n", samples.reshape(-1, 3))]
     if samples.ndim == 2:
-        lines.append("l " + " ".join(str(i + 1) for i in range(shape[0])))
+        parts.append("l " + " ".join(map(str, ids.tolist())) + "\n")
     elif samples.ndim == 3:
-        n1, n2 = shape
-        for i in range(n1 - 1):
-            for j in range(n2 - 1):
-                a = vid(shape, (i, j))
-                b = vid(shape, (i + 1, j))
-                c = vid(shape, (i + 1, j + 1))
-                d = vid(shape, (i, j + 1))
-                lines.append(f"f {a} {b} {c} {d}")
+        parts += _format_rows("f %d %d %d %d\n", _quads(ids[..., None]))
     else:
-        n1, n2, n3 = shape
-        for i in range(n1 - 1):
-            for j in range(n2 - 1):
-                for fixed in (0, n3 - 1):
-                    a = vid(shape, (i, j, fixed))
-                    b = vid(shape, (i + 1, j, fixed))
-                    c = vid(shape, (i + 1, j + 1, fixed))
-                    d = vid(shape, (i, j + 1, fixed))
-                    lines.append(f"f {a} {b} {c} {d}")
-        for i in range(n1 - 1):
-            for k in range(n3 - 1):
-                for fixed in (0, n2 - 1):
-                    a = vid(shape, (i, fixed, k))
-                    b = vid(shape, (i + 1, fixed, k))
-                    c = vid(shape, (i + 1, fixed, k + 1))
-                    d = vid(shape, (i, fixed, k + 1))
-                    lines.append(f"f {a} {b} {c} {d}")
-        for j in range(n2 - 1):
-            for k in range(n3 - 1):
-                for fixed in (0, n1 - 1):
-                    a = vid(shape, (fixed, j, k))
-                    b = vid(shape, (fixed, j + 1, k))
-                    c = vid(shape, (fixed, j + 1, k + 1))
-                    d = vid(shape, (fixed, j, k + 1))
-                    lines.append(f"f {a} {b} {c} {d}")
+        # Boundary slabs k = 0, N3-1, then j = 0, N2-1, then i = 0, N1-1.
+        slabs = (
+            ids[:, :, [0, -1]],
+            ids[:, [0, -1]].transpose(0, 2, 1),
+            ids[[0, -1]].transpose(1, 2, 0),
+        )
+        quads = np.concatenate([_quads(s) for s in slabs])
+        parts += _format_rows("f %d %d %d %d\n", quads)
 
     if control_net is not None:
         net = np.asarray(control_net, dtype=float)
@@ -453,22 +449,14 @@ def export_obj(samples, control_net=None) -> str:
             raise RangeError(
                 f"control net shape {net.shape} does not match sample dimensionality"
             )
-        offset = flat.shape[0]
-        lines.append("g control_net")
-        for x, y, z in net.reshape(-1, 3):
-            lines.append(f"v {f(x)} {f(y)} {f(z)}")
-        nshape = net.shape[:-1]
-
-        def nid(idx):
-            return offset + vid(nshape, idx)
-
-        for axis in range(len(nshape)):
-            for idx in np.ndindex(nshape):
-                if idx[axis] + 1 < nshape[axis]:
-                    succ = list(idx)
-                    succ[axis] += 1
-                    lines.append(f"l {nid(idx)} {nid(tuple(succ))}")
-    return "\n".join(lines) + "\n"
+        nids = np.arange(ids.size + 1, ids.size + net[..., 0].size + 1).reshape(net.shape[:-1])
+        parts += ["g control_net\n", *_format_rows("v %r %r %r\n", net.reshape(-1, 3))]
+        # Edges along axis 0 first, then axis 1, ...; row-major within an axis.
+        for axis in range(nids.ndim):
+            head = (slice(None),) * axis
+            edges = np.stack([nids[head + (slice(None, -1),)], nids[head + (slice(1, None),)]], -1)
+            parts += _format_rows("l %d %d\n", edges.reshape(-1, 2))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +478,9 @@ def export_table(data, fmt: str, columns=None) -> str:
             raise RangeError(
                 f"{len(columns)} column names for {table.shape[1]} columns"
             )
-        lines = []
-        if columns is not None:
-            lines.append(",".join(str(c) for c in columns))
-        for row in table:
-            lines.append(",".join(format_float(x) for x in row))
-        return "\n".join(lines) + "\n" if lines else ""
+        parts = [] if columns is None else [",".join(str(c) for c in columns) + "\n"]
+        parts += _format_rows(",".join(["%r"] * table.shape[1]) + "\n", table)
+        return "".join(parts)
     if fmt == "json":
         payload = {"data": data.tolist()}
         if columns is not None:

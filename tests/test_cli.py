@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chbez import exact_curve, load_figure, load_figure_text, min_order, parse_table
+from chbez import (
+    exact_curve,
+    exact_rational_surface,
+    exact_surface,
+    export_table,
+    load_figure,
+    load_figure_text,
+    min_order,
+    parse_table,
+)
 from chbez.cli import main
 
 
@@ -87,6 +96,13 @@ class TestBasis:
                            "--order", "1")
         assert code == 2
         assert "alpha" in err
+
+    @pytest.mark.parametrize("count", ["-1", "0", "1"])
+    def test_too_few_samples_exit_2(self, capsys, count):
+        code, out, err = run(capsys, "basis", "--kind", "trig", "--alpha", "1",
+                             "--order", "1", "--samples", count)
+        assert code == 2 and out == ""
+        assert err == f"error: --samples: need at least 2 samples, got {count}\n"
 
 
 class TestXform:
@@ -181,6 +197,41 @@ class TestDescribe:
         assert "svg needs 2-d" in err
 
 
+class TestDescribeSurfaceRows:
+    """Surface ``describe`` tables against a row-by-row reference."""
+
+    @staticmethod
+    def reference(name, fmt):
+        doc = load_figure(name)
+        if doc.rational:
+            grid = exact_rational_surface(doc.spec)
+        else:
+            grid = exact_surface(doc.spec)
+        dims = grid.points.shape[:-1]
+        rows = []
+        for idx in np.ndindex(dims):
+            row = list(idx) + list(grid.points[idx])
+            if grid.weights is not None:
+                row.append(grid.weights[idx])
+            rows.append(row)
+        columns = [f"i{j + 1}" for j in range(len(dims))] + ["x", "y", "z"]
+        if grid.weights is not None:
+            columns.append("weight")
+        return export_table(np.array(rows), fmt, columns)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["torus_patch", "rational_trigonometric_patch", "trigonometric_volume_1",
+         "hybrid_rational_volume"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_match_reference(self, capsys, tmp_path, name, fmt):
+        spec = write_figure(tmp_path, name)
+        code, out, err = run(capsys, "describe", "--spec", spec, "--format", fmt)
+        assert code == 0 and err == ""
+        assert out == self.reference(name, fmt)
+
+
 class TestDescribeRational:
     def test_accepts_rational_spec(self, capsys, tmp_path):
         spec = write_figure(tmp_path, "rational_hyperbolic_arc_a")
@@ -250,6 +301,14 @@ class TestSample:
         # The hypocycloid starts with velocity 4 sqrt(3) in x and 0 in y.
         assert table[0, 1] == pytest.approx(4.0 * math.sqrt(3.0), rel=1e-12)
         assert abs(table[0, 2]) < 1e-12
+
+    @pytest.mark.parametrize("count", ["-1", "0", "1"])
+    @pytest.mark.parametrize("figure", ["hypocycloid", "torus_patch"])
+    def test_too_few_samples_exit_2(self, capsys, tmp_path, figure, count):
+        spec = write_figure(tmp_path, figure)
+        code, out, err = run(capsys, "sample", "--spec", spec, "--samples", count)
+        assert code == 2 and out == ""
+        assert err == f"error: --samples: need at least 2 samples, got {count}\n"
 
 
 class TestSubdivide:
