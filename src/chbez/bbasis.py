@@ -124,6 +124,25 @@ def _half_functions(space: BasisSpace):
 
 
 @cache
+def _trinomials(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The alpha-free part of :func:`_coefficient_sums` for order ``n``.
+
+    ``table[r, i]`` is ``C(n, i - r) C(i - r, r)`` as a float (exact, the
+    products stay below 2**53) and ``exponents[r, i] = i - 2r`` the power of
+    ``2c`` it multiplies.  Absent terms have a zero entry and exponent 0.
+    """
+    table = np.zeros((n + 1, 2 * n + 1))
+    exponents = np.zeros((n + 1, 2 * n + 1), dtype=np.intp)
+    for r in range(n + 1):
+        for i in range(2 * r, n + r + 1):
+            table[r, i] = math.comb(n, i - r) * math.comb(i - r, r)
+            exponents[r, i] = i - 2 * r
+    table.flags.writeable = False
+    exponents.flags.writeable = False
+    return table, exponents
+
+
+@cache
 def _coefficient_sums(space: BasisSpace) -> np.ndarray:
     """Normalizing coefficients without the 1 / s(alpha/2)**2n prefactor.
 
@@ -136,14 +155,12 @@ def _coefficient_sums(space: BasisSpace) -> np.ndarray:
     n = space.n
     _, c = _half_functions(space)
     two_c = 2.0 * c
-    sums = np.zeros(2 * n + 1)
-    for i in range(2 * n + 1):
-        total = 0.0
-        for r in range(i // 2 + 1):
-            if i - r > n:
-                continue
-            total += math.comb(n, i - r) * math.comb(i - r, r) * two_c ** (i - 2 * r)
-        sums[i] = total
+    table, exponents = _trinomials(n)
+    terms = table * np.array([two_c**k for k in range(n + 1)])[exponents]
+    # numpy reduces the outer axis of a C-contiguous array one row after the
+    # other, so every entry adds its terms in increasing r, the order of the
+    # plain double loop; tests/test_kernel_exact.py checks the bytes.
+    sums = np.add.reduce(terms, axis=0)
     sums.flags.writeable = False
     return sums
 
@@ -151,7 +168,10 @@ def _coefficient_sums(space: BasisSpace) -> np.ndarray:
 @cache
 def _normalizing_values(space: BasisSpace) -> np.ndarray:
     s, _ = _half_functions(space)
-    values = _coefficient_sums(space) / s ** (2 * space.n)
+    # For tiny trigonometric alpha s**2n underflows to 0; the overflow is
+    # reported below as a RangeError, not as a floating point warning.
+    with np.errstate(divide="ignore", over="ignore"):
+        values = _coefficient_sums(space) / s ** (2 * space.n)
     if not np.all(np.isfinite(values)):
         raise RangeError(
             f"normalizing coefficients overflow for {space.kind.value} space "
@@ -172,6 +192,8 @@ def normalizing_coefficients(space: BasisSpace) -> NormalizingCoefficients:
 
 def _clamp_param(space: BasisSpace, u: float) -> float:
     u = float(u)
+    if math.isnan(u):
+        raise RangeError(f"parameter u = {u!r} is not a number")
     if u < 0.0:
         if u >= -_PARAM_SLACK:
             return 0.0
@@ -214,7 +236,11 @@ def basis_matrix(space: BasisSpace, us) -> np.ndarray:
     us = np.asarray(us, dtype=float)
     if us.ndim != 1:
         raise RangeError(f"parameter batch must be one dimensional, got shape {us.shape}")
-    clamped = np.array([_clamp_param(space, u) for u in us])
+    bad = ~((us >= -_PARAM_SLACK) & (us <= space.alpha + _PARAM_SLACK))
+    if bad.any():
+        _clamp_param(space, us[np.argmax(bad)])  # raises for the first offender
+    # Like the scalar clamp, np.clip keeps -0.0.
+    clamped = np.clip(us, 0.0, space.alpha)
     if space.kind is BasisKind.TRIGONOMETRIC:
         left = np.sin(0.5 * (space.alpha - clamped))
         right = np.sin(0.5 * clamped)

@@ -16,10 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .bbasis import BasisKind, BasisSpace, basis_matrix, _clamp_param, _normalizing_values
+from .bbasis import (
+    _PARAM_SLACK,
+    BasisKind,
+    BasisSpace,
+    _clamp_param,
+    _normalizing_values,
+    basis_matrix,
+)
 from .errors import NumericalError, RangeError
 from .xform import elevate_coefficient_vector
 
@@ -36,7 +44,9 @@ __all__ = [
 ]
 
 # A rational combination whose denominator falls to this level is treated as
-# degenerate rather than divided through.
+# degenerate rather than divided through.  Subdivision and piece evaluation
+# scale it by the largest weight: hyperbolic Bezier weights shrink like
+# exp(-n * alpha) as a whole, which says nothing about degeneracy.
 _WEIGHT_FLOOR = 1e-14
 
 
@@ -125,6 +135,14 @@ def reparametrize(space: BasisSpace, u: float) -> float:
     return 0.5 + math.tanh(0.5 * u - quarter) / (2.0 * math.tanh(quarter))
 
 
+def _reparametrize_params(space: BasisSpace, us: np.ndarray) -> np.ndarray:
+    """:func:`reparametrize` on clamped parameters ``us``, elementwise."""
+    quarter = 0.25 * space.alpha
+    if space.kind is BasisKind.TRIGONOMETRIC:
+        return 0.5 + np.tan(0.5 * us - quarter) / (2.0 * math.tan(quarter))
+    return 0.5 + np.tanh(0.5 * us - quarter) / (2.0 * math.tanh(quarter))
+
+
 def bezier_weights(space: BasisSpace) -> np.ndarray:
     """Weights that make the reparametrized curve a rational Bezier curve.
 
@@ -132,9 +150,14 @@ def bezier_weights(space: BasisSpace) -> np.ndarray:
     vector is symmetric, and scaled by ``s(alpha/2)**2n`` it tends to all
     ones as ``alpha -> 0`` (the polynomial Bezier limit).
     """
-    degree = space.degree
+    return _normalizing_values(space) / _binomials(space.degree)
+
+
+@cache
+def _binomials(degree: int) -> np.ndarray:
     binom = np.array([math.comb(degree, i) for i in range(degree + 1)], dtype=float)
-    return _normalizing_values(space) / binom
+    binom.flags.writeable = False
+    return binom
 
 
 @dataclass(frozen=True)
@@ -153,26 +176,36 @@ class BezierPiece:
 
     def evaluate(self, u):
         lo, hi = self.u_interval
-        v_lo = reparametrize(self.parent_space, lo)
-        v_hi = reparametrize(self.parent_space, hi)
+        space = self.parent_space
+        v_lo = reparametrize(space, lo)
+        v_hi = reparametrize(space, hi)
+        if not v_hi > v_lo:
+            raise RangeError(f"piece interval [{lo:g}, {hi:g}] is empty")
         scalar = np.ndim(u) == 0
         us = np.atleast_1d(np.asarray(u, dtype=float))
         degree = self.points.shape[0] - 1
-        out = np.empty((us.size, self.points.shape[1]))
-        for row, ui in enumerate(us):
-            if ui < lo - 1e-12 or ui > hi + 1e-12:
+        outside = ~((us >= lo - 1e-12) & (us <= hi + 1e-12))
+        off_parent = ~((us >= -_PARAM_SLACK) & (us <= space.alpha + _PARAM_SLACK))
+        s = (_reparametrize_params(space, np.clip(us, 0.0, space.alpha)) - v_lo) / (v_hi - v_lo)
+        s = np.clip(s, 0.0, 1.0)[:, None]
+        powers = np.arange(degree + 1)
+        bern = _binomials(degree) * s**powers * (1.0 - s) ** (degree - powers)
+        denom = bern @ self.weights
+        vanishing = np.abs(denom) <= _WEIGHT_FLOOR * np.max(np.abs(self.weights))
+        # Report the first parameter that fails a check, and for it the first
+        # check it fails: piece interval, parent interval, denominator.
+        failed = outside | off_parent | vanishing
+        if failed.any():
+            k = np.argmax(failed)
+            ui = us[k]
+            if outside[k]:
                 raise RangeError(
                     f"parameter u = {ui!r} outside the piece interval [{lo:g}, {hi:g}]"
                 )
-            s = (reparametrize(self.parent_space, ui) - v_lo) / (v_hi - v_lo)
-            s = min(max(s, 0.0), 1.0)
-            bern = np.array(
-                [math.comb(degree, i) * s**i * (1.0 - s) ** (degree - i) for i in range(degree + 1)]
-            )
-            denom = bern @ self.weights
-            if abs(denom) <= _WEIGHT_FLOOR:
-                raise NumericalError(f"piece denominator vanishes near u = {ui:g}")
-            out[row] = (bern * self.weights) @ self.points / denom
+            if off_parent[k]:
+                _clamp_param(space, ui)
+            raise NumericalError(f"piece denominator vanishes near u = {ui:g}")
+        out = (bern * self.weights) @ self.points / denom[:, None]
         return out[0] if scalar else out
 
 
@@ -207,20 +240,18 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
         )
     v = reparametrize(space, u0)
     bez = bezier_weights(space)
+    w_levels = _weight_pyramid(bez, v)
     if curve.weights is None:
         pts = curve.points
-        effective = bez
+        effective = w_levels
     else:
         pts = np.hstack([curve.weights[:, None] * curve.points, curve.weights[:, None]])
-        effective = bez * curve.weights
+        effective = _weight_pyramid(bez * curve.weights, v)
 
-    for level in _weight_pyramid(effective, v):
-        if np.any(np.abs(level) <= _WEIGHT_FLOOR):
-            raise NumericalError(
-                f"degenerate weight pyramid while splitting at u0 = {u0:g}"
-            )
+    floor = _WEIGHT_FLOOR * np.max(np.abs(effective[0]))
+    if np.any(np.abs(np.concatenate(effective)) <= floor):
+        raise NumericalError(f"degenerate weight pyramid while splitting at u0 = {u0:g}")
 
-    w_levels = _weight_pyramid(bez, v)
     p_levels = [pts]
     for r in range(1, space.dimension):
         wp, w = p_levels[-1], w_levels[r - 1]

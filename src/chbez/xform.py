@@ -17,7 +17,11 @@ Two closely related tools live here:
   (for the hyperbolic kind the second identity carries ``+`` instead of
   ``-``; that sign is the only difference between the two kinds).
 
-Matrices are memoized per space; the returned arrays are read-only.
+Caches: the alpha-free integer table of the coefficient sums
+``C(n, i - r) C(i - r, r)`` is kept once per order ``n``.  Everything that
+depends on alpha is kept per space ``(kind, n, alpha)``: the coefficient
+sums, the normalizing coefficients, the elevation weights and the transform
+rows.  The returned arrays are read-only.
 """
 
 from __future__ import annotations
@@ -86,10 +90,8 @@ def elevation_weights(space: BasisSpace) -> np.ndarray:
     one = _coefficient_sums(BasisSpace(space.kind, 1, space.alpha))
     high = _coefficient_sums(BasisSpace(space.kind, n + 1, space.alpha))
     weights = np.zeros((2 * n + 3, 3))
-    for r in range(2 * n + 3):
-        for j in range(3):
-            if 0 <= r - j <= 2 * n:
-                weights[r, j] = low[r - j] * one[j] / high[r]
+    for j in range(3):
+        weights[j : j + 2 * n + 1, j] = low * one[j] / high[j : j + 2 * n + 1]
     weights.flags.writeable = False
     return weights
 
@@ -100,13 +102,14 @@ def _raise_order(coeffs: np.ndarray, factor: np.ndarray, weights: np.ndarray) ->
     With ``factor = (1, 1, 1)`` this is plain order elevation; with the
     order-one row of a canonical function it realizes multiplication by that
     function, because the product of two B-basis functions is again a scaled
-    B-basis function of the combined order.
+    B-basis function of the combined order.  ``factor`` may also have shape
+    ``(3, k)`` for ``k`` columns of coefficients, one factor row per column.
     """
     m = coeffs.shape[0]
     out = np.zeros((m + 2,) + coeffs.shape[1:])
     for j in range(3):
-        w = weights[j : j + m, j] * factor[j]
-        out[j : j + m] += w.reshape((m,) + (1,) * (coeffs.ndim - 1)) * coeffs
+        w = weights[j : j + m, j].reshape((m,) + (1,) * (coeffs.ndim - 1)) * factor[j]
+        out[j : j + m] += w * coeffs
     return out
 
 
@@ -138,26 +141,26 @@ def _order_one_rows(kind: BasisKind, alpha: float) -> np.ndarray:
 def _transform_rows(space: BasisSpace) -> np.ndarray:
     sign = -1.0 if space.kind is BasisKind.TRIGONOMETRIC else 1.0
     base = _order_one_rows(space.kind, space.alpha)
-    rows = base
-    sine_one = base[1]
-    cosine_one = base[2]
+    # Factor rows of the four products sin(mu) cos(u), cos(mu) sin(u),
+    # cos(mu) cos(u), sin(mu) sin(u), one column each.
+    product_factors = base[[2, 1, 2, 1]].T
+    # Column r holds the coefficients of canonical function r.
+    cols = base.T
     for m in range(1, space.n):
         weights = elevation_weights(BasisSpace(space.kind, m, space.alpha))
-        grown = np.zeros((2 * m + 3, 2 * m + 3))
-        grown[0] = 1.0
-        ones = np.ones(3)
-        for r in range(1, 2 * m + 1):
-            grown[r] = _raise_order(rows[r], ones, weights)
-        sine_m = rows[2 * m - 1]
-        cosine_m = rows[2 * m]
-        grown[2 * m + 1] = _raise_order(sine_m, cosine_one, weights) + _raise_order(
-            cosine_m, sine_one, weights
-        )
-        grown[2 * m + 2] = _raise_order(cosine_m, cosine_one, weights) + sign * _raise_order(
-            sine_m, sine_one, weights
-        )
-        rows = grown
-    rows = np.array(rows)
+        # One three-term pass raises the known functions 1..2m (factor one)
+        # and forms the four products of the angle addition identities.
+        products = cols[:, [2 * m - 1, 2 * m, 2 * m, 2 * m - 1]]
+        coeffs = np.concatenate([cols[:, 1:], products], axis=1)
+        factor = np.concatenate([np.ones((3, 2 * m)), product_factors], axis=1)
+        raised = _raise_order(coeffs, factor, weights)
+        grown = np.empty((2 * m + 3, 2 * m + 3))
+        grown[:, 0] = 1.0
+        grown[:, 1 : 2 * m + 1] = raised[:, : 2 * m]
+        grown[:, 2 * m + 1] = raised[:, 2 * m] + raised[:, 2 * m + 1]
+        grown[:, 2 * m + 2] = raised[:, 2 * m + 2] + sign * raised[:, 2 * m + 3]
+        cols = grown
+    rows = np.array(cols.T)
     rows.flags.writeable = False
     return rows
 

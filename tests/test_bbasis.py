@@ -1,6 +1,7 @@
 """Tests for the normalized B-basis construction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,13 @@ class TestNormalizingCoefficients:
         coeffs = normalizing_coefficients(space).values
         assert_allclose(coeffs, solved, rtol=1e-8)
 
+    def test_underflowing_prefactor_raises_without_warning(self):
+        # 1 / sin(alpha/2)**64 overflows: a RangeError, and no floating point warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="overflow"):
+                normalizing_coefficients(BasisSpace(TRIG, 32, 1e-5))
+
     def test_symmetry_and_positivity(self):
         for kind, alpha in [(TRIG, 1.3), (HYP, 2.7)]:
             coeffs = normalizing_coefficients(BasisSpace(kind, 5, alpha)).values
@@ -163,6 +171,25 @@ class TestBasisEvaluation:
             basis_value(space, 0, -1e-6)
         with pytest.raises(RangeError, match="above"):
             basis_value(space, 0, 1.0 + 1e-6)
+
+    def test_nan_parameters_rejected(self):
+        space = BasisSpace(HYP, 2, 1.0)
+        message = r"^parameter u = nan is not a number$"
+        with pytest.raises(RangeError, match=message):
+            basis_value(space, 0, math.nan)
+        with pytest.raises(RangeError, match=message):
+            basis_vector(space, math.nan)
+        with pytest.raises(RangeError, match=message):
+            basis_matrix(space, [0.2, math.nan, 0.4])
+
+    def test_first_offending_parameter_is_reported(self):
+        space = BasisSpace(TRIG, 2, 1.0)
+        with pytest.raises(RangeError, match=r"^parameter u = inf above alpha = 1\.0$"):
+            basis_matrix(space, [0.5, 1.0 + 1e-13, math.inf, math.nan, -1.0])
+        with pytest.raises(RangeError, match=r"^parameter u = -inf below 0$"):
+            basis_matrix(space, [-1e-13, -math.inf, 2.0])
+        with pytest.raises(RangeError, match="not a number"):
+            basis_matrix(space, [0.5, math.nan, 2.0])
 
     def test_index_validation(self):
         space = BasisSpace(TRIG, 1, 1.0)

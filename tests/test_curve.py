@@ -1,5 +1,6 @@
 """Tests for control curves, subdivision and order elevation."""
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,9 @@ from chbez import (
     bezier_weights,
     elevate,
     evaluate,
+    exact_curve,
+    exact_rational_curve,
+    parse_document,
     piece_matches_subspace_weights,
     reparametrize,
     subdivide,
@@ -97,6 +101,14 @@ class TestControlCurve:
         manual = (basis * crv.weights) @ crv.points / (basis @ crv.weights)[:, None]
         assert_allclose(evaluate(crv, us), manual, rtol=1e-14)
 
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_nan_parameter_rejected(self, rational):
+        crv = random_curve(TRIG, 2, 1.0, rational=rational)
+        with pytest.raises(RangeError, match="parameter u = nan is not a number"):
+            evaluate(crv, math.nan)
+        with pytest.raises(RangeError, match="parameter u = nan is not a number"):
+            evaluate(crv, [0.5, math.nan])
+
     def test_vanishing_denominator_raises(self):
         space = BasisSpace(TRIG, 1, 1.0)
         crv = ControlCurve(space, np.ones((3, 2)), np.array([0.0, 0.0, 1.0]))
@@ -127,6 +139,10 @@ class TestReparametrize:
     def test_out_of_range_rejected(self):
         with pytest.raises(RangeError):
             reparametrize(BasisSpace(TRIG, 1, 1.0), 1.5)
+
+    def test_nan_rejected(self):
+        with pytest.raises(RangeError, match="parameter u = nan is not a number"):
+            reparametrize(BasisSpace(HYP, 1, 1.0), math.nan)
 
 
 class TestBezierWeights:
@@ -214,6 +230,60 @@ class TestSubdivide:
             res.left.evaluate(1.2)
         with pytest.raises(RangeError):
             res.right.evaluate(0.5)
+
+    def test_empty_piece_interval_rejected(self):
+        piece = BezierPiece(BasisSpace(TRIG, 1, 1.0), np.eye(3), np.ones(3), (0.5, 0.5))
+        with pytest.raises(RangeError, match=r"piece interval \[0\.5, 0\.5\] is empty"):
+            piece.evaluate(0.5)
+
+    def test_piece_rejects_nan(self):
+        res = subdivide(random_curve(HYP, 2, 2.0, seed=14), 0.8)
+        with pytest.raises(RangeError, match=r"u = .*nan.* outside the piece interval"):
+            res.left.evaluate([0.1, math.nan])
+
+    def test_piece_reports_first_offending_parameter(self):
+        res = subdivide(random_curve(TRIG, 2, 2.0, seed=14), 0.8)
+        with pytest.raises(RangeError, match=r"u = .*1\.5.* outside"):
+            res.left.evaluate([0.1, 1.5, -3.0])
+        weights = np.array([1.0, -1.0, 1.0])
+        degenerate = BezierPiece(BasisSpace(TRIG, 1, 1.0), np.eye(3), weights, (0.0, 1.0))
+        with pytest.raises(NumericalError, match="piece denominator vanishes near u = 0.5"):
+            degenerate.evaluate([0.1, 0.5, 2.0])
+
+    def test_weight_scale_does_not_decide_splitting(self):
+        # Scaling all rational weights leaves the curve and its pieces unchanged.
+        crv = random_curve(TRIG, 3, 2.0, seed=15, rational=True)
+        tiny = ControlCurve(crv.space, crv.points, crv.weights * 1e-20)
+        us = np.linspace(0.0, 0.7, 9)
+        assert_allclose(subdivide(tiny, 0.7).left.evaluate(us), evaluate(crv, us), atol=1e-12)
+
+    # Hyperbolic spaces with n * alpha of 54-90: the outer Bezier weights fall
+    # below 1e-14, which an absolute floor took for a degenerate pyramid.
+    @pytest.mark.parametrize(
+        "n, alpha, rational",
+        [(12, 4.5, False), (20, 4.0, False), (31, 2.9, False), (14, 4.2, True)],
+    )
+    def test_large_hyperbolic_spaces_split(self, n, alpha, rational):
+        coords = [
+            {"terms": [{"family": "cosh", "k": n, "a": 1.0, "phase": 0.3},
+                       {"family": "sinh", "k": 1, "a": -2.0}]},
+            {"terms": [{"family": "sinh", "k": n // 2, "a": 0.5}]},
+        ]
+        if rational:
+            coords.append({"terms": [{"family": "cosh", "k": 0, "a": 1.0},
+                                     {"family": "cosh", "k": 1, "a": 0.6},
+                                     {"family": "sinh", "k": 1, "a": -0.3}]})
+        doc = {"version": 1, "type": "curve", "kind": "hyperbolic", "alpha": alpha,
+               "rational": rational, "coords": coords}
+        spec = parse_document(json.dumps(doc)).spec
+        crv = exact_rational_curve(spec).curve if rational else exact_curve(spec)
+        assert crv.space.n == n
+        assert np.min(bezier_weights(crv.space)) < 1e-14
+        res = subdivide(crv, 0.4 * alpha)
+        for piece in (res.left, res.right):
+            us = np.linspace(*piece.u_interval, 101)
+            parent = evaluate(crv, us)
+            assert np.max(np.abs(piece.evaluate(us) - parent)) <= 1e-12 * np.max(np.abs(parent))
 
 
 class TestElevate:

@@ -303,6 +303,17 @@ class TestExportSvg:
         assert ">d0</text>" in text and ">d2</text>" in text
         assert "stroke-dasharray" in text
 
+    def test_labels_are_xml_escaped(self):
+        from xml.dom import minidom
+        from xml.sax.saxutils import escape
+
+        pts = np.array([[0.0, 0.0], [1.0, 1.0]])
+        label = 'a<b&">%&amp;'
+        text = export_svg([SvgPath(pts, role="polygon", label=label)])
+        texts = minidom.parseString(text).getElementsByTagName("text")
+        assert [node.firstChild.data for node in texts] == [label + "0", label + "1"]
+        assert f">{escape(label)}0</text>" in text
+
     def test_y_axis_is_flipped(self):
         pts = np.array([[0.0, 1.0], [2.0, 3.0]])
         text = export_svg([SvgPath(pts)])
@@ -365,6 +376,8 @@ class TestExportObj:
             export_obj(np.full((2, 3), np.inf))
         with pytest.raises(RangeError, match="does not match"):
             export_obj(np.zeros((2, 2, 3)), np.zeros((3, 3)))
+        with pytest.raises(RangeError, match="control net contains non-finite"):
+            export_obj(np.zeros((2, 2, 3)), np.full((2, 2, 3), np.nan))
 
 
 class TestTables:

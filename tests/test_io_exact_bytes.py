@@ -324,10 +324,12 @@ class TestObjBytes:
         net = np.resize(SPECIAL[::-1], (3, 2, 3))
         assert_same(ref_export_obj, export_obj, samples, net)
 
-    def test_nonfinite_control_net_passes_through(self):
+    def test_nonfinite_control_net_rejected(self):
+        # The per-element original wrote such a net as "v nan ..." records.
         rng = np.random.default_rng(3)
         net = np.resize(np.concatenate([NONFINITE, SPECIAL]), (2, 3, 3))
-        assert_same(ref_export_obj, export_obj, lattice(rng, (3, 3)), net)
+        with pytest.raises(RangeError, match="^control net contains non-finite points$"):
+            export_obj(lattice(rng, (3, 3)), net)
 
     def test_empty_control_net(self):
         rng = np.random.default_rng(4)
