@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bbasis import BasisKind, BasisSpace, basis_matrix
-from .curve import elevate, evaluate, subdivide
+from .curve import ControlCurve, elevate, evaluate, subdivide
 from .errors import NumericalError, RangeError, SpecError
 from .exact import CurveSpec, exact_curve, exact_rational_curve, min_order
 from .gallery import run_gallery
@@ -33,7 +33,6 @@ from .io import (
 from .surface import (
     exact_rational_surface,
     exact_surface,
-    min_orders,
     sample_lattice,
 )
 from .xform import transform_matrix
@@ -87,7 +86,7 @@ def _coord_names(count: int) -> list[str]:
     return [f"c{i + 1}" for i in range(count)]
 
 
-def _single_order(doc: SpecDocument, args) -> int | None:
+def _single_order(args) -> int | None:
     if args.order is None:
         return None
     orders = _int_list_flag(args.order, "--order")
@@ -112,15 +111,6 @@ def _require_curve(doc: SpecDocument, command: str) -> CurveSpec:
     if not isinstance(doc.spec, CurveSpec):
         raise RangeError(f"{command} works on curve specs only")
     return doc.spec
-
-
-def _described_curve(doc: SpecDocument, args):
-    """Control curve for a curve document, honoring the rational flag."""
-    spec = doc.spec
-    n = _single_order(doc, args)
-    if doc.rational:
-        return exact_rational_curve(spec, n, args.max_elevations).curve
-    return exact_curve(spec, n)
 
 
 def _table(data, columns, fmt: str) -> str:
@@ -161,111 +151,87 @@ def _derivative_orders(args, delta: int):
     return orders
 
 
-def _describe_curve(doc: SpecDocument, args):
+def _described(doc: SpecDocument, args):
+    """Control curve or grid of a document, honoring --order, --derivative and rational.
+
+    Both flags are checked for shape before a rational document refuses a derivative.
+    """
     spec = doc.spec
-    r = _derivative_orders(args, 1)
+    curve = isinstance(spec, CurveSpec)
+    r = _derivative_orders(args, 1 if curve else spec.delta)
+    orders = _single_order(args) if curve else _surface_orders(doc, args)
     if doc.rational:
         if r is not None and any(r):
             raise RangeError("--derivative: not supported for rational specs")
-        curve = exact_rational_curve(spec, _single_order(doc, args), args.max_elevations).curve
-        data = np.hstack([curve.points, curve.weights[:, None]])
-        columns = _coord_names(curve.dimension) + ["weight"]
-    else:
-        curve = exact_curve(spec, _single_order(doc, args), r[0] if r else 0)
-        data = curve.points
-        columns = _coord_names(curve.dimension)
-    if args.format == "svg":
-        if curve.dimension != 2:
+        if curve:
+            return exact_rational_curve(spec, orders, args.max_elevations).curve
+        return exact_rational_surface(spec, orders, args.max_elevations)
+    if curve:
+        return exact_curve(spec, orders, r[0] if r else 0)
+    return exact_surface(spec, orders, r)
+
+
+def _control_output(net, fmt: str) -> str:
+    """A control polygon or grid as svg (planar polygons), obj or a table.
+
+    Table rows hold a grid's multi-index, the coordinates and any weight.
+    """
+    points = net.points
+    channels = points.shape[-1]
+    if fmt == "svg" and isinstance(net, ControlCurve):
+        if channels != 2:
             raise RangeError("--format: svg needs 2-d points")
-        return export_svg([SvgPath(curve.points, "polygon")])
-    if args.format == "obj":
-        if curve.dimension != 3:
-            raise RangeError("--format: obj needs 3-d points")
-        return export_obj(curve.points)
-    return _table(data, columns, args.format)
-
-
-def _describe_surface(doc: SpecDocument, args):
-    spec = doc.spec
-    r = _derivative_orders(args, spec.delta)
-    orders = _surface_orders(doc, args)
-    if doc.rational:
-        if r is not None and any(r):
-            raise RangeError("--derivative: not supported for rational specs")
-        grid = exact_rational_surface(spec, orders, args.max_elevations)
-    else:
-        grid = exact_surface(spec, orders, r)
-    channels = grid.points.shape[-1]
-    if args.format == "obj":
+        return export_svg([SvgPath(points, "polygon")])
+    if fmt == "obj":
         if channels != 3:
             raise RangeError("--format: obj needs 3-d points")
-        return export_obj(grid.points)
-    dims = grid.points.shape[:-1]
-    blocks = [np.indices(dims).reshape(len(dims), -1).T, grid.points.reshape(-1, channels)]
-    columns = [f"i{j + 1}" for j in range(len(dims))] + _coord_names(channels)
-    if grid.weights is not None:
-        blocks.append(grid.weights.reshape(-1, 1))
+        return export_obj(points)
+    blocks = [points.reshape(-1, channels)]
+    columns = _coord_names(channels)
+    if not isinstance(net, ControlCurve):
+        dims = points.shape[:-1]
+        blocks.insert(0, np.indices(dims).reshape(len(dims), -1).T)
+        columns = [f"i{j + 1}" for j in range(len(dims))] + columns
+    if net.weights is not None:
+        blocks.append(net.weights.reshape(-1, 1))
         columns.append("weight")
-    return _table(np.hstack(blocks), columns, args.format)
+    return _table(np.hstack(blocks), columns, fmt)
 
 
 def _cmd_describe(args, require_rational=False):
     doc = _load_document(args)
     if require_rational and not doc.rational:
         raise SpecError("rational", "describe-rational needs a spec with rational = true")
-    if isinstance(doc.spec, CurveSpec):
-        return _describe_curve(doc, args), args.out
-    return _describe_surface(doc, args), args.out
+    return _control_output(_described(doc, args), args.format), args.out
 
 
 def _cmd_sample(args):
     _check_samples(args.samples)
     doc = _load_document(args)
     spec = doc.spec
+    net = _described(doc, args)
     if isinstance(spec, CurveSpec):
-        r = _derivative_orders(args, 1)
-        if doc.rational:
-            if r is not None and any(r):
-                raise RangeError("--derivative: not supported for rational specs")
-            curve = exact_rational_curve(spec, _single_order(doc, args), args.max_elevations).curve
-        else:
-            curve = exact_curve(spec, _single_order(doc, args), r[0] if r else 0)
-        us = np.linspace(0.0, spec.alpha, args.samples)
-        values = evaluate(curve, us)
-        if args.format == "svg":
-            if values.shape[1] != 2:
-                raise RangeError("--format: svg needs 2-d samples")
-            return export_svg([SvgPath(values, "curve")]), args.out
-        if args.format == "obj":
-            if values.shape[1] != 3:
-                raise RangeError("--format: obj needs 3-d samples")
-            return export_obj(values), args.out
-        data = np.hstack([us[:, None], values])
-        columns = ["u"] + _coord_names(values.shape[1])
-        return _table(data, columns, args.format), args.out
-
-    r = _derivative_orders(args, spec.delta)
-    orders = _surface_orders(doc, args)
-    if doc.rational:
-        if r is not None and any(r):
-            raise RangeError("--derivative: not supported for rational specs")
-        grid = exact_rational_surface(spec, orders, args.max_elevations)
+        axes = [np.linspace(0.0, spec.alpha, args.samples)]
+        values = evaluate(net, axes[0])
+        names = ["u"]
     else:
-        grid = exact_surface(spec, orders, r)
-    counts = (args.samples,) * spec.delta
-    lattice = sample_lattice(grid, spec.directions, counts)
+        axes = [np.linspace(0.0, d.alpha, args.samples) for d in spec.directions]
+        values = sample_lattice(net, spec.directions, (args.samples,) * spec.delta)
+        names = [f"u{j + 1}" for j in range(spec.delta)]
     if args.format == "obj":
-        if lattice.shape[-1] != 3:
+        if values.shape[-1] != 3:
             raise RangeError("--format: obj needs 3-d samples")
-        return export_obj(lattice), args.out
+        return export_obj(values), args.out
     if args.format == "svg":
-        raise RangeError("--format: svg is for planar curves only")
-    axes = [np.linspace(0.0, d.alpha, c) for d, c in zip(spec.directions, counts)]
+        if len(axes) > 1:
+            raise RangeError("--format: svg is for planar curves only")
+        if values.shape[1] != 2:
+            raise RangeError("--format: svg needs 2-d samples")
+        return export_svg([SvgPath(values, "curve")]), args.out
     mesh = np.meshgrid(*axes, indexing="ij")
     params = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    data = np.hstack([params, lattice.reshape(len(params), -1)])
-    columns = [f"u{j + 1}" for j in range(spec.delta)] + _coord_names(lattice.shape[-1])
-    return _table(data, columns, args.format), args.out
+    data = np.hstack([params, values.reshape(len(params), -1)])
+    return _table(data, names + _coord_names(values.shape[-1]), args.format), args.out
 
 
 def _cmd_subdivide(args):
@@ -273,7 +239,7 @@ def _cmd_subdivide(args):
     _require_curve(doc, "subdivide")
     if args.format != "json":
         raise RangeError("--format: subdivide emits json only")
-    curve = _described_curve(doc, args)
+    curve = _described(doc, args)
     u0 = _angle_flag(args.split_at, "--split-at")
     result = subdivide(curve, u0)
 
@@ -296,7 +262,7 @@ def _cmd_elevate(args):
     doc = _load_document(args)
     spec = _require_curve(doc, "elevate")
     base = min_order(spec)
-    target = _single_order(doc, args)
+    target = _single_order(args)
     if target is None:
         target = base + 1
     if target < base:
@@ -306,17 +272,7 @@ def _cmd_elevate(args):
     else:
         curve = exact_curve(spec, base)
     curve = elevate(curve, target - curve.space.n)
-    if curve.is_rational:
-        data = np.hstack([curve.points, curve.weights[:, None]])
-        columns = _coord_names(curve.dimension) + ["weight"]
-    else:
-        data = curve.points
-        columns = _coord_names(curve.dimension)
-    if args.format == "svg":
-        if curve.dimension != 2:
-            raise RangeError("--format: svg needs 2-d points")
-        return export_svg([SvgPath(curve.points, "polygon")]), args.out
-    return _table(data, columns, args.format), args.out
+    return _control_output(curve, args.format), args.out
 
 
 def _cmd_gallery(args):
@@ -329,16 +285,15 @@ def _cmd_gallery(args):
     return "\n".join(lines) + "\n", None
 
 
-def _add_spec_flags(sub, max_elevations=True):
+def _add_spec_flags(sub):
     sub.add_argument("--spec", required=True, help="path of the JSON spec document")
     sub.add_argument("--order", help="order n, or comma list for surfaces (default: minimum)")
-    if max_elevations:
-        sub.add_argument(
-            "--max-elevations",
-            type=int,
-            default=32,
-            help="elevation budget for rational descriptions (default 32)",
-        )
+    sub.add_argument(
+        "--max-elevations",
+        type=int,
+        default=32,
+        help="elevation budget for rational descriptions (default 32)",
+    )
 
 
 def _add_output_flags(sub, default_format="csv", formats=("csv", "json", "svg", "obj")):
@@ -393,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--split-at", required=True, help="split parameter u0 (number or pi literal)"
     )
     _add_output_flags(p, default_format="json", formats=("json",))
-    p.set_defaults(handler=_cmd_subdivide)
+    p.set_defaults(handler=_cmd_subdivide, derivative=None)
 
     p = sub.add_parser("elevate", help="order elevate a curve step by step")
     _add_spec_flags(p)

@@ -1,8 +1,11 @@
 """Control point curves over a B-basis and their classical algorithms.
 
 A :class:`ControlCurve` pairs a :class:`~chbez.bbasis.BasisSpace` with a
-polygon of control points and optional rational weights.  Besides plain
-evaluation, the module provides the reparametrization onto ``[0, 1]`` that
+polygon of control points and optional rational weights.  Evaluation runs
+through the contraction shared with tensor product patches
+(:mod:`chbez.surface`): a curve is the one-direction case, one basis matrix
+applied to the leading axis of the control tensor.  Besides evaluation, the
+module provides the reparametrization onto ``[0, 1]`` that
 turns every such curve into a rational Bezier curve, corner cutting
 subdivision at an arbitrary interior parameter, and order elevation.
 
@@ -43,11 +46,68 @@ __all__ = [
     "piece_matches_subspace_weights",
 ]
 
-# A rational combination whose denominator falls to this level is treated as
-# degenerate rather than divided through.  Subdivision and piece evaluation
-# scale it by the largest weight: hyperbolic Bezier weights shrink like
-# exp(-n * alpha) as a whole, which says nothing about degeneracy.
+# Rational denominators and weights at or below this floor are degenerate.
 _WEIGHT_FLOOR = 1e-14
+
+
+def _below_floor(values: np.ndarray, weights: np.ndarray, floor: float = _WEIGHT_FLOOR):
+    """Mask of ``values`` at or below ``floor`` times ``min(1, max |weights|)``.
+
+    Weights matter only up to a common scale (hyperbolic Bezier weights shrink
+    like exp(-n * alpha) as a whole), so tiny weights lower the floor; a wide
+    spread does not raise it, as over a nonnegative partition of unity a
+    denominator is at least the smallest weight.
+    """
+    return values <= floor * min(1.0, abs(weights).max())
+
+
+def _store_net(net, points: np.ndarray, dims: tuple, shape_error: str) -> None:
+    """Check a control net's points and weights and store read-only copies.
+
+    Weights whose shape is not ``dims`` raise ``shape_error.format(shape)``.
+    """
+    if not np.all(np.isfinite(points)):
+        raise RangeError("control points must be finite")
+    object.__setattr__(net, "points", points.copy())
+    net.points.flags.writeable = False
+    if net.weights is not None:
+        w = np.asarray(net.weights, dtype=float)
+        if w.shape != dims:
+            raise RangeError(shape_error.format(w.shape))
+        if not np.all(np.isfinite(w)) or np.any(w < 0.0) or not np.any(w > 0.0):
+            raise RangeError("weights must be finite, nonnegative and not all zero")
+        object.__setattr__(net, "weights", w.copy())
+        net.weights.flags.writeable = False
+
+
+def _contract(mats, tensor: np.ndarray) -> np.ndarray:
+    """Replace axis ``j`` of a control tensor by its samples ``mats[j] @``.
+
+    Trailing axes (coordinates) ride along.  ``mat @`` a 2-d view is the BLAS
+    call ``np.tensordot`` makes, without its per-call bookkeeping; axis 0, all
+    a curve has, needs no ``np.moveaxis`` either.
+    """
+    for j, mat in enumerate(mats):
+        moved = np.moveaxis(tensor, j, 0) if j else tensor
+        flat = mat @ moved.reshape(moved.shape[0], -1)
+        flat = flat.reshape(mat.shape[:1] + moved.shape[1:])
+        tensor = np.moveaxis(flat, 0, j) if j else flat
+    return tensor
+
+
+def _combine(mats, points: np.ndarray, weights, vanishing) -> np.ndarray:
+    """Values of a control net on the samples of ``mats`` (see :func:`_contract`).
+
+    Rational when ``weights`` is given; where the denominator falls to the
+    floor, the error ``vanishing(mask of failing samples)`` is raised.
+    """
+    if weights is None:
+        return _contract(mats, points)
+    den = _contract(mats, weights)
+    bad = _below_floor(np.abs(den), weights)
+    if bad.any():
+        raise vanishing(bad)
+    return _contract(mats, weights[..., None] * points) / den[..., None]
 
 
 @dataclass(frozen=True)
@@ -75,24 +135,8 @@ class ControlCurve:
             )
         if pts.shape[1] < 1:
             raise RangeError("control points need at least one coordinate")
-        if not np.all(np.isfinite(pts)):
-            raise RangeError("control points must be finite")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (self.space.dimension,):
-                raise RangeError(
-                    f"expected {self.space.dimension} weights, got shape {w.shape}"
-                )
-            if not np.all(np.isfinite(w)) or np.any(w < 0.0) or not np.any(w > 0.0):
-                raise RangeError(
-                    "weights must be finite, nonnegative and not all zero"
-                )
-            w = w.copy()
-            w.flags.writeable = False
-            object.__setattr__(self, "weights", w)
+        dims = (self.space.dimension,)
+        _store_net(self, pts, dims, f"expected {dims[0]} weights, got shape {{}}")
 
     @property
     def dimension(self) -> int:
@@ -108,16 +152,9 @@ def evaluate(curve: ControlCurve, u):
     scalar = np.ndim(u) == 0
     us = np.atleast_1d(np.asarray(u, dtype=float))
     basis = basis_matrix(curve.space, us)
-    if curve.weights is None:
-        values = basis @ curve.points
-    else:
-        denom = basis @ curve.weights
-        bad = np.abs(denom) <= _WEIGHT_FLOOR
-        if np.any(bad):
-            raise NumericalError(
-                f"rational denominator vanishes near u = {us[np.argmax(bad)]:g}"
-            )
-        values = (basis @ (curve.weights[:, None] * curve.points)) / denom[:, None]
+    values = _combine([basis], curve.points, curve.weights, lambda bad: NumericalError(
+        f"rational denominator vanishes near u = {us[np.argmax(bad)]:g}"
+    ))
     return values[0] if scalar else values
 
 
@@ -191,7 +228,7 @@ class BezierPiece:
         powers = np.arange(degree + 1)
         bern = _binomials(degree) * s**powers * (1.0 - s) ** (degree - powers)
         denom = bern @ self.weights
-        vanishing = np.abs(denom) <= _WEIGHT_FLOOR * np.max(np.abs(self.weights))
+        vanishing = _below_floor(np.abs(denom), self.weights)
         # Report the first parameter that fails a check, and for it the first
         # check it fails: piece interval, parent interval, denominator.
         failed = outside | off_parent | vanishing
@@ -248,8 +285,7 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
         pts = np.hstack([curve.weights[:, None] * curve.points, curve.weights[:, None]])
         effective = _weight_pyramid(bez * curve.weights, v)
 
-    floor = _WEIGHT_FLOOR * np.max(np.abs(effective[0]))
-    if np.any(np.abs(np.concatenate(effective)) <= floor):
+    if np.any(_below_floor(np.abs(np.concatenate(effective)), effective[0])):
         raise NumericalError(f"degenerate weight pyramid while splitting at u0 = {u0:g}")
 
     p_levels = [pts]
@@ -299,7 +335,7 @@ def elevate(curve: ControlCurve, z: int = 1) -> ControlCurve:
     if curve.weights is None:
         return ControlCurve(lifted, pts)
     w = pts[:, -1]
-    if np.any(w <= _WEIGHT_FLOOR):
+    if np.any(_below_floor(w, w)):
         raise NumericalError("degenerate weight after elevation")
     return ControlCurve(lifted, pts[:, :-1] / w[:, None], w)
 

@@ -14,7 +14,9 @@ Rational curves carry their denominator as one extra coordinate.  The
 pre-image polygon in one higher dimension is computed first; if some of the
 resulting weights fail to be positive, order elevation is applied until
 they are (for curves this terminates after finitely many steps whenever the
-denominator is positive on the whole interval).
+denominator is positive on the whole interval).  The elevation loop is the
+one tensor product patches use (:mod:`chbez.surface`), run on a single
+direction.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from enum import Enum
 import numpy as np
 
 from .bbasis import MAX_DEGREE, BasisKind, BasisSpace
-from .curve import ControlCurve, elevate
+from .curve import ControlCurve, _below_floor
 from .errors import NumericalError, RangeError
-from .xform import transform_matrix
+from .xform import elevate_coefficient_vector, transform_matrix
 
 __all__ = [
     "TermFamily",
@@ -42,7 +44,7 @@ __all__ = [
     "exact_rational_curve",
 ]
 
-# Weights at or below this level do not count as positive.
+# Pre-image weights at or below this floor (see ``curve._below_floor``) are not positive.
 WEIGHT_POSITIVITY = 1e-12
 
 # Denominator sign is checked on this many uniform samples of [0, alpha].
@@ -274,18 +276,42 @@ def exact_rational_curve(
             f"denominator is not positive on [0, {spec.alpha:g}] (fails near u = {at:g})"
         )
     pre = exact_curve(spec, n, 0)
+    points, (n,), steps = _elevate_until_positive(
+        pre.points, [pre.space.n], [spec.space], max_elevations
+    )
+    weights = points[:, -1]
+    projected = ControlCurve(spec.space(n), points[:, :-1] / weights[:, None], weights)
+    return PreImageResult(ControlCurve(projected.space, points), projected, steps)
+
+
+def _elevate_until_positive(points: np.ndarray, orders, spaces, max_elevations: int):
+    """Order elevate a pre-image until its weights (last channel) are positive.
+
+    ``points`` has one leading axis per direction, whose space at order
+    ``n`` is ``spaces[j](n)``.  Directions take turns (one at the degree cap
+    gives way to the lowest order) for at most ``max_elevations`` steps.
+    Returns the tensor, the orders and the step count, or raises with the
+    indices of the weights still not positive (ints for a curve).
+    """
+    orders = list(orders)
+    delta = len(orders)
     steps = 0
-    while np.any(pre.points[:, -1] <= WEIGHT_POSITIVITY) and steps < max_elevations:
-        if 2 * (pre.space.n + 1) > MAX_DEGREE:
-            break
-        pre = elevate(pre, 1)
+    bad = _below_floor(points[..., -1], points[..., -1], WEIGHT_POSITIVITY)
+    while np.any(bad) and steps < max_elevations:
+        j = steps % delta
+        if 2 * (orders[j] + 1) > MAX_DEGREE:
+            j = min(range(delta), key=lambda d: orders[d])
+            if 2 * (orders[j] + 1) > MAX_DEGREE:
+                break
+        lifted = elevate_coefficient_vector(spaces[j](orders[j]), np.moveaxis(points, j, 0))
+        points = np.moveaxis(lifted, 0, j)
+        orders[j] += 1
         steps += 1
-    weights = pre.points[:, -1]
-    if np.any(weights <= WEIGHT_POSITIVITY):
-        bad = np.flatnonzero(weights <= WEIGHT_POSITIVITY)
+        bad = _below_floor(points[..., -1], points[..., -1], WEIGHT_POSITIVITY)
+    if np.any(bad):
+        found = [tuple(int(x) for x in idx) for idx in np.argwhere(bad)]
         raise NumericalError(
             f"weights not positive after {steps} elevation(s)",
-            indices=[int(i) for i in bad],
+            indices=[i for (i,) in found] if delta == 1 else found,
         )
-    projected = ControlCurve(pre.space, pre.points[:, :-1] / weights[:, None], weights)
-    return PreImageResult(pre, projected, steps)
+    return points, orders, steps

@@ -11,10 +11,12 @@ tensor per summand.
 ``delta`` denotes the number of parametric directions (2 for surfaces, 3
 for volumes; up to 4 is supported) and ``kappa`` how many coordinates the
 ambient space has beyond ``delta``.  Rational patches carry one more
-coordinate, the denominator.  Unlike the curve case, elevating the
-pre-image grid is not guaranteed to reach positive weights, so the repair
-loop runs under an explicit budget and reports the offending grid indices
-when it gives up.
+coordinate, the denominator.  The repair loop that elevates the pre-image
+grid until its weights are positive is the one curves use
+(:mod:`chbez.exact`), round robin over the directions; unlike the curve
+case it is not guaranteed to succeed, so it runs under an explicit budget
+and reports the offending grid indices when it gives up.  Evaluation uses
+the basis contraction of :mod:`chbez.curve`, one basis matrix per direction.
 """
 
 from __future__ import annotations
@@ -24,16 +26,15 @@ from functools import reduce
 
 import numpy as np
 
-from .bbasis import MAX_DEGREE, BasisKind, BasisSpace, basis_matrix, basis_vector
-from .curve import _WEIGHT_FLOOR
+from .bbasis import BasisKind, BasisSpace, basis_matrix
+from .curve import _combine, _store_net
 from .errors import NumericalError, RangeError
 from .exact import (
     DEFAULT_MAX_ELEVATIONS,
-    WEIGHT_POSITIVITY,
     CoordinateFunction,
+    _elevate_until_positive,
     coordinate_ordinates,
 )
-from .xform import elevate_coefficient_vector
 
 __all__ = [
     "MAX_DIRECTIONS",
@@ -144,14 +145,8 @@ class SurfaceSpec:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.delta,):
             raise RangeError(f"expected {self.delta} parameters, got shape {u.shape}")
-        out = np.zeros(self.channels)
-        for ell, coord in enumerate(self.coords):
-            for summand in coord.summands:
-                prod = 1.0
-                for j, factor in enumerate(summand.factors):
-                    prod *= factor.values(self.directions[j].kind, np.array([u[j]]))[0]
-                out[ell] += prod
-        return out
+        axes = [u[j : j + 1] for j in range(self.delta)]
+        return np.array([_lattice_values(c, self.directions, axes).item() for c in self.coords])
 
 
 @dataclass(frozen=True)
@@ -172,16 +167,7 @@ class ControlGrid:
         dims = tuple(2 * n + 1 for n in self.orders)
         if pts.shape[:-1] != dims:
             raise RangeError(f"points shape {pts.shape} does not match orders {self.orders}")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != dims:
-                raise RangeError(f"weights shape {w.shape} does not match orders {self.orders}")
-            w = w.copy()
-            w.flags.writeable = False
-            object.__setattr__(self, "weights", w)
+        _store_net(self, pts, dims, f"weights shape {{}} does not match orders {self.orders}")
 
     @property
     def channels(self) -> int:
@@ -203,6 +189,9 @@ def min_orders(spec: SurfaceSpec) -> tuple[int, ...]:
 def _check_orders(spec: SurfaceSpec, orders) -> tuple[int, ...]:
     if orders is None:
         return min_orders(spec)
+    for n in orders:
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise RangeError(f"order n must be an integer, got {n!r}")
     orders = tuple(int(n) for n in orders)
     if len(orders) != spec.delta:
         raise RangeError(f"expected {spec.delta} orders, got {len(orders)}")
@@ -241,14 +230,6 @@ def exact_surface(spec: SurfaceSpec, orders=None, r=None) -> ControlGrid:
     return ControlGrid(tuple(orders), grid)
 
 
-def _elevate_along(points: np.ndarray, space: BasisSpace, axis: int) -> np.ndarray:
-    moved = np.moveaxis(points, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    lifted = elevate_coefficient_vector(space, flat)
-    lifted = lifted.reshape((lifted.shape[0],) + moved.shape[1:])
-    return np.moveaxis(lifted, 0, axis)
-
-
 def exact_rational_surface(
     spec: SurfaceSpec,
     orders=None,
@@ -278,29 +259,12 @@ def exact_rational_surface(
         at = tuple(float(axes[j][w]) for j, w in enumerate(where))
         raise NumericalError(f"denominator is not positive on the box (fails near u = {at})")
 
-    orders = list(_check_orders(spec, orders))
+    orders = _check_orders(spec, orders)
     grid = exact_surface(spec, orders)
-    points = grid.points
-    steps = 0
-    while np.any(points[..., -1] <= WEIGHT_POSITIVITY) and steps < max_elevations:
-        j = steps % spec.delta
-        if 2 * (orders[j] + 1) > MAX_DEGREE:
-            j = min(range(spec.delta), key=lambda d: orders[d])
-            if 2 * (orders[j] + 1) > MAX_DEGREE:
-                break
-        space = spec.directions[j].space(orders[j])
-        points = _elevate_along(points, space, j)
-        orders[j] += 1
-        steps += 1
+    spaces = [d.space for d in spec.directions]
+    points, orders, _ = _elevate_until_positive(grid.points, orders, spaces, max_elevations)
     weights = points[..., -1]
-    if np.any(weights <= WEIGHT_POSITIVITY):
-        bad = np.argwhere(weights <= WEIGHT_POSITIVITY)
-        raise NumericalError(
-            f"weights not positive after {steps} elevation(s)",
-            indices=[tuple(int(x) for x in idx) for idx in bad],
-        )
-    projected = points[..., :-1] / weights[..., None]
-    return ControlGrid(tuple(orders), projected, weights)
+    return ControlGrid(tuple(orders), points[..., :-1] / weights[..., None], weights)
 
 
 def _lattice_values(
@@ -333,18 +297,11 @@ def evaluate_surface(grid: ControlGrid, directions, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (len(spaces),):
         raise RangeError(f"expected {len(spaces)} parameters, got shape {u.shape}")
-    vectors = [basis_vector(s, ui) for s, ui in zip(spaces, u)]
-    num = grid.points if grid.weights is None else grid.weights[..., None] * grid.points
-    for vec in vectors:
-        num = np.tensordot(vec, num, axes=(0, 0))
-    if grid.weights is None:
-        return num
-    den = grid.weights
-    for vec in vectors:
-        den = np.tensordot(vec, den, axes=(0, 0))
-    if abs(den) <= _WEIGHT_FLOOR:
-        raise NumericalError(f"rational denominator vanishes at u = {tuple(u)}")
-    return num / den
+    mats = [basis_matrix(s, u[j : j + 1]) for j, s in enumerate(spaces)]
+    values = _combine(mats, grid.points, grid.weights, lambda bad: NumericalError(
+        f"rational denominator vanishes at u = {tuple(float(ui) for ui in u)}"
+    ))
+    return values[(0,) * len(spaces)]
 
 
 def sample_lattice(grid: ControlGrid, directions, counts) -> np.ndarray:
@@ -361,17 +318,6 @@ def sample_lattice(grid: ControlGrid, directions, counts) -> np.ndarray:
     mats = [
         basis_matrix(s, np.linspace(0.0, s.alpha, c)) for s, c in zip(spaces, counts)
     ]
-
-    def contract(tensor):
-        for j, mat in enumerate(mats):
-            tensor = np.moveaxis(np.tensordot(mat, tensor, axes=(1, j)), 0, j)
-        return tensor
-
-    num = grid.points if grid.weights is None else grid.weights[..., None] * grid.points
-    num = contract(num)
-    if grid.weights is None:
-        return num
-    den = contract(grid.weights)
-    if np.any(np.abs(den) <= _WEIGHT_FLOOR):
-        raise NumericalError("rational denominator vanishes on the sample lattice")
-    return num / den[..., None]
+    return _combine(mats, grid.points, grid.weights, lambda bad: NumericalError(
+        "rational denominator vanishes on the sample lattice"
+    ))

@@ -2,11 +2,13 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import chbez
 from chbez import (
     exact_curve,
     exact_rational_surface,
@@ -428,3 +430,74 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+
+_REFUSED = "error: --derivative: not supported for rational specs\n"
+
+# command, figure, extra flags -> exit code and the whole of stderr.
+FAILING_COMMANDS = [
+    ("describe", "lemniscate", ["--derivative", "1"], 2, _REFUSED),
+    ("sample", "lemniscate", ["--derivative", "1"], 2, _REFUSED),
+    ("describe", "rational_trigonometric_patch", ["--derivative", "1"], 2, _REFUSED),
+    ("sample", "rational_trigonometric_patch", ["--derivative", "1"], 2, _REFUSED),
+    ("describe-rational", "lemniscate", ["--derivative", "1"], 2, _REFUSED),
+    ("describe", "torus_patch", ["--format", "svg"], 2,
+     "error: --format: table output supports csv or json, got 'svg'\n"),
+    ("sample", "torus_patch", ["--format", "svg", "--samples", "5"], 2,
+     "error: --format: svg is for planar curves only\n"),
+    ("describe", "hypocycloid", ["--format", "obj"], 2,
+     "error: --format: obj needs 3-d points\n"),
+    ("sample", "hypocycloid", ["--format", "obj"], 2,
+     "error: --format: obj needs 3-d samples\n"),
+    ("describe", "torus_knot", ["--format", "svg"], 2,
+     "error: --format: svg needs 2-d points\n"),
+    ("sample", "torus_knot", ["--format", "svg"], 2,
+     "error: --format: svg needs 2-d samples\n"),
+    ("elevate", "torus_knot", ["--format", "svg"], 2,
+     "error: --format: svg needs 2-d points\n"),
+    ("describe", "hypocycloid", ["--order", "3,4"], 2,
+     "error: --order: a curve takes one order, got 2\n"),
+    ("sample", "lemniscate", ["--order", "2,2"], 2,
+     "error: --order: a curve takes one order, got 2\n"),
+    ("elevate", "hypocycloid", ["--order", "3,4"], 2,
+     "error: --order: a curve takes one order, got 2\n"),
+    ("subdivide", "hypocycloid", ["--order", "3,4", "--split-at", "1"], 2,
+     "error: --order: a curve takes one order, got 2\n"),
+    ("describe", "torus_patch", ["--order", "3,4,5"], 2,
+     "error: --order: expected 2 orders, got 3\n"),
+    ("sample", "rational_trigonometric_patch", ["--order", "2,2,2"], 2,
+     "error: --order: expected 2 orders, got 3\n"),
+    ("describe", "hypocycloid", ["--order", "0"], 2,
+     "error: order 0 below the curve's minimum order 4\n"),
+    ("describe", "lemniscate", ["--order", "0"], 2,
+     "error: order 0 below the curve's minimum order 2\n"),
+    ("describe", "torus_patch", ["--order", "0"], 2,
+     "error: order 0 in direction 0 below the minimum 1\n"),
+    ("describe", "torus_patch", ["--derivative", "1,1,1"], 2,
+     "error: --derivative: expected 2 orders, got 3\n"),
+    ("describe", "hypocycloid", ["--derivative", "1,1"], 2,
+     "error: --derivative: expected 1 orders, got 2\n"),
+    ("sample", "hypocycloid", ["--derivative=-1"], 2,
+     "error: --derivative: orders must be nonnegative, got '-1'\n"),
+    ("subdivide", "torus_patch", ["--split-at", "1"], 2,
+     "error: subdivide works on curve specs only\n"),
+    ("elevate", "torus_patch", [], 2, "error: elevate works on curve specs only\n"),
+    ("describe-rational", "hypocycloid", [], 2,
+     "error: rational: describe-rational needs a spec with rational = true\n"),
+    # Two faults: the order count is checked before the rational refusal, for
+    # curves and patches alike.
+    ("describe", "rational_trigonometric_patch", ["--order", "3,4,5", "--derivative", "1"],
+     2, "error: --order: expected 2 orders, got 3\n"),
+    ("describe", "lemniscate", ["--order", "3,4", "--derivative", "1"], 2,
+     "error: --order: a curve takes one order, got 2\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, figure, flags, code, stderr",
+    FAILING_COMMANDS,
+    ids=[" ".join([c, f, *fl]) for c, f, fl, _, _ in FAILING_COMMANDS],
+)
+def test_failing_command(capsys, command, figure, flags, code, stderr):
+    path = Path(chbez.__file__).parent / "figures" / f"{figure}.json"
+    assert run(capsys, command, "--spec", str(path), *flags) == (code, "", stderr)

@@ -4,7 +4,10 @@ For every bundled figure ``data/cli_digests.json`` holds the digest of the
 stdout of ``describe`` (csv, json), ``sample`` (csv, and obj for 3-d or svg
 for planar output), and of ``xform``
 and ``basis`` for the space of each direction at the minimum order and four
-orders above it.  The output goes through numpy and libm, whose last bits may
+orders above it.  Where they apply it also holds ``elevate`` (csv, json,
+svg for planar curves), ``subdivide`` at a third of alpha, ``describe`` and
+``sample`` with ``--derivative 1`` (plain specs), ``describe`` as svg
+(planar curves) or obj (3-d points) and ``describe-rational``.  The output goes through numpy and libm, whose last bits may
 change between versions, so under other Python or numpy versions the test
 skips.
 
@@ -63,6 +66,35 @@ def commands() -> dict[str, list[str]]:
                 out[f"basis {name} axis {axis} order {order}"] = [
                     "basis", *flags, "--samples", str(BASIS_SAMPLES),
                 ]
+        out.update(control_commands(name, str(path), doc, samples))
+    return out
+
+
+def control_commands(name: str, path: str, doc, samples: int) -> dict[str, list[str]]:
+    """``elevate``, ``subdivide``, derivative, svg/obj and rational commands."""
+    spec = doc.spec
+    curve = isinstance(spec, CurveSpec)
+    dimension = (spec.dimension if curve else spec.channels) - doc.rational
+    out = {}
+    if curve:
+        for fmt in ("csv", "json", "svg") if dimension == 2 else ("csv", "json"):
+            out[f"elevate {name} {fmt}"] = ["elevate", "--spec", path, "--format", fmt]
+        out[f"subdivide {name} third"] = [
+            "subdivide", "--spec", path, "--split-at", repr(spec.alpha / 3.0),
+        ]
+    if not doc.rational:
+        out[f"describe {name} derivative 1"] = [
+            "describe", "--spec", path, "--derivative", "1",
+        ]
+        out[f"sample {name} derivative 1"] = [
+            "sample", "--spec", path, "--samples", str(samples), "--derivative", "1",
+        ]
+    if curve and dimension == 2:
+        out[f"describe {name} svg"] = ["describe", "--spec", path, "--format", "svg"]
+    if dimension == 3:
+        out[f"describe {name} obj"] = ["describe", "--spec", path, "--format", "obj"]
+    if doc.rational:
+        out[f"describe-rational {name} csv"] = ["describe-rational", "--spec", path]
     return out
 
 

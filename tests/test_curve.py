@@ -109,6 +109,23 @@ class TestControlCurve:
         with pytest.raises(RangeError, match="parameter u = nan is not a number"):
             evaluate(crv, [0.5, math.nan])
 
+    def test_widely_spread_weights_evaluate_elevate_and_split(self):
+        # Over a nonnegative partition of unity the denominator is at least
+        # the smallest weight, 1 here, however large the others are.
+        space = BasisSpace(HYP, 1, 1.0)
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        weights = np.array([1.0, 1.0, 1e15])
+        crv = ControlCurve(space, points, weights)
+        us = np.linspace(0.0, 1.0, 5)
+        basis = basis_matrix(space, us)
+        expected = (basis @ (weights[:, None] * points)) / (basis @ weights)[:, None]
+        assert_allclose(evaluate(crv, us), expected, rtol=1e-13, atol=1e-15)
+        assert_allclose(evaluate(elevate(crv, 2), us), expected, rtol=1e-12, atol=1e-15)
+        parts = subdivide(crv, 0.4)
+        for piece in (parts.left, parts.right):
+            piece_us = np.linspace(*piece.u_interval, 7)
+            assert_allclose(piece.evaluate(piece_us), evaluate(crv, piece_us), atol=1e-14)
+
     def test_vanishing_denominator_raises(self):
         space = BasisSpace(TRIG, 1, 1.0)
         crv = ControlCurve(space, np.ones((3, 2)), np.array([0.0, 0.0, 1.0]))
@@ -317,6 +334,15 @@ class TestElevate:
         assert lifted.is_rational
         assert np.all(lifted.weights > 0.0)
         assert_allclose(evaluate(lifted, us), reference, atol=1e-12)
+
+    def test_weight_scale_does_not_decide_evaluation(self):
+        # The weight floors of evaluate and elevate are relative: tiny weights
+        # describe the same curve.
+        crv = random_curve(TRIG, 3, 2.0, seed=15, rational=True)
+        tiny = ControlCurve(crv.space, crv.points, crv.weights * 1e-20)
+        us = np.linspace(0.0, 2.0, 9)
+        assert_allclose(evaluate(tiny, us), evaluate(crv, us), atol=1e-12)
+        assert_allclose(evaluate(elevate(tiny, 3), us), evaluate(crv, us), atol=1e-12)
 
     def test_endpoints_survive_exactly(self):
         crv = random_curve(TRIG, 3, 2.0, seed=24)

@@ -287,6 +287,31 @@ class TestExactRationalCurve:
         with pytest.raises(NumericalError, match="not positive"):
             exact_rational_curve(dip_denominator_spec(eps=0.002))
 
+    def test_denominator_scale_does_not_decide_positivity(self):
+        # A quarter circle over 1e-13: the circle scaled by 1e13, and its
+        # weights are positive at the minimum order.
+        x = CoordinateFunction((Term(COS, 1, 1.0),))
+        y = CoordinateFunction((Term(SIN, 1, 1.0),))
+        tiny = CoordinateFunction((Term(COS, 0, 1e-13),))
+        res = exact_rational_curve(CurveSpec(TRIG, 0.5 * math.pi, (x, y, tiny)))
+        assert (res.elevations, res.order) == (0, 1)
+        us = np.linspace(0.0, 0.5 * math.pi, 50)
+        circle = np.column_stack([np.cos(us), np.sin(us)])
+        assert_allclose(evaluate(res.curve, us) * 1e-13, circle, atol=1e-12)
+
+    def test_widely_spread_weights_count_as_positive(self):
+        # tanh(u) and 1 / cosh(u) over [0, 30]: the pre-image weights run from
+        # cosh(0) = 1 to cosh(30) ~ 5.3e12 and are positive at order 1.
+        x = CoordinateFunction((Term(SIN, 1, 1.0),))
+        y = CoordinateFunction((Term(COS, 0, 1.0),))
+        den = CoordinateFunction((Term(COS, 1, 1.0),))
+        res = exact_rational_curve(CurveSpec(HYP, 30.0, (x, y, den)))
+        assert (res.elevations, res.order) == (0, 1)
+        us = np.linspace(0.0, 30.0, 61)
+        expected = np.column_stack([np.tanh(us), 1.0 / np.cosh(us)])
+        assert_allclose(evaluate(res.curve, us), expected, atol=1e-12)
+        assert_allclose(evaluate(elevate(res.curve, 2), us), expected, atol=1e-12)
+
     def test_nonpositive_denominator_rejected(self):
         x = CoordinateFunction((Term(COS, 1, 1.0),))
         y = CoordinateFunction((Term(SIN, 1, 1.0),))

@@ -61,9 +61,13 @@ def mixed_kind_spec():
     return SurfaceSpec(dirs, 1, coords)
 
 
-def dip_denominator_surface(eps=0.05):
+def dip_denominator_surface(eps=0.05, scale=1.0):
     d = math.cos(1.0)
-    dip = fn(Term(COS, 0, 0.5 + d * d + eps), Term(COS, 1, -2.0 * d), Term(COS, 2, 0.5))
+    dip = fn(
+        Term(COS, 0, scale * (0.5 + d * d + eps)),
+        Term(COS, 1, scale * -2.0 * d),
+        Term(COS, 2, scale * 0.5),
+    )
     dirs = (Direction(TRIG, 2.0), Direction(TRIG, 2.0))
     coords = (
         coord([fn(Term(COS, 1, 1.0)), one()]),
@@ -167,6 +171,13 @@ class TestExactSurface:
         with pytest.raises(RangeError):
             exact_surface(spec, r=(1, -1))
 
+    @pytest.mark.parametrize("orders", [(2.7, 2), (2, 2.0), (True, 2)], ids=str)
+    def test_non_integer_orders_rejected(self, orders):
+        with pytest.raises(RangeError, match=r"^order n must be an integer, got "):
+            exact_surface(mixed_kind_spec(), orders=orders)
+        with pytest.raises(RangeError, match=r"^order n must be an integer, got "):
+            exact_rational_surface(dip_denominator_surface(), orders=orders)
+
     def test_separable_mixed_partial_is_analytic(self):
         # cos(u1) * sinh(2 u2) has mixed partial -sin(u1) * 2 cosh(2 u2).
         dirs = (Direction(TRIG, 2.2), Direction(HYP, 1.1))
@@ -198,9 +209,26 @@ class TestControlGrid:
             ControlGrid((1, 1), np.zeros((3, 3, 2)), np.ones((3, 5)))
 
     def test_points_read_only(self):
-        grid = ControlGrid((1, 1), np.zeros((3, 3, 2)))
+        grid = ControlGrid((1, 1), np.zeros((3, 3, 2)), np.ones((3, 3)))
         with pytest.raises(ValueError):
             grid.points[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            grid.weights[0, 0] = 2.0
+
+    def test_points_must_be_finite(self):
+        points = np.zeros((3, 3, 2))
+        points[1, 2, 0] = np.nan
+        with pytest.raises(RangeError, match="^control points must be finite$"):
+            ControlGrid((1, 1), points)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, 0.0], ids=str)
+    def test_weights_finite_nonnegative_not_all_zero(self, bad):
+        weights = np.ones((3, 3))
+        weights[1, 1] = bad
+        if bad == 0.0:
+            weights[:] = 0.0
+        with pytest.raises(RangeError, match="^weights must be finite, nonnegative and not all zero$"):
+            ControlGrid((1, 1), np.zeros((3, 3, 2)), weights)
 
 
 class TestEvaluateSurface:
@@ -227,6 +255,27 @@ class TestEvaluateSurface:
         grid = exact_surface(spec)
         with pytest.raises(RangeError, match="expected 2 directions"):
             sample_lattice(grid, spec.directions[:1], (5, 5))
+
+    def test_vanishing_denominator_reported_with_plain_floats(self):
+        spec = mixed_kind_spec()
+        grid = exact_surface(spec)
+        weights = np.zeros(grid.points.shape[:-1])
+        weights[0, 0] = 1.0
+        rational = ControlGrid(grid.orders, grid.points, weights)
+        with pytest.raises(NumericalError) as err:
+            evaluate_surface(rational, spec.directions, [2.0, 0.5])
+        assert str(err.value) == "rational denominator vanishes at u = (2.0, 0.5)"
+
+    def test_weight_scale_does_not_decide_evaluation(self):
+        # The weight floor is relative: tiny weights describe the same patch.
+        spec = dip_denominator_surface()
+        grid = exact_rational_surface(spec)
+        tiny = ControlGrid(grid.orders, grid.points, grid.weights * 1e-20)
+        counts = (7, 6)
+        want = sample_lattice(grid, spec.directions, counts)
+        assert_allclose(sample_lattice(tiny, spec.directions, counts), want, atol=1e-12)
+        point = evaluate_surface(tiny, spec.directions, [2.0, 2.0])
+        assert_allclose(point, want[-1, -1], atol=1e-12)
 
     def test_sample_count_validation(self):
         spec = mixed_kind_spec()
@@ -286,6 +335,13 @@ class TestExactRationalSurface:
         )
         with pytest.raises(NumericalError, match="not positive on the box"):
             exact_rational_surface(spec)
+
+    def test_denominator_scale_does_not_decide_positivity(self):
+        # The same patch scaled by 1e13 needs the same elevations.
+        grid = exact_rational_surface(dip_denominator_surface(scale=1e-13))
+        want = exact_rational_surface(dip_denominator_surface())
+        assert grid.orders == want.orders == (8, 6)
+        assert_allclose(grid.points * 1e-13, want.points, rtol=1e-12)
 
     def test_non_rational_spec_rejected(self):
         dirs = (Direction(TRIG, 1.5), Direction(TRIG, 1.0))
