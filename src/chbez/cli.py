@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .bbasis import BasisKind, BasisSpace, basis_matrix
-from .curve import ControlCurve, elevate, evaluate, subdivide
+from .curve import elevate, subdivide
 from .errors import NumericalError, RangeError, SpecError
-from .exact import CurveSpec, exact_curve, exact_rational_curve, min_order
+from .exact import CurveSpec, min_order
 from .gallery import run_gallery
 from .io import (
     SpecDocument,
@@ -30,11 +30,7 @@ from .io import (
     parse_angle,
     parse_document,
 )
-from .surface import (
-    exact_rational_surface,
-    exact_surface,
-    sample_lattice,
-)
+from .surface import _described_net, _sampled
 from .xform import transform_matrix
 
 __all__ = ["main"]
@@ -69,6 +65,9 @@ def _int_list_flag(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _load_document(args) -> SpecDocument:
+    """The --spec document, once --max-elevations is known to be valid."""
+    if args.max_elevations < 0:
+        raise RangeError(f"--max-elevations: must be nonnegative, got {args.max_elevations}")
     path = Path(args.spec)
     try:
         text = path.read_text()
@@ -113,12 +112,6 @@ def _require_curve(doc: SpecDocument, command: str) -> CurveSpec:
     return doc.spec
 
 
-def _table(data, columns, fmt: str) -> str:
-    if fmt not in ("csv", "json"):
-        raise RangeError(f"--format: table output supports csv or json, got {fmt!r}")
-    return export_table(data, fmt, columns)
-
-
 def _check_samples(count: int):
     if count < 2:
         raise RangeError(f"--samples: need at least 2 samples, got {count}")
@@ -130,12 +123,12 @@ def _cmd_basis(args):
     us = np.linspace(0.0, space.alpha, args.samples)
     mat = basis_matrix(space, us)
     columns = ["u"] + [f"b{i}" for i in range(space.dimension)]
-    return _table(np.hstack([us[:, None], mat]), columns, args.format), args.out
+    return export_table(np.hstack([us[:, None], mat]), args.format, columns), args.out
 
 
 def _cmd_xform(args):
     space = BasisSpace(_kind_flag(args.kind), args.order, _angle_flag(args.alpha, "--alpha"))
-    return _table(transform_matrix(space).rows, None, args.format), args.out
+    return export_table(transform_matrix(space).rows, args.format), args.out
 
 
 def _derivative_orders(args, delta: int):
@@ -154,21 +147,18 @@ def _derivative_orders(args, delta: int):
 def _described(doc: SpecDocument, args):
     """Control curve or grid of a document, honoring --order, --derivative and rational.
 
-    Both flags are checked for shape before a rational document refuses a derivative.
+    Both flags are checked for shape before a rational document refuses a
+    derivative, and --format before anything is built.
     """
     spec = doc.spec
     curve = isinstance(spec, CurveSpec)
     r = _derivative_orders(args, 1 if curve else spec.delta)
     orders = _single_order(args) if curve else _surface_orders(doc, args)
-    if doc.rational:
-        if r is not None and any(r):
-            raise RangeError("--derivative: not supported for rational specs")
-        if curve:
-            return exact_rational_curve(spec, orders, args.max_elevations).curve
-        return exact_rational_surface(spec, orders, args.max_elevations)
-    if curve:
-        return exact_curve(spec, orders, r[0] if r else 0)
-    return exact_surface(spec, orders, r)
+    if doc.rational and r is not None and any(r):
+        raise RangeError("--derivative: not supported for rational specs")
+    if args.format == "svg" and not curve:
+        raise RangeError("--format: svg is for planar curves only")
+    return _described_net(spec, doc.rational, orders, r, args.max_elevations)
 
 
 def _control_output(net, fmt: str) -> str:
@@ -178,7 +168,7 @@ def _control_output(net, fmt: str) -> str:
     """
     points = net.points
     channels = points.shape[-1]
-    if fmt == "svg" and isinstance(net, ControlCurve):
+    if fmt == "svg":
         if channels != 2:
             raise RangeError("--format: svg needs 2-d points")
         return export_svg([SvgPath(points, "polygon")])
@@ -188,14 +178,14 @@ def _control_output(net, fmt: str) -> str:
         return export_obj(points)
     blocks = [points.reshape(-1, channels)]
     columns = _coord_names(channels)
-    if not isinstance(net, ControlCurve):
+    if points.ndim > 2:
         dims = points.shape[:-1]
         blocks.insert(0, np.indices(dims).reshape(len(dims), -1).T)
         columns = [f"i{j + 1}" for j in range(len(dims))] + columns
     if net.weights is not None:
         blocks.append(net.weights.reshape(-1, 1))
         columns.append("weight")
-    return _table(np.hstack(blocks), columns, fmt)
+    return export_table(np.hstack(blocks), fmt, columns)
 
 
 def _cmd_describe(args, require_rational=False):
@@ -208,30 +198,20 @@ def _cmd_describe(args, require_rational=False):
 def _cmd_sample(args):
     _check_samples(args.samples)
     doc = _load_document(args)
-    spec = doc.spec
-    net = _described(doc, args)
-    if isinstance(spec, CurveSpec):
-        axes = [np.linspace(0.0, spec.alpha, args.samples)]
-        values = evaluate(net, axes[0])
-        names = ["u"]
-    else:
-        axes = [np.linspace(0.0, d.alpha, args.samples) for d in spec.directions]
-        values = sample_lattice(net, spec.directions, (args.samples,) * spec.delta)
-        names = [f"u{j + 1}" for j in range(spec.delta)]
+    axes, values = _sampled(_described(doc, args), doc.spec, args.samples)
     if args.format == "obj":
         if values.shape[-1] != 3:
             raise RangeError("--format: obj needs 3-d samples")
         return export_obj(values), args.out
     if args.format == "svg":
-        if len(axes) > 1:
-            raise RangeError("--format: svg is for planar curves only")
         if values.shape[1] != 2:
             raise RangeError("--format: svg needs 2-d samples")
         return export_svg([SvgPath(values, "curve")]), args.out
     mesh = np.meshgrid(*axes, indexing="ij")
     params = np.stack([m.reshape(-1) for m in mesh], axis=1)
     data = np.hstack([params, values.reshape(len(params), -1)])
-    return _table(data, names + _coord_names(values.shape[-1]), args.format), args.out
+    names = ["u"] if len(axes) == 1 else [f"u{j + 1}" for j in range(len(axes))]
+    return export_table(data, args.format, names + _coord_names(values.shape[-1])), args.out
 
 
 def _cmd_subdivide(args):
@@ -267,10 +247,7 @@ def _cmd_elevate(args):
         target = base + 1
     if target < base:
         raise RangeError(f"--order: target {target} below the minimum order {base}")
-    if doc.rational:
-        curve = exact_rational_curve(spec, base, args.max_elevations).curve
-    else:
-        curve = exact_curve(spec, base)
+    curve = _described_net(spec, doc.rational, base, None, args.max_elevations)
     curve = elevate(curve, target - curve.space.n)
     return _control_output(curve, args.format), args.out
 

@@ -10,13 +10,15 @@ from the same rows: differentiation multiplies a frequency-``k`` term by
 ``k`` and shifts its phase by ``pi/2`` (trigonometric) or swaps the
 sine-like and cosine-like rows (hyperbolic).
 
+A curve is the one-direction case of a tensor product patch: both use the
+control tensor builder :func:`_ordinates`, the lattice evaluator
+:func:`_lattice` and the elevation loop :func:`_elevate_until_positive` here.
+
 Rational curves carry their denominator as one extra coordinate.  The
 pre-image polygon in one higher dimension is computed first; if some of the
 resulting weights fail to be positive, order elevation is applied until
 they are (for curves this terminates after finitely many steps whenever the
-denominator is positive on the whole interval).  The elevation loop is the
-one tensor product patches use (:mod:`chbez.surface`), run on a single
-direction.
+denominator is positive on the whole interval).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -53,6 +56,11 @@ _DENOMINATOR_SAMPLES = 1001
 DEFAULT_MAX_ELEVATIONS = 32
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is a nonnegative integer; bools are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 class TermFamily(Enum):
     """Cosine-like or sine-like; the space kind picks cos/cosh and sin/sinh."""
 
@@ -72,11 +80,7 @@ class Term:
     def __post_init__(self):
         if not isinstance(self.family, TermFamily):
             raise RangeError(f"family must be a TermFamily, got {self.family!r}")
-        if (
-            not isinstance(self.frequency, (int, np.integer))
-            or isinstance(self.frequency, bool)
-            or self.frequency < 0
-        ):
+        if not _is_count(self.frequency):
             raise RangeError(
                 f"frequency must be a nonnegative integer, got {self.frequency!r}"
             )
@@ -151,10 +155,18 @@ class CurveSpec:
     def space(self, n: int) -> BasisSpace:
         return BasisSpace(self.kind, n, self.alpha)
 
+    @property
+    def _directions(self) -> tuple[CurveSpec]:
+        return (self,)  # with kind, alpha and space(n), the spec is its own direction
+
+    @property
+    def _products(self) -> tuple:
+        return tuple(((fn,),) for fn in self.coords)  # one one-factor product per coordinate
+
     def evaluate(self, us) -> np.ndarray:
         """Pointwise evaluation of the traditional form, one row per sample."""
         us = np.atleast_1d(np.asarray(us, dtype=float))
-        return np.column_stack([fn.values(self.kind, us) for fn in self.coords])
+        return _lattice(self._products, self._directions, [us])
 
     def differentiated(self) -> CurveSpec:
         return CurveSpec(
@@ -175,7 +187,7 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
     the space's transformation matrix, scaled by ``frequency**r`` (with
     ``0**0 = 1`` so constants survive the underived case).
     """
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 0:
+    if not _is_count(r):
         raise RangeError(f"derivative order must be a nonnegative integer, got {r!r}")
     r = int(r)
     if fn.max_frequency() > space.n:
@@ -212,20 +224,45 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
     return out
 
 
+def _sum_of_products(products, dims: tuple, factor_values) -> np.ndarray:
+    """Channels that are sums of separable products, stacked on a last axis.
+
+    ``products[ell]`` lists the products of channel ``ell``, one factor ``f``
+    per direction ``j``; a product is the outer product of ``factor_values(j, f)``.
+    """
+    out = np.zeros(dims + (len(products),))
+    for ell, channel in enumerate(products):
+        for factors in channel:
+            vecs = [factor_values(j, f) for j, f in enumerate(factors)]
+            out[..., ell] += reduce(np.multiply.outer, vecs)
+    return out
+
+
+def _ordinates(products, spaces, r) -> np.ndarray:
+    """Control tensor over one space per direction, direction ``j`` derived ``r[j]`` times."""
+    dims = tuple(s.dimension for s in spaces)
+    return _sum_of_products(products, dims, lambda j, f: coordinate_ordinates(f, spaces[j], r[j]))
+
+
+def _lattice(products, directions, axes) -> np.ndarray:
+    """Traditional-form values on the cartesian lattice of ``axes``."""
+    dims = tuple(len(a) for a in axes)
+    return _sum_of_products(products, dims, lambda j, f: f.values(directions[j].kind, axes[j]))
+
+
 def exact_curve(spec: CurveSpec, n: int | None = None, r: int = 0) -> ControlCurve:
     """Control points of the curve (or its r-th derivative) at order ``n``.
 
     ``n`` defaults to :func:`min_order`.  The returned polygon reproduces the
     traditional form exactly up to rounding; no approximation is involved.
     """
-    if n is None:
-        n = min_order(spec)
     nu = min_order(spec)
+    if n is None:
+        n = nu
     if n < nu:
         raise RangeError(f"order {n} below the curve's minimum order {nu}")
     space = spec.space(n)
-    cols = [coordinate_ordinates(fn, space, r) for fn in spec.coords]
-    return ControlCurve(space, np.column_stack(cols))
+    return ControlCurve(space, _ordinates(spec._products, [space], (r,)))
 
 
 @dataclass(frozen=True)
@@ -266,30 +303,41 @@ def exact_rational_curve(
     """
     if spec.dimension < 2:
         raise RangeError("rational description needs numerator and denominator coordinates")
-    if not isinstance(max_elevations, (int, np.integer)) or max_elevations < 0:
-        raise RangeError(f"max_elevations must be a nonnegative integer, got {max_elevations!r}")
-    us = np.linspace(0.0, spec.alpha, _DENOMINATOR_SAMPLES)
-    den = spec.coords[-1].values(spec.kind, us)
-    if np.any(den <= 0.0):
-        at = us[int(np.argmin(den))]
-        raise NumericalError(
-            f"denominator is not positive on [0, {spec.alpha:g}] (fails near u = {at:g})"
-        )
+    _check_denominator(spec, _DENOMINATOR_SAMPLES, max_elevations)
     pre = exact_curve(spec, n, 0)
     points, (n,), steps = _elevate_until_positive(
-        pre.points, [pre.space.n], [spec.space], max_elevations
+        pre.points, [pre.space.n], spec._directions, max_elevations
     )
     weights = points[:, -1]
     projected = ControlCurve(spec.space(n), points[:, :-1] / weights[:, None], weights)
     return PreImageResult(ControlCurve(projected.space, points), projected, steps)
 
 
-def _elevate_until_positive(points: np.ndarray, orders, spaces, max_elevations: int):
+def _check_denominator(spec, samples: int, max_elevations):
+    """Check the elevation budget, then that the denominator (last channel) is positive.
+
+    The denominator is sampled on a lattice of ``samples`` points per
+    direction, endpoints included; the error names its lowest sample.
+    """
+    if not _is_count(max_elevations):
+        raise RangeError(f"max_elevations must be a nonnegative integer, got {max_elevations!r}")
+    directions = spec._directions
+    axes = [np.linspace(0.0, d.alpha, samples) for d in directions]
+    den = _lattice(spec._products[-1:], directions, axes)[..., 0]
+    if np.any(den <= 0.0):
+        where = np.unravel_index(int(np.argmin(den)), den.shape)
+        at = tuple(float(a[w]) for a, w in zip(axes, where))
+        box = f"[0, {directions[0].alpha:g}]" if len(at) == 1 else "the box"
+        at = f"{at[0]:g}" if len(at) == 1 else at
+        raise NumericalError(f"denominator is not positive on {box} (fails near u = {at})")
+
+
+def _elevate_until_positive(points: np.ndarray, orders, directions, max_elevations: int):
     """Order elevate a pre-image until its weights (last channel) are positive.
 
     ``points`` has one leading axis per direction, whose space at order
-    ``n`` is ``spaces[j](n)``.  Directions take turns (one at the degree cap
-    gives way to the lowest order) for at most ``max_elevations`` steps.
+    ``n`` is ``directions[j].space(n)``.  Directions take turns (one at the
+    degree cap gives way to the lowest order) for at most ``max_elevations`` steps.
     Returns the tensor, the orders and the step count, or raises with the
     indices of the weights still not positive (ints for a curve).
     """
@@ -303,7 +351,8 @@ def _elevate_until_positive(points: np.ndarray, orders, spaces, max_elevations: 
             j = min(range(delta), key=lambda d: orders[d])
             if 2 * (orders[j] + 1) > MAX_DEGREE:
                 break
-        lifted = elevate_coefficient_vector(spaces[j](orders[j]), np.moveaxis(points, j, 0))
+        space = directions[j].space(orders[j])
+        lifted = elevate_coefficient_vector(space, np.moveaxis(points, j, 0))
         points = np.moveaxis(lifted, 0, j)
         orders[j] += 1
         steps += 1

@@ -6,6 +6,9 @@ exact.  :func:`run_gallery` re-describes every figure, writes an SVG or OBJ
 artifact plus a copy of the spec, measures the reconstruction error against
 direct evaluation of the traditional form and records everything in a
 manifest.  All outputs are byte-deterministic.
+
+Curves and patches share the dispatch of :mod:`chbez.surface` and the
+lattice evaluator of :mod:`chbez.exact`; only the artifact format differs.
 """
 
 from __future__ import annotations
@@ -17,17 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .curve import evaluate
 from .errors import RangeError
-from .exact import CurveSpec, exact_curve, exact_rational_curve
+from .exact import _lattice
 from .io import SpecDocument, SvgPath, export_obj, export_svg, parse_document
-from .surface import (
-    SurfaceSpec,
-    _lattice_values,
-    exact_rational_surface,
-    exact_surface,
-    sample_lattice,
-)
+from .surface import _described_net, _sampled
 
 __all__ = [
     "figure_names",
@@ -39,9 +35,8 @@ __all__ = [
     "run_gallery",
 ]
 
-_CURVE_SAMPLES = 400
-_PATCH_SAMPLES = 33
-_VOLUME_SAMPLES = 17
+# Samples per direction, by the number of directions.
+_SAMPLES = {1: 400, 2: 33, 3: 17}
 
 # Figures whose artifact overlays the control polygons of several orders,
 # lowest to highest; all remaining figures use the minimum order.
@@ -112,58 +107,30 @@ class RenderedFigure:
     error: float
 
 
-def _project(values: np.ndarray, rational: bool) -> np.ndarray:
-    if rational:
-        return values[..., :-1] / values[..., -1:]
-    return values
-
-
-def _render_curve(name: str, doc: SpecDocument) -> RenderedFigure:
-    spec = doc.spec
-    us = np.linspace(0.0, spec.alpha, _CURVE_SAMPLES)
-    direct = _project(spec.evaluate(us), doc.rational)
-    orders = _OVERLAY_ORDERS.get(name, (None,))
-    polygons = []
-    error = 0.0
-    for n in orders:
-        if doc.rational:
-            curve = exact_rational_curve(spec, n).curve
-        else:
-            curve = exact_curve(spec, n)
-        error = max(error, reconstruction_error(evaluate(curve, us), direct))
-        polygons.append(curve.points)
-    if direct.shape[1] == 2:
-        paths = [SvgPath(direct, "curve")]
-        labels = "abcdefgh"
-        for idx, pts in enumerate(polygons):
-            label = labels[idx] if len(polygons) > 1 else "d"
-            paths.append(SvgPath(pts, "polygon", label))
-        return RenderedFigure(name, "svg", export_svg(paths), error)
-    return RenderedFigure(name, "obj", export_obj(direct, polygons[-1]), error)
-
-
-def _render_surface(name: str, doc: SpecDocument) -> RenderedFigure:
-    spec = doc.spec
-    samples = _PATCH_SAMPLES if spec.delta == 2 else _VOLUME_SAMPLES
-    counts = (samples,) * spec.delta
-    if doc.rational:
-        grid = exact_rational_surface(spec)
-    else:
-        grid = exact_surface(spec)
-    recon = sample_lattice(grid, spec.directions, counts)
-    axes = [np.linspace(0.0, d.alpha, samples) for d in spec.directions]
-    channels = [_lattice_values(c, spec.directions, axes) for c in spec.coords]
-    direct = _project(np.stack(channels, axis=-1), doc.rational)
-    error = reconstruction_error(recon, direct)
-    return RenderedFigure(name, "obj", export_obj(recon, grid.points), error)
-
-
 def render_figure(name: str) -> RenderedFigure:
-    """Regenerate one bundled figure and measure its reconstruction error."""
+    """Regenerate one bundled figure and measure its reconstruction error.
+
+    A planar curve gives an SVG with its control polygons, anything else an
+    OBJ of its samples (a patch's reconstructed ones) and control net.
+    """
     doc = load_figure(name)
-    if isinstance(doc.spec, CurveSpec):
-        return _render_curve(name, doc)
-    return _render_surface(name, doc)
+    spec = doc.spec
+    directions = spec._directions
+    nets = [_described_net(spec, doc.rational, n) for n in _OVERLAY_ORDERS.get(name, (None,))]
+    sampled = [_sampled(net, spec, _SAMPLES[len(directions)]) for net in nets]
+    axes = sampled[0][0]
+    direct = _lattice(spec._products, directions, axes)
+    if doc.rational:
+        direct = direct[..., :-1] / direct[..., -1:]
+    error = max(reconstruction_error(values, direct) for _, values in sampled)
+    curve = len(directions) == 1
+    if curve and direct.shape[1] == 2:
+        labels = "abcdefgh" if len(nets) > 1 else "d"
+        paths = [SvgPath(direct, "curve")]
+        paths += [SvgPath(net.points, "polygon", label) for net, label in zip(nets, labels)]
+        return RenderedFigure(name, "svg", export_svg(paths), error)
+    samples = direct if curve else sampled[0][1]
+    return RenderedFigure(name, "obj", export_obj(samples, nets[-1].points), error)
 
 
 def run_gallery(out_dir) -> list[dict]:

@@ -12,28 +12,36 @@ tensor per summand.
 for volumes; up to 4 is supported) and ``kappa`` how many coordinates the
 ambient space has beyond ``delta``.  Rational patches carry one more
 coordinate, the denominator.  The repair loop that elevates the pre-image
-grid until its weights are positive is the one curves use
-(:mod:`chbez.exact`), round robin over the directions; unlike the curve
-case it is not guaranteed to succeed, so it runs under an explicit budget
-and reports the offending grid indices when it gives up.  Evaluation uses
-the basis contraction of :mod:`chbez.curve`, one basis matrix per direction.
+grid until its weights are positive runs round robin over the directions;
+unlike the curve case it is not guaranteed to succeed, so it runs under an
+explicit budget and reports the offending grid indices when it gives up.
+
+A curve is the one-direction case: the control tensor builder, the lattice
+evaluator and the repair loop of :mod:`chbez.exact` and the basis contraction
+of :mod:`chbez.curve` serve both, and the dispatch over "curve or patch,
+rational or not" for the CLI and the gallery ends this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .bbasis import BasisKind, BasisSpace, basis_matrix
-from .curve import _combine, _store_net
+from .curve import ControlCurve, _combine, _store_net, evaluate
 from .errors import NumericalError, RangeError
 from .exact import (
     DEFAULT_MAX_ELEVATIONS,
     CoordinateFunction,
+    CurveSpec,
+    _check_denominator,
     _elevate_until_positive,
-    coordinate_ordinates,
+    _is_count,
+    _lattice,
+    _ordinates,
+    exact_curve,
+    exact_rational_curve,
 )
 
 __all__ = [
@@ -140,13 +148,21 @@ class SurfaceSpec:
     def channels(self) -> int:
         return len(self.coords)
 
+    @property
+    def _directions(self) -> tuple[Direction, ...]:
+        return self.directions
+
+    @property
+    def _products(self) -> tuple:
+        return tuple(tuple(s.factors for s in c.summands) for c in self.coords)
+
     def evaluate(self, u) -> np.ndarray:
         """Direct evaluation of the traditional form at one parameter vector."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.delta,):
             raise RangeError(f"expected {self.delta} parameters, got shape {u.shape}")
         axes = [u[j : j + 1] for j in range(self.delta)]
-        return np.array([_lattice_values(c, self.directions, axes).item() for c in self.coords])
+        return _lattice(self._products, self.directions, axes)[(0,) * self.delta]
 
 
 @dataclass(frozen=True)
@@ -176,14 +192,8 @@ class ControlGrid:
 
 def min_orders(spec: SurfaceSpec) -> tuple[int, ...]:
     """Per-direction minimum orders (the largest factor frequency, at least 1)."""
-    orders = []
-    for j in range(spec.delta):
-        nu = 0
-        for coord in spec.coords:
-            for summand in coord.summands:
-                nu = max(nu, summand.factors[j].max_frequency())
-        orders.append(max(1, nu))
-    return tuple(orders)
+    directions = zip(*(factors for channel in spec._products for factors in channel))
+    return tuple(max(1, *(f.max_frequency() for f in fs)) for fs in directions)
 
 
 def _check_orders(spec: SurfaceSpec, orders) -> tuple[int, ...]:
@@ -210,24 +220,11 @@ def exact_surface(spec: SurfaceSpec, orders=None, r=None) -> ControlGrid:
     routine serves rational pre-images.
     """
     orders = _check_orders(spec, orders)
-    if r is None:
-        r = (0,) * spec.delta
-    r = tuple(int(x) for x in r)
-    if len(r) != spec.delta or any(x < 0 for x in r):
+    r = (0,) * spec.delta if r is None else tuple(r)
+    if len(r) != spec.delta or not all(_is_count(x) for x in r):
         raise RangeError(f"derivative orders must be {spec.delta} nonnegative integers, got {r!r}")
     spaces = [d.space(n) for d, n in zip(spec.directions, orders)]
-    dims = tuple(s.dimension for s in spaces)
-    grid = np.zeros(dims + (spec.channels,))
-    for ell, coord in enumerate(spec.coords):
-        acc = np.zeros(dims)
-        for summand in coord.summands:
-            vecs = [
-                coordinate_ordinates(factor, spaces[j], r[j])
-                for j, factor in enumerate(summand.factors)
-            ]
-            acc += reduce(np.multiply.outer, vecs)
-        grid[..., ell] = acc
-    return ControlGrid(tuple(orders), grid)
+    return ControlGrid(orders, _ordinates(spec._products, spaces, r))
 
 
 def exact_rational_surface(
@@ -249,37 +246,15 @@ def exact_rational_surface(
             "rational description expects delta + kappa + 1 coordinates "
             "(the trailing denominator)"
         )
-    if not isinstance(max_elevations, (int, np.integer)) or max_elevations < 0:
-        raise RangeError(f"max_elevations must be a nonnegative integer, got {max_elevations!r}")
-    axes = [np.linspace(0.0, d.alpha, _POSITIVITY_DENSITY) for d in spec.directions]
-    den = _lattice_values(spec.coords[-1], spec.directions, axes)
-    if np.any(den <= 0.0):
-        flat = int(np.argmin(den))
-        where = np.unravel_index(flat, den.shape)
-        at = tuple(float(axes[j][w]) for j, w in enumerate(where))
-        raise NumericalError(f"denominator is not positive on the box (fails near u = {at})")
+    _check_denominator(spec, _POSITIVITY_DENSITY, max_elevations)
 
     orders = _check_orders(spec, orders)
     grid = exact_surface(spec, orders)
-    spaces = [d.space for d in spec.directions]
-    points, orders, _ = _elevate_until_positive(grid.points, orders, spaces, max_elevations)
+    points, orders, _ = _elevate_until_positive(
+        grid.points, orders, spec.directions, max_elevations
+    )
     weights = points[..., -1]
     return ControlGrid(tuple(orders), points[..., :-1] / weights[..., None], weights)
-
-
-def _lattice_values(
-    coord: SurfaceCoordinateFunction, directions: tuple[Direction, ...], axes
-) -> np.ndarray:
-    """Direct evaluation of one coordinate on a cartesian lattice."""
-    dims = tuple(len(a) for a in axes)
-    out = np.zeros(dims)
-    for summand in coord.summands:
-        vecs = [
-            factor.values(directions[j].kind, axes[j])
-            for j, factor in enumerate(summand.factors)
-        ]
-        out += reduce(np.multiply.outer, vecs)
-    return out
 
 
 def _spaces_for(grid: ControlGrid, directions) -> list[BasisSpace]:
@@ -321,3 +296,30 @@ def sample_lattice(grid: ControlGrid, directions, counts) -> np.ndarray:
     return _combine(mats, grid.points, grid.weights, lambda bad: NumericalError(
         "rational denominator vanishes on the sample lattice"
     ))
+
+
+def _described_net(spec, rational, orders=None, r=None, max_elevations=DEFAULT_MAX_ELEVATIONS):
+    """Control curve or grid of a curve or patch spec, rational or not.
+
+    ``orders`` is one order (curve) or a tuple (patch), ``r`` one derivative
+    order per direction, for plain specs only; None means the minimum or none.
+    """
+    if isinstance(spec, CurveSpec):
+        if rational:
+            return exact_rational_curve(spec, orders, max_elevations).curve
+        return exact_curve(spec, orders, r[0] if r else 0)
+    if rational:
+        return exact_rational_surface(spec, orders, max_elevations)
+    return exact_surface(spec, orders, r)
+
+
+def _sampled(net, spec, count: int):
+    """Uniform axes, ``count`` samples per direction, and the net's values on their lattice.
+
+    ``net`` is a control curve or grid of ``spec``.
+    """
+    directions = spec._directions
+    axes = [np.linspace(0.0, d.alpha, count) for d in directions]
+    if isinstance(net, ControlCurve):
+        return axes, evaluate(net, axes[0])
+    return axes, sample_lattice(net, directions, (count,) * len(axes))

@@ -433,6 +433,7 @@ class TestFailureModes:
 
 
 _REFUSED = "error: --derivative: not supported for rational specs\n"
+_BAD_BUDGET = "error: --max-elevations: must be nonnegative, got -1\n"
 
 # command, figure, extra flags -> exit code and the whole of stderr.
 FAILING_COMMANDS = [
@@ -442,7 +443,7 @@ FAILING_COMMANDS = [
     ("sample", "rational_trigonometric_patch", ["--derivative", "1"], 2, _REFUSED),
     ("describe-rational", "lemniscate", ["--derivative", "1"], 2, _REFUSED),
     ("describe", "torus_patch", ["--format", "svg"], 2,
-     "error: --format: table output supports csv or json, got 'svg'\n"),
+     "error: --format: svg is for planar curves only\n"),
     ("sample", "torus_patch", ["--format", "svg", "--samples", "5"], 2,
      "error: --format: svg is for planar curves only\n"),
     ("describe", "hypocycloid", ["--format", "obj"], 2,
@@ -484,6 +485,11 @@ FAILING_COMMANDS = [
     ("elevate", "torus_patch", [], 2, "error: elevate works on curve specs only\n"),
     ("describe-rational", "hypocycloid", [], 2,
      "error: rational: describe-rational needs a spec with rational = true\n"),
+    ("describe", "lemniscate", ["--max-elevations=-1"], 2, _BAD_BUDGET),
+    ("describe-rational", "rational_trigonometric_patch", ["--max-elevations=-1"], 2,
+     _BAD_BUDGET),
+    ("sample", "hypocycloid", ["--max-elevations=-1"], 2, _BAD_BUDGET),
+    ("elevate", "hypocycloid", ["--max-elevations=-1"], 2, _BAD_BUDGET),
     # Two faults: the order count is checked before the rational refusal, for
     # curves and patches alike.
     ("describe", "rational_trigonometric_patch", ["--order", "3,4,5", "--derivative", "1"],

@@ -5,11 +5,15 @@ and patch paths that the shared core replaced: ``evaluate`` (a basis
 matrix product), ``evaluate_surface`` (one ``tensordot`` per direction),
 ``sample_lattice`` (a ``tensordot``/``moveaxis`` loop), the two
 elevate-until-positive loops of ``exact_rational_curve`` and
-``exact_rational_surface`` and the triple loop of ``SurfaceSpec.evaluate``.
-On random curves and patches (1 to 3 directions, orders 1 to 16, both
-kinds, plain and rational) the package must give the same bytes and the
-same error texts.  ``evaluate_surface`` may differ by a few ulps, since no
-artifact reads it, and its error text now prints plain floats.
+``exact_rational_surface``, the triple loop of ``SurfaceSpec.evaluate``,
+``exact_curve`` (one ``column_stack`` of coordinate ordinates),
+``exact_surface`` (its own loop over channels and summands) and
+``CurveSpec.evaluate`` (one ``column_stack`` of coordinate values).
+On random curves and patches (1 to 4 directions, orders 1 to 32, both
+kinds, derivative orders 0 to 3, plain and rational) the package must give
+the same bytes and the same error texts.  ``evaluate_surface`` may differ
+by a few ulps, since no artifact reads it, and its error text now prints
+plain floats.
 """
 
 import re
@@ -43,10 +47,12 @@ from chbez import (
     exact_rational_curve,
     exact_rational_surface,
     exact_surface,
+    min_order,
     min_orders,
     sample_lattice,
 )
 from chbez.bbasis import MAX_DEGREE
+from chbez.exact import coordinate_ordinates
 
 TRIG = BasisKind.TRIGONOMETRIC
 HYP = BasisKind.HYPERBOLIC
@@ -142,7 +148,7 @@ def ref_exact_rational_curve(spec: CurveSpec, n=None, max_elevations=32):
         raise NumericalError(
             f"denominator is not positive on [0, {spec.alpha:g}] (fails near u = {at:g})"
         )
-    pre = exact_curve(spec, n, 0)
+    pre = ref_exact_curve(spec, n, 0)
     steps = 0
     while np.any(pre.points[:, -1] <= WEIGHT_POSITIVITY) and steps < max_elevations:
         if 2 * (pre.space.n + 1) > MAX_DEGREE:
@@ -210,7 +216,7 @@ def ref_exact_rational_surface(spec: SurfaceSpec, orders=None, max_elevations=32
         raise NumericalError(f"denominator is not positive on the box (fails near u = {at})")
 
     orders = list(ref_check_orders(spec, orders))
-    grid = exact_surface(spec, orders)
+    grid = ref_exact_surface(spec, orders)
     points = grid.points
     steps = 0
     while np.any(points[..., -1] <= WEIGHT_POSITIVITY) and steps < max_elevations:
@@ -246,6 +252,44 @@ def ref_surface_spec_evaluate(self, u) -> np.ndarray:
                 prod *= factor.values(self.directions[j].kind, np.array([u[j]]))[0]
             out[ell] += prod
     return out
+
+
+def ref_exact_curve(spec: CurveSpec, n=None, r=0):
+    if n is None:
+        n = min_order(spec)
+    nu = min_order(spec)
+    if n < nu:
+        raise RangeError(f"order {n} below the curve's minimum order {nu}")
+    space = spec.space(n)
+    cols = [coordinate_ordinates(fn, space, r) for fn in spec.coords]
+    return ControlCurve(space, np.column_stack(cols))
+
+
+def ref_exact_surface(spec: SurfaceSpec, orders=None, r=None):
+    orders = ref_check_orders(spec, orders)
+    if r is None:
+        r = (0,) * spec.delta
+    r = tuple(int(x) for x in r)
+    if len(r) != spec.delta or any(x < 0 for x in r):
+        raise RangeError(f"derivative orders must be {spec.delta} nonnegative integers, got {r!r}")
+    spaces = [d.space(n) for d, n in zip(spec.directions, orders)]
+    dims = tuple(s.dimension for s in spaces)
+    grid = np.zeros(dims + (spec.channels,))
+    for ell, coord in enumerate(spec.coords):
+        acc = np.zeros(dims)
+        for summand in coord.summands:
+            vecs = [
+                coordinate_ordinates(factor, spaces[j], r[j])
+                for j, factor in enumerate(summand.factors)
+            ]
+            acc += reduce(np.multiply.outer, vecs)
+        grid[..., ell] = acc
+    return ControlGrid(tuple(orders), grid)
+
+
+def ref_curve_spec_evaluate(self, us) -> np.ndarray:
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    return np.column_stack([fn.values(self.kind, us) for fn in self.coords])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +508,7 @@ def test_loops_exhaust_their_budget():
         assert any(t.startswith("denominator is not positive") for t in texts)
 
 
-@pytest.mark.parametrize("delta", [2, 3])
+@pytest.mark.parametrize("delta", [2, 3, 4])
 @pytest.mark.parametrize("seed", range(30))
 def test_surface_spec_evaluate_matches(seed, delta):
     spec = random_surface_spec(seed, delta, rational=bool(seed % 2))
@@ -473,3 +517,111 @@ def test_surface_spec_evaluate_matches(seed, delta):
         assert same(outcome(spec.evaluate, u), outcome(ref_surface_spec_evaluate, spec, u))
     bad = [0.0] * (delta + 1)
     assert same(outcome(spec.evaluate, bad), outcome(ref_surface_spec_evaluate, spec, bad))
+
+
+def net_bytes(fn, *args):
+    """Shape and bytes of a described net, or the error type, text and indices."""
+    got = outcome(fn, *args)
+    if isinstance(got, tuple):
+        return got
+    return got.points.shape, got.points.tobytes()
+
+
+def requested(rng, orders):
+    """The minimum (None), the given orders, or one order lowered by one."""
+    pick = rng.random()
+    if pick < 0.2:
+        return None
+    if pick < 0.35:
+        lowered = list(orders)
+        lowered[int(rng.integers(len(orders)))] -= 1
+        return tuple(lowered)
+    return tuple(orders)
+
+
+def random_exact_curve_case(seed):
+    """A curve spec, a requested order and a derivative order.
+
+    Frequencies reach up to an order n of 1 to 32; odd seeds add a trailing
+    denominator coordinate.
+    """
+    rng = np.random.default_rng(seed)
+    kind = random_kind(rng)
+    n = int(rng.integers(1, 33))
+    alpha = random_alpha(rng, kind, n)
+    coords = [random_factor(rng, n) for _ in range(int(rng.integers(1, 4)))]
+    if seed % 2:
+        coords.append(random_denominator(rng, kind, alpha))
+    order = requested(rng, (n,))
+    r = int(rng.choice([0, 1, 2, 3, 0, -1]))
+    return CurveSpec(kind, alpha, tuple(coords)), order and order[0], r
+
+
+def random_exact_surface_case(seed, delta):
+    """A patch spec, requested orders and derivative orders.
+
+    Orders run up to 32 for two directions and less for more; odd seeds add
+    a trailing denominator coordinate.
+    """
+    rng = np.random.default_rng(seed)
+    top = {2: 33, 3: 7, 4: 4}[delta]
+    orders = [int(n) for n in rng.integers(1, top, delta)]
+    directions = []
+    for n in orders:
+        kind = random_kind(rng)
+        directions.append(Direction(kind, random_alpha(rng, kind, n)))
+    kappa = int(rng.integers(0, 2))
+
+    def coordinate():
+        summands = [
+            ProductTerm(tuple(random_factor(rng, n) for n in orders))
+            for _ in range(int(rng.integers(1, 3)))
+        ]
+        return SurfaceCoordinateFunction(tuple(summands))
+
+    coords = [coordinate() for _ in range(delta + kappa)]
+    if seed % 2:
+        factors = tuple(random_denominator(rng, d.kind, d.alpha) for d in directions)
+        coords.append(SurfaceCoordinateFunction((ProductTerm(factors),)))
+    spec = SurfaceSpec(tuple(directions), kappa, tuple(coords))
+    r = [int(x) for x in rng.integers(0, 4, delta)]
+    if rng.random() < 0.15:
+        r[int(rng.integers(delta))] = -1
+    return spec, requested(rng, orders), None if rng.random() < 0.2 else tuple(r)
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_exact_curve_matches(seed):
+    spec, n, r = random_exact_curve_case(seed)
+    assert net_bytes(exact_curve, spec, n, r) == net_bytes(ref_exact_curve, spec, n, r)
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_surface_matches(seed, delta):
+    spec, orders, r = random_exact_surface_case(seed, delta)
+    got = net_bytes(exact_surface, spec, orders, r)
+    assert got == net_bytes(ref_exact_surface, spec, orders, r)
+
+
+def test_exact_cases_include_refusals():
+    """The random cases above reach both order and derivative refusals."""
+    curves = [net_bytes(exact_curve, *random_exact_curve_case(s)) for s in range(120)]
+    patches = [
+        net_bytes(exact_surface, *random_exact_surface_case(s, delta))
+        for delta in (2, 3, 4)
+        for s in range(40)
+    ]
+    for found in (curves, patches):
+        texts = [r[1] for r in found if isinstance(r[0], str)]
+        assert any("below" in t for t in texts)
+        assert any(t.startswith("derivative order") for t in texts)
+        assert len(texts) < len(found) // 2
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_curve_spec_evaluate_matches(seed):
+    spec, _, _ = random_exact_curve_case(seed)
+    rng = np.random.default_rng(seed + 4000)
+    for us in (random_params(rng, spec.alpha, 33), float(rng.uniform(0.0, spec.alpha))):
+        assert same(outcome(spec.evaluate, us), outcome(ref_curve_spec_evaluate, spec, us))

@@ -325,3 +325,8 @@ class TestExactRationalCurve:
         spec = dip_denominator_spec()
         with pytest.raises(RangeError):
             exact_rational_curve(spec, max_elevations=-1)
+
+    def test_bool_budget_rejected(self):
+        with pytest.raises(RangeError) as exc:
+            exact_rational_curve(dip_denominator_spec(), max_elevations=True)
+        assert str(exc.value) == "max_elevations must be a nonnegative integer, got True"

@@ -171,6 +171,12 @@ class TestExactSurface:
         with pytest.raises(RangeError):
             exact_surface(spec, r=(1, -1))
 
+    @pytest.mark.parametrize("r", [(1.7, 0), (True, 0), (0, 1.0)], ids=str)
+    def test_non_integer_derivative_orders_rejected(self, r):
+        with pytest.raises(RangeError) as exc:
+            exact_surface(mixed_kind_spec(), r=r)
+        assert str(exc.value) == f"derivative orders must be 2 nonnegative integers, got {r!r}"
+
     @pytest.mark.parametrize("orders", [(2.7, 2), (2, 2.0), (True, 2)], ids=str)
     def test_non_integer_orders_rejected(self, orders):
         with pytest.raises(RangeError, match=r"^order n must be an integer, got "):
@@ -310,6 +316,11 @@ class TestExactRationalSurface:
         full = lattice_direct(spec, counts)
         direct = full[..., :2] / full[..., 2:]
         assert np.abs(recon - direct).max() < 1e-10
+
+    def test_bool_budget_rejected(self):
+        with pytest.raises(RangeError) as exc:
+            exact_rational_surface(dip_denominator_surface(), max_elevations=True)
+        assert str(exc.value) == "max_elevations must be a nonnegative integer, got True"
 
     def test_exhausted_budget_reports_multi_indices(self):
         spec = dip_denominator_surface()
