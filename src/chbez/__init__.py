@@ -9,140 +9,48 @@ order elevates the results, and ships deterministic SVG/OBJ/CSV exporters
 plus a small CLI around the bundled example figures.
 """
 
-from .bbasis import (
-    MAX_DEGREE,
-    BasisKind,
-    BasisSpace,
-    basis_matrix,
-    basis_value,
-    basis_vector,
-    bernstein_value,
-    normalizing_coefficients,
-)
-from .curve import (
-    BezierPiece,
-    ControlCurve,
-    SubdivisionResult,
-    bezier_weights,
-    elevate,
-    evaluate,
-    piece_matches_subspace_weights,
-    reparametrize,
-    subdivide,
-)
-from .errors import NumericalError, RangeError, SpecError
-from .exact import (
-    DEFAULT_MAX_ELEVATIONS,
-    CoordinateFunction,
-    CurveSpec,
-    PreImageResult,
-    Term,
-    TermFamily,
-    exact_curve,
-    exact_rational_curve,
-    min_order,
-)
-from .gallery import (
-    figure_names,
-    load_figure,
-    load_figure_text,
-    reconstruction_error,
-    render_figure,
-    run_gallery,
-)
-from .io import (
-    SpecDocument,
-    SvgPath,
-    export_obj,
-    export_svg,
-    export_table,
-    format_float,
-    parse_angle,
-    parse_document,
-    parse_spec,
-    parse_table,
-)
-from .surface import (
-    MAX_DIRECTIONS,
-    ControlGrid,
-    Direction,
-    ProductTerm,
-    SurfaceCoordinateFunction,
-    SurfaceSpec,
-    evaluate_surface,
-    exact_rational_surface,
-    exact_surface,
-    min_orders,
-    sample_lattice,
-)
-from .xform import (
-    TransformMatrix,
-    elevate_coefficient_vector,
-    elevation_weights,
-    transform_matrix,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_DEGREE",
-    "MAX_DIRECTIONS",
-    "DEFAULT_MAX_ELEVATIONS",
-    "BasisKind",
-    "BasisSpace",
-    "basis_matrix",
-    "basis_value",
-    "basis_vector",
-    "bernstein_value",
-    "normalizing_coefficients",
-    "BezierPiece",
-    "ControlCurve",
-    "SubdivisionResult",
-    "bezier_weights",
-    "elevate",
-    "evaluate",
-    "piece_matches_subspace_weights",
-    "reparametrize",
-    "subdivide",
-    "NumericalError",
-    "RangeError",
-    "SpecError",
-    "CoordinateFunction",
-    "CurveSpec",
-    "PreImageResult",
-    "Term",
-    "TermFamily",
-    "exact_curve",
-    "exact_rational_curve",
-    "min_order",
-    "figure_names",
-    "load_figure",
-    "load_figure_text",
-    "reconstruction_error",
-    "render_figure",
-    "run_gallery",
-    "SpecDocument",
-    "SvgPath",
-    "export_obj",
-    "export_svg",
-    "export_table",
-    "format_float",
-    "parse_angle",
-    "parse_document",
-    "parse_spec",
-    "parse_table",
-    "ControlGrid",
-    "Direction",
-    "ProductTerm",
-    "SurfaceCoordinateFunction",
-    "SurfaceSpec",
-    "evaluate_surface",
-    "exact_rational_surface",
-    "exact_surface",
-    "min_orders",
-    "sample_lattice",
-    "TransformMatrix",
-    "elevate_coefficient_vector",
-    "elevation_weights",
-    "transform_matrix",
-]
+# Public name -> module that defines it, in the order of ``__all__``.  A name
+# (or a module) is imported on first use, so ``import chbez`` loads no module.
+_HOMES = {
+    "MAX_DEGREE": "bbasis",
+    "MAX_DIRECTIONS": "surface",
+    "DEFAULT_MAX_ELEVATIONS": "exact",
+    **dict.fromkeys(("BasisKind", "BasisSpace", "basis_matrix", "basis_value", "basis_vector",
+                     "bernstein_value", "normalizing_coefficients"), "bbasis"),
+    **dict.fromkeys(("BezierPiece", "ControlCurve", "SubdivisionResult", "bezier_weights",
+                     "elevate", "evaluate", "piece_matches_subspace_weights", "reparametrize",
+                     "subdivide"), "curve"),
+    **dict.fromkeys(("NumericalError", "RangeError", "SpecError"), "errors"),
+    **dict.fromkeys(("CoordinateFunction", "CurveSpec", "PreImageResult", "Term", "TermFamily",
+                     "exact_curve", "exact_rational_curve", "min_order"), "exact"),
+    **dict.fromkeys(("figure_names", "load_figure", "load_figure_text", "reconstruction_error",
+                     "render_figure", "run_gallery"), "gallery"),
+    **dict.fromkeys(("SpecDocument", "SvgPath", "export_obj", "export_svg", "export_table",
+                     "format_float", "parse_angle", "parse_document", "parse_spec", "parse_table"),
+                     "io"),
+    **dict.fromkeys(("ControlGrid", "Direction", "ProductTerm", "SurfaceCoordinateFunction",
+                     "SurfaceSpec", "evaluate_surface", "exact_rational_surface", "exact_surface",
+                     "min_orders", "sample_lattice"), "surface"),
+    **dict.fromkeys(("TransformMatrix", "elevate_coefficient_vector", "elevation_weights",
+                     "transform_matrix"), "xform"),
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _HOMES.values():
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    return value
+
+
+def __dir__():
+    names = {*globals(), *_HOMES, *_HOMES.values()} - {"__getattr__", "__dir__"}
+    return sorted(n for n in names if not n.startswith("_") or n.startswith("__"))

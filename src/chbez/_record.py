@@ -1,0 +1,74 @@
+"""Immutable value records, built without ``exec``.
+
+``@dataclass(frozen=True)`` runs ``exec`` for six methods per class at every
+import, bytecode cache or not; :func:`record` builds them from closures.
+"""
+
+from operator import attrgetter
+
+_set = object.__setattr__
+
+
+def _refuse_set(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """Make ``cls`` an immutable value type over its annotated fields, as a frozen dataclass.
+
+    The fields are the class's annotations, in order; a class attribute of
+    the same name is a default, and fields with defaults come last.  The
+    class gets what it does not define: ``__init__`` (by position or
+    keyword, then ``__post_init__`` if any), ``__repr__`` as
+    ``Name(field=value, ...)``, and ``__eq__`` and ``__hash__`` over the
+    tuple of field values (equal only within a class).  Assignment and
+    deletion raise ``AttributeError``.  Fields are set by ``object.__setattr__``,
+    since writing ``self.__dict__`` would give each instance a dict of its own.
+    """
+    fields = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+    post = cls.__dict__.get("__post_init__")
+    get = attrgetter(*fields)
+    values = get if len(fields) > 1 else lambda self: (get(self),)
+    required, tail = len(fields) - len(defaults), tuple(defaults.values())
+
+    def __init__(self, *args, **kwargs):
+        if not kwargs and required <= len(args) < len(fields):
+            args += tail[len(args) - required :]
+        elif kwargs or len(args) != len(fields):
+            given = dict(zip(fields, args))
+            bound = {**defaults, **kwargs, **given}
+            if len(args) > len(fields) or kwargs.keys() & given or bound.keys() != set(fields):
+                raise TypeError(
+                    f"{cls.__qualname__}.__init__() takes ({', '.join(fields)}), got "
+                    f"{len(args)} positional argument(s) and the keywords {sorted(kwargs)}"
+                )
+            args = [bound[name] for name in fields]
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        if post is not None:
+            post(self)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={v!r}" for name, v in zip(fields, values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    for method in (__init__, __repr__, __eq__, __hash__):
+        if method.__name__ not in cls.__dict__:
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
+    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
+    cls.__match_args__ = fields
+    return cls

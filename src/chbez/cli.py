@@ -17,10 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bbasis import BasisKind, BasisSpace, basis_matrix
-from .curve import elevate, subdivide
 from .errors import NumericalError, RangeError, SpecError
-from .exact import CurveSpec, min_order
-from .gallery import run_gallery
 from .io import (
     SpecDocument,
     SvgPath,
@@ -30,8 +27,9 @@ from .io import (
     parse_angle,
     parse_document,
 )
-from .surface import _described_net, _sampled
 from .xform import transform_matrix
+
+# Commands import the modules they run, so a process loads only what its command needs.
 
 __all__ = ["main"]
 
@@ -106,8 +104,8 @@ def _surface_orders(doc: SpecDocument, args) -> tuple[int, ...] | None:
     return orders
 
 
-def _require_curve(doc: SpecDocument, command: str) -> CurveSpec:
-    if not isinstance(doc.spec, CurveSpec):
+def _require_curve(doc: SpecDocument, command: str):
+    if len(doc.spec._directions) != 1:
         raise RangeError(f"{command} works on curve specs only")
     return doc.spec
 
@@ -144,20 +142,32 @@ def _derivative_orders(args, delta: int):
     return orders
 
 
-def _described(doc: SpecDocument, args):
+def _check_format(doc: SpecDocument, fmt: str, noun: str):
+    """Refuse svg or obj output whose channel count does not fit, from the spec alone."""
+    channels = len(doc.spec._products) - doc.rational
+    if fmt == "svg" and channels != 2:
+        raise RangeError(f"--format: svg needs 2-d {noun}")
+    if fmt == "obj" and channels != 3:
+        raise RangeError(f"--format: obj needs 3-d {noun}")
+
+
+def _described(doc: SpecDocument, args, noun: str = "points"):
     """Control curve or grid of a document, honoring --order, --derivative and rational.
 
     Both flags are checked for shape before a rational document refuses a
-    derivative, and --format before anything is built.
+    derivative, and --format (for output of ``noun``) before anything is built.
     """
+    from .surface import _described_net
+
     spec = doc.spec
-    curve = isinstance(spec, CurveSpec)
+    curve = len(spec._directions) == 1
     r = _derivative_orders(args, 1 if curve else spec.delta)
     orders = _single_order(args) if curve else _surface_orders(doc, args)
     if doc.rational and r is not None and any(r):
         raise RangeError("--derivative: not supported for rational specs")
     if args.format == "svg" and not curve:
         raise RangeError("--format: svg is for planar curves only")
+    _check_format(doc, args.format, noun)
     return _described_net(spec, doc.rational, orders, r, args.max_elevations)
 
 
@@ -169,12 +179,8 @@ def _control_output(net, fmt: str) -> str:
     points = net.points
     channels = points.shape[-1]
     if fmt == "svg":
-        if channels != 2:
-            raise RangeError("--format: svg needs 2-d points")
         return export_svg([SvgPath(points, "polygon")])
     if fmt == "obj":
-        if channels != 3:
-            raise RangeError("--format: obj needs 3-d points")
         return export_obj(points)
     blocks = [points.reshape(-1, channels)]
     columns = _coord_names(channels)
@@ -196,16 +202,14 @@ def _cmd_describe(args, require_rational=False):
 
 
 def _cmd_sample(args):
+    from .surface import _sampled
+
     _check_samples(args.samples)
     doc = _load_document(args)
-    axes, values = _sampled(_described(doc, args), doc.spec, args.samples)
+    axes, values = _sampled(_described(doc, args, "samples"), doc.spec, args.samples)
     if args.format == "obj":
-        if values.shape[-1] != 3:
-            raise RangeError("--format: obj needs 3-d samples")
         return export_obj(values), args.out
     if args.format == "svg":
-        if values.shape[1] != 2:
-            raise RangeError("--format: svg needs 2-d samples")
         return export_svg([SvgPath(values, "curve")]), args.out
     mesh = np.meshgrid(*axes, indexing="ij")
     params = np.stack([m.reshape(-1) for m in mesh], axis=1)
@@ -215,6 +219,8 @@ def _cmd_sample(args):
 
 
 def _cmd_subdivide(args):
+    from .curve import subdivide
+
     doc = _load_document(args)
     _require_curve(doc, "subdivide")
     if args.format != "json":
@@ -239,8 +245,13 @@ def _cmd_subdivide(args):
 
 
 def _cmd_elevate(args):
+    from .curve import elevate
+    from .exact import min_order
+    from .surface import _described_net
+
     doc = _load_document(args)
     spec = _require_curve(doc, "elevate")
+    _check_format(doc, args.format, "points")
     base = min_order(spec)
     target = _single_order(args)
     if target is None:
@@ -253,6 +264,8 @@ def _cmd_elevate(args):
 
 
 def _cmd_gallery(args):
+    from .gallery import run_gallery
+
     entries = run_gallery(args.out)
     lines = [
         f"{e['figure']}: wrote {e['output']}, max reconstruction error {e['error']:.3e}"
@@ -311,9 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_describe)
 
-    p = sub.add_parser(
-        "describe-rational", help="like describe, but requires a rational spec"
-    )
+    p = sub.add_parser("describe-rational", help="like describe, but requires a rational spec")
     _add_spec_flags(p)
     p.add_argument("--derivative", help=argparse.SUPPRESS)
     _add_output_flags(p)
@@ -321,9 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subdivide", help="split a curve at an interior parameter")
     _add_spec_flags(p)
-    p.add_argument(
-        "--split-at", required=True, help="split parameter u0 (number or pi literal)"
-    )
+    p.add_argument("--split-at", required=True, help="split parameter u0 (number or pi literal)")
     _add_output_flags(p, default_format="json", formats=("json",))
     p.set_defaults(handler=_cmd_subdivide, derivative=None)
 
@@ -335,9 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="evaluate a spec document on a uniform grid")
     _add_spec_flags(p)
     p.add_argument("--derivative", help="derivative order r, or comma list for surfaces")
-    p.add_argument(
-        "--samples", type=int, default=200, help="samples per direction (default 200)"
-    )
+    p.add_argument("--samples", type=int, default=200, help="samples per direction (default 200)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_sample)
 

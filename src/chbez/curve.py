@@ -18,11 +18,11 @@ subinterval is possible but changes the weights by a geometric factor, see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
+from ._record import record
 from .bbasis import (
     _PARAM_SLACK,
     BasisKind,
@@ -110,7 +110,7 @@ def _combine(mats, points: np.ndarray, weights, vanishing) -> np.ndarray:
     return _contract(mats, weights[..., None] * points) / den[..., None]
 
 
-@dataclass(frozen=True)
+@record
 class ControlCurve:
     """A curve ``sum_i d_i b_i(u)`` (or its rational counterpart).
 
@@ -123,19 +123,20 @@ class ControlCurve:
     points: np.ndarray
     weights: np.ndarray | None = None
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+    def __init__(self, space: BasisSpace, points, weights=None):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", weights)
+        pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2:
             raise RangeError(f"points must be a 2-d array, got shape {pts.shape}")
-        if pts.shape[0] != self.space.dimension:
-            raise RangeError(
-                f"expected {self.space.dimension} control points, got {pts.shape[0]}"
-            )
+        if pts.shape[0] != space.dimension:
+            raise RangeError(f"expected {space.dimension} control points, got {pts.shape[0]}")
         if pts.shape[1] < 1:
             raise RangeError("control points need at least one coordinate")
-        dims = (self.space.dimension,)
+        dims = (space.dimension,)
         _store_net(self, pts, dims, f"expected {dims[0]} weights, got shape {{}}")
 
     @property
@@ -197,7 +198,7 @@ def _binomials(degree: int) -> np.ndarray:
     return binom
 
 
-@dataclass(frozen=True)
+@record
 class BezierPiece:
     """One half of a subdivision in rational Bezier form.
 
@@ -246,8 +247,10 @@ class BezierPiece:
         return out[0] if scalar else out
 
 
-@dataclass(frozen=True)
+@record
 class SubdivisionResult:
+    """The two pieces of a split and the Bezier parameter of the split point."""
+
     left: BezierPiece
     right: BezierPiece
     split_ratio: float

@@ -24,12 +24,12 @@ denominator is positive on the whole interval).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
 import numpy as np
 
+from ._record import record
 from .bbasis import MAX_DEGREE, BasisKind, BasisSpace
 from .curve import ControlCurve, _below_floor
 from .errors import NumericalError, RangeError
@@ -68,7 +68,7 @@ class TermFamily(Enum):
     SINE = "sin"
 
 
-@dataclass(frozen=True)
+@record
 class Term:
     """One summand ``amplitude * f(frequency * u + phase)``."""
 
@@ -77,22 +77,21 @@ class Term:
     amplitude: float
     phase: float = 0.0
 
-    def __post_init__(self):
-        if not isinstance(self.family, TermFamily):
-            raise RangeError(f"family must be a TermFamily, got {self.family!r}")
-        if not _is_count(self.frequency):
-            raise RangeError(
-                f"frequency must be a nonnegative integer, got {self.frequency!r}"
-            )
-        object.__setattr__(self, "frequency", int(self.frequency))
-        for name in ("amplitude", "phase"):
-            value = float(getattr(self, name))
+    def __init__(self, family: TermFamily, frequency: int, amplitude: float, phase: float = 0.0):
+        if not isinstance(family, TermFamily):
+            raise RangeError(f"family must be a TermFamily, got {family!r}")
+        if not _is_count(frequency):
+            raise RangeError(f"frequency must be a nonnegative integer, got {frequency!r}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "frequency", int(frequency))
+        for name, value in (("amplitude", amplitude), ("phase", phase)):
+            value = float(value)
             if not math.isfinite(value):
                 raise RangeError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@record
 class CoordinateFunction:
     """A finite sum of terms describing one coordinate."""
 
@@ -130,7 +129,7 @@ class CoordinateFunction:
         return CoordinateFunction(tuple(terms))
 
 
-@dataclass(frozen=True)
+@record
 class CurveSpec:
     """A traditional-form curve: kind, shape parameter, coordinate functions."""
 
@@ -213,11 +212,8 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
                 out += scale * (c * sine + s * cosine)
         else:
             ch, sh = math.cosh(t.phase), math.sinh(t.phase)
-            swap = r % 2 == 1
-            cosine_like = t.family is TermFamily.COSINE
-            if swap:
-                cosine_like = not cosine_like
-            if cosine_like:
+            # Each derivative swaps the cosine-like and the sine-like row.
+            if (t.family is TermFamily.COSINE) != (r % 2 == 1):
                 out += scale * (ch * cosine + sh * sine)
             else:
                 out += scale * (ch * sine + sh * cosine)
@@ -231,17 +227,27 @@ def _sum_of_products(products, dims: tuple, factor_values) -> np.ndarray:
     per direction ``j``; a product is the outer product of ``factor_values(j, f)``.
     """
     out = np.zeros(dims + (len(products),))
-    for ell, channel in enumerate(products):
-        for factors in channel:
-            vecs = [factor_values(j, f) for j, f in enumerate(factors)]
-            out[..., ell] += reduce(np.multiply.outer, vecs)
+    # A channel that overflows holds inf or nan, which callers check; no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ell, channel in enumerate(products):
+            for factors in channel:
+                vecs = [factor_values(j, f) for j, f in enumerate(factors)]
+                out[..., ell] += reduce(np.multiply.outer, vecs)
     return out
 
 
 def _ordinates(products, spaces, r) -> np.ndarray:
-    """Control tensor over one space per direction, direction ``j`` derived ``r[j]`` times."""
+    """Control tensor over one space per direction, direction ``j`` derived ``r[j]`` times.
+
+    A channel that overflows double precision raises, naming its coordinate.
+    """
     dims = tuple(s.dimension for s in spaces)
-    return _sum_of_products(products, dims, lambda j, f: coordinate_ordinates(f, spaces[j], r[j]))
+    out = _sum_of_products(products, dims, lambda j, f: coordinate_ordinates(f, spaces[j], r[j]))
+    finite = np.isfinite(out)
+    if not finite.all():
+        ell = int(np.argmin(finite.reshape(-1, out.shape[-1]).all(axis=0)))
+        raise RangeError(f"coords[{ell}]: control points overflow double precision")
+    return out
 
 
 def _lattice(products, directions, axes) -> np.ndarray:
@@ -265,7 +271,7 @@ def exact_curve(spec: CurveSpec, n: int | None = None, r: int = 0) -> ControlCur
     return ControlCurve(space, _ordinates(spec._products, [space], (r,)))
 
 
-@dataclass(frozen=True)
+@record
 class PreImageResult:
     """Outcome of the rational description.
 

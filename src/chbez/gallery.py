@@ -14,12 +14,12 @@ lattice evaluator of :mod:`chbez.exact`; only the artifact format differs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from ._record import record
 from .errors import RangeError
 from .exact import _lattice
 from .io import SpecDocument, SvgPath, export_obj, export_svg, parse_document
@@ -97,7 +97,7 @@ def reconstruction_error(recon, direct) -> float:
     return float((diff / scale).max())
 
 
-@dataclass(frozen=True)
+@record
 class RenderedFigure:
     """One regenerated figure: artifact text plus its error report."""
 

@@ -15,20 +15,17 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._record import record
 from .bbasis import BasisKind
 from .errors import RangeError, SpecError
-from .exact import CoordinateFunction, CurveSpec, Term, TermFamily
-from .surface import (
-    MAX_DIRECTIONS,
-    Direction,
-    ProductTerm,
-    SurfaceCoordinateFunction,
-    SurfaceSpec,
-)
+
+if TYPE_CHECKING:  # the parsers import the spec types when they first run
+    from .exact import CoordinateFunction, CurveSpec, Term
+    from .surface import SurfaceSpec
 
 __all__ = [
     "SpecDocument",
@@ -45,9 +42,10 @@ __all__ = [
 
 _ANGLE_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$")
 
-_FAMILIES = {
-    BasisKind.TRIGONOMETRIC: {"cos": TermFamily.COSINE, "sin": TermFamily.SINE},
-    BasisKind.HYPERBOLIC: {"cosh": TermFamily.COSINE, "sinh": TermFamily.SINE},
+# Term family names per kind: the cosine-like one, then the sine-like one.
+_FAMILY_NAMES = {
+    BasisKind.TRIGONOMETRIC: ("cos", "sin"),
+    BasisKind.HYPERBOLIC: ("cosh", "sinh"),
 }
 
 _KINDS = {
@@ -103,7 +101,7 @@ def _format_rows(template: str, rows: np.ndarray) -> list[str]:
     return blocks
 
 
-@dataclass(frozen=True)
+@record
 class SpecDocument:
     """A parsed document: the spec plus its declared rationality."""
 
@@ -149,12 +147,12 @@ def parse_spec(text: str) -> CurveSpec | SurfaceSpec:
 
 
 def _parse_curve(raw: dict) -> CurveSpec:
+    from .exact import CurveSpec
+
     kind = _parse_kind(raw, "kind")
     alpha = _parse_angle_field(raw, "alpha", "alpha")
     coords = _get_list(raw, "coords", "coords", minimum=1)
-    fns = tuple(
-        _parse_coordinate(c, kind, f"coords[{i}]") for i, c in enumerate(coords)
-    )
+    fns = tuple(_parse_coordinate(c, kind, f"coords[{i}]") for i, c in enumerate(coords))
     try:
         return CurveSpec(kind, alpha, fns)
     except RangeError as exc:
@@ -162,6 +160,9 @@ def _parse_curve(raw: dict) -> CurveSpec:
 
 
 def _parse_surface(raw: dict, rational: bool) -> SurfaceSpec:
+    from .surface import (MAX_DIRECTIONS, Direction, ProductTerm, SurfaceCoordinateFunction,
+                          SurfaceSpec)
+
     dirs_raw = _get_list(raw, "directions", "directions", minimum=2)
     if len(dirs_raw) > MAX_DIRECTIONS:
         raise SpecError("directions", f"at most {MAX_DIRECTIONS} directions supported")
@@ -217,6 +218,8 @@ def _parse_surface(raw: dict, rational: bool) -> SurfaceSpec:
 
 
 def _parse_coordinate(raw, kind: BasisKind, path: str) -> CoordinateFunction:
+    from .exact import CoordinateFunction
+
     if not isinstance(raw, dict):
         raise SpecError(path, "must be an object")
     _reject_unknown(raw, {"terms"}, path)
@@ -228,11 +231,13 @@ def _parse_coordinate(raw, kind: BasisKind, path: str) -> CoordinateFunction:
 
 
 def _parse_term(raw, kind: BasisKind, path: str) -> Term:
+    from .exact import Term, TermFamily
+
     if not isinstance(raw, dict):
         raise SpecError(path, "must be an object")
     _reject_unknown(raw, {"family", "k", "a", "phase"}, path)
     family_raw = _get_str(raw, "family", f"{path}.family")
-    families = _FAMILIES[kind]
+    families = _FAMILY_NAMES[kind]
     if family_raw not in families:
         expected = " or ".join(sorted(families))
         raise SpecError(
@@ -246,7 +251,8 @@ def _parse_term(raw, kind: BasisKind, path: str) -> Term:
     phase = 0.0
     if "phase" in raw:
         phase = _parse_angle_field(raw, "phase", f"{path}.phase", allow_nonpositive=True)
-    return Term(families[family_raw], k, a, phase)
+    family = TermFamily.COSINE if family_raw == families[0] else TermFamily.SINE
+    return Term(family, k, a, phase)
 
 
 def _parse_kind(raw: dict, path: str) -> BasisKind:
@@ -314,7 +320,7 @@ def _reject_unknown(raw: dict, allowed: set, path: str):
 # SVG
 
 
-@dataclass(frozen=True)
+@record
 class SvgPath:
     """A 2-d path for the SVG exporter.
 
@@ -449,9 +455,7 @@ def export_obj(samples, control_net=None) -> str:
     if control_net is not None:
         net = np.asarray(control_net, dtype=float)
         if net.ndim != samples.ndim or net.shape[-1] != 3:
-            raise RangeError(
-                f"control net shape {net.shape} does not match sample dimensionality"
-            )
+            raise RangeError(f"control net shape {net.shape} does not match sample dimensionality")
         if not np.all(np.isfinite(net)):
             raise RangeError("control net contains non-finite points")
         nids = np.arange(ids.size + 1, ids.size + net[..., 0].size + 1).reshape(net.shape[:-1])
@@ -480,9 +484,7 @@ def export_table(data, fmt: str, columns=None) -> str:
             raise RangeError(f"CSV supports at most 2-d data, got shape {data.shape}")
         table = data if data.ndim == 2 else data[:, None] if data.ndim == 1 else data[None, None]
         if columns is not None and len(table) and len(columns) != table.shape[1]:
-            raise RangeError(
-                f"{len(columns)} column names for {table.shape[1]} columns"
-            )
+            raise RangeError(f"{len(columns)} column names for {table.shape[1]} columns")
         parts = [] if columns is None else [",".join(str(c) for c in columns) + "\n"]
         parts += _format_rows(",".join(["%r"] * table.shape[1]) + "\n", table)
         return "".join(parts)

@@ -24,10 +24,9 @@ rational or not" for the CLI and the gallery ends this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .bbasis import BasisKind, BasisSpace, basis_matrix
 from .curve import ControlCurve, _combine, _store_net, evaluate
 from .errors import NumericalError, RangeError
@@ -64,7 +63,7 @@ MAX_DIRECTIONS = 4
 _POSITIVITY_DENSITY = 33
 
 
-@dataclass(frozen=True)
+@record
 class Direction:
     """Kind and shape parameter of one parametric direction."""
 
@@ -79,7 +78,7 @@ class Direction:
         return BasisSpace(self.kind, n, self.alpha)
 
 
-@dataclass(frozen=True)
+@record
 class ProductTerm:
     """One separable summand: the product of one factor per direction."""
 
@@ -89,7 +88,7 @@ class ProductTerm:
         object.__setattr__(self, "factors", tuple(self.factors))
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceCoordinateFunction:
     """A coordinate of the patch: a sum of separable products."""
 
@@ -101,7 +100,7 @@ class SurfaceCoordinateFunction:
             raise RangeError("surface coordinate needs at least one summand")
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceSpec:
     """Directions plus coordinate functions of a patch in traditional form.
 
@@ -119,7 +118,7 @@ class SurfaceSpec:
         delta = len(self.directions)
         if not 2 <= delta <= MAX_DIRECTIONS:
             raise RangeError(f"number of directions must be 2..{MAX_DIRECTIONS}, got {delta}")
-        if not isinstance(self.kappa, (int, np.integer)) or self.kappa < 0:
+        if not _is_count(self.kappa):
             raise RangeError(f"kappa must be a nonnegative integer, got {self.kappa!r}")
         object.__setattr__(self, "kappa", int(self.kappa))
         expected = delta + self.kappa
@@ -165,7 +164,7 @@ class SurfaceSpec:
         return _lattice(self._products, self.directions, axes)[(0,) * self.delta]
 
 
-@dataclass(frozen=True)
+@record
 class ControlGrid:
     """Control net of a patch: per-direction orders, points, optional weights.
 
@@ -260,9 +259,7 @@ def exact_rational_surface(
 def _spaces_for(grid: ControlGrid, directions) -> list[BasisSpace]:
     directions = tuple(directions)
     if len(directions) != len(grid.orders):
-        raise RangeError(
-            f"expected {len(grid.orders)} directions, got {len(directions)}"
-        )
+        raise RangeError(f"expected {len(grid.orders)} directions, got {len(directions)}")
     return [d.space(n) for d, n in zip(directions, grid.orders)]
 
 

@@ -27,11 +27,11 @@ rows.  The returned arrays are read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
+from ._record import record
 from .bbasis import BasisKind, BasisSpace, _coefficient_sums
 from .errors import RangeError
 
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class TransformMatrix:
     """B-basis coefficients of the canonical functions of a space.
 
@@ -121,9 +121,7 @@ def elevate_coefficient_vector(space: BasisSpace, coeffs) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape[0] != space.dimension:
-        raise RangeError(
-            f"expected {space.dimension} coefficients, got {coeffs.shape[0]}"
-        )
+        raise RangeError(f"expected {space.dimension} coefficients, got {coeffs.shape[0]}")
     return _raise_order(coeffs, np.ones(3), elevation_weights(space))
 
 

@@ -507,3 +507,57 @@ FAILING_COMMANDS = [
 def test_failing_command(capsys, command, figure, flags, code, stderr):
     path = Path(chbez.__file__).parent / "figures" / f"{figure}.json"
     assert run(capsys, command, "--spec", str(path), *flags) == (code, "", stderr)
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("reached after a refusable --format")
+
+
+# command, figure, extra flags -> stderr; each refusal follows from the spec alone.
+FORMAT_REFUSALS = [
+    ("sample", "hypocycloid", ["--format", "obj", "--samples", "2000000"],
+     "error: --format: obj needs 3-d samples\n"),
+    ("sample", "torus_knot", ["--format", "svg", "--samples", "2000000"],
+     "error: --format: svg needs 2-d samples\n"),
+    ("sample", "rational_hyperbolic_arc_a", ["--format", "obj"],
+     "error: --format: obj needs 3-d samples\n"),
+    ("sample", "star_surface", ["--format", "svg"],
+     "error: --format: svg is for planar curves only\n"),
+    ("describe", "hypocycloid", ["--format", "obj"], "error: --format: obj needs 3-d points\n"),
+    ("describe", "torus_knot", ["--format", "svg"], "error: --format: svg needs 2-d points\n"),
+    ("describe-rational", "rational_hyperbolic_arc_b", ["--format", "obj"],
+     "error: --format: obj needs 3-d points\n"),
+    ("elevate", "torus_knot", ["--format", "svg"], "error: --format: svg needs 2-d points\n"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "command,figure,flags,stderr",
+    FORMAT_REFUSALS,
+    ids=[" ".join([c, f, *fl]) for c, f, fl, _ in FORMAT_REFUSALS],
+)
+def test_format_refused_before_describing(capsys, monkeypatch, command, figure, flags, stderr):
+    from chbez import surface
+
+    monkeypatch.setattr(surface, "_sampled", _unreachable)
+    monkeypatch.setattr(surface, "_described_net", _unreachable)
+    path = Path(chbez.__file__).parent / "figures" / f"{figure}.json"
+    assert run(capsys, command, "--spec", str(path), *flags) == (2, "", stderr)
+
+
+def _overflowing_doc(figure: str) -> dict:
+    """The figure with every amplitude of its first coordinate's first factor set to 1e308."""
+    doc = json.loads(load_figure_text(figure))
+    coord = doc["coords"][0]
+    for term in (coord["summands"][0]["factors"][0] if "summands" in coord else coord)["terms"]:
+        term["a"] = 1e308
+    return doc
+
+
+@pytest.mark.parametrize("figure", ["trigonometric_volume_1", "hypocycloid", "torus_patch"])
+@pytest.mark.parametrize("command", ["describe", "sample"])
+def test_overflowing_coordinate_is_named(capsys, tmp_path, figure, command):
+    # pytest turns a RuntimeWarning into an error, so none may be emitted either.
+    path = write_doc(tmp_path, "huge.json", _overflowing_doc(figure))
+    code, out, err = run(capsys, command, "--spec", path)
+    assert (code, out, err) == (2, "", "error: coords[0]: control points overflow double precision\n")

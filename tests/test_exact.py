@@ -235,6 +235,13 @@ class TestExactCurve:
         approx = central_difference(lambda t: spec.evaluate(t), us, 1e-6)
         assert rel_error(evaluate(crv, us), approx) < 1e-7
 
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_overflowing_channel_is_named(self, r):
+        huge = CoordinateFunction((Term(COS, 1, 1e308), Term(SIN, 1, 1e308)))
+        spec = CurveSpec(HYP, 2.0, (CoordinateFunction((Term(COS, 1, 1.0),)), huge))
+        with pytest.raises(RangeError, match=r"^coords\[1\]: control points overflow double"):
+            exact_curve(spec, 3, r)
+
 
 class TestExactRationalCurve:
     def test_unit_denominator_gives_unit_weights(self):

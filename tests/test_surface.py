@@ -103,6 +103,13 @@ class TestSpecValidation:
         with pytest.raises(RangeError):
             SurfaceSpec(dirs, -1, (c, c))
 
+    @pytest.mark.parametrize("kappa", [True, False, 1.0, -1])
+    def test_kappa_must_be_a_count(self, kappa):
+        dirs = (Direction(TRIG, 1.0), Direction(TRIG, 1.0))
+        c = coord([one(), one()])
+        with pytest.raises(RangeError, match=f"kappa must be a nonnegative integer, got {kappa!r}"):
+            SurfaceSpec(dirs, kappa, (c, c, c))
+
     def test_factor_count_must_match_directions(self):
         dirs = (Direction(TRIG, 1.0), Direction(TRIG, 1.0))
         bad = coord([one(), one(), one()])
