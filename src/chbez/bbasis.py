@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -49,6 +49,8 @@ _OVERFLOW_LIMIT = 300.0
 # Parameter values may stick out of [0, alpha] by this much before they are
 # rejected; within the slack they are clamped to the nearest endpoint.
 _PARAM_SLACK = 1e-12
+
+_MEMO_SPACES = 128  # per-space memos here and in ``xform`` keep the spaces used last
 
 
 class BasisKind(Enum):
@@ -147,7 +149,21 @@ def _trinomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     return table, exponents
 
 
-@cache
+def _sums_by_order(space: BasisSpace, orders) -> list[np.ndarray]:
+    """:func:`_coefficient_sums` at the kind and alpha of ``space`` for orders up to its ``n``."""
+    two_c = 2.0 * _half_functions(space)[1]
+    powers = np.array([two_c**k for k in range(space.n + 1)])
+    sums = []
+    for m in orders:
+        table, exponents = _trinomials(m)
+        # numpy reduces the outer axis of a C-contiguous array one row after the
+        # other, so every entry adds its terms in increasing r, the order of the
+        # plain double loop; tests/test_kernel_exact.py checks the bytes.
+        sums.append(np.add.reduce(table * powers[exponents], axis=0))
+    return sums
+
+
+@lru_cache(maxsize=_MEMO_SPACES)
 def _coefficient_sums(space: BasisSpace) -> np.ndarray:
     """Normalizing coefficients without the 1 / s(alpha/2)**2n prefactor.
 
@@ -157,20 +173,12 @@ def _coefficient_sums(space: BasisSpace) -> np.ndarray:
     ratio used by order elevation reduces to a ratio of these sums (the
     s-prefactors cancel identically).
     """
-    n = space.n
-    _, c = _half_functions(space)
-    two_c = 2.0 * c
-    table, exponents = _trinomials(n)
-    terms = table * np.array([two_c**k for k in range(n + 1)])[exponents]
-    # numpy reduces the outer axis of a C-contiguous array one row after the
-    # other, so every entry adds its terms in increasing r, the order of the
-    # plain double loop; tests/test_kernel_exact.py checks the bytes.
-    sums = np.add.reduce(terms, axis=0)
+    (sums,) = _sums_by_order(space, [space.n])
     sums.flags.writeable = False
     return sums
 
 
-@cache
+@lru_cache(maxsize=_MEMO_SPACES)
 def _normalizing_values(space: BasisSpace) -> np.ndarray:
     s, _ = _half_functions(space)
     # For tiny trigonometric alpha s**2n underflows to 0; the overflow is
@@ -254,8 +262,9 @@ def basis_matrix(space: BasisSpace, us) -> np.ndarray:
         right = np.sinh(0.5 * clamped)
     powers = np.arange(space.degree + 1)
     # 0.0 ** 0 evaluates to 1.0, so the endpoint columns come out exact.
-    mat = left[:, None] ** (space.degree - powers)[None, :] * right[:, None] ** powers[None, :]
-    return mat * _normalizing_values(space)[None, :]
+    mat = np.power(left[:, None], (space.degree - powers)[None, :])
+    mat *= right[:, None] ** powers[None, :]
+    return np.multiply(mat, _normalizing_values(space)[None, :], out=mat)
 
 
 def bernstein_value(degree: int, i: int, v: float) -> float:

@@ -83,22 +83,15 @@ def _coord_names(count: int) -> list[str]:
     return [f"c{i + 1}" for i in range(count)]
 
 
-def _single_order(args) -> int | None:
+def _order_flag(args, delta: int):
+    """--order: one int for a curve (``delta`` 1), else ``delta`` ints (one repeats); or None."""
     if args.order is None:
         return None
     orders = _int_list_flag(args.order, "--order")
-    if len(orders) != 1:
+    if delta == 1 and len(orders) != 1:
         raise RangeError(f"--order: a curve takes one order, got {len(orders)}")
-    return orders[0]
-
-
-def _surface_orders(doc: SpecDocument, args) -> tuple[int, ...] | None:
-    if args.order is None:
-        return None
-    orders = _int_list_flag(args.order, "--order")
-    delta = doc.spec.delta
     if len(orders) == 1:
-        return orders * delta
+        return orders[0] if delta == 1 else orders * delta
     if len(orders) != delta:
         raise RangeError(f"--order: expected {delta} orders, got {len(orders)}")
     return orders
@@ -160,12 +153,12 @@ def _described(doc: SpecDocument, args, noun: str = "points"):
     from .surface import _described_net
 
     spec = doc.spec
-    curve = len(spec._directions) == 1
-    r = _derivative_orders(args, 1 if curve else spec.delta)
-    orders = _single_order(args) if curve else _surface_orders(doc, args)
+    delta = len(spec._directions)
+    r = _derivative_orders(args, delta)
+    orders = _order_flag(args, delta)
     if doc.rational and r is not None and any(r):
         raise RangeError("--derivative: not supported for rational specs")
-    if args.format == "svg" and not curve:
+    if args.format == "svg" and delta > 1:
         raise RangeError("--format: svg is for planar curves only")
     _check_format(doc, args.format, noun)
     return _described_net(spec, doc.rational, orders, r, args.max_elevations)
@@ -253,7 +246,7 @@ def _cmd_elevate(args):
     spec = _require_curve(doc, "elevate")
     _check_format(doc, args.format, "points")
     base = min_order(spec)
-    target = _single_order(args)
+    target = _order_flag(args, 1)
     if target is None:
         target = base + 1
     if target < base:

@@ -236,18 +236,26 @@ def _sum_of_products(products, dims: tuple, factor_values) -> np.ndarray:
     return out
 
 
-def _ordinates(products, spaces, r) -> np.ndarray:
-    """Control tensor over one space per direction, direction ``j`` derived ``r[j]`` times.
-
-    A channel that overflows double precision raises, naming its coordinate.
-    """
-    dims = tuple(s.dimension for s in spaces)
-    out = _sum_of_products(products, dims, lambda j, f: coordinate_ordinates(f, spaces[j], r[j]))
+def _finite_channels(out: np.ndarray) -> np.ndarray:
+    """``out``, or a RangeError naming the first channel (last axis) that is not finite."""
     finite = np.isfinite(out)
     if not finite.all():
         ell = int(np.argmin(finite.reshape(-1, out.shape[-1]).all(axis=0)))
         raise RangeError(f"coords[{ell}]: control points overflow double precision")
     return out
+
+
+def _ordinates(products, spaces, r) -> np.ndarray:
+    """Control tensor over one space per direction, direction ``j`` derived ``r[j]`` times."""
+    dims = tuple(s.dimension for s in spaces)
+    out = _sum_of_products(products, dims, lambda j, f: coordinate_ordinates(f, spaces[j], r[j]))
+    return _finite_channels(out)
+
+
+def _projected(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A pre-image's numerator channels divided by its weights (last channel), and the weights."""
+    with np.errstate(over="ignore"):
+        return _finite_channels(points[..., :-1] / points[..., -1:]), points[..., -1]
 
 
 def _lattice(products, directions, axes) -> np.ndarray:
@@ -314,8 +322,7 @@ def exact_rational_curve(
     points, (n,), steps = _elevate_until_positive(
         pre.points, [pre.space.n], spec._directions, max_elevations
     )
-    weights = points[:, -1]
-    projected = ControlCurve(spec.space(n), points[:, :-1] / weights[:, None], weights)
+    projected = ControlCurve(spec.space(n), *_projected(points))
     return PreImageResult(ControlCurve(projected.space, points), projected, steps)
 
 

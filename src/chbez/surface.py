@@ -39,6 +39,7 @@ from .exact import (
     _is_count,
     _lattice,
     _ordinates,
+    _projected,
     exact_curve,
     exact_rational_curve,
 )
@@ -252,8 +253,7 @@ def exact_rational_surface(
     points, orders, _ = _elevate_until_positive(
         grid.points, orders, spec.directions, max_elevations
     )
-    weights = points[..., -1]
-    return ControlGrid(tuple(orders), points[..., :-1] / weights[..., None], weights)
+    return ControlGrid(tuple(orders), *_projected(points))
 
 
 def _spaces_for(grid: ControlGrid, directions) -> list[BasisSpace]:

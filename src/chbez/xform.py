@@ -17,22 +17,21 @@ Two closely related tools live here:
   (for the hyperbolic kind the second identity carries ``+`` instead of
   ``-``; that sign is the only difference between the two kinds).
 
-Caches: the alpha-free integer table of the coefficient sums
-``C(n, i - r) C(i - r, r)`` is kept once per order ``n``.  Everything that
-depends on alpha is kept per space ``(kind, n, alpha)``: the coefficient
-sums, the normalizing coefficients, the elevation weights and the transform
-rows.  The returned arrays are read-only.
+Caches: the alpha-free table ``C(n, i - r) C(i - r, r)`` is kept per order.
+The coefficient sums, normalizing coefficients, elevation weights and transform
+rows are kept per space ``(kind, n, alpha)`` a caller passes in, for the last 128
+spaces; the recursion's intermediate orders are not kept.  Arrays are read-only.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
 from ._record import record
-from .bbasis import BasisKind, BasisSpace, _coefficient_sums
+from .bbasis import _MEMO_SPACES, BasisKind, BasisSpace, _sums_by_order
 from .errors import RangeError
 
 __all__ = [
@@ -76,7 +75,7 @@ class TransformMatrix:
             raise RangeError(f"frequency {k} outside 0..{self.space.n}")
 
 
-@cache
+@lru_cache(maxsize=_MEMO_SPACES)
 def elevation_weights(space: BasisSpace) -> np.ndarray:
     """Convex weights of one order elevation step, shape ``(2n + 3, 3)``.
 
@@ -85,13 +84,16 @@ def elevation_weights(space: BasisSpace) -> np.ndarray:
     0 and ``2n + 2`` reduce to a single weight of exactly 1, so elevation
     preserves the endpoint coefficients bit for bit.
     """
-    n = space.n
-    low = _coefficient_sums(space)
-    one = _coefficient_sums(BasisSpace(space.kind, 1, space.alpha))
-    high = _coefficient_sums(BasisSpace(space.kind, n + 1, space.alpha))
-    weights = np.zeros((2 * n + 3, 3))
+    high = BasisSpace(space.kind, space.n + 1, space.alpha)  # raises if order n + 1 is out of range
+    return _step_weights(*_sums_by_order(high, (space.n, 1, space.n + 1)))
+
+
+def _step_weights(low: np.ndarray, one: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """:func:`elevation_weights` from the coefficient sums of orders n, 1 and n + 1."""
+    size = low.shape[0]
+    weights = np.zeros((size + 2, 3))
     for j in range(3):
-        weights[j : j + 2 * n + 1, j] = low * one[j] / high[j : j + 2 * n + 1]
+        weights[j : j + size, j] = low * one[j] / high[j : j + size]
     weights.flags.writeable = False
     return weights
 
@@ -135,7 +137,7 @@ def _order_one_rows(kind: BasisKind, alpha: float) -> np.ndarray:
     return np.array([[1.0, 1.0, 1.0], sine, cosine])
 
 
-@cache
+@lru_cache(maxsize=_MEMO_SPACES)
 def _transform_rows(space: BasisSpace) -> np.ndarray:
     sign = -1.0 if space.kind is BasisKind.TRIGONOMETRIC else 1.0
     base = _order_one_rows(space.kind, space.alpha)
@@ -144,8 +146,9 @@ def _transform_rows(space: BasisSpace) -> np.ndarray:
     product_factors = base[[2, 1, 2, 1]].T
     # Column r holds the coefficients of canonical function r.
     cols = base.T
+    sums = _sums_by_order(space, range(1, space.n + 1))
     for m in range(1, space.n):
-        weights = elevation_weights(BasisSpace(space.kind, m, space.alpha))
+        weights = _step_weights(sums[m - 1], sums[0], sums[m])
         # One three-term pass raises the known functions 1..2m (factor one)
         # and forms the four products of the angle addition identities.
         products = cols[:, [2 * m - 1, 2 * m, 2 * m, 2 * m - 1]]

@@ -496,7 +496,21 @@ FAILING_COMMANDS = [
      2, "error: --order: expected 2 orders, got 3\n"),
     ("describe", "lemniscate", ["--order", "3,4", "--derivative", "1"], 2,
      "error: --order: a curve takes one order, got 2\n"),
+    ("describe", "lemniscate_tiny_denominator", [], 2,
+     "error: coords[0]: control points overflow double precision\n"),
 ]
+
+
+def _tiny_denominator_doc() -> dict:
+    """lemniscate.json with its denominator amplitudes multiplied by 1e-320."""
+    doc = json.loads(load_figure_text("lemniscate"))
+    for term in doc["coords"][-1]["terms"]:
+        term["a"] *= 1e-320
+    return doc
+
+
+# Documents derived from a bundled figure, by the name FAILING_COMMANDS gives them.
+DERIVED_DOCS = {"lemniscate_tiny_denominator": _tiny_denominator_doc}
 
 
 @pytest.mark.parametrize(
@@ -504,9 +518,12 @@ FAILING_COMMANDS = [
     FAILING_COMMANDS,
     ids=[" ".join([c, f, *fl]) for c, f, fl, _, _ in FAILING_COMMANDS],
 )
-def test_failing_command(capsys, command, figure, flags, code, stderr):
-    path = Path(chbez.__file__).parent / "figures" / f"{figure}.json"
-    assert run(capsys, command, "--spec", str(path), *flags) == (code, "", stderr)
+def test_failing_command(capsys, tmp_path, command, figure, flags, code, stderr):
+    if figure in DERIVED_DOCS:
+        path = write_doc(tmp_path, f"{figure}.json", DERIVED_DOCS[figure]())
+    else:
+        path = str(Path(chbez.__file__).parent / "figures" / f"{figure}.json")
+    assert run(capsys, command, "--spec", path, *flags) == (code, "", stderr)
 
 
 def _unreachable(*args, **kwargs):

@@ -294,6 +294,16 @@ class TestExactRationalCurve:
         with pytest.raises(NumericalError, match="not positive"):
             exact_rational_curve(dip_denominator_spec(eps=0.002))
 
+    def test_overflowing_projection_is_named(self):
+        # The weights pass the floor, which scales with them; coords[1] over
+        # them overflows, coords[0] does not.  pytest turns a RuntimeWarning
+        # into an error, so none may be emitted either.
+        small = CoordinateFunction((Term(SIN, 1, 1e-300),))
+        x = CoordinateFunction((Term(COS, 1, 1.0),))
+        tiny = CoordinateFunction((Term(COS, 0, 1e-320),))
+        with pytest.raises(RangeError, match=r"^coords\[1\]: control points overflow double"):
+            exact_rational_curve(CurveSpec(TRIG, 2.0, (small, x, tiny)))
+
     def test_denominator_scale_does_not_decide_positivity(self):
         # A quarter circle over 1e-13: the circle scaled by 1e13, and its
         # weights are positive at the minimum order.

@@ -361,6 +361,21 @@ class TestExactRationalSurface:
         assert grid.orders == want.orders == (8, 6)
         assert_allclose(grid.points * 1e-13, want.points, rtol=1e-12)
 
+    def test_overflowing_projection_is_named(self):
+        # As for curves: positive tiny weights, and only coords[1] overflows over them.
+        dirs = (Direction(TRIG, 1.5), Direction(HYP, 1.0))
+        spec = SurfaceSpec(
+            dirs,
+            0,
+            (
+                coord([one(), fn(Term(COS, 1, 1e-300))]),
+                coord([fn(Term(SIN, 1, 1.0)), one()]),
+                coord([fn(Term(COS, 0, 1e-320)), one()]),
+            ),
+        )
+        with pytest.raises(RangeError, match=r"^coords\[1\]: control points overflow double"):
+            exact_rational_surface(spec)
+
     def test_non_rational_spec_rejected(self):
         dirs = (Direction(TRIG, 1.5), Direction(TRIG, 1.0))
         c = coord([one(), one()])

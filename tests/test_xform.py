@@ -13,11 +13,17 @@ from chbez import (
     basis_matrix,
     elevate_coefficient_vector,
     elevation_weights,
+    normalizing_coefficients,
     transform_matrix,
 )
+from chbez.bbasis import _MEMO_SPACES, _coefficient_sums, _normalizing_values
+from chbez.xform import _transform_rows
 
 TRIG = BasisKind.TRIGONOMETRIC
 HYP = BasisKind.HYPERBOLIC
+
+# The per-space memos: each is keyed by one BasisSpace.
+MEMOS = (_coefficient_sums, _normalizing_values, elevation_weights, _transform_rows)
 
 
 class TestElevationWeights:
@@ -136,3 +142,39 @@ class TestTransformMatrix:
         assert first.rows is second.rows
         with pytest.raises(ValueError):
             first.rows[0, 0] = 0.0
+
+
+class TestMemoPolicy:
+    # Each test draws its spaces from its own alpha range, which no other test uses.
+
+    @pytest.mark.parametrize("kind", [TRIG, HYP])
+    def test_cold_transform_keeps_only_its_own_space(self, kind):
+        before = [memo.cache_info() for memo in MEMOS]
+        transform_matrix(BasisSpace(kind, 32, 0.4321987654321))
+        for memo, old in zip(MEMOS, before):
+            new = memo.cache_info()
+            assert new.misses - old.misses <= 1, memo.__name__
+            assert new.currsize - old.currsize <= 1, memo.__name__
+
+    def test_memos_hold_at_most_the_bound(self):
+        for k in range(_MEMO_SPACES + 8):
+            space = BasisSpace(HYP, 3, 1.2345678 + 1e-6 * k)
+            transform_matrix(space)
+            elevation_weights(space)
+            normalizing_coefficients(space)
+        for memo in MEMOS:
+            info = memo.cache_info()
+            assert info.maxsize == _MEMO_SPACES, memo.__name__
+            assert info.currsize <= _MEMO_SPACES, memo.__name__
+
+    def test_recent_space_is_a_hit(self):
+        space = BasisSpace(TRIG, 4, 1.8765432)
+        others = [BasisSpace(TRIG, 4, 2.0765432 + 1e-6 * k) for k in range(_MEMO_SPACES - 1)]
+        for memo in MEMOS:
+            first = memo(space)
+            for other in others:
+                memo(other)
+            old = memo.cache_info()
+            assert memo(space) is first, memo.__name__
+            new = memo.cache_info()
+            assert (new.hits - old.hits, new.misses - old.misses) == (1, 0), memo.__name__
