@@ -53,6 +53,16 @@ _PARAM_SLACK = 1e-12
 _MEMO_SPACES = 128  # per-space memos here and in ``xform`` keep the spaces used last
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer (``int`` or a numpy integer); bools are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is a nonnegative integer; bools are not."""
+    return _is_int(value) and value >= 0
+
+
 class BasisKind(Enum):
     """Selects the trigonometric or the hyperbolic function space."""
 
@@ -76,7 +86,7 @@ class BasisSpace:
     def __init__(self, kind: BasisKind, n: int, alpha: float):
         if not isinstance(kind, BasisKind):
             raise RangeError(f"kind must be a BasisKind, got {kind!r}")
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        if not _is_int(n):
             raise RangeError(f"order n must be an integer, got {n!r}")
         n = int(n)
         if n < 1:
@@ -163,7 +173,6 @@ def _sums_by_order(space: BasisSpace, orders) -> list[np.ndarray]:
     return sums
 
 
-@lru_cache(maxsize=_MEMO_SPACES)
 def _coefficient_sums(space: BasisSpace) -> np.ndarray:
     """Normalizing coefficients without the 1 / s(alpha/2)**2n prefactor.
 
@@ -173,9 +182,7 @@ def _coefficient_sums(space: BasisSpace) -> np.ndarray:
     ratio used by order elevation reduces to a ratio of these sums (the
     s-prefactors cancel identically).
     """
-    (sums,) = _sums_by_order(space, [space.n])
-    sums.flags.writeable = False
-    return sums
+    return _sums_by_order(space, [space.n])[0]
 
 
 @lru_cache(maxsize=_MEMO_SPACES)
@@ -219,7 +226,7 @@ def _clamp_param(space: BasisSpace, u: float) -> float:
 
 
 def _check_index(space: BasisSpace, i: int) -> int:
-    if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+    if not _is_int(i):
         raise RangeError(f"basis index must be an integer, got {i!r}")
     i = int(i)
     if not 0 <= i <= space.degree:
@@ -269,10 +276,10 @@ def basis_matrix(space: BasisSpace, us) -> np.ndarray:
 
 def bernstein_value(degree: int, i: int, v: float) -> float:
     """Bernstein polynomial ``B_i`` of the given degree at ``v`` in [0, 1]."""
-    if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool) or degree < 0:
+    if not _is_count(degree):
         raise RangeError(f"degree must be a nonnegative integer, got {degree!r}")
     degree = int(degree)
-    if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+    if not _is_int(i):
         raise RangeError(f"index must be an integer, got {i!r}")
     i = int(i)
     if not 0 <= i <= degree:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bbasis import BasisKind, BasisSpace, basis_matrix
+from .bbasis import MAX_DEGREE, BasisKind, BasisSpace, basis_matrix
 from .errors import NumericalError, RangeError, SpecError
 from .io import (
     SpecDocument,
@@ -90,11 +90,13 @@ def _order_flag(args, delta: int):
     orders = _int_list_flag(args.order, "--order")
     if delta == 1 and len(orders) != 1:
         raise RangeError(f"--order: a curve takes one order, got {len(orders)}")
-    if len(orders) == 1:
-        return orders[0] if delta == 1 else orders * delta
-    if len(orders) != delta:
+    if len(orders) not in (1, delta):
         raise RangeError(f"--order: expected {delta} orders, got {len(orders)}")
-    return orders
+    if max(orders) > MAX_DEGREE // 2:
+        raise RangeError(f"--order: {max(orders)} exceeds the order cap {MAX_DEGREE // 2}")
+    if delta == 1:
+        return orders[0]
+    return orders * delta if len(orders) == 1 else orders
 
 
 def _require_curve(doc: SpecDocument, command: str):
@@ -216,8 +218,6 @@ def _cmd_subdivide(args):
 
     doc = _load_document(args)
     _require_curve(doc, "subdivide")
-    if args.format != "json":
-        raise RangeError("--format: subdivide emits json only")
     curve = _described(doc, args)
     u0 = _angle_flag(args.split_at, "--split-at")
     result = subdivide(curve, u0)
@@ -247,13 +247,17 @@ def _cmd_elevate(args):
     _check_format(doc, args.format, "points")
     base = min_order(spec)
     target = _order_flag(args, 1)
-    if target is None:
-        target = base + 1
-    if target < base:
+    if target is not None and target < base:
         raise RangeError(f"--order: target {target} below the minimum order {base}")
     curve = _described_net(spec, doc.rational, base, None, args.max_elevations)
-    curve = elevate(curve, target - curve.space.n)
-    return _control_output(curve, args.format), args.out
+    reached = curve.space.n  # above base when a rational description needed elevation
+    if target is None:
+        target = reached + 1
+    elif target < reached:
+        raise RangeError(
+            f"--order: target {target} below the order {reached} the rational description reached"
+        )
+    return _control_output(elevate(curve, target - reached), args.format), args.out
 
 
 def _cmd_gallery(args):

@@ -28,6 +28,7 @@ from .bbasis import (
     BasisKind,
     BasisSpace,
     _clamp_param,
+    _is_count,
     _normalizing_values,
     basis_matrix,
 )
@@ -322,7 +323,7 @@ def elevate(curve: ControlCurve, z: int = 1) -> ControlCurve:
     projected back.  Elevation preserves the curve exactly; the polygon
     itself moves toward the curve as ``z`` grows.
     """
-    if not isinstance(z, (int, np.integer)) or isinstance(z, bool) or z < 0:
+    if not _is_count(z):
         raise RangeError(f"elevation count must be a nonnegative integer, got {z!r}")
     z = int(z)
     if z == 0:

@@ -30,7 +30,7 @@ from functools import reduce
 import numpy as np
 
 from ._record import record
-from .bbasis import MAX_DEGREE, BasisKind, BasisSpace
+from .bbasis import MAX_DEGREE, BasisKind, BasisSpace, _is_count
 from .curve import ControlCurve, _below_floor
 from .errors import NumericalError, RangeError
 from .xform import elevate_coefficient_vector, transform_matrix
@@ -54,11 +54,6 @@ WEIGHT_POSITIVITY = 1e-12
 _DENOMINATOR_SAMPLES = 1001
 
 DEFAULT_MAX_ELEVATIONS = 32
-
-
-def _is_count(value) -> bool:
-    """Whether ``value`` is a nonnegative integer; bools are not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
 
 
 class TermFamily(Enum):

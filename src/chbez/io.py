@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._record import record
-from .bbasis import BasisKind
+from .bbasis import MAX_DEGREE, BasisKind, _is_count
 from .errors import RangeError, SpecError
 
 if TYPE_CHECKING:  # the parsers import the spec types when they first run
@@ -118,14 +118,14 @@ def parse_document(text: str) -> SpecDocument:
         raise SpecError("", f"not valid JSON ({exc.msg} at line {exc.lineno})") from None
     if not isinstance(raw, dict):
         raise SpecError("", "document must be a JSON object")
-    doc_type = _get_str(raw, "type", "")
+    doc_type = _get_str(raw, "type", "type")
     if doc_type == "curve":
         allowed = {"version", "type", "kind", "alpha", "rational", "coords"}
     elif doc_type == "surface":
         allowed = {"version", "type", "directions", "rational", "coords"}
     else:
         raise SpecError("type", f"must be 'curve' or 'surface', got {doc_type!r}")
-    _reject_unknown(raw, allowed, "")
+    _object(raw, allowed, "")
     version = raw.get("version")
     if version != 1:
         raise SpecError("version", f"unsupported version {version!r} (expected 1)")
@@ -147,12 +147,12 @@ def parse_spec(text: str) -> CurveSpec | SurfaceSpec:
 
 
 def _parse_curve(raw: dict) -> CurveSpec:
+    """A curve is the one-direction case: its coordinates are read as patch factors."""
     from .exact import CurveSpec
 
-    kind = _parse_kind(raw, "kind")
-    alpha = _parse_angle_field(raw, "alpha", "alpha")
-    coords = _get_list(raw, "coords", "coords", minimum=1)
-    fns = tuple(_parse_coordinate(c, kind, f"coords[{i}]") for i, c in enumerate(coords))
+    kind, alpha = _parse_direction(raw, "")
+    coords = _objects(raw, "coords", "", {"terms"})
+    fns = tuple(_parse_coordinate(c, kind, path) for path, c in coords)
     try:
         return CurveSpec(kind, alpha, fns)
     except RangeError as exc:
@@ -163,79 +163,60 @@ def _parse_surface(raw: dict, rational: bool) -> SurfaceSpec:
     from .surface import (MAX_DIRECTIONS, Direction, ProductTerm, SurfaceCoordinateFunction,
                           SurfaceSpec)
 
-    dirs_raw = _get_list(raw, "directions", "directions", minimum=2)
-    if len(dirs_raw) > MAX_DIRECTIONS:
+    entries = _objects(raw, "directions", "", {"kind", "alpha"}, minimum=2)
+    if len(raw["directions"]) > MAX_DIRECTIONS:
         raise SpecError("directions", f"at most {MAX_DIRECTIONS} directions supported")
     directions = []
-    for j, d in enumerate(dirs_raw):
-        path = f"directions[{j}]"
-        if not isinstance(d, dict):
-            raise SpecError(path, "must be an object")
-        _reject_unknown(d, {"kind", "alpha"}, path)
-        kind = _parse_kind(d, f"{path}.kind")
-        alpha = _parse_angle_field(d, "alpha", f"{path}.alpha")
+    for path, d in entries:
         try:
-            directions.append(Direction(kind, alpha))
+            directions.append(Direction(*_parse_direction(d, path)))
         except RangeError as exc:
             raise SpecError(f"{path}.alpha", str(exc)) from None
     delta = len(directions)
-    coords = _get_list(raw, "coords", "coords", minimum=1)
-    kappa = len(coords) - delta - (1 if rational else 0)
-    if kappa < 0:
+    coords = _objects(raw, "coords", "", {"summands"})
+    count = len(raw["coords"])
+    if count < delta + rational:
         raise SpecError(
             "coords",
-            f"{len(coords)} coordinate(s) cannot cover {delta} direction(s)"
+            f"{count} coordinate(s) cannot cover {delta} direction(s)"
             + (" plus a denominator" if rational else ""),
         )
     fns = []
-    for ell, c in enumerate(coords):
-        path = f"coords[{ell}]"
-        if not isinstance(c, dict):
-            raise SpecError(path, "must be an object")
-        _reject_unknown(c, {"summands"}, path)
-        summands = _get_list(c, "summands", f"{path}.summands", minimum=1)
+    for path, c in coords:
         terms = []
-        for zeta, s in enumerate(summands):
-            spath = f"{path}.summands[{zeta}]"
-            if not isinstance(s, dict):
-                raise SpecError(spath, "must be an object")
-            _reject_unknown(s, {"factors"}, spath)
-            factors = _get_list(s, "factors", f"{spath}.factors", minimum=1)
-            if len(factors) != delta:
+        for spath, s in _objects(c, "summands", path, {"factors"}):
+            factors = _objects(s, "factors", spath, {"terms"})
+            if len(s["factors"]) != delta:
                 raise SpecError(
-                    f"{spath}.factors", f"expected {delta} factors, got {len(factors)}"
+                    f"{spath}.factors", f"expected {delta} factors, got {len(s['factors'])}"
                 )
-            parsed = tuple(
-                _parse_coordinate(f, directions[j].kind, f"{spath}.factors[{j}]")
-                for j, f in enumerate(factors)
-            )
-            terms.append(ProductTerm(parsed))
+            terms.append(ProductTerm(tuple(
+                _parse_coordinate(f, d.kind, fpath) for d, (fpath, f) in zip(directions, factors)
+            )))
         fns.append(SurfaceCoordinateFunction(tuple(terms)))
-    try:
-        return SurfaceSpec(tuple(directions), kappa, tuple(fns))
-    except RangeError as exc:
-        raise SpecError("coords", str(exc)) from None
+    return SurfaceSpec(tuple(directions), count - delta - rational, tuple(fns))
 
 
-def _parse_coordinate(raw, kind: BasisKind, path: str) -> CoordinateFunction:
+def _parse_direction(raw: dict, path: str) -> tuple[BasisKind, float]:
+    """Kind and alpha of a curve (``path`` empty) or of a patch direction."""
+    prefix = f"{path}." if path else ""
+    value = _get_str(raw, "kind", f"{prefix}kind")
+    if value not in _KINDS:
+        raise SpecError(f"{prefix}kind", f"must be 'trigonometric' or 'hyperbolic', got {value!r}")
+    return _KINDS[value], _parse_angle_field(raw, "alpha", f"{prefix}alpha")
+
+
+def _parse_coordinate(raw: dict, kind: BasisKind, path: str) -> CoordinateFunction:
+    """A curve coordinate or a patch factor: a list of terms in one direction's kind."""
     from .exact import CoordinateFunction
 
-    if not isinstance(raw, dict):
-        raise SpecError(path, "must be an object")
-    _reject_unknown(raw, {"terms"}, path)
-    terms_raw = _get_list(raw, "terms", f"{path}.terms", minimum=1)
-    terms = []
-    for i, t in enumerate(terms_raw):
-        terms.append(_parse_term(t, kind, f"{path}.terms[{i}]"))
-    return CoordinateFunction(tuple(terms))
+    terms = _objects(raw, "terms", path, {"family", "k", "a", "phase"})
+    return CoordinateFunction(tuple(_parse_term(t, kind, tpath) for tpath, t in terms))
 
 
-def _parse_term(raw, kind: BasisKind, path: str) -> Term:
+def _parse_term(raw: dict, kind: BasisKind, path: str) -> Term:
     from .exact import Term, TermFamily
 
-    if not isinstance(raw, dict):
-        raise SpecError(path, "must be an object")
-    _reject_unknown(raw, {"family", "k", "a", "phase"}, path)
     family_raw = _get_str(raw, "family", f"{path}.family")
     families = _FAMILY_NAMES[kind]
     if family_raw not in families:
@@ -245,24 +226,16 @@ def _parse_term(raw, kind: BasisKind, path: str) -> Term:
             f"{family_raw!r} does not match the {kind.value} kind (expected {expected})",
         )
     k = raw.get("k")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+    if not _is_count(k):
         raise SpecError(f"{path}.k", f"must be a nonnegative integer, got {k!r}")
+    if k > MAX_DEGREE // 2:
+        raise SpecError(f"{path}.k", f"{k} exceeds the order cap {MAX_DEGREE // 2}")
     a = _get_number(raw, "a", f"{path}.a")
     phase = 0.0
     if "phase" in raw:
         phase = _parse_angle_field(raw, "phase", f"{path}.phase", allow_nonpositive=True)
     family = TermFamily.COSINE if family_raw == families[0] else TermFamily.SINE
     return Term(family, k, a, phase)
-
-
-def _parse_kind(raw: dict, path: str) -> BasisKind:
-    value = _get_str(raw, "kind", path if path.endswith("kind") else f"{path}.kind")
-    if value not in _KINDS:
-        raise SpecError(
-            path if "kind" in path else f"{path}.kind",
-            f"must be 'trigonometric' or 'hyperbolic', got {value!r}",
-        )
-    return _KINDS[value]
 
 
 def _parse_angle_field(raw: dict, key: str, path: str, allow_nonpositive: bool = False) -> float:
@@ -286,7 +259,7 @@ def _parse_angle_field(raw: dict, key: str, path: str, allow_nonpositive: bool =
 def _get_str(raw: dict, key: str, path: str) -> str:
     value = raw.get(key)
     if not isinstance(value, str):
-        raise SpecError(path or key, f"must be a string, got {value!r}")
+        raise SpecError(path, f"must be a string, got {value!r}")
     return value
 
 
@@ -309,11 +282,24 @@ def _get_list(raw: dict, key: str, path: str, minimum: int = 0) -> list:
     return value
 
 
-def _reject_unknown(raw: dict, allowed: set, path: str):
+def _objects(raw: dict, key: str, path: str, allowed: set, minimum: int = 1):
+    """``(path, entry)`` for each object listed under ``key`` of the object at ``path``.
+
+    The list is checked at once; each entry (an object with ``allowed``
+    fields only) when iteration reaches it, so faults surface in document order.
+    """
+    path = f"{path}.{key}" if path else key
+    items = _get_list(raw, key, path, minimum)
+    return ((f"{path}[{i}]", _object(x, allowed, f"{path}[{i}]")) for i, x in enumerate(items))
+
+
+def _object(raw, allowed: set, path: str) -> dict:
+    if not isinstance(raw, dict):
+        raise SpecError(path, "must be an object")
     for key in raw:
         if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise SpecError(where, "unknown field")
+            raise SpecError(f"{path}.{key}" if path else key, "unknown field")
+    return raw
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import record
-from .bbasis import BasisKind, BasisSpace, basis_matrix
+from .bbasis import BasisKind, BasisSpace, _is_count, _is_int, basis_matrix
 from .curve import ControlCurve, _combine, _store_net, evaluate
 from .errors import NumericalError, RangeError
 from .exact import (
@@ -36,7 +36,6 @@ from .exact import (
     CurveSpec,
     _check_denominator,
     _elevate_until_positive,
-    _is_count,
     _lattice,
     _ordinates,
     _projected,
@@ -200,7 +199,7 @@ def _check_orders(spec: SurfaceSpec, orders) -> tuple[int, ...]:
     if orders is None:
         return min_orders(spec)
     for n in orders:
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        if not _is_int(n):
             raise RangeError(f"order n must be an integer, got {n!r}")
     orders = tuple(int(n) for n in orders)
     if len(orders) != spec.delta:

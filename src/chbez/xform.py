@@ -18,9 +18,10 @@ Two closely related tools live here:
   ``-``; that sign is the only difference between the two kinds).
 
 Caches: the alpha-free table ``C(n, i - r) C(i - r, r)`` is kept per order.
-The coefficient sums, normalizing coefficients, elevation weights and transform
-rows are kept per space ``(kind, n, alpha)`` a caller passes in, for the last 128
-spaces; the recursion's intermediate orders are not kept.  Arrays are read-only.
+The normalizing coefficients, elevation weights and transform rows are kept per
+space ``(kind, n, alpha)`` a caller passes in, for the last 128 spaces; the
+coefficient sums behind the normalizing coefficients and the recursion's
+intermediate orders are not kept.  Arrays are read-only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._record import record
-from .bbasis import _MEMO_SPACES, BasisKind, BasisSpace, _sums_by_order
+from .bbasis import _MEMO_SPACES, BasisKind, BasisSpace, _is_int, _sums_by_order
 from .errors import RangeError
 
 __all__ = [
@@ -69,7 +70,7 @@ class TransformMatrix:
         return self.rows[2 * k]
 
     def _check_frequency(self, k: int):
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        if not _is_int(k):
             raise RangeError(f"frequency must be an integer, got {k!r}")
         if not 0 <= int(k) <= self.space.n:
             raise RangeError(f"frequency {k} outside 0..{self.space.n}")

@@ -363,6 +363,19 @@ class TestElevate:
         table, _ = parse_table(out, "csv")
         assert table.shape == (15, 2)
 
+    def test_default_target_follows_an_elevated_description(self, capsys, tmp_path):
+        # The rational description of this curve reaches order 29 (minimum order 2).
+        path = write_doc(tmp_path, "dip.json", _dip_denominator_doc())
+        code, out, _ = run(capsys, "elevate", "--spec", path)
+        assert code == 0
+        table, _ = parse_table(out, "csv")
+        assert table.shape == (2 * 30 + 1, 3)
+        code, out29, _ = run(capsys, "elevate", "--spec", path, "--order", "29")
+        assert code == 0
+        assert parse_table(out29, "csv")[0].shape == (2 * 29 + 1, 3)
+        code, out30, _ = run(capsys, "elevate", "--spec", path, "--order", "30")
+        assert (code, out30) == (0, out)
+
     def test_target_below_minimum_exits_2(self, capsys, tmp_path):
         spec = write_figure(tmp_path, "hypocycloid")
         code, _, err = run(capsys, "elevate", "--spec", spec, "--order", "3")
@@ -435,6 +448,11 @@ class TestFailureModes:
 _REFUSED = "error: --derivative: not supported for rational specs\n"
 _BAD_BUDGET = "error: --max-elevations: must be nonnegative, got -1\n"
 
+
+def _over_cap(order):
+    return f"error: --order: {order} exceeds the order cap 32\n"
+
+
 # command, figure, extra flags -> exit code and the whole of stderr.
 FAILING_COMMANDS = [
     ("describe", "lemniscate", ["--derivative", "1"], 2, _REFUSED),
@@ -498,6 +516,27 @@ FAILING_COMMANDS = [
      "error: --order: a curve takes one order, got 2\n"),
     ("describe", "lemniscate_tiny_denominator", [], 2,
      "error: coords[0]: control points overflow double precision\n"),
+    # The rational description of this curve needs elevation from order 2 to 29.
+    ("elevate", "lemniscate_dip_denominator", ["--order", "2"], 2,
+     "error: --order: target 2 below the order 29 the rational description reached\n"),
+    ("elevate", "lemniscate_dip_denominator", ["--order", "28"], 2,
+     "error: --order: target 28 below the order 29 the rational description reached\n"),
+    ("elevate", "hypocycloid", ["--order", "3"], 2,
+     "error: --order: target 3 below the minimum order 4\n"),
+    # The order cap, MAX_DEGREE // 2 = 32, named by the flag or the JSON path.
+    ("describe", "hypocycloid", ["--order", "40"], 2, _over_cap(40)),
+    ("sample", "lemniscate", ["--order", "33"], 2, _over_cap(33)),
+    ("elevate", "hypocycloid", ["--order", "33"], 2, _over_cap(33)),
+    ("elevate", "lemniscate_dip_denominator", ["--order", "40"], 2, _over_cap(40)),
+    ("subdivide", "hypocycloid", ["--order", "33", "--split-at", "1"], 2, _over_cap(33)),
+    ("describe", "torus_patch", ["--order", "3,40"], 2, _over_cap(40)),
+    ("describe", "torus_patch", ["--order", "40"], 2, _over_cap(40)),
+    ("describe", "torus_patch", ["--order", "40,40,40"], 2,
+     "error: --order: expected 2 orders, got 3\n"),
+    ("describe", "hypocycloid_k40", [], 2,
+     "error: {spec}:coords[0].terms[0].k: 40 exceeds the order cap 32\n"),
+    ("elevate", "hypocycloid_k40", ["--order", "40"], 2,
+     "error: {spec}:coords[0].terms[0].k: 40 exceeds the order cap 32\n"),
 ]
 
 
@@ -509,8 +548,30 @@ def _tiny_denominator_doc() -> dict:
     return doc
 
 
+def _dip_denominator_doc() -> dict:
+    """lemniscate.json at alpha = 3 with the denominator 1.05 - cos(u - 1.5)."""
+    doc = json.loads(load_figure_text("lemniscate"))
+    doc["alpha"] = 3.0
+    doc["coords"][-1]["terms"] = [
+        {"family": "cos", "k": 0, "a": 1.05},
+        {"family": "cos", "k": 1, "a": -1.0, "phase": -1.5},
+    ]
+    return doc
+
+
+def _k40_doc() -> dict:
+    """hypocycloid.json with the frequency of its first term set to 40."""
+    doc = json.loads(load_figure_text("hypocycloid"))
+    doc["coords"][0]["terms"][0]["k"] = 40
+    return doc
+
+
 # Documents derived from a bundled figure, by the name FAILING_COMMANDS gives them.
-DERIVED_DOCS = {"lemniscate_tiny_denominator": _tiny_denominator_doc}
+DERIVED_DOCS = {
+    "lemniscate_tiny_denominator": _tiny_denominator_doc,
+    "lemniscate_dip_denominator": _dip_denominator_doc,
+    "hypocycloid_k40": _k40_doc,
+}
 
 
 @pytest.mark.parametrize(
@@ -523,6 +584,7 @@ def test_failing_command(capsys, tmp_path, command, figure, flags, code, stderr)
         path = write_doc(tmp_path, f"{figure}.json", DERIVED_DOCS[figure]())
     else:
         path = str(Path(chbez.__file__).parent / "figures" / f"{figure}.json")
+    stderr = stderr.replace("{spec}", path)  # a spec error names the file first
     assert run(capsys, command, "--spec", path, *flags) == (code, "", stderr)
 
 

@@ -257,6 +257,240 @@ class TestParseSurfaceDocument:
             parse_document(json.dumps(doc))
 
 
+_DELETE = object()
+
+
+def derived(base, *edits):
+    """``base()`` with each ``(keys, value)`` edit applied.
+
+    The value ``_DELETE`` removes the entry; an index one past a list's end appends.
+    """
+    doc = base()
+    for keys, value in edits:
+        *head, last = keys
+        node = doc
+        for key in head:
+            node = node[key]
+        if value is _DELETE:
+            del node[last]
+        elif isinstance(node, list) and last == len(node):
+            node.append(value)
+        else:
+            node[last] = value
+    return doc
+
+
+C_TERM = ("coords", 0, "terms", 0)
+S_SUMMAND = ("coords", 0, "summands", 0)
+S_FACTORS = S_SUMMAND + ("factors",)
+S_TERM = S_FACTORS + (1, "terms", 0)
+_TRIG_ALPHA = "trigonometric alpha must lie in (0, pi), got 3.141592653589793"
+_TWO_DIRECTIONS = [{"kind": "trigonometric", "alpha": 1.0}] * 2
+_NEGATIVE_K = "must be a nonnegative integer, got -1"
+
+# id, document (or JSON text) -> the whole SpecError text.  Every `raise SpecError`
+# site of the parser appears, for curve and surface documents where it applies; the
+# two-fault rows pin which fault is reported first.
+SPEC_ERRORS = [
+    ("json", "{nope",
+     "not valid JSON (Expecting property name enclosed in double quotes at line 1)"),
+    ("not-object", "[1, 2]", "document must be a JSON object"),
+    ("type-missing", derived(curve_doc, (("type",), _DELETE)), "type: must be a string, got None"),
+    ("type-bad", curve_doc(type="mesh"), "type: must be 'curve' or 'surface', got 'mesh'"),
+    ("curve-unknown", curve_doc(comment="hi"), "comment: unknown field"),
+    ("surface-unknown", surface_doc(kind="trigonometric"), "kind: unknown field"),
+    ("version", curve_doc(version=2), "version: unsupported version 2 (expected 1)"),
+    ("version-missing", derived(surface_doc, (("version",), _DELETE)),
+     "version: unsupported version None (expected 1)"),
+    ("rational-not-bool", surface_doc(rational="yes"), "rational: must be a boolean"),
+    ("rational-curve-one-coord",
+     derived(curve_doc, (("rational",), True), (("coords", 1), _DELETE)),
+     "coords: a rational curve needs at least 2 coordinates"),
+    # A curve's kind and alpha.
+    ("kind-missing", derived(curve_doc, (("kind",), _DELETE)), "kind: must be a string, got None"),
+    ("kind-bad", curve_doc(kind="elliptic"),
+     "kind: must be 'trigonometric' or 'hyperbolic', got 'elliptic'"),
+    ("alpha-garbage", curve_doc(alpha="two pi"), "alpha: cannot parse angle literal 'two pi'"),
+    ("alpha-zero-divisor", curve_doc(alpha="pi/0"), "alpha: zero divisor in angle literal 'pi/0'"),
+    ("alpha-bool", curve_doc(alpha=True), "alpha: must be a number or an angle literal, got True"),
+    ("alpha-missing", derived(curve_doc, (("alpha",), _DELETE)),
+     "alpha: must be a number or an angle literal, got None"),
+    ("alpha-infinite", curve_doc(alpha="1e999"), "alpha: must be finite, got inf"),
+    ("alpha-negative", curve_doc(alpha=-1.0), "alpha: must be positive, got -1.0"),
+    ("alpha-range", curve_doc(alpha="pi"), f"alpha: {_TRIG_ALPHA}"),
+    ("alpha-hyperbolic-range", derived(
+        curve_doc, (("kind",), "hyperbolic"), (("alpha",), 400.0),
+        (("coords",), [{"terms": [{"family": "cosh", "k": 1, "a": 1.0}]}])),
+     "alpha: hyperbolic n*alpha = 400 exceeds the overflow guard 300"),
+    # A curve's coordinates and terms.
+    ("coords-missing", derived(curve_doc, (("coords",), _DELETE)),
+     "coords: must be an array, got None"),
+    ("coords-empty", curve_doc(coords=[]), "coords: must have at least 1 entry"),
+    ("coord-not-object", derived(curve_doc, (("coords", 1), "x")), "coords[1]: must be an object"),
+    ("coord-unknown", derived(curve_doc, (("coords", 0, "summands"), [])),
+     "coords[0].summands: unknown field"),
+    ("terms-not-list", derived(curve_doc, (("coords", 0, "terms"), {})),
+     "coords[0].terms: must be an array, got {}"),
+    ("terms-empty", derived(curve_doc, (("coords", 1, "terms"), [])),
+     "coords[1].terms: must have at least 1 entry"),
+    ("term-not-object", derived(curve_doc, (C_TERM, 3)), "coords[0].terms[0]: must be an object"),
+    ("term-unknown", derived(curve_doc, (C_TERM + ("weight",), 1.0)),
+     "coords[0].terms[0].weight: unknown field"),
+    ("family-missing", derived(curve_doc, (C_TERM + ("family",), _DELETE)),
+     "coords[0].terms[0].family: must be a string, got None"),
+    ("family-kind", derived(curve_doc, (C_TERM + ("family",), "cosh")),
+     "coords[0].terms[0].family: 'cosh' does not match the trigonometric kind "
+     "(expected cos or sin)"),
+    ("k-negative", derived(curve_doc, (C_TERM + ("k",), -1)),
+     f"coords[0].terms[0].k: {_NEGATIVE_K}"),
+    ("k-bool", derived(curve_doc, (C_TERM + ("k",), True)),
+     "coords[0].terms[0].k: must be a nonnegative integer, got True"),
+    ("k-float", derived(curve_doc, (C_TERM + ("k",), 1.0)),
+     "coords[0].terms[0].k: must be a nonnegative integer, got 1.0"),
+    ("a-string", derived(curve_doc, (C_TERM + ("a",), "2")),
+     "coords[0].terms[0].a: must be a number, got '2'"),
+    ("a-infinite", derived(curve_doc, (C_TERM + ("a",), float("inf"))),
+     "coords[0].terms[0].a: must be finite, got inf"),
+    ("phase-garbage", derived(curve_doc, (("coords", 1, "terms", 0, "phase"), "x")),
+     "coords[1].terms[0].phase: cannot parse angle literal 'x'"),
+    ("phase-null", derived(curve_doc, (C_TERM + ("phase",), None)),
+     "coords[0].terms[0].phase: must be a number or an angle literal, got None"),
+    ("phase-infinite", derived(curve_doc, (C_TERM + ("phase",), float("-inf"))),
+     "coords[0].terms[0].phase: must be finite, got -inf"),
+    # A patch's directions.
+    ("directions-missing", derived(surface_doc, (("directions",), _DELETE)),
+     "directions: must be an array, got None"),
+    ("directions-one", derived(surface_doc, (("directions", 1), _DELETE)),
+     "directions: must have at least 2 entries"),
+    ("directions-five", surface_doc(directions=_TWO_DIRECTIONS * 2 + _TWO_DIRECTIONS[:1]),
+     "directions: at most 4 directions supported"),
+    ("direction-not-object", derived(surface_doc, (("directions", 0), "trig")),
+     "directions[0]: must be an object"),
+    ("direction-unknown", derived(surface_doc, (("directions", 1, "weight"), 1)),
+     "directions[1].weight: unknown field"),
+    ("direction-kind-missing", derived(surface_doc, (("directions", 0, "kind"), _DELETE)),
+     "directions[0].kind: must be a string, got None"),
+    ("direction-kind-bad", derived(surface_doc, (("directions", 1, "kind"), "elliptic")),
+     "directions[1].kind: must be 'trigonometric' or 'hyperbolic', got 'elliptic'"),
+    ("direction-alpha-garbage", derived(surface_doc, (("directions", 1, "alpha"), "2 pi")),
+     "directions[1].alpha: cannot parse angle literal '2 pi'"),
+    ("direction-alpha-negative", derived(surface_doc, (("directions", 0, "alpha"), -1.0)),
+     "directions[0].alpha: must be positive, got -1.0"),
+    ("direction-alpha-range", derived(surface_doc, (("directions", 0, "alpha"), "pi")),
+     f"directions[0].alpha: {_TRIG_ALPHA}"),
+    # A patch's coordinates, summands and factors.
+    ("surface-coords-missing", derived(surface_doc, (("coords",), _DELETE)),
+     "coords: must be an array, got None"),
+    ("surface-coords-empty", surface_doc(coords=[]), "coords: must have at least 1 entry"),
+    ("kappa", derived(surface_doc, (("coords", 1), _DELETE)),
+     "coords: 1 coordinate(s) cannot cover 2 direction(s)"),
+    ("kappa-rational", surface_doc(rational=True),
+     "coords: 2 coordinate(s) cannot cover 2 direction(s) plus a denominator"),
+    ("surface-coord-not-object", derived(surface_doc, (("coords", 0), [])),
+     "coords[0]: must be an object"),
+    ("surface-coord-unknown", derived(surface_doc, (("coords", 1, "terms"), [])),
+     "coords[1].terms: unknown field"),
+    ("summands-missing", derived(surface_doc, (("coords", 0, "summands"), _DELETE)),
+     "coords[0].summands: must be an array, got None"),
+    ("summands-empty", derived(surface_doc, (("coords", 0, "summands"), [])),
+     "coords[0].summands: must have at least 1 entry"),
+    ("summand-not-object", derived(surface_doc, (S_SUMMAND, 1)),
+     "coords[0].summands[0]: must be an object"),
+    ("summand-unknown", derived(surface_doc, (S_SUMMAND + ("scale",), 2.0)),
+     "coords[0].summands[0].scale: unknown field"),
+    ("factors-missing", derived(surface_doc, (S_FACTORS, _DELETE)),
+     "coords[0].summands[0].factors: must be an array, got None"),
+    ("factors-empty", derived(surface_doc, (S_FACTORS, [])),
+     "coords[0].summands[0].factors: must have at least 1 entry"),
+    ("factors-count", derived(surface_doc, (S_FACTORS + (2,), {"terms": []})),
+     "coords[0].summands[0].factors: expected 2 factors, got 3"),
+    ("factor-not-object", derived(surface_doc, (S_FACTORS + (1,), "x")),
+     "coords[0].summands[0].factors[1]: must be an object"),
+    ("factor-unknown", derived(surface_doc, (S_FACTORS + (0, "summands"), [])),
+     "coords[0].summands[0].factors[0].summands: unknown field"),
+    ("factor-terms-empty", derived(surface_doc, (S_FACTORS + (1, "terms"), [])),
+     "coords[0].summands[0].factors[1].terms: must have at least 1 entry"),
+    ("factor-term-not-object", derived(surface_doc, (S_TERM, None)),
+     "coords[0].summands[0].factors[1].terms[0]: must be an object"),
+    ("factor-family-kind", derived(surface_doc, (S_TERM + ("family",), "cos")),
+     "coords[0].summands[0].factors[1].terms[0].family: 'cos' does not match the hyperbolic "
+     "kind (expected cosh or sinh)"),
+    ("factor-k-negative", derived(surface_doc, (S_TERM + ("k",), -1)),
+     f"coords[0].summands[0].factors[1].terms[0].k: {_NEGATIVE_K}"),
+    ("factor-a-null", derived(surface_doc, (S_TERM + ("a",), None)),
+     "coords[0].summands[0].factors[1].terms[0].a: must be a number, got None"),
+    ("factor-phase-bool", derived(surface_doc, (S_TERM + ("phase",), False)),
+     "coords[0].summands[0].factors[1].terms[0].phase: must be a number or an angle literal, "
+     "got False"),
+    # Two faults: the one reported first.
+    ("curve-alpha-range-after-coords",
+     derived(curve_doc, (("alpha",), "pi"), (C_TERM + ("k",), -1)),
+     f"coords[0].terms[0].k: {_NEGATIVE_K}"),
+    ("curve-alpha-range-before-rational-count", derived(
+        curve_doc, (("alpha",), "pi"), (("rational",), True), (("coords", 1), _DELETE)),
+     f"alpha: {_TRIG_ALPHA}"),
+    ("direction-alpha-range-before-coords", derived(
+        surface_doc, (("directions", 0, "alpha"), "pi"), (S_TERM + ("k",), -1)),
+     f"directions[0].alpha: {_TRIG_ALPHA}"),
+    ("direction-before-coords-list", derived(
+        surface_doc, (("directions", 1, "kind"), None), (("coords",), _DELETE)),
+     "directions[1].kind: must be a string, got None"),
+    ("unknown-before-version", curve_doc(version=2, comment="hi"), "comment: unknown field"),
+    ("type-before-unknown", curve_doc(type="mesh", comment="hi"),
+     "type: must be 'curve' or 'surface', got 'mesh'"),
+    ("kind-before-alpha", curve_doc(kind="elliptic", alpha=-1.0),
+     "kind: must be 'trigonometric' or 'hyperbolic', got 'elliptic'"),
+    ("alpha-before-coords", curve_doc(alpha=-1.0, coords=[]), "alpha: must be positive, got -1.0"),
+    ("coord-before-next-entry", derived(curve_doc, (C_TERM + ("k",), -1), (("coords", 1), "x")),
+     f"coords[0].terms[0].k: {_NEGATIVE_K}"),
+    ("term-before-next-term", derived(
+        curve_doc, (("coords", 0, "terms"), [{"family": "sin", "k": -1, "a": 1.0}, 7])),
+     f"coords[0].terms[0].k: {_NEGATIVE_K}"),
+    ("term-unknown-before-family",
+     derived(curve_doc, (C_TERM + ("w",), 1), (C_TERM + ("family",), 1)),
+     "coords[0].terms[0].w: unknown field"),
+    ("direction-before-next-direction", derived(
+        surface_doc, (("directions", 0, "kind"), "x"), (("directions", 1), 0)),
+     "directions[0].kind: must be 'trigonometric' or 'hyperbolic', got 'x'"),
+    ("direction-cap-before-entries", surface_doc(directions=["x"] * 5),
+     "directions: at most 4 directions supported"),
+    ("kappa-before-entries", surface_doc(coords=["x"]),
+     "coords: 1 coordinate(s) cannot cover 2 direction(s)"),
+    ("factor-count-before-entries", derived(surface_doc, (S_FACTORS, ["x", "y", "z"])),
+     "coords[0].summands[0].factors: expected 2 factors, got 3"),
+    ("summand-before-next-coord", derived(surface_doc, (S_SUMMAND + ("w",), 1), (("coords", 1), 1)),
+     "coords[0].summands[0].w: unknown field"),
+    ("factor-before-next-summand", derived(
+        surface_doc, (S_TERM + ("k",), -1), (("coords", 0, "summands", 1), 5)),
+     f"coords[0].summands[0].factors[1].terms[0].k: {_NEGATIVE_K}"),
+    # No order can describe a frequency above the order cap, MAX_DEGREE // 2 = 32.
+    ("k-cap", derived(curve_doc, (C_TERM + ("k",), 33)),
+     "coords[0].terms[0].k: 33 exceeds the order cap 32"),
+    ("factor-k-cap", derived(surface_doc, (S_TERM + ("k",), 40)),
+     "coords[0].summands[0].factors[1].terms[0].k: 40 exceeds the order cap 32"),
+    ("k-cap-before-next-term", derived(curve_doc, (("coords", 1, "terms", 0, "k"), 33),
+                                       (("coords", 1, "terms", 1), None)),
+     "coords[1].terms[0].k: 33 exceeds the order cap 32"),
+    ("curve-alpha-range-after-k-cap", derived(curve_doc, (("alpha",), "pi"), (C_TERM + ("k",), 64)),
+     "coords[0].terms[0].k: 64 exceeds the order cap 32"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "doc, message", [row[1:] for row in SPEC_ERRORS], ids=[row[0] for row in SPEC_ERRORS]
+)
+def test_spec_error_text(doc, message):
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    with pytest.raises(SpecError) as exc:
+        parse_document(text)
+    assert str(exc.value) == message
+
+
+def test_frequency_at_the_order_cap_parses():
+    doc = derived(curve_doc, (C_TERM + ("k",), 32))
+    assert parse_document(json.dumps(doc)).spec.coords[0].terms[0].frequency == 32
+
+
 class TestBundledFigures:
     def test_all_figures_parse(self):
         names = figure_names()

@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 from chbez import bbasis, curve, exact, gallery, io, surface, xform
-from chbez.bbasis import MAX_DEGREE, BasisKind
+from chbez.bbasis import MAX_DEGREE, BasisKind, _is_count
 from chbez.curve import _store_net
 from chbez.errors import RangeError
-from chbez.exact import TermFamily, _is_count
+from chbez.exact import TermFamily
 from chbez.surface import MAX_DIRECTIONS
 
 TRIG = BasisKind.TRIGONOMETRIC
