@@ -75,45 +75,35 @@ class BasisSpace:
     """A concrete space ``(kind, order n, shape parameter alpha)``.
 
     The basis has ``2n + 1`` functions over the interval ``[0, alpha]``.
-    Instances are immutable and hashable; they key the internal caches, so
-    ``__eq__`` and ``__hash__`` are written out rather than generic.
+    Instances are immutable and hashable; they key the internal caches.
     """
 
     kind: BasisKind
     n: int
     alpha: float
 
-    def __init__(self, kind: BasisKind, n: int, alpha: float):
-        if not isinstance(kind, BasisKind):
-            raise RangeError(f"kind must be a BasisKind, got {kind!r}")
-        if not _is_int(n):
-            raise RangeError(f"order n must be an integer, got {n!r}")
-        n = int(n)
+    def __post_init__(self):
+        if not isinstance(self.kind, BasisKind):
+            raise RangeError(f"kind must be a BasisKind, got {self.kind!r}")
+        if not _is_int(self.n):
+            raise RangeError(f"order n must be an integer, got {self.n!r}")
+        n = int(self.n)
+        object.__setattr__(self, "n", n)
         if n < 1:
             raise RangeError(f"order n must be >= 1, got {n}")
         if 2 * n > MAX_DEGREE:
             raise RangeError(f"degree 2n = {2 * n} exceeds the supported cap {MAX_DEGREE}")
-        alpha = float(alpha)
+        alpha = float(self.alpha)
+        object.__setattr__(self, "alpha", alpha)
         if not math.isfinite(alpha) or alpha <= 0.0:
             raise RangeError(f"alpha must be positive and finite, got {alpha!r}")
-        if kind is BasisKind.TRIGONOMETRIC and alpha >= math.pi:
+        if self.kind is BasisKind.TRIGONOMETRIC and alpha >= math.pi:
             raise RangeError(f"trigonometric alpha must lie in (0, pi), got {alpha!r}")
-        if kind is BasisKind.HYPERBOLIC and n * alpha > _OVERFLOW_LIMIT:
+        if self.kind is BasisKind.HYPERBOLIC and n * alpha > _OVERFLOW_LIMIT:
             raise RangeError(
                 f"hyperbolic n*alpha = {n * alpha:g} exceeds the "
                 f"overflow guard {_OVERFLOW_LIMIT:g}"
             )
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "alpha", alpha)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.n, self.alpha) == (other.kind, other.n, other.alpha)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.n, self.alpha))
 
     @property
     def degree(self) -> int:

@@ -47,11 +47,19 @@ def _kind_flag(text: str) -> BasisKind:
     return _KIND_NAMES[text]
 
 
-def _angle_flag(text: str, flag: str) -> float:
+def _named(flag: str, fn, *args):
+    """``fn(*args)``, whose range errors are prefixed with the name of the flag at fault."""
     try:
-        return parse_angle(text)
+        return fn(*args)
     except RangeError as exc:
         raise RangeError(f"{flag}: {exc}") from None
+
+
+def _capped(order: int, noun: str = "") -> int:
+    """``order``, or a range error for --order if it exceeds the order cap."""
+    if order > MAX_DEGREE // 2:
+        raise RangeError(f"--order: {noun}{order} exceeds the order cap {MAX_DEGREE // 2}")
+    return order
 
 
 def _int_list_flag(text: str, flag: str) -> tuple[int, ...]:
@@ -92,8 +100,7 @@ def _order_flag(args, delta: int):
         raise RangeError(f"--order: a curve takes one order, got {len(orders)}")
     if len(orders) not in (1, delta):
         raise RangeError(f"--order: expected {delta} orders, got {len(orders)}")
-    if max(orders) > MAX_DEGREE // 2:
-        raise RangeError(f"--order: {max(orders)} exceeds the order cap {MAX_DEGREE // 2}")
+    _capped(max(orders))
     if delta == 1:
         return orders[0]
     return orders * delta if len(orders) == 1 else orders
@@ -110,9 +117,16 @@ def _check_samples(count: int):
         raise RangeError(f"--samples: need at least 2 samples, got {count}")
 
 
+def _space_flags(args) -> BasisSpace:
+    """The space of --kind, --alpha and --order; alpha is checked alone first."""
+    kind, alpha = _kind_flag(args.kind), _named("--alpha", parse_angle, args.alpha)
+    _named("--alpha", BasisSpace, kind, 1, alpha)
+    return _named("--order", BasisSpace, kind, _capped(args.order), alpha)
+
+
 def _cmd_basis(args):
     _check_samples(args.samples)
-    space = BasisSpace(_kind_flag(args.kind), args.order, _angle_flag(args.alpha, "--alpha"))
+    space = _space_flags(args)
     us = np.linspace(0.0, space.alpha, args.samples)
     mat = basis_matrix(space, us)
     columns = ["u"] + [f"b{i}" for i in range(space.dimension)]
@@ -120,8 +134,7 @@ def _cmd_basis(args):
 
 
 def _cmd_xform(args):
-    space = BasisSpace(_kind_flag(args.kind), args.order, _angle_flag(args.alpha, "--alpha"))
-    return export_table(transform_matrix(space).rows, args.format), args.out
+    return export_table(transform_matrix(_space_flags(args)).rows, args.format), args.out
 
 
 def _derivative_orders(args, delta: int):
@@ -166,27 +179,31 @@ def _described(doc: SpecDocument, args, noun: str = "points"):
     return _described_net(spec, doc.rational, orders, r, args.max_elevations)
 
 
-def _control_output(net, fmt: str) -> str:
-    """A control polygon or grid as svg (planar polygons), obj or a table.
+def _output(values, fmt: str, role: str, axes, lead: str, weights=None) -> str:
+    """Points or samples as svg (a planar ``role`` path), obj or a table.
 
-    Table rows hold a grid's multi-index, the coordinates and any weight.
+    Table rows start with the lattice of ``axes``, columns named ``lead`` (one
+    axis) or ``lead`` and a number; then come the coordinates and any weight.
     """
-    points = net.points
-    channels = points.shape[-1]
     if fmt == "svg":
-        return export_svg([SvgPath(points, "polygon")])
+        return export_svg([SvgPath(values, role)])
     if fmt == "obj":
-        return export_obj(points)
-    blocks = [points.reshape(-1, channels)]
-    columns = _coord_names(channels)
-    if points.ndim > 2:
-        dims = points.shape[:-1]
-        blocks.insert(0, np.indices(dims).reshape(len(dims), -1).T)
-        columns = [f"i{j + 1}" for j in range(len(dims))] + columns
-    if net.weights is not None:
-        blocks.append(net.weights.reshape(-1, 1))
+        return export_obj(values)
+    blocks = [m.reshape(-1, 1) for m in np.meshgrid(*axes, indexing="ij")]
+    columns = [lead] if len(axes) == 1 else [f"{lead}{j + 1}" for j in range(len(axes))]
+    blocks.append(values.reshape(-1, values.shape[-1]))
+    columns += _coord_names(values.shape[-1])
+    if weights is not None:
+        blocks.append(weights.reshape(-1, 1))
         columns.append("weight")
     return export_table(np.hstack(blocks), fmt, columns)
+
+
+def _control_output(net, fmt: str) -> str:
+    """A control polygon, or a grid with its multi-index, through :func:`_output`."""
+    dims = net.points.shape[:-1]
+    index = [np.arange(d) for d in dims] if len(dims) > 1 else []
+    return _output(net.points, fmt, "polygon", index, "i", net.weights)
 
 
 def _cmd_describe(args, require_rational=False):
@@ -202,15 +219,7 @@ def _cmd_sample(args):
     _check_samples(args.samples)
     doc = _load_document(args)
     axes, values = _sampled(_described(doc, args, "samples"), doc.spec, args.samples)
-    if args.format == "obj":
-        return export_obj(values), args.out
-    if args.format == "svg":
-        return export_svg([SvgPath(values, "curve")]), args.out
-    mesh = np.meshgrid(*axes, indexing="ij")
-    params = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    data = np.hstack([params, values.reshape(len(params), -1)])
-    names = ["u"] if len(axes) == 1 else [f"u{j + 1}" for j in range(len(axes))]
-    return export_table(data, args.format, names + _coord_names(values.shape[-1])), args.out
+    return _output(values, args.format, "curve", axes, "u"), args.out
 
 
 def _cmd_subdivide(args):
@@ -219,8 +228,8 @@ def _cmd_subdivide(args):
     doc = _load_document(args)
     _require_curve(doc, "subdivide")
     curve = _described(doc, args)
-    u0 = _angle_flag(args.split_at, "--split-at")
-    result = subdivide(curve, u0)
+    u0 = _named("--split-at", parse_angle, args.split_at)
+    result = _named("--split-at", subdivide, curve, u0)
 
     def piece(p):
         return {
@@ -252,7 +261,7 @@ def _cmd_elevate(args):
     curve = _described_net(spec, doc.rational, base, None, args.max_elevations)
     reached = curve.space.n  # above base when a rational description needed elevation
     if target is None:
-        target = reached + 1
+        target = _capped(reached + 1, "default target ")
     elif target < reached:
         raise RangeError(
             f"--order: target {target} below the order {reached} the rational description reached"

@@ -81,18 +81,30 @@ def _store_net(net, points: np.ndarray, dims: tuple, shape_error: str) -> None:
         net.weights.flags.writeable = False
 
 
+def _folded(points: np.ndarray, weights) -> np.ndarray:
+    """The pre-image ``(w p, w)`` of a rational net, weights as a last channel; else ``points``."""
+    if weights is None:
+        return points
+    w = weights[..., None]
+    return np.concatenate([w * points, w], axis=-1)
+
+
+def _projected(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A pre-image's numerator channels divided by its weights (last channel), and the weights.
+
+    An overflow gives ``inf`` without a warning; the rational descriptions report it.
+    """
+    with np.errstate(over="ignore"):
+        return points[..., :-1] / points[..., -1:], points[..., -1]
+
+
 def _contract(mats, tensor: np.ndarray) -> np.ndarray:
     """Replace axis ``j`` of a control tensor by its samples ``mats[j] @``.
 
-    Trailing axes (coordinates) ride along.  ``mat @`` a 2-d view is the BLAS
-    call ``np.tensordot`` makes, without its per-call bookkeeping; axis 0, all
-    a curve has, needs no ``np.moveaxis`` either.
+    Trailing axes (coordinates) ride along; every direction is one ``np.tensordot``.
     """
     for j, mat in enumerate(mats):
-        moved = np.moveaxis(tensor, j, 0) if j else tensor
-        flat = mat @ moved.reshape(moved.shape[0], -1)
-        flat = flat.reshape(mat.shape[:1] + moved.shape[1:])
-        tensor = np.moveaxis(flat, 0, j) if j else flat
+        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=(1, j)), 0, j)
     return tensor
 
 
@@ -124,20 +136,17 @@ class ControlCurve:
     points: np.ndarray
     weights: np.ndarray | None = None
 
-    def __init__(self, space: BasisSpace, points, weights=None):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
-        pts = np.asarray(points, dtype=float)
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2:
             raise RangeError(f"points must be a 2-d array, got shape {pts.shape}")
-        if pts.shape[0] != space.dimension:
-            raise RangeError(f"expected {space.dimension} control points, got {pts.shape[0]}")
+        dims = (self.space.dimension,)
+        if pts.shape[0] != dims[0]:
+            raise RangeError(f"expected {dims[0]} control points, got {pts.shape[0]}")
         if pts.shape[1] < 1:
             raise RangeError("control points need at least one coordinate")
-        dims = (space.dimension,)
         _store_net(self, pts, dims, f"expected {dims[0]} weights, got shape {{}}")
 
     @property
@@ -282,12 +291,9 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     v = reparametrize(space, u0)
     bez = bezier_weights(space)
     w_levels = _weight_pyramid(bez, v)
-    if curve.weights is None:
-        pts = curve.points
-        effective = w_levels
-    else:
-        pts = np.hstack([curve.weights[:, None] * curve.points, curve.weights[:, None]])
-        effective = _weight_pyramid(bez * curve.weights, v)
+    rational = curve.weights is not None
+    pts = _folded(curve.points, curve.weights)
+    effective = _weight_pyramid(bez * curve.weights, v) if rational else w_levels
 
     if np.any(_below_floor(np.abs(np.concatenate(effective)), effective[0])):
         raise NumericalError(f"degenerate weight pyramid while splitting at u0 = {u0:g}")
@@ -299,20 +305,16 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
         blended = (1.0 - v) * (w[:-1, None] * wp[:-1]) + v * (w[1:, None] * wp[1:])
         p_levels.append(blended / nw[:, None])
 
-    left_pts = np.array([lev[0] for lev in p_levels])
-    left_w = np.array([lev[0] for lev in w_levels])
-    right_pts = np.array([lev[-1] for lev in p_levels])[::-1]
-    right_w = np.array([lev[-1] for lev in w_levels])[::-1]
-
-    if curve.weights is not None:
-        left_w = left_w * left_pts[:, -1]
-        right_w = right_w * right_pts[:, -1]
-        left_pts = left_pts[:, :-1] / left_pts[:, -1][:, None]
-        right_pts = right_pts[:, :-1] / right_pts[:, -1][:, None]
-
-    left = BezierPiece(space, left_pts, left_w, (0.0, u0))
-    right = BezierPiece(space, right_pts, right_w, (u0, space.alpha))
-    return SubdivisionResult(left, right, v)
+    # The left piece runs down the first pyramid edge, the right one up the last.
+    pieces = []
+    for edge, step, interval in ((0, 1, (0.0, u0)), (-1, -1, (u0, space.alpha))):
+        piece_pts = np.array([lev[edge] for lev in p_levels])[::step]
+        piece_w = np.array([lev[edge] for lev in w_levels])[::step]
+        if rational:
+            piece_pts, last = _projected(piece_pts)
+            piece_w = piece_w * last
+        pieces.append(BezierPiece(space, piece_pts, piece_w, interval))
+    return SubdivisionResult(*pieces, v)
 
 
 def elevate(curve: ControlCurve, z: int = 1) -> ControlCurve:
@@ -329,19 +331,15 @@ def elevate(curve: ControlCurve, z: int = 1) -> ControlCurve:
     if z == 0:
         return curve
     space = curve.space
-    if curve.weights is None:
-        pts = curve.points
-    else:
-        pts = np.hstack([curve.weights[:, None] * curve.points, curve.weights[:, None]])
+    pts = _folded(curve.points, curve.weights)
     for step in range(z):
         pts = elevate_coefficient_vector(BasisSpace(space.kind, space.n + step, space.alpha), pts)
     lifted = BasisSpace(space.kind, space.n + z, space.alpha)
     if curve.weights is None:
         return ControlCurve(lifted, pts)
-    w = pts[:, -1]
-    if np.any(_below_floor(w, w)):
+    if np.any(_below_floor(pts[:, -1], pts[:, -1])):
         raise NumericalError("degenerate weight after elevation")
-    return ControlCurve(lifted, pts[:, :-1] / w[:, None], w)
+    return ControlCurve(lifted, *_projected(pts))
 
 
 def piece_matches_subspace_weights(piece: BezierPiece, rtol: float = 1e-9) -> bool:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._record import record
 from .bbasis import MAX_DEGREE, BasisKind, BasisSpace, _is_count
-from .curve import ControlCurve, _below_floor
+from .curve import ControlCurve, _below_floor, _projected
 from .errors import NumericalError, RangeError
 from .xform import elevate_coefficient_vector, transform_matrix
 
@@ -72,15 +72,14 @@ class Term:
     amplitude: float
     phase: float = 0.0
 
-    def __init__(self, family: TermFamily, frequency: int, amplitude: float, phase: float = 0.0):
-        if not isinstance(family, TermFamily):
-            raise RangeError(f"family must be a TermFamily, got {family!r}")
-        if not _is_count(frequency):
-            raise RangeError(f"frequency must be a nonnegative integer, got {frequency!r}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "frequency", int(frequency))
-        for name, value in (("amplitude", amplitude), ("phase", phase)):
-            value = float(value)
+    def __post_init__(self):
+        if not isinstance(self.family, TermFamily):
+            raise RangeError(f"family must be a TermFamily, got {self.family!r}")
+        if not _is_count(self.frequency):
+            raise RangeError(f"frequency must be a nonnegative integer, got {self.frequency!r}")
+        object.__setattr__(self, "frequency", int(self.frequency))
+        for name in ("amplitude", "phase"):
+            value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise RangeError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -247,12 +246,6 @@ def _ordinates(products, spaces, r) -> np.ndarray:
     return _finite_channels(out)
 
 
-def _projected(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A pre-image's numerator channels divided by its weights (last channel), and the weights."""
-    with np.errstate(over="ignore"):
-        return _finite_channels(points[..., :-1] / points[..., -1:]), points[..., -1]
-
-
 def _lattice(products, directions, axes) -> np.ndarray:
     """Traditional-form values on the cartesian lattice of ``axes``."""
     dims = tuple(len(a) for a in axes)
@@ -317,7 +310,8 @@ def exact_rational_curve(
     points, (n,), steps = _elevate_until_positive(
         pre.points, [pre.space.n], spec._directions, max_elevations
     )
-    projected = ControlCurve(spec.space(n), *_projected(points))
+    numerators, weights = _projected(points)
+    projected = ControlCurve(spec.space(n), _finite_channels(numerators), weights)
     return PreImageResult(ControlCurve(projected.space, points), projected, steps)
 
 

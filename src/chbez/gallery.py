@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ._record import record
+from .curve import _projected
 from .errors import RangeError
 from .exact import _lattice
 from .io import SpecDocument, SvgPath, export_obj, export_svg, parse_document
@@ -121,7 +122,7 @@ def render_figure(name: str) -> RenderedFigure:
     axes = sampled[0][0]
     direct = _lattice(spec._products, directions, axes)
     if doc.rational:
-        direct = direct[..., :-1] / direct[..., -1:]
+        direct = _projected(direct)[0]
     error = max(reconstruction_error(values, direct) for _, values in sampled)
     curve = len(directions) == 1
     if curve and direct.shape[1] == 2:

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._record import record
 from .bbasis import BasisKind, BasisSpace, _is_count, _is_int, basis_matrix
-from .curve import ControlCurve, _combine, _store_net, evaluate
+from .curve import ControlCurve, _combine, _projected, _store_net, evaluate
 from .errors import NumericalError, RangeError
 from .exact import (
     DEFAULT_MAX_ELEVATIONS,
@@ -36,9 +36,9 @@ from .exact import (
     CurveSpec,
     _check_denominator,
     _elevate_until_positive,
+    _finite_channels,
     _lattice,
     _ordinates,
-    _projected,
     exact_curve,
     exact_rational_curve,
 )
@@ -252,7 +252,8 @@ def exact_rational_surface(
     points, orders, _ = _elevate_until_positive(
         grid.points, orders, spec.directions, max_elevations
     )
-    return ControlGrid(tuple(orders), *_projected(points))
+    numerators, weights = _projected(points)
+    return ControlGrid(tuple(orders), _finite_channels(numerators), weights)
 
 
 def _spaces_for(grid: ControlGrid, directions) -> list[BasisSpace]:

@@ -18,10 +18,10 @@ Two closely related tools live here:
   ``-``; that sign is the only difference between the two kinds).
 
 Caches: the alpha-free table ``C(n, i - r) C(i - r, r)`` is kept per order.
-The normalizing coefficients, elevation weights and transform rows are kept per
-space ``(kind, n, alpha)`` a caller passes in, for the last 128 spaces; the
-coefficient sums behind the normalizing coefficients and the recursion's
-intermediate orders are not kept.  Arrays are read-only.
+The normalizing coefficients and transform rows are kept per space
+``(kind, n, alpha)`` a caller passes in, for the last 128 spaces; the
+elevation weights, the coefficient sums behind the normalizing coefficients
+and the recursion's intermediate orders are not kept.  Arrays are read-only.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ class TransformMatrix:
             raise RangeError(f"frequency {k} outside 0..{self.space.n}")
 
 
-@lru_cache(maxsize=_MEMO_SPACES)
 def elevation_weights(space: BasisSpace) -> np.ndarray:
     """Convex weights of one order elevation step, shape ``(2n + 3, 3)``.
 

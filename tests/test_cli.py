@@ -537,6 +537,30 @@ FAILING_COMMANDS = [
      "error: {spec}:coords[0].terms[0].k: 40 exceeds the order cap 32\n"),
     ("elevate", "hypocycloid_k40", ["--order", "40"], 2,
      "error: {spec}:coords[0].terms[0].k: 40 exceeds the order cap 32\n"),
+    # Described at the cap, a curve has no default elevation target.
+    ("elevate", "hypocycloid_k32", [], 2,
+     "error: --order: default target 33 exceeds the order cap 32\n"),
+    ("subdivide", "hypocycloid", ["--split-at", "5"], 2,
+     "error: --split-at: split parameter u0 = 5.0 must lie strictly inside (0, 2.35619)\n"),
+    ("subdivide", "hypocycloid", ["--split-at", "0"], 2,
+     "error: --split-at: split parameter u0 = 0.0 must lie strictly inside (0, 2.35619)\n"),
+    # basis and xform read no spec (figure ""); a range error names the flag at
+    # fault, and alpha is judged alone before the order.
+    *[
+        (command, "", flags, 2, stderr)
+        for command in ("basis", "xform")
+        for flags, stderr in [
+            (["--kind", "trig", "--alpha", "1", "--order", "40"], _over_cap(40)),
+            (["--kind", "trig", "--alpha", "1", "--order", "0"],
+             "error: --order: order n must be >= 1, got 0\n"),
+            (["--kind", "trig", "--alpha", "4", "--order", "3"],
+             "error: --alpha: trigonometric alpha must lie in (0, pi), got 4.0\n"),
+            (["--kind", "hyp", "--alpha", "0", "--order", "3"],
+             "error: --alpha: alpha must be positive and finite, got 0.0\n"),
+            (["--kind", "hyp", "--alpha", "20", "--order", "20"],
+             "error: --order: hyperbolic n*alpha = 400 exceeds the overflow guard 300\n"),
+        ]
+    ],
 ]
 
 
@@ -566,8 +590,16 @@ def _k40_doc() -> dict:
     return doc
 
 
+def _k32_doc() -> dict:
+    """hypocycloid.json with the frequency of its first term set to 32, the order cap."""
+    doc = json.loads(load_figure_text("hypocycloid"))
+    doc["coords"][0]["terms"][0]["k"] = 32
+    return doc
+
+
 # Documents derived from a bundled figure, by the name FAILING_COMMANDS gives them.
 DERIVED_DOCS = {
+    "hypocycloid_k32": _k32_doc,
     "lemniscate_tiny_denominator": _tiny_denominator_doc,
     "lemniscate_dip_denominator": _dip_denominator_doc,
     "hypocycloid_k40": _k40_doc,
@@ -580,6 +612,9 @@ DERIVED_DOCS = {
     ids=[" ".join([c, f, *fl]) for c, f, fl, _, _ in FAILING_COMMANDS],
 )
 def test_failing_command(capsys, tmp_path, command, figure, flags, code, stderr):
+    if not figure:
+        assert run(capsys, command, *flags) == (code, "", stderr)
+        return
     if figure in DERIVED_DOCS:
         path = write_doc(tmp_path, f"{figure}.json", DERIVED_DOCS[figure]())
     else:

@@ -14,6 +14,10 @@ kinds, derivative orders 0 to 3, plain and rational) the package must give
 the same bytes and the same error texts.  ``evaluate_surface`` may differ
 by a few ulps, since no artifact reads it, and its error text now prints
 plain floats.
+
+``ref_contract`` is the hand-rolled contraction (one ``@`` on a 2-d view
+per direction) that one ``np.tensordot`` per direction replaced; on random
+tensors the two must give the same bytes under the BLAS at hand.
 """
 
 import re
@@ -52,6 +56,7 @@ from chbez import (
     sample_lattice,
 )
 from chbez.bbasis import MAX_DEGREE
+from chbez.curve import _contract
 from chbez.exact import coordinate_ordinates
 
 TRIG = BasisKind.TRIGONOMETRIC
@@ -290,6 +295,15 @@ def ref_exact_surface(spec: SurfaceSpec, orders=None, r=None):
 def ref_curve_spec_evaluate(self, us) -> np.ndarray:
     us = np.atleast_1d(np.asarray(us, dtype=float))
     return np.column_stack([fn.values(self.kind, us) for fn in self.coords])
+
+
+def ref_contract(mats, tensor: np.ndarray) -> np.ndarray:
+    for j, mat in enumerate(mats):
+        moved = np.moveaxis(tensor, j, 0) if j else tensor
+        flat = mat @ moved.reshape(moved.shape[0], -1)
+        flat = flat.reshape(mat.shape[:1] + moved.shape[1:])
+        tensor = np.moveaxis(flat, 0, j) if j else flat
+    return tensor
 
 
 # ---------------------------------------------------------------------------
@@ -625,3 +639,26 @@ def test_curve_spec_evaluate_matches(seed):
     rng = np.random.default_rng(seed + 4000)
     for us in (random_params(rng, spec.alpha, 33), float(rng.uniform(0.0, spec.alpha))):
         assert same(outcome(spec.evaluate, us), outcome(ref_curve_spec_evaluate, spec, us))
+
+
+# Largest sample count per direction, by the number of directions: counts
+# are drawn from 1 up to it, and a curve's first two cases take 1 and 400.
+_CONTRACT_ROWS = {1: 400, 2: 400, 3: 40, 4: 12}
+
+
+@pytest.mark.parametrize("channel", [False, True])
+@pytest.mark.parametrize("delta", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(25))
+def test_contract_matches(seed, delta, channel):
+    rng = np.random.default_rng(7000 + 10 * seed + delta)
+    top = _CONTRACT_ROWS[delta]
+    for case in range(5):
+        dims = tuple(2 * int(n) + 1 for n in rng.integers(1, 33 if delta < 3 else 9, delta))
+        shape = dims + ((int(rng.integers(1, 5)),) if channel else ())
+        tensor = rng.standard_normal(shape)
+        rows = rng.integers(1, top + 1, delta)
+        if delta == 1 and case < 2:
+            rows[0] = (1, top)[case]
+        mats = [rng.standard_normal((int(m), d)) for m, d in zip(rows, dims)]
+        got = _contract(mats, tensor)
+        assert same(got, ref_contract(mats, tensor)), (shape, tuple(rows))

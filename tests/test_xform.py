@@ -23,7 +23,7 @@ TRIG = BasisKind.TRIGONOMETRIC
 HYP = BasisKind.HYPERBOLIC
 
 # The per-space memos: each is keyed by one BasisSpace.
-MEMOS = (_normalizing_values, elevation_weights, _transform_rows)
+MEMOS = (_normalizing_values, _transform_rows)
 
 
 class TestElevationWeights:
