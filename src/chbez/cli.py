@@ -19,6 +19,7 @@ import numpy as np
 from .bbasis import MAX_DEGREE, BasisKind, BasisSpace, basis_matrix
 from .errors import NumericalError, RangeError, SpecError
 from .io import (
+    _KINDS,
     SpecDocument,
     SvgPath,
     export_obj,
@@ -33,12 +34,7 @@ from .xform import transform_matrix
 
 __all__ = ["main"]
 
-_KIND_NAMES = {
-    "trig": BasisKind.TRIGONOMETRIC,
-    "trigonometric": BasisKind.TRIGONOMETRIC,
-    "hyp": BasisKind.HYPERBOLIC,
-    "hyperbolic": BasisKind.HYPERBOLIC,
-}
+_KIND_NAMES = {**_KINDS, "trig": BasisKind.TRIGONOMETRIC, "hyp": BasisKind.HYPERBOLIC}
 
 
 def _kind_flag(text: str) -> BasisKind:
@@ -128,7 +124,7 @@ def _cmd_basis(args):
     _check_samples(args.samples)
     space = _space_flags(args)
     us = np.linspace(0.0, space.alpha, args.samples)
-    mat = basis_matrix(space, us)
+    mat = _named("--order", basis_matrix, space, us)  # the order can overflow the coefficients
     columns = ["u"] + [f"b{i}" for i in range(space.dimension)]
     return export_table(np.hstack([us[:, None], mat]), args.format, columns), args.out
 
@@ -223,13 +219,13 @@ def _cmd_sample(args):
 
 
 def _cmd_subdivide(args):
-    from .curve import subdivide
+    from .curve import _split_point, subdivide
 
     doc = _load_document(args)
     _require_curve(doc, "subdivide")
     curve = _described(doc, args)
     u0 = _named("--split-at", parse_angle, args.split_at)
-    result = _named("--split-at", subdivide, curve, u0)
+    result = subdivide(curve, _named("--split-at", _split_point, curve.space, u0))
 
     def piece(p):
         return {

@@ -274,6 +274,16 @@ def _weight_pyramid(weights: np.ndarray, v: float) -> list[np.ndarray]:
     return levels
 
 
+def _split_point(space: BasisSpace, u0: float) -> float:
+    """``u0`` as a float, or a range error unless it lies strictly inside ``(0, alpha)``."""
+    u0 = float(u0)
+    if not 0.0 < u0 < space.alpha:
+        raise RangeError(
+            f"split parameter u0 = {u0!r} must lie strictly inside (0, {space.alpha:g})"
+        )
+    return u0
+
+
 def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     """Split the curve at interior parameter ``u0`` by corner cutting.
 
@@ -283,11 +293,7 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     single pyramid serves both cases.
     """
     space = curve.space
-    u0 = float(u0)
-    if not 0.0 < u0 < space.alpha:
-        raise RangeError(
-            f"split parameter u0 = {u0!r} must lie strictly inside (0, {space.alpha:g})"
-        )
+    u0 = _split_point(space, u0)
     v = reparametrize(space, u0)
     bez = bezier_weights(space)
     w_levels = _weight_pyramid(bez, v)

@@ -16,6 +16,8 @@ command line front end) can map them to distinct exit codes:
 
 from __future__ import annotations
 
+__all__ = ["RangeError", "SpecError", "NumericalError"]
+
 
 class RangeError(ValueError):
     """An argument is outside its documented range."""

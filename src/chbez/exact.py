@@ -36,6 +36,7 @@ from .errors import NumericalError, RangeError
 from .xform import elevate_coefficient_vector, transform_matrix
 
 __all__ = [
+    "DEFAULT_MAX_ELEVATIONS",
     "TermFamily",
     "Term",
     "CoordinateFunction",
@@ -50,8 +51,9 @@ __all__ = [
 # Pre-image weights at or below this floor (see ``curve._below_floor``) are not positive.
 WEIGHT_POSITIVITY = 1e-12
 
-# Denominator sign is checked on this many uniform samples of [0, alpha].
-_DENOMINATOR_SAMPLES = 1001
+# Denominator sign is checked on a lattice of this many uniform samples per
+# direction, keyed by the number of directions: dense for a curve, coarse for a patch.
+_DENOMINATOR_SAMPLES = {1: 1001, 2: 33, 3: 33, 4: 33}
 
 DEFAULT_MAX_ELEVATIONS = 32
 
@@ -305,25 +307,27 @@ def exact_rational_curve(
     """
     if spec.dimension < 2:
         raise RangeError("rational description needs numerator and denominator coordinates")
-    _check_denominator(spec, _DENOMINATOR_SAMPLES, max_elevations)
+    _check_denominator(spec, max_elevations)
     pre = exact_curve(spec, n, 0)
     points, (n,), steps = _elevate_until_positive(
         pre.points, [pre.space.n], spec._directions, max_elevations
     )
-    numerators, weights = _projected(points)
-    projected = ControlCurve(spec.space(n), _finite_channels(numerators), weights)
+    projected = ControlCurve(spec.space(n), *_finite_projection(points))
     return PreImageResult(ControlCurve(projected.space, points), projected, steps)
 
 
-def _check_denominator(spec, samples: int, max_elevations):
+def _check_denominator(spec, max_elevations):
     """Check the elevation budget, then that the denominator (last channel) is positive.
 
-    The denominator is sampled on a lattice of ``samples`` points per
-    direction, endpoints included; the error names its lowest sample.
+    The denominator is sampled on a lattice of ``_DENOMINATOR_SAMPLES[delta]``
+    points per direction (``delta`` directions), endpoints included; the
+    error names its lowest sample.  This table is the only sampling policy
+    of both rational descriptions.
     """
     if not _is_count(max_elevations):
         raise RangeError(f"max_elevations must be a nonnegative integer, got {max_elevations!r}")
     directions = spec._directions
+    samples = _DENOMINATOR_SAMPLES[len(directions)]
     axes = [np.linspace(0.0, d.alpha, samples) for d in directions]
     den = _lattice(spec._products[-1:], directions, axes)[..., 0]
     if np.any(den <= 0.0):
@@ -332,6 +336,12 @@ def _check_denominator(spec, samples: int, max_elevations):
         box = f"[0, {directions[0].alpha:g}]" if len(at) == 1 else "the box"
         at = f"{at[0]:g}" if len(at) == 1 else at
         raise NumericalError(f"denominator is not positive on {box} (fails near u = {at})")
+
+
+def _finite_projection(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projected control points of a positive pre-image, checked finite, and its weights."""
+    numerators, weights = _projected(points)
+    return _finite_channels(numerators), weights
 
 
 def _elevate_until_positive(points: np.ndarray, orders, directions, max_elevations: int):

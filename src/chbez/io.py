@@ -48,10 +48,7 @@ _FAMILY_NAMES = {
     BasisKind.HYPERBOLIC: ("cosh", "sinh"),
 }
 
-_KINDS = {
-    "trigonometric": BasisKind.TRIGONOMETRIC,
-    "hyperbolic": BasisKind.HYPERBOLIC,
-}
+_KINDS = {kind.value: kind for kind in BasisKind}
 
 
 def parse_angle(text: str) -> float:
@@ -118,27 +115,18 @@ def parse_document(text: str) -> SpecDocument:
         raise SpecError("", f"not valid JSON ({exc.msg} at line {exc.lineno})") from None
     if not isinstance(raw, dict):
         raise SpecError("", "document must be a JSON object")
-    doc_type = _get_str(raw, "type", "type")
-    if doc_type == "curve":
-        allowed = {"version", "type", "kind", "alpha", "rational", "coords"}
-    elif doc_type == "surface":
-        allowed = {"version", "type", "directions", "rational", "coords"}
-    else:
+    doc_type = _field(raw, "type", "type", str, "a string")
+    if doc_type not in _DOCUMENTS:
         raise SpecError("type", f"must be 'curve' or 'surface', got {doc_type!r}")
-    _object(raw, allowed, "")
+    fields, parse = _DOCUMENTS[doc_type]
+    _object(raw, {"version", "type", "rational", *fields}, "")
     version = raw.get("version")
     if version != 1:
         raise SpecError("version", f"unsupported version {version!r} (expected 1)")
     rational = raw.get("rational", False)
     if not isinstance(rational, bool):
         raise SpecError("rational", "must be a boolean")
-    if doc_type == "curve":
-        spec = _parse_curve(raw)
-        if rational and spec.dimension < 2:
-            raise SpecError("coords", "a rational curve needs at least 2 coordinates")
-    else:
-        spec = _parse_surface(raw, rational)
-    return SpecDocument(1, spec, rational)
+    return SpecDocument(1, parse(raw, rational), rational)
 
 
 def parse_spec(text: str) -> CurveSpec | SurfaceSpec:
@@ -146,17 +134,17 @@ def parse_spec(text: str) -> CurveSpec | SurfaceSpec:
     return parse_document(text).spec
 
 
-def _parse_curve(raw: dict) -> CurveSpec:
+def _parse_curve(raw: dict, rational: bool) -> CurveSpec:
     """A curve is the one-direction case: its coordinates are read as patch factors."""
     from .exact import CurveSpec
 
     kind, alpha = _parse_direction(raw, "")
     coords = _objects(raw, "coords", "", {"terms"})
     fns = tuple(_parse_coordinate(c, kind, path) for path, c in coords)
-    try:
-        return CurveSpec(kind, alpha, fns)
-    except RangeError as exc:
-        raise SpecError("alpha", str(exc)) from None
+    spec = _at("alpha", CurveSpec, kind, alpha, fns)
+    if rational and spec.dimension < 2:
+        raise SpecError("coords", "a rational curve needs at least 2 coordinates")
+    return spec
 
 
 def _parse_surface(raw: dict, rational: bool) -> SurfaceSpec:
@@ -166,12 +154,7 @@ def _parse_surface(raw: dict, rational: bool) -> SurfaceSpec:
     entries = _objects(raw, "directions", "", {"kind", "alpha"}, minimum=2)
     if len(raw["directions"]) > MAX_DIRECTIONS:
         raise SpecError("directions", f"at most {MAX_DIRECTIONS} directions supported")
-    directions = []
-    for path, d in entries:
-        try:
-            directions.append(Direction(*_parse_direction(d, path)))
-        except RangeError as exc:
-            raise SpecError(f"{path}.alpha", str(exc)) from None
+    directions = [_at(f"{p}.alpha", Direction, *_parse_direction(d, p)) for p, d in entries]
     delta = len(directions)
     coords = _objects(raw, "coords", "", {"summands"})
     count = len(raw["coords"])
@@ -197,13 +180,23 @@ def _parse_surface(raw: dict, rational: bool) -> SurfaceSpec:
     return SurfaceSpec(tuple(directions), count - delta - rational, tuple(fns))
 
 
+# Document type -> the fields it adds to version, type and rational, and its parser.
+_DOCUMENTS = {
+    "curve": ({"kind", "alpha", "coords"}, _parse_curve),
+    "surface": ({"directions", "coords"}, _parse_surface),
+}
+
+
 def _parse_direction(raw: dict, path: str) -> tuple[BasisKind, float]:
     """Kind and alpha of a curve (``path`` empty) or of a patch direction."""
     prefix = f"{path}." if path else ""
-    value = _get_str(raw, "kind", f"{prefix}kind")
+    value = _field(raw, "kind", f"{prefix}kind", str, "a string")
     if value not in _KINDS:
         raise SpecError(f"{prefix}kind", f"must be 'trigonometric' or 'hyperbolic', got {value!r}")
-    return _KINDS[value], _parse_angle_field(raw, "alpha", f"{prefix}alpha")
+    alpha = _number(raw, "alpha", f"{prefix}alpha", angle=True)
+    if alpha <= 0.0:
+        raise SpecError(f"{prefix}alpha", f"must be positive, got {alpha!r}")
+    return _KINDS[value], alpha
 
 
 def _parse_coordinate(raw: dict, kind: BasisKind, path: str) -> CoordinateFunction:
@@ -217,7 +210,7 @@ def _parse_coordinate(raw: dict, kind: BasisKind, path: str) -> CoordinateFuncti
 def _parse_term(raw: dict, kind: BasisKind, path: str) -> Term:
     from .exact import Term, TermFamily
 
-    family_raw = _get_str(raw, "family", f"{path}.family")
+    family_raw = _field(raw, "family", f"{path}.family", str, "a string")
     families = _FAMILY_NAMES[kind]
     if family_raw not in families:
         expected = " or ".join(sorted(families))
@@ -230,56 +223,38 @@ def _parse_term(raw: dict, kind: BasisKind, path: str) -> Term:
         raise SpecError(f"{path}.k", f"must be a nonnegative integer, got {k!r}")
     if k > MAX_DEGREE // 2:
         raise SpecError(f"{path}.k", f"{k} exceeds the order cap {MAX_DEGREE // 2}")
-    a = _get_number(raw, "a", f"{path}.a")
-    phase = 0.0
-    if "phase" in raw:
-        phase = _parse_angle_field(raw, "phase", f"{path}.phase", allow_nonpositive=True)
+    a = _number(raw, "a", f"{path}.a")
+    phase = _number(raw, "phase", f"{path}.phase", angle=True) if "phase" in raw else 0.0
     family = TermFamily.COSINE if family_raw == families[0] else TermFamily.SINE
     return Term(family, k, a, phase)
 
 
-def _parse_angle_field(raw: dict, key: str, path: str, allow_nonpositive: bool = False) -> float:
+def _field(raw: dict, key: str, path: str, types, noun: str):
+    """``raw[key]``, or a spec error at ``path`` unless it is one of ``types`` (never a bool)."""
     value = raw.get(key)
-    if isinstance(value, str):
-        try:
-            value = parse_angle(value)
-        except RangeError as exc:
-            raise SpecError(path, str(exc)) from None
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = float(value)
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise SpecError(path, f"must be {noun}, got {value!r}")
+    return value
+
+
+def _number(raw: dict, key: str, path: str, angle: bool = False) -> float:
+    """A finite number, or with ``angle`` also an angle literal (see :func:`parse_angle`)."""
+    if angle:
+        value = _field(raw, key, path, (int, float, str), "a number or an angle literal")
     else:
-        raise SpecError(path, f"must be a number or an angle literal, got {value!r}")
-    if not math.isfinite(value):
-        raise SpecError(path, f"must be finite, got {value!r}")
-    if not allow_nonpositive and value <= 0.0:
-        raise SpecError(path, f"must be positive, got {value!r}")
-    return value
-
-
-def _get_str(raw: dict, key: str, path: str) -> str:
-    value = raw.get(key)
-    if not isinstance(value, str):
-        raise SpecError(path, f"must be a string, got {value!r}")
-    return value
-
-
-def _get_number(raw: dict, key: str, path: str) -> float:
-    value = raw.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SpecError(path, f"must be a number, got {value!r}")
-    value = float(value)
+        value = _field(raw, key, path, (int, float), "a number")
+    value = _at(path, parse_angle, value) if isinstance(value, str) else float(value)
     if not math.isfinite(value):
         raise SpecError(path, f"must be finite, got {value!r}")
     return value
 
 
-def _get_list(raw: dict, key: str, path: str, minimum: int = 0) -> list:
-    value = raw.get(key)
-    if not isinstance(value, list):
-        raise SpecError(path, f"must be an array, got {value!r}")
-    if len(value) < minimum:
-        raise SpecError(path, f"must have at least {minimum} entr{'y' if minimum == 1 else 'ies'}")
-    return value
+def _at(path: str, fn, *args):
+    """``fn(*args)``, whose range errors become spec errors at ``path``."""
+    try:
+        return fn(*args)
+    except RangeError as exc:
+        raise SpecError(path, str(exc)) from None
 
 
 def _objects(raw: dict, key: str, path: str, allowed: set, minimum: int = 1):
@@ -289,7 +264,9 @@ def _objects(raw: dict, key: str, path: str, allowed: set, minimum: int = 1):
     fields only) when iteration reaches it, so faults surface in document order.
     """
     path = f"{path}.{key}" if path else key
-    items = _get_list(raw, key, path, minimum)
+    items = _field(raw, key, path, list, "an array")
+    if len(items) < minimum:
+        raise SpecError(path, f"must have at least {minimum} entr{'y' if minimum == 1 else 'ies'}")
     return ((f"{path}[{i}]", _object(x, allowed, f"{path}[{i}]")) for i, x in enumerate(items))
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._record import record
 from .bbasis import BasisKind, BasisSpace, _is_count, _is_int, basis_matrix
-from .curve import ControlCurve, _combine, _projected, _store_net, evaluate
+from .curve import ControlCurve, _combine, _store_net, evaluate
 from .errors import NumericalError, RangeError
 from .exact import (
     DEFAULT_MAX_ELEVATIONS,
@@ -36,7 +36,7 @@ from .exact import (
     CurveSpec,
     _check_denominator,
     _elevate_until_positive,
-    _finite_channels,
+    _finite_projection,
     _lattice,
     _ordinates,
     exact_curve,
@@ -58,9 +58,6 @@ __all__ = [
 ]
 
 MAX_DIRECTIONS = 4
-
-# Denominator positivity is checked on a lattice of this density per direction.
-_POSITIVITY_DENSITY = 33
 
 
 @record
@@ -245,15 +242,14 @@ def exact_rational_surface(
             "rational description expects delta + kappa + 1 coordinates "
             "(the trailing denominator)"
         )
-    _check_denominator(spec, _POSITIVITY_DENSITY, max_elevations)
+    _check_denominator(spec, max_elevations)
 
     orders = _check_orders(spec, orders)
     grid = exact_surface(spec, orders)
     points, orders, _ = _elevate_until_positive(
         grid.points, orders, spec.directions, max_elevations
     )
-    numerators, weights = _projected(points)
-    return ControlGrid(tuple(orders), _finite_channels(numerators), weights)
+    return ControlGrid(tuple(orders), *_finite_projection(points))
 
 
 def _spaces_for(grid: ControlGrid, directions) -> list[BasisSpace]:

@@ -238,3 +238,7 @@ class TestBernstein:
         with pytest.raises(RangeError):
             bernstein_value(2, 1, 1.5)
         assert bernstein_value(2, 1, 1.0 + 1e-13) == 0.0
+
+    def test_index_must_be_an_integer(self):
+        with pytest.raises(RangeError, match=r"^index must be an integer, got 0\.5$"):
+            bernstein_value(2, 0.5, 0.3)

@@ -453,6 +453,10 @@ def _over_cap(order):
     return f"error: --order: {order} exceeds the order cap 32\n"
 
 
+_K32_TINY_ALPHA = (
+    "error: normalizing coefficients overflow for trigonometric space with n=32, alpha=1e-05\n"
+)
+
 # command, figure, extra flags -> exit code and the whole of stderr.
 FAILING_COMMANDS = [
     ("describe", "lemniscate", ["--derivative", "1"], 2, _REFUSED),
@@ -561,6 +565,22 @@ FAILING_COMMANDS = [
              "error: --order: hyperbolic n*alpha = 400 exceeds the overflow guard 300\n"),
         ]
     ],
+    # alpha = 1e-5 is valid alone; at order 32 the normalizing coefficients
+    # overflow, which basis needs and xform does not.
+    *[
+        ("basis", "", ["--kind", kind, "--alpha", "1e-5", "--order", "32", "--samples", "3"], 2,
+         f"error: --order: normalizing coefficients overflow for {name} space with n=32, "
+         "alpha=1e-05\n")
+        for kind, name in [("trig", "trigonometric"), ("hyp", "hyperbolic")]
+    ],
+    ("describe", "hypocycloid", ["--order", "abc"], 2,
+     "error: --order: expected an integer or comma list, got 'abc'\n"),
+    ("describe", "torus_patch", ["--derivative", "1,x"], 2,
+     "error: --derivative: expected an integer or comma list, got '1,x'\n"),
+    # A valid split point is not named when the curve's own space overflows;
+    # subdivide then fails as sample does.
+    ("subdivide", "hypocycloid_k32_tiny_alpha", ["--split-at", "5e-6"], 2, _K32_TINY_ALPHA),
+    ("sample", "hypocycloid_k32_tiny_alpha", ["--samples", "3"], 2, _K32_TINY_ALPHA),
 ]
 
 
@@ -597,8 +617,16 @@ def _k32_doc() -> dict:
     return doc
 
 
+def _k32_tiny_alpha_doc() -> dict:
+    """hypocycloid.json with its first frequency set to 32 and alpha set to 1e-5."""
+    doc = _k32_doc()
+    doc["alpha"] = 1e-5
+    return doc
+
+
 # Documents derived from a bundled figure, by the name FAILING_COMMANDS gives them.
 DERIVED_DOCS = {
+    "hypocycloid_k32_tiny_alpha": _k32_tiny_alpha_doc,
     "hypocycloid_k32": _k32_doc,
     "lemniscate_tiny_denominator": _tiny_denominator_doc,
     "lemniscate_dip_denominator": _dip_denominator_doc,
@@ -675,3 +703,18 @@ def test_overflowing_coordinate_is_named(capsys, tmp_path, figure, command):
     path = write_doc(tmp_path, "huge.json", _overflowing_doc(figure))
     code, out, err = run(capsys, command, "--spec", path)
     assert (code, out, err) == (2, "", "error: coords[0]: control points overflow double precision\n")
+
+
+def test_xform_needs_no_normalizing_coefficients(capsys):
+    # The flags basis refuses for overflowing coefficients (see FAILING_COMMANDS).
+    code, out, err = run(capsys, "xform", "--kind", "trig", "--alpha", "1e-5", "--order", "32")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 65
+
+
+def test_describe_names_coordinates_beyond_three(capsys, tmp_path):
+    doc = json.loads(load_figure_text("hypocycloid"))
+    doc["coords"] += doc["coords"]
+    code, out, err = run(capsys, "describe", "--spec", write_doc(tmp_path, "c4.json", doc))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "c1,c2,c3,c4"

@@ -302,6 +302,14 @@ class TestSubdivide:
             parent = evaluate(crv, us)
             assert np.max(np.abs(piece.evaluate(us) - parent)) <= 1e-12 * np.max(np.abs(parent))
 
+    def test_degenerate_weight_pyramid_refused(self):
+        space = BasisSpace(TRIG, 1, 1.0)
+        crv = ControlCurve(space, [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], [1.0, 0.0, 1.0])
+        with pytest.raises(
+            NumericalError, match=r"^degenerate weight pyramid while splitting at u0 = 0\.5$"
+        ):
+            subdivide(crv, 0.5)
+
 
 class TestElevate:
     def test_zero_steps_is_identity(self):
@@ -363,3 +371,9 @@ class TestElevate:
         d10 = polygon_distance(elevate(crv, 10))
         assert d5 < d0
         assert d10 < d5
+
+    def test_zero_end_weight_refused(self):
+        space = BasisSpace(TRIG, 1, 1.0)
+        crv = ControlCurve(space, [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], [0.0, 1.0, 1.0])
+        with pytest.raises(NumericalError, match="^degenerate weight after elevation$"):
+            elevate(crv)

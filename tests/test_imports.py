@@ -136,3 +136,10 @@ def test_unknown_attribute_raises():
         chbez.cli_main  # noqa: B018
     with pytest.raises(ImportError):
         exec("from chbez import no_such_name", {})
+
+
+def test_every_public_name_is_in_its_home_modules_all():
+    from importlib import import_module
+
+    for name, home in chbez._HOMES.items():
+        assert name in import_module(f"chbez.{home}").__all__, (name, home)

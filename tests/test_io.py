@@ -655,3 +655,8 @@ class TestTables:
             export_table(np.zeros(2), "yaml")
         with pytest.raises(RangeError, match="unknown table format"):
             parse_table("", "yaml")
+
+    def test_header_only_csv_keeps_its_columns(self):
+        back, columns = parse_table("x,y\n", "csv")
+        assert back.shape == (0, 2)
+        assert columns == ["x", "y"]

@@ -243,6 +243,9 @@ class TestControlGrid:
         with pytest.raises(RangeError, match="^weights must be finite, nonnegative and not all zero$"):
             ControlGrid((1, 1), np.zeros((3, 3, 2)), weights)
 
+    def test_channels_count_the_last_axis(self):
+        assert ControlGrid((1, 2), np.zeros((3, 5, 4))).channels == 4
+
 
 class TestEvaluateSurface:
     def test_matches_lattice_sampling(self):
