@@ -88,7 +88,7 @@ def _coord_names(count: int) -> list[str]:
 
 
 def _order_flag(args, delta: int):
-    """--order: one int for a curve (``delta`` 1), else ``delta`` ints (one repeats); or None."""
+    """--order: ``delta`` ints (one order repeats; a curve takes just one), or None."""
     if args.order is None:
         return None
     orders = _int_list_flag(args.order, "--order")
@@ -97,8 +97,6 @@ def _order_flag(args, delta: int):
     if len(orders) not in (1, delta):
         raise RangeError(f"--order: expected {delta} orders, got {len(orders)}")
     _capped(max(orders))
-    if delta == 1:
-        return orders[0]
     return orders * delta if len(orders) == 1 else orders
 
 
@@ -161,7 +159,7 @@ def _described(doc: SpecDocument, args, noun: str = "points"):
     Both flags are checked for shape before a rational document refuses a
     derivative, and --format (for output of ``noun``) before anything is built.
     """
-    from .surface import _described_net
+    from .exact import _describe
 
     spec = doc.spec
     delta = len(spec._directions)
@@ -172,7 +170,7 @@ def _described(doc: SpecDocument, args, noun: str = "points"):
     if args.format == "svg" and delta > 1:
         raise RangeError("--format: svg is for planar curves only")
     _check_format(doc, args.format, noun)
-    return _described_net(spec, doc.rational, orders, r, args.max_elevations)
+    return _describe(spec, orders, r, doc.rational, args.max_elevations)[0]
 
 
 def _output(values, fmt: str, role: str, axes, lead: str, weights=None) -> str:
@@ -244,17 +242,16 @@ def _cmd_subdivide(args):
 
 def _cmd_elevate(args):
     from .curve import elevate
-    from .exact import min_order
-    from .surface import _described_net
+    from .exact import _describe, min_order
 
     doc = _load_document(args)
     spec = _require_curve(doc, "elevate")
     _check_format(doc, args.format, "points")
     base = min_order(spec)
-    target = _order_flag(args, 1)
+    target = (_order_flag(args, 1) or (None,))[0]
     if target is not None and target < base:
         raise RangeError(f"--order: target {target} below the minimum order {base}")
-    curve = _described_net(spec, doc.rational, base, None, args.max_elevations)
+    curve = _describe(spec, None, None, doc.rational, args.max_elevations)[0]
     reached = curve.space.n  # above base when a rational description needed elevation
     if target is None:
         target = _capped(reached + 1, "default target ")

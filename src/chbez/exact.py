@@ -10,12 +10,13 @@ from the same rows: differentiation multiplies a frequency-``k`` term by
 ``k`` and shifts its phase by ``pi/2`` (trigonometric) or swaps the
 sine-like and cosine-like rows (hyperbolic).
 
-A curve is the one-direction case of a tensor product patch: both use the
-control tensor builder :func:`_ordinates`, the lattice evaluator
-:func:`_lattice` and the elevation loop :func:`_elevate_until_positive` here.
+A curve is the one-direction case of a tensor product patch: one body,
+:func:`_describe`, describes both, and it does the dispatch over "curve or
+patch, rational or not" for the CLI and the gallery.  The four public entry
+points here and in :mod:`chbez.surface` are thin wrappers around it.
 
-Rational curves carry their denominator as one extra coordinate.  The
-pre-image polygon in one higher dimension is computed first; if some of the
+Rational shapes carry their denominator as one extra coordinate.  The body
+computes the pre-image net in one higher dimension first; if some of the
 resulting weights fail to be positive, order elevation is applied until
 they are (for curves this terminates after finitely many steps whenever the
 denominator is positive on the whole interval).
@@ -30,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from ._record import record
-from .bbasis import MAX_DEGREE, BasisKind, BasisSpace, _is_count
+from .bbasis import MAX_DEGREE, BasisKind, BasisSpace, _is_count, _is_int
 from .curve import ControlCurve, _below_floor, _projected
 from .errors import NumericalError, RangeError
 from .xform import elevate_coefficient_vector, transform_matrix
@@ -158,6 +159,9 @@ class CurveSpec:
     def _products(self) -> tuple:
         return tuple(((fn,),) for fn in self.coords)  # one one-factor product per coordinate
 
+    def _net(self, orders, points, weights=None) -> ControlCurve:
+        return ControlCurve(self.space(orders[0]), points, weights)
+
     def evaluate(self, us) -> np.ndarray:
         """Pointwise evaluation of the traditional form, one row per sample."""
         us = np.atleast_1d(np.asarray(us, dtype=float))
@@ -171,7 +175,36 @@ class CurveSpec:
 
 def min_order(spec: CurveSpec) -> int:
     """Smallest order whose space contains the curve (at least 1)."""
-    return max(1, max(fn.max_frequency() for fn in spec.coords))
+    return min_orders(spec)[0]
+
+
+def min_orders(spec) -> tuple[int, ...]:
+    """Minimum order per direction of a curve or patch: its largest frequency, at least 1."""
+    directions = zip(*(factors for channel in spec._products for factors in channel))
+    return tuple(max(1, *(f.max_frequency() for f in fs)) for fs in directions)
+
+
+def _check_orders(spec, orders) -> tuple[int, ...]:
+    """``orders`` (one per direction) as ints, or the minimum orders when None.
+
+    Refuses, in this order, an order that is not an integer, a wrong count
+    and an order below its direction's minimum.
+    """
+    minimum = min_orders(spec)
+    if orders is None:
+        return minimum
+    for n in orders:
+        if not _is_int(n):
+            raise RangeError(f"order n must be an integer, got {n!r}")
+    orders = tuple(int(n) for n in orders)
+    if len(orders) != len(minimum):
+        raise RangeError(f"expected {len(minimum)} orders, got {len(orders)}")
+    for j, (n, nu) in enumerate(zip(orders, minimum)):
+        if n < nu and len(minimum) == 1:
+            raise RangeError(f"order {n} below the curve's minimum order {nu}")
+        if n < nu:
+            raise RangeError(f"order {n} in direction {j} below the minimum {nu}")
+    return orders
 
 
 def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) -> np.ndarray:
@@ -254,19 +287,38 @@ def _lattice(products, directions, axes) -> np.ndarray:
     return _sum_of_products(products, dims, lambda j, f: f.values(directions[j].kind, axes[j]))
 
 
+def _describe(spec, orders=None, r=None, rational=False, max_elevations=DEFAULT_MAX_ELEVATIONS):
+    """Described net of a curve or patch spec, its pre-image tensor and the elevation steps.
+
+    ``orders`` and ``r`` give one order and one derivative order per
+    direction (None: the minimum orders, no derivative).  A rational spec's
+    last channel is its denominator: it is checked positive, the pre-image
+    is elevated until its weights are positive and the net is its projection.
+    """
+    if rational:
+        _check_denominator(spec, max_elevations)
+    orders = _check_orders(spec, orders)
+    directions = spec._directions
+    delta = len(directions)
+    r = (0,) * delta if r is None else tuple(r)
+    # A curve's derivative order is refused by coordinate_ordinates, once its space is built.
+    if delta > 1 and (len(r) != delta or not all(_is_count(x) for x in r)):
+        raise RangeError(f"derivative orders must be {delta} nonnegative integers, got {r!r}")
+    spaces = [d.space(n) for d, n in zip(directions, orders)]
+    points = _ordinates(spec._products, spaces, r)
+    if not rational:
+        return spec._net(orders, points), points, 0
+    points, orders, steps = _elevate_until_positive(points, orders, directions, max_elevations)
+    return spec._net(orders, *_finite_projection(points)), points, steps
+
+
 def exact_curve(spec: CurveSpec, n: int | None = None, r: int = 0) -> ControlCurve:
     """Control points of the curve (or its r-th derivative) at order ``n``.
 
     ``n`` defaults to :func:`min_order`.  The returned polygon reproduces the
     traditional form exactly up to rounding; no approximation is involved.
     """
-    nu = min_order(spec)
-    if n is None:
-        n = nu
-    if n < nu:
-        raise RangeError(f"order {n} below the curve's minimum order {nu}")
-    space = spec.space(n)
-    return ControlCurve(space, _ordinates(spec._products, [space], (r,)))
+    return _describe(spec, None if n is None else (n,), (r,))[0]
 
 
 @record
@@ -307,13 +359,8 @@ def exact_rational_curve(
     """
     if spec.dimension < 2:
         raise RangeError("rational description needs numerator and denominator coordinates")
-    _check_denominator(spec, max_elevations)
-    pre = exact_curve(spec, n, 0)
-    points, (n,), steps = _elevate_until_positive(
-        pre.points, [pre.space.n], spec._directions, max_elevations
-    )
-    projected = ControlCurve(spec.space(n), *_finite_projection(points))
-    return PreImageResult(ControlCurve(projected.space, points), projected, steps)
+    curve, points, steps = _describe(spec, None if n is None else (n,), None, True, max_elevations)
+    return PreImageResult(ControlCurve(curve.space, points), curve, steps)
 
 
 def _check_denominator(spec, max_elevations):

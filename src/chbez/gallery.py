@@ -7,8 +7,9 @@ artifact plus a copy of the spec, measures the reconstruction error against
 direct evaluation of the traditional form and records everything in a
 manifest.  All outputs are byte-deterministic.
 
-Curves and patches share the dispatch of :mod:`chbez.surface` and the
-lattice evaluator of :mod:`chbez.exact`; only the artifact format differs.
+Curves and patches share the description body and the lattice evaluator
+of :mod:`chbez.exact` and the sampling of :mod:`chbez.surface`; only the
+artifact format differs.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 from ._record import record
 from .curve import _projected
 from .errors import RangeError
-from .exact import _lattice
+from .exact import _describe, _lattice
 from .io import SpecDocument, SvgPath, export_obj, export_svg, parse_document
-from .surface import _described_net, _sampled
+from .surface import _sampled
 
 __all__ = [
     "figure_names",
@@ -42,8 +43,8 @@ _SAMPLES = {1: 400, 2: 33, 3: 17}
 # Figures whose artifact overlays the control polygons of several orders,
 # lowest to highest; all remaining figures use the minimum order.
 _OVERLAY_ORDERS = {
-    "equilateral_hyperbola": (1, 2, 3),
-    "lemniscate": (2, 3, 4),
+    "equilateral_hyperbola": ((1,), (2,), (3,)),
+    "lemniscate": ((2,), (3,), (4,)),
 }
 
 _FIGURES = (
@@ -117,7 +118,8 @@ def render_figure(name: str) -> RenderedFigure:
     doc = load_figure(name)
     spec = doc.spec
     directions = spec._directions
-    nets = [_described_net(spec, doc.rational, n) for n in _OVERLAY_ORDERS.get(name, (None,))]
+    overlay = _OVERLAY_ORDERS.get(name, (None,))
+    nets = [_describe(spec, orders, rational=doc.rational)[0] for orders in overlay]
     sampled = [_sampled(net, spec, _SAMPLES[len(directions)]) for net in nets]
     axes = sampled[0][0]
     direct = _lattice(spec._products, directions, axes)

@@ -243,7 +243,10 @@ def _number(raw: dict, key: str, path: str, angle: bool = False) -> float:
         value = _field(raw, key, path, (int, float, str), "a number or an angle literal")
     else:
         value = _field(raw, key, path, (int, float), "a number")
-    value = _at(path, parse_angle, value) if isinstance(value, str) else float(value)
+    try:
+        value = _at(path, parse_angle, value) if isinstance(value, str) else float(value)
+    except OverflowError:  # an integer beyond double range
+        value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
         raise SpecError(path, f"must be finite, got {value!r}")
     return value

@@ -16,10 +16,10 @@ grid until its weights are positive runs round robin over the directions;
 unlike the curve case it is not guaranteed to succeed, so it runs under an
 explicit budget and reports the offending grid indices when it gives up.
 
-A curve is the one-direction case: the control tensor builder, the lattice
-evaluator and the repair loop of :mod:`chbez.exact` and the basis contraction
-of :mod:`chbez.curve` serve both, and the dispatch over "curve or patch,
-rational or not" for the CLI and the gallery ends this module.
+A curve is the one-direction case: the description body of
+:mod:`chbez.exact` (which also does the dispatch over "curve or patch,
+rational or not" for the CLI and the gallery) and the basis contraction of
+:mod:`chbez.curve` serve both, and the entry points here are thin wrappers.
 """
 
 from __future__ import annotations
@@ -27,21 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import record
-from .bbasis import BasisKind, BasisSpace, _is_count, _is_int, basis_matrix
+from .bbasis import BasisKind, BasisSpace, _is_count, basis_matrix
 from .curve import ControlCurve, _combine, _store_net, evaluate
 from .errors import NumericalError, RangeError
-from .exact import (
-    DEFAULT_MAX_ELEVATIONS,
-    CoordinateFunction,
-    CurveSpec,
-    _check_denominator,
-    _elevate_until_positive,
-    _finite_projection,
-    _lattice,
-    _ordinates,
-    exact_curve,
-    exact_rational_curve,
-)
+from .exact import DEFAULT_MAX_ELEVATIONS, CoordinateFunction, _describe, _lattice, min_orders
 
 __all__ = [
     "MAX_DIRECTIONS",
@@ -152,6 +141,9 @@ class SurfaceSpec:
     def _products(self) -> tuple:
         return tuple(tuple(s.factors for s in c.summands) for c in self.coords)
 
+    def _net(self, orders, points, weights=None) -> ControlGrid:
+        return ControlGrid(orders, points, weights)
+
     def evaluate(self, u) -> np.ndarray:
         """Direct evaluation of the traditional form at one parameter vector."""
         u = np.asarray(u, dtype=float)
@@ -186,28 +178,6 @@ class ControlGrid:
         return self.points.shape[-1]
 
 
-def min_orders(spec: SurfaceSpec) -> tuple[int, ...]:
-    """Per-direction minimum orders (the largest factor frequency, at least 1)."""
-    directions = zip(*(factors for channel in spec._products for factors in channel))
-    return tuple(max(1, *(f.max_frequency() for f in fs)) for fs in directions)
-
-
-def _check_orders(spec: SurfaceSpec, orders) -> tuple[int, ...]:
-    if orders is None:
-        return min_orders(spec)
-    for n in orders:
-        if not _is_int(n):
-            raise RangeError(f"order n must be an integer, got {n!r}")
-    orders = tuple(int(n) for n in orders)
-    if len(orders) != spec.delta:
-        raise RangeError(f"expected {spec.delta} orders, got {len(orders)}")
-    minimum = min_orders(spec)
-    for j, (n, nu) in enumerate(zip(orders, minimum)):
-        if n < nu:
-            raise RangeError(f"order {n} in direction {j} below the minimum {nu}")
-    return orders
-
-
 def exact_surface(spec: SurfaceSpec, orders=None, r=None) -> ControlGrid:
     """Exact control grid of the patch (or of a mixed partial derivative).
 
@@ -215,12 +185,7 @@ def exact_surface(spec: SurfaceSpec, orders=None, r=None) -> ControlGrid:
     zeros.  Every coordinate channel of ``spec`` is described, so the same
     routine serves rational pre-images.
     """
-    orders = _check_orders(spec, orders)
-    r = (0,) * spec.delta if r is None else tuple(r)
-    if len(r) != spec.delta or not all(_is_count(x) for x in r):
-        raise RangeError(f"derivative orders must be {spec.delta} nonnegative integers, got {r!r}")
-    spaces = [d.space(n) for d, n in zip(spec.directions, orders)]
-    return ControlGrid(orders, _ordinates(spec._products, spaces, r))
+    return _describe(spec, orders, r)[0]
 
 
 def exact_rational_surface(
@@ -230,8 +195,9 @@ def exact_rational_surface(
 ) -> ControlGrid:
     """Rational description of a patch whose last coordinate is the denominator.
 
-    The denominator must be positive on the whole parameter box (checked on
-    a dense lattice, endpoints included).  Directions are elevated round
+    The denominator must be positive on the whole parameter box (sampled on
+    a lattice of 33 points per direction, endpoints included; see
+    ``exact._DENOMINATOR_SAMPLES``).  Directions are elevated round
     robin while some weight fails to be positive; there is no termination
     guarantee in the tensor product case, so the loop stops after
     ``max_elevations`` single-direction steps and reports the offending
@@ -242,14 +208,7 @@ def exact_rational_surface(
             "rational description expects delta + kappa + 1 coordinates "
             "(the trailing denominator)"
         )
-    _check_denominator(spec, max_elevations)
-
-    orders = _check_orders(spec, orders)
-    grid = exact_surface(spec, orders)
-    points, orders, _ = _elevate_until_positive(
-        grid.points, orders, spec.directions, max_elevations
-    )
-    return ControlGrid(tuple(orders), *_finite_projection(points))
+    return _describe(spec, orders, None, True, max_elevations)[0]
 
 
 def _spaces_for(grid: ControlGrid, directions) -> list[BasisSpace]:
@@ -289,21 +248,6 @@ def sample_lattice(grid: ControlGrid, directions, counts) -> np.ndarray:
     return _combine(mats, grid.points, grid.weights, lambda bad: NumericalError(
         "rational denominator vanishes on the sample lattice"
     ))
-
-
-def _described_net(spec, rational, orders=None, r=None, max_elevations=DEFAULT_MAX_ELEVATIONS):
-    """Control curve or grid of a curve or patch spec, rational or not.
-
-    ``orders`` is one order (curve) or a tuple (patch), ``r`` one derivative
-    order per direction, for plain specs only; None means the minimum or none.
-    """
-    if isinstance(spec, CurveSpec):
-        if rational:
-            return exact_rational_curve(spec, orders, max_elevations).curve
-        return exact_curve(spec, orders, r[0] if r else 0)
-    if rational:
-        return exact_rational_surface(spec, orders, max_elevations)
-    return exact_surface(spec, orders, r)
 
 
 def _sampled(net, spec, count: int):

@@ -539,6 +539,8 @@ FAILING_COMMANDS = [
      "error: --order: expected 2 orders, got 3\n"),
     ("describe", "hypocycloid_k40", [], 2,
      "error: {spec}:coords[0].terms[0].k: 40 exceeds the order cap 32\n"),
+    ("describe", "hypocycloid_huge_a", [], 2,
+     "error: {spec}:coords[0].terms[0].a: must be finite, got inf\n"),
     ("elevate", "hypocycloid_k40", ["--order", "40"], 2,
      "error: {spec}:coords[0].terms[0].k: 40 exceeds the order cap 32\n"),
     # Described at the cap, a curve has no default elevation target.
@@ -610,6 +612,13 @@ def _k40_doc() -> dict:
     return doc
 
 
+def _huge_a_doc() -> dict:
+    """hypocycloid.json with the amplitude of its first term set to the integer 10**400."""
+    doc = json.loads(load_figure_text("hypocycloid"))
+    doc["coords"][0]["terms"][0]["a"] = 10**400
+    return doc
+
+
 def _k32_doc() -> dict:
     """hypocycloid.json with the frequency of its first term set to 32, the order cap."""
     doc = json.loads(load_figure_text("hypocycloid"))
@@ -631,6 +640,7 @@ DERIVED_DOCS = {
     "lemniscate_tiny_denominator": _tiny_denominator_doc,
     "lemniscate_dip_denominator": _dip_denominator_doc,
     "hypocycloid_k40": _k40_doc,
+    "hypocycloid_huge_a": _huge_a_doc,
 }
 
 
@@ -679,10 +689,10 @@ FORMAT_REFUSALS = [
     ids=[" ".join([c, f, *fl]) for c, f, fl, _ in FORMAT_REFUSALS],
 )
 def test_format_refused_before_describing(capsys, monkeypatch, command, figure, flags, stderr):
-    from chbez import surface
+    from chbez import exact, surface
 
     monkeypatch.setattr(surface, "_sampled", _unreachable)
-    monkeypatch.setattr(surface, "_described_net", _unreachable)
+    monkeypatch.setattr(exact, "_describe", _unreachable)
     path = Path(chbez.__file__).parent / "figures" / f"{figure}.json"
     assert run(capsys, command, "--spec", str(path), *flags) == (2, "", stderr)
 

@@ -13,6 +13,7 @@ from chbez import (
     CurveSpec,
     NumericalError,
     RangeError,
+    SurfaceSpec,
     Term,
     TermFamily,
     basis_matrix,
@@ -20,6 +21,8 @@ from chbez import (
     evaluate,
     exact_curve,
     exact_rational_curve,
+    exact_rational_surface,
+    exact_surface,
     load_figure,
     min_order,
 )
@@ -347,3 +350,139 @@ class TestExactRationalCurve:
         with pytest.raises(RangeError) as exc:
             exact_rational_curve(dip_denominator_spec(), max_elevations=True)
         assert str(exc.value) == "max_elevations must be a nonnegative integer, got True"
+
+
+def _hypocycloid_x():
+    """hypocycloid.json without its y coordinate: too few coordinates to be rational."""
+    spec = load_figure("hypocycloid").spec
+    return CurveSpec(spec.kind, spec.alpha, spec.coords[:1])
+
+
+def _torus_over_z():
+    """torus_patch.json read as rational: its z, which vanishes on the box, is the denominator."""
+    spec = load_figure("torus_patch").spec
+    return SurfaceSpec(spec.directions, 0, spec.coords)
+
+
+# Specs a DESCRIBE_ERRORS row may name besides the bundled figures.
+DERIVED_SPECS = {"hypocycloid_x": _hypocycloid_x, "torus_over_z": _torus_over_z}
+
+_INTEGER = "order n must be an integer, got "
+_CAP = "degree 2n = 80 exceeds the supported cap 64"
+_CURVE_R = "derivative order must be a nonnegative integer, got "
+_PATCH_R = "derivative orders must be 2 nonnegative integers, got "
+_BUDGET = "max_elevations must be a nonnegative integer, got "
+_CURVE_DEN = "denominator is not positive on [0, 2.35619] (fails near u = 0.419403)"
+_PATCH_DEN = "denominator is not positive on the box (fails near u = (2.356194490192345, 0.0))"
+
+# id, entry point, spec (a bundled figure or a DERIVED_SPECS name), arguments after
+# the spec -> error type and the whole error text.  hypocycloid's minimum order is
+# 4, lemniscate's 2, torus_patch's (1, 1) and rational_trigonometric_patch's (1, 9);
+# the two-fault rows pin which fault is reported first.
+DESCRIBE_ERRORS = [
+    # Orders.
+    ("curve-order-zero", exact_curve, "hypocycloid", (0,), RangeError,
+     "order 0 below the curve's minimum order 4"),
+    ("curve-order-whole-float", exact_curve, "hypocycloid", (2.0,), RangeError,
+     f"{_INTEGER}2.0"),
+    ("curve-order-float", exact_curve, "hypocycloid", (2.5,), RangeError, f"{_INTEGER}2.5"),
+    ("curve-order-float-above-minimum", exact_curve, "hypocycloid", (5.5,), RangeError,
+     f"{_INTEGER}5.5"),
+    ("curve-order-bool", exact_curve, "hypocycloid", (True,), RangeError, f"{_INTEGER}True"),
+    ("curve-order-string", exact_curve, "hypocycloid", ("5",), RangeError, f"{_INTEGER}'5'"),
+    ("curve-order-numpy", exact_curve, "hypocycloid", (np.int64(3),), RangeError,
+     "order 3 below the curve's minimum order 4"),
+    ("curve-order-cap", exact_curve, "hypocycloid", (40,), RangeError, _CAP),
+    ("rational-curve-order-zero", exact_rational_curve, "lemniscate", (0,), RangeError,
+     "order 0 below the curve's minimum order 2"),
+    ("rational-curve-order-float", exact_rational_curve, "lemniscate", (2.5,), RangeError,
+     f"{_INTEGER}2.5"),
+    ("rational-curve-order-bool", exact_rational_curve, "lemniscate", (True,), RangeError,
+     f"{_INTEGER}True"),
+    ("rational-curve-order-string", exact_rational_curve, "lemniscate", ("5",), RangeError,
+     f"{_INTEGER}'5'"),
+    ("rational-curve-order-cap", exact_rational_curve, "lemniscate", (40,), RangeError, _CAP),
+    ("patch-order-zero", exact_surface, "torus_patch", ((0, 1),), RangeError,
+     "order 0 in direction 0 below the minimum 1"),
+    ("patch-order-whole-float", exact_surface, "torus_patch", ((2.0, 1),), RangeError,
+     f"{_INTEGER}2.0"),
+    ("patch-order-float", exact_surface, "torus_patch", ((1, 2.5),), RangeError,
+     f"{_INTEGER}2.5"),
+    ("patch-order-bool", exact_surface, "torus_patch", ((True, 1),), RangeError,
+     f"{_INTEGER}True"),
+    ("patch-order-string", exact_surface, "torus_patch", (("5", 1),), RangeError,
+     f"{_INTEGER}'5'"),
+    ("patch-order-cap", exact_surface, "torus_patch", ((40, 1),), RangeError, _CAP),
+    ("patch-order-count", exact_surface, "torus_patch", ((3,),), RangeError,
+     "expected 2 orders, got 1"),
+    ("rational-patch-order-numpy", exact_rational_surface, "rational_trigonometric_patch",
+     ((np.int64(5), np.int64(5)),), RangeError, "order 5 in direction 1 below the minimum 9"),
+    ("rational-patch-order-count", exact_rational_surface, "rational_trigonometric_patch",
+     ((2, 9, 1),), RangeError, "expected 2 orders, got 3"),
+    ("rational-patch-order-float", exact_rational_surface, "rational_trigonometric_patch",
+     ((2, 9.0),), RangeError, f"{_INTEGER}9.0"),
+    ("rational-patch-order-cap", exact_rational_surface, "rational_trigonometric_patch",
+     ((40, 9),), RangeError, _CAP),
+    # Derivative orders.
+    ("curve-derivative-negative", exact_curve, "hypocycloid", (None, -1), RangeError,
+     f"{_CURVE_R}-1"),
+    ("curve-derivative-float", exact_curve, "hypocycloid", (None, 1.0), RangeError,
+     f"{_CURVE_R}1.0"),
+    ("curve-derivative-bool", exact_curve, "hypocycloid", (None, True), RangeError,
+     f"{_CURVE_R}True"),
+    ("patch-derivative-negative", exact_surface, "torus_patch", (None, (-1, 0)), RangeError,
+     f"{_PATCH_R}(-1, 0)"),
+    ("patch-derivative-float", exact_surface, "torus_patch", (None, (0, 1.0)), RangeError,
+     f"{_PATCH_R}(0, 1.0)"),
+    ("patch-derivative-bool", exact_surface, "torus_patch", (None, (True, 0)), RangeError,
+     f"{_PATCH_R}(True, 0)"),
+    ("patch-derivative-count", exact_surface, "torus_patch", (None, (0,)), RangeError,
+     f"{_PATCH_R}(0,)"),
+    # Elevation budgets and denominators.
+    ("curve-budget-negative", exact_rational_curve, "lemniscate", (None, -1), RangeError,
+     f"{_BUDGET}-1"),
+    ("curve-budget-bool", exact_rational_curve, "lemniscate", (None, True), RangeError,
+     f"{_BUDGET}True"),
+    ("patch-budget-negative", exact_rational_surface, "rational_trigonometric_patch",
+     (None, -1), RangeError, f"{_BUDGET}-1"),
+    ("patch-budget-bool", exact_rational_surface, "rational_trigonometric_patch",
+     (None, True), RangeError, f"{_BUDGET}True"),
+    ("curve-denominator", exact_rational_curve, "hypocycloid", (), NumericalError, _CURVE_DEN),
+    ("patch-denominator", exact_rational_surface, "torus_over_z", (), NumericalError,
+     _PATCH_DEN),
+    # Two faults: the one reported first.
+    ("curve-dimension-before-budget", exact_rational_curve, "hypocycloid_x", (None, -1),
+     RangeError, "rational description needs numerator and denominator coordinates"),
+    ("patch-dimension-before-budget", exact_rational_surface, "torus_patch", (None, -1),
+     RangeError,
+     "rational description expects delta + kappa + 1 coordinates (the trailing denominator)"),
+    ("curve-budget-before-denominator", exact_rational_curve, "hypocycloid", (None, -1),
+     RangeError, f"{_BUDGET}-1"),
+    ("patch-budget-before-denominator", exact_rational_surface, "torus_over_z", (None, True),
+     RangeError, f"{_BUDGET}True"),
+    ("curve-denominator-before-order", exact_rational_curve, "hypocycloid", (0,),
+     NumericalError, _CURVE_DEN),
+    ("patch-denominator-before-order", exact_rational_surface, "torus_over_z", ((0, 0),),
+     NumericalError, _PATCH_DEN),
+    ("patch-integer-before-count", exact_surface, "torus_patch", ((2.5,),), RangeError,
+     f"{_INTEGER}2.5"),
+    ("patch-count-before-minimum", exact_surface, "torus_patch", ((0,),), RangeError,
+     "expected 2 orders, got 1"),
+    ("patch-minimum-before-derivative", exact_surface, "rational_trigonometric_patch",
+     ((1, 1), (-1, 0)), RangeError, "order 1 in direction 1 below the minimum 9"),
+    ("patch-cap-after-derivative", exact_surface, "torus_patch", ((40, 1), (-1, 0)),
+     RangeError, f"{_PATCH_R}(-1, 0)"),
+    ("curve-cap-before-derivative", exact_curve, "hypocycloid", (40, -1), RangeError, _CAP),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "entry, figure, args, error, message",
+    [row[1:] for row in DESCRIBE_ERRORS],
+    ids=[row[0] for row in DESCRIBE_ERRORS],
+)
+def test_describe_error_text(entry, figure, args, error, message):
+    spec = DERIVED_SPECS[figure]() if figure in DERIVED_SPECS else load_figure(figure).spec
+    with pytest.raises(Exception) as exc:
+        entry(spec, *args)
+    assert (type(exc.value), str(exc.value)) == (error, message)

@@ -101,8 +101,21 @@ def test_only_gallery_loads_gallery(tmp_path):
         ["elevate", *spec("torus_knot")],
     ]
     after = loaded_after(commands, tmp_path)
-    assert "chbez.surface" in after[0]
+    assert "chbez.exact" in after[0]
     assert all("chbez.gallery" not in modules for modules in after)
+
+
+def test_curve_commands_load_no_surface(tmp_path):
+    commands = [
+        ["describe", *spec("hypocycloid")],
+        ["describe-rational", *spec("lemniscate")],
+        ["subdivide", *spec("quadrifolium"), "--split-at", "1"],
+        ["elevate", *spec("torus_knot")],
+        ["elevate", *spec("rational_hyperbolic_arc_a")],
+    ]
+    after = loaded_after(commands, tmp_path)
+    assert "chbez.exact" in after[-1]
+    assert "chbez.surface" not in after[-1]
 
 
 def test_all_is_unchanged():

@@ -357,6 +357,14 @@ SPEC_ERRORS = [
      "coords[0].terms[0].phase: must be a number or an angle literal, got None"),
     ("phase-infinite", derived(curve_doc, (C_TERM + ("phase",), float("-inf"))),
      "coords[0].terms[0].phase: must be finite, got -inf"),
+    # A JSON integer beyond double range reads as an infinity.
+    ("a-huge-integer", derived(curve_doc, (C_TERM + ("a",), 10**400)),
+     "coords[0].terms[0].a: must be finite, got inf"),
+    ("phase-huge-integer", derived(curve_doc, (C_TERM + ("phase",), -(10**400))),
+     "coords[0].terms[0].phase: must be finite, got -inf"),
+    ("alpha-huge-integer", curve_doc(alpha=10**400), "alpha: must be finite, got inf"),
+    ("direction-alpha-huge-integer", derived(surface_doc, (("directions", 1, "alpha"), 10**400)),
+     "directions[1].alpha: must be finite, got inf"),
     # A patch's directions.
     ("directions-missing", derived(surface_doc, (("directions",), _DELETE)),
      "directions: must be an array, got None"),
