@@ -23,31 +23,42 @@ def record(cls):
     The fields are the class's annotations, in order; a class attribute of
     the same name is a default, and fields with defaults come last.  The
     class gets what it does not define: ``__init__`` (by position or
-    keyword, then ``__post_init__`` if any), ``__repr__`` as
-    ``Name(field=value, ...)``, and ``__eq__`` and ``__hash__`` over the
-    tuple of field values (equal only within a class).  Assignment and
-    deletion raise ``AttributeError``.  Fields are set by ``object.__setattr__``,
-    since writing ``self.__dict__`` would give each instance a dict of its own.
+    keyword), ``__repr__`` as ``Name(field=value, ...)``, and ``__eq__`` and
+    ``__hash__`` over the tuple of field values (equal only within a class).
+    Assignment and deletion raise ``AttributeError``.
+
+    ``__init__`` passes the field values, in order, to the class's static
+    method ``_convert`` if it has one, which checks them and returns the
+    values to store; then it sets each field once, by ``object.__setattr__``
+    (writing ``self.__dict__`` would give each instance a dict of its own),
+    and last runs ``__post_init__`` if the class has one.
     """
     fields = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+    convert = getattr(cls, "_convert", None)
     post = cls.__dict__.get("__post_init__")
     get = attrgetter(*fields)
     values = get if len(fields) > 1 else lambda self: (get(self),)
     required, tail = len(fields) - len(defaults), tuple(defaults.values())
 
-    def __init__(self, *args, **kwargs):
+    def bind(args, kwargs):
+        """The field values, in order, from arguments that are not all fields by position."""
         if not kwargs and required <= len(args) < len(fields):
-            args += tail[len(args) - required :]
-        elif kwargs or len(args) != len(fields):
-            given = dict(zip(fields, args))
-            bound = {**defaults, **kwargs, **given}
-            if len(args) > len(fields) or kwargs.keys() & given or bound.keys() != set(fields):
-                raise TypeError(
-                    f"{cls.__qualname__}.__init__() takes ({', '.join(fields)}), got "
-                    f"{len(args)} positional argument(s) and the keywords {sorted(kwargs)}"
-                )
-            args = [bound[name] for name in fields]
+            return args + tail[len(args) - required :]
+        given = dict(zip(fields, args))
+        bound = {**defaults, **kwargs, **given}
+        if len(args) > len(fields) or kwargs.keys() & given or bound.keys() != set(fields):
+            raise TypeError(
+                f"{cls.__qualname__}.__init__() takes ({', '.join(fields)}), got "
+                f"{len(args)} positional argument(s) and the keywords {sorted(kwargs)}"
+            )
+        return [bound[name] for name in fields]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(fields):
+            args = bind(args, kwargs)
+        if convert is not None:
+            args = convert(*args)
         for name, value in zip(fields, args):
             _set(self, name, value)
         if post is not None:

@@ -13,6 +13,10 @@ where ``s`` is ``sin`` or ``sinh`` and ``c_i`` the normalizing coefficient
 returned by :func:`normalizing_coefficients`.  In the limit ``alpha -> 0`` the
 basis degenerates to the Bernstein polynomials of degree ``2n`` in the local
 parameter ``u / alpha``.
+
+:func:`basis_matrix` tabulates the basis on a batch of parameters block by
+block: besides the result it holds one block of scratch rows, no full-size
+temporary table.
 """
 
 from __future__ import annotations
@@ -52,6 +56,10 @@ _PARAM_SLACK = 1e-12
 
 _MEMO_SPACES = 128  # per-space memos here and in ``xform`` keep the spaces used last
 
+# Rows per block in :func:`basis_matrix`: a block of the largest table (order
+# 32, 65 columns) and its scratch copy stay within a few hundred kB of cache.
+_BLOCK_ROWS = 512
+
 
 def _is_int(value) -> bool:
     """Whether ``value`` is an integer (``int`` or a numpy integer); bools are not."""
@@ -82,28 +90,28 @@ class BasisSpace:
     n: int
     alpha: float
 
-    def __post_init__(self):
-        if not isinstance(self.kind, BasisKind):
-            raise RangeError(f"kind must be a BasisKind, got {self.kind!r}")
-        if not _is_int(self.n):
-            raise RangeError(f"order n must be an integer, got {self.n!r}")
-        n = int(self.n)
-        object.__setattr__(self, "n", n)
+    @staticmethod
+    def _convert(kind, n, alpha):
+        if not isinstance(kind, BasisKind):
+            raise RangeError(f"kind must be a BasisKind, got {kind!r}")
+        if not _is_int(n):
+            raise RangeError(f"order n must be an integer, got {n!r}")
+        n = int(n)
         if n < 1:
             raise RangeError(f"order n must be >= 1, got {n}")
         if 2 * n > MAX_DEGREE:
             raise RangeError(f"degree 2n = {2 * n} exceeds the supported cap {MAX_DEGREE}")
-        alpha = float(self.alpha)
-        object.__setattr__(self, "alpha", alpha)
+        alpha = float(alpha)
         if not math.isfinite(alpha) or alpha <= 0.0:
             raise RangeError(f"alpha must be positive and finite, got {alpha!r}")
-        if self.kind is BasisKind.TRIGONOMETRIC and alpha >= math.pi:
+        if kind is BasisKind.TRIGONOMETRIC and alpha >= math.pi:
             raise RangeError(f"trigonometric alpha must lie in (0, pi), got {alpha!r}")
-        if self.kind is BasisKind.HYPERBOLIC and n * alpha > _OVERFLOW_LIMIT:
+        if kind is BasisKind.HYPERBOLIC and n * alpha > _OVERFLOW_LIMIT:
             raise RangeError(
                 f"hyperbolic n*alpha = {n * alpha:g} exceeds the "
                 f"overflow guard {_OVERFLOW_LIMIT:g}"
             )
+        return kind, n, alpha
 
     @property
     def degree(self) -> int:
@@ -242,6 +250,10 @@ def basis_matrix(space: BasisSpace, us) -> np.ndarray:
     """Basis values on a batch of parameters, shape ``(len(us), 2n + 1)``.
 
     Row ``j`` holds the nonnegative partition-of-unity weights at ``us[j]``.
+    The table is filled in blocks of ``_BLOCK_ROWS`` rows, each by the same
+    elementwise operations in the same order, so the bytes do not depend on
+    the block size.  Besides the result and a few vectors of one value per
+    parameter, only one block of scratch rows is held.
     """
     us = np.asarray(us, dtype=float)
     if us.ndim != 1:
@@ -257,11 +269,21 @@ def basis_matrix(space: BasisSpace, us) -> np.ndarray:
     else:
         left = np.sinh(0.5 * (space.alpha - clamped))
         right = np.sinh(0.5 * clamped)
+    coeffs = _normalizing_values(space)
     powers = np.arange(space.degree + 1)
-    # 0.0 ** 0 evaluates to 1.0, so the endpoint columns come out exact.
-    mat = np.power(left[:, None], (space.degree - powers)[None, :])
-    mat *= right[:, None] ** powers[None, :]
-    return np.multiply(mat, _normalizing_values(space)[None, :], out=mat)
+    left_powers = space.degree - powers
+    mat = np.empty((len(us), space.dimension))
+    scratch = np.empty((min(len(us), _BLOCK_ROWS), space.dimension))
+    for start in range(0, len(us), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = mat[rows]
+        right_block = scratch[: len(block)]
+        # 0.0 ** 0 evaluates to 1.0, so the endpoint columns come out exact.
+        np.power(left[rows, None], left_powers, out=block)
+        np.power(right[rows, None], powers, out=right_block)
+        block *= right_block
+        block *= coeffs
+    return mat
 
 
 def bernstein_value(degree: int, i: int, v: float) -> float:

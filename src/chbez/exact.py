@@ -66,6 +66,14 @@ class TermFamily(Enum):
     SINE = "sin"
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float; a RangeError naming ``name`` if it is not finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise RangeError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 @record
 class Term:
     """One summand ``amplitude * f(frequency * u + phase)``."""
@@ -75,17 +83,14 @@ class Term:
     amplitude: float
     phase: float = 0.0
 
-    def __post_init__(self):
-        if not isinstance(self.family, TermFamily):
-            raise RangeError(f"family must be a TermFamily, got {self.family!r}")
-        if not _is_count(self.frequency):
-            raise RangeError(f"frequency must be a nonnegative integer, got {self.frequency!r}")
-        object.__setattr__(self, "frequency", int(self.frequency))
-        for name in ("amplitude", "phase"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise RangeError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+    @staticmethod
+    def _convert(family, frequency, amplitude, phase):
+        if not isinstance(family, TermFamily):
+            raise RangeError(f"family must be a TermFamily, got {family!r}")
+        if not _is_count(frequency):
+            raise RangeError(f"frequency must be a nonnegative integer, got {frequency!r}")
+        amplitude = _finite("amplitude", amplitude)
+        return family, int(frequency), amplitude, _finite("phase", phase)
 
 
 @record
@@ -94,8 +99,9 @@ class CoordinateFunction:
 
     terms: tuple[Term, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+    @staticmethod
+    def _convert(terms):
+        return (tuple(terms),)
 
     def max_frequency(self) -> int:
         return max((t.frequency for t in self.terms), default=0)
@@ -134,15 +140,16 @@ class CurveSpec:
     alpha: float
     coords: tuple[CoordinateFunction, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.kind, BasisKind):
-            raise RangeError(f"kind must be a BasisKind, got {self.kind!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) == 0:
+    @staticmethod
+    def _convert(kind, alpha, coords):
+        if not isinstance(kind, BasisKind):
+            raise RangeError(f"kind must be a BasisKind, got {kind!r}")
+        alpha, coords = float(alpha), tuple(coords)
+        if len(coords) == 0:
             raise RangeError("curve spec needs at least one coordinate")
         # Constructing a space validates the alpha range for the kind.
-        BasisSpace(self.kind, 1, self.alpha)
+        BasisSpace(kind, 1, alpha)
+        return kind, alpha, coords
 
     @property
     def dimension(self) -> int:
@@ -184,19 +191,30 @@ def min_orders(spec) -> tuple[int, ...]:
     return tuple(max(1, *(f.max_frequency() for f in fs)) for fs in directions)
 
 
+def _sequence(values) -> tuple | None:
+    """``values`` as a tuple, or None when it is not iterable (a scalar)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        return None
+
+
 def _check_orders(spec, orders) -> tuple[int, ...]:
     """``orders`` (one per direction) as ints, or the minimum orders when None.
 
-    Refuses, in this order, an order that is not an integer, a wrong count
-    and an order below its direction's minimum.
+    Refuses, in this order, a scalar, an order that is not an integer, a
+    wrong count and an order below its direction's minimum.
     """
     minimum = min_orders(spec)
     if orders is None:
         return minimum
-    for n in orders:
+    given = _sequence(orders)
+    if given is None:
+        raise RangeError(f"expected a sequence of {len(minimum)} orders, got {orders!r}")
+    for n in given:
         if not _is_int(n):
             raise RangeError(f"order n must be an integer, got {n!r}")
-    orders = tuple(int(n) for n in orders)
+    orders = tuple(int(n) for n in given)
     if len(orders) != len(minimum):
         raise RangeError(f"expected {len(minimum)} orders, got {len(orders)}")
     for j, (n, nu) in enumerate(zip(orders, minimum)):
@@ -300,12 +318,13 @@ def _describe(spec, orders=None, r=None, rational=False, max_elevations=DEFAULT_
     orders = _check_orders(spec, orders)
     directions = spec._directions
     delta = len(directions)
-    r = (0,) * delta if r is None else tuple(r)
+    rs = (0,) * delta if r is None else _sequence(r)
     # A curve's derivative order is refused by coordinate_ordinates, once its space is built.
-    if delta > 1 and (len(r) != delta or not all(_is_count(x) for x in r)):
-        raise RangeError(f"derivative orders must be {delta} nonnegative integers, got {r!r}")
+    if delta > 1 and (rs is None or len(rs) != delta or not all(_is_count(x) for x in rs)):
+        shown = r if rs is None else rs
+        raise RangeError(f"derivative orders must be {delta} nonnegative integers, got {shown!r}")
     spaces = [d.space(n) for d, n in zip(directions, orders)]
-    points = _ordinates(spec._products, spaces, r)
+    points = _ordinates(spec._products, spaces, rs)
     if not rational:
         return spec._net(orders, points), points, 0
     points, orders, steps = _elevate_until_positive(points, orders, directions, max_elevations)

@@ -56,9 +56,11 @@ class Direction:
     kind: BasisKind
     alpha: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        BasisSpace(self.kind, 1, self.alpha)
+    @staticmethod
+    def _convert(kind, alpha):
+        alpha = float(alpha)
+        BasisSpace(kind, 1, alpha)
+        return kind, alpha
 
     def space(self, n: int) -> BasisSpace:
         return BasisSpace(self.kind, n, self.alpha)
@@ -70,8 +72,9 @@ class ProductTerm:
 
     factors: tuple[CoordinateFunction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+    @staticmethod
+    def _convert(factors):
+        return (tuple(factors),)
 
 
 @record
@@ -80,10 +83,12 @@ class SurfaceCoordinateFunction:
 
     summands: tuple[ProductTerm, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(self.summands))
-        if len(self.summands) == 0:
+    @staticmethod
+    def _convert(summands):
+        summands = tuple(summands)
+        if len(summands) == 0:
             raise RangeError("surface coordinate needs at least one summand")
+        return (summands,)
 
 
 @record
@@ -98,28 +103,28 @@ class SurfaceSpec:
     kappa: int
     coords: tuple[SurfaceCoordinateFunction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "directions", tuple(self.directions))
-        object.__setattr__(self, "coords", tuple(self.coords))
-        delta = len(self.directions)
+    @staticmethod
+    def _convert(directions, kappa, coords):
+        directions, coords = tuple(directions), tuple(coords)
+        delta = len(directions)
         if not 2 <= delta <= MAX_DIRECTIONS:
             raise RangeError(f"number of directions must be 2..{MAX_DIRECTIONS}, got {delta}")
-        if not _is_count(self.kappa):
-            raise RangeError(f"kappa must be a nonnegative integer, got {self.kappa!r}")
-        object.__setattr__(self, "kappa", int(self.kappa))
-        expected = delta + self.kappa
-        if len(self.coords) not in (expected, expected + 1):
+        if not _is_count(kappa):
+            raise RangeError(f"kappa must be a nonnegative integer, got {kappa!r}")
+        kappa = int(kappa)
+        expected = delta + kappa
+        if len(coords) not in (expected, expected + 1):
             raise RangeError(
-                f"expected {expected} coordinates ({expected + 1} if rational), "
-                f"got {len(self.coords)}"
+                f"expected {expected} coordinates ({expected + 1} if rational), got {len(coords)}"
             )
-        for ell, coord in enumerate(self.coords):
+        for ell, coord in enumerate(coords):
             for zeta, summand in enumerate(coord.summands):
                 if len(summand.factors) != delta:
                     raise RangeError(
                         f"coords[{ell}].summands[{zeta}] has {len(summand.factors)} "
                         f"factors, expected {delta}"
                     )
+        return directions, kappa, coords
 
     @property
     def delta(self) -> int:

@@ -1,6 +1,7 @@
 """Tests for the normalized B-basis construction."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -204,6 +205,20 @@ class TestBasisEvaluation:
         space = BasisSpace(TRIG, 1, 1.0)
         with pytest.raises(RangeError, match="one dimensional"):
             basis_matrix(space, [[0.1, 0.2]])
+
+    def test_table_peak_memory_is_the_table_plus_one_block(self):
+        # numpy reports its buffers to tracemalloc; a full-size temporary
+        # would take the peak to twice the table.
+        space = BasisSpace(HYP, 32, 1.5)
+        us = np.linspace(0.0, 1.5, 20001)
+        basis_matrix(space, us[:1])  # memoize the coefficients outside the measurement
+        tracemalloc.start()
+        try:
+            table = basis_matrix(space, us)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table.nbytes
 
     @pytest.mark.parametrize("kind", [TRIG, HYP])
     def test_small_alpha_degenerates_to_bernstein(self, kind):

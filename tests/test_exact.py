@@ -423,6 +423,12 @@ DESCRIBE_ERRORS = [
      ((2, 9.0),), RangeError, f"{_INTEGER}9.0"),
     ("rational-patch-order-cap", exact_rational_surface, "rational_trigonometric_patch",
      ((40, 9),), RangeError, _CAP),
+    ("patch-order-scalar", exact_surface, "torus_patch", (5,), RangeError,
+     "expected a sequence of 2 orders, got 5"),
+    ("patch-order-numpy-scalar", exact_surface, "torus_patch", (np.int64(5),), RangeError,
+     "expected a sequence of 2 orders, got np.int64(5)"),
+    ("rational-patch-order-scalar", exact_rational_surface, "rational_trigonometric_patch",
+     (9,), RangeError, "expected a sequence of 2 orders, got 9"),
     # Derivative orders.
     ("curve-derivative-negative", exact_curve, "hypocycloid", (None, -1), RangeError,
      f"{_CURVE_R}-1"),
@@ -438,6 +444,10 @@ DESCRIBE_ERRORS = [
      f"{_PATCH_R}(True, 0)"),
     ("patch-derivative-count", exact_surface, "torus_patch", (None, (0,)), RangeError,
      f"{_PATCH_R}(0,)"),
+    ("patch-derivative-scalar", exact_surface, "torus_patch", (None, 1), RangeError,
+     f"{_PATCH_R}1"),
+    ("patch-derivative-float-scalar", exact_surface, "torus_patch", ((1, 1), 1.5), RangeError,
+     f"{_PATCH_R}1.5"),
     # Elevation budgets and denominators.
     ("curve-budget-negative", exact_rational_curve, "lemniscate", (None, -1), RangeError,
      f"{_BUDGET}-1"),
@@ -486,3 +496,10 @@ def test_describe_error_text(entry, figure, args, error, message):
     with pytest.raises(Exception) as exc:
         entry(spec, *args)
     assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+def test_patch_orders_and_derivative_orders_may_be_iterators():
+    spec = load_figure("torus_patch").spec
+    grid = exact_surface(spec, iter((2, 1)), iter((0, 1)))
+    assert grid.orders == (2, 1)
+    assert grid.points.tobytes() == exact_surface(spec, (2, 1), (0, 1)).points.tobytes()

@@ -28,7 +28,7 @@ from chbez import (
     elevation_weights,
     subdivide,
 )
-from chbez.bbasis import _coefficient_sums, _half_functions, _normalizing_values
+from chbez.bbasis import _BLOCK_ROWS, _coefficient_sums, _half_functions, _normalizing_values
 from chbez.xform import _order_one_rows, _transform_rows
 
 TRIG = BasisKind.TRIGONOMETRIC
@@ -290,6 +290,48 @@ def test_overflowing_space_raises_the_same_error():
 @pytest.mark.parametrize("kind", [TRIG, HYP], ids=lambda k: k.value)
 def test_basis_range_messages(kind, us):
     space = BasisSpace(kind, 3, 1.0)
+    expected = outcome(ref_basis_matrix, space, us)
+    assert expected.startswith("RangeError")
+    assert outcome(basis_matrix, space, us) == expected
+
+
+# ---------------------------------------------------------------------------
+# Basis tables across block boundaries
+
+B = _BLOCK_ROWS
+
+
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("n", [1, 16, 32])
+@pytest.mark.parametrize("kind", [TRIG, HYP], ids=lambda k: k.value)
+def test_basis_table_across_blocks(kind, n, count):
+    """Batches around the block size; the last rows hold slack values and a -0.0."""
+    alpha = 1.5
+    space = BasisSpace(kind, n, alpha)
+    us = np.random.default_rng(count + 100 * n).uniform(0.0, alpha, count)
+    slack = [-0.0, -1e-13, alpha + 1e-13][max(0, 3 - count) :]
+    us[count - len(slack) :] = slack
+    table = basis_matrix(space, us)
+    assert table.shape == (count, 2 * n + 1)
+    assert table.tobytes() == ref_basis_matrix(space, us).tobytes()
+
+
+@pytest.mark.parametrize(
+    "offenders",
+    [
+        {2 * B: -1e-3},
+        {B: 1.0 + 2e-12, 2 * B: -5.0},
+        {B + 1: np.inf, 2 * B - 1: -np.inf},
+        {B - 1: -1e-13, B + 3: -2e-12, 2 * B: 1.0 + 2e-12},
+    ],
+    ids=str,
+)
+@pytest.mark.parametrize("kind", [TRIG, HYP], ids=lambda k: k.value)
+def test_first_offender_in_a_later_block(kind, offenders):
+    space = BasisSpace(kind, 3, 1.0)
+    us = np.linspace(0.0, 1.0, 2 * B + 1)
+    for index, u in offenders.items():
+        us[index] = u
     expected = outcome(ref_basis_matrix, space, us)
     assert expected.startswith("RangeError")
     assert outcome(basis_matrix, space, us) == expected
