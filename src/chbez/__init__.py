@@ -11,8 +11,10 @@ plus a small CLI around the bundled example figures.
 
 __version__ = "0.1.0"
 
-# Public name -> module that defines it, in the order of ``__all__``.  A name
-# (or a module) is imported on first use, so ``import chbez`` loads no module.
+# Public name -> module that defines it, in the order of ``__all__``: the only
+# list of public names.  Each home module takes its ``__all__`` from here by
+# :func:`_exports` (adding a name it alone makes public, if it has one).  A
+# name (or a module) is imported on first use, so ``import chbez`` loads no module.
 _HOMES = {
     "MAX_DEGREE": "bbasis",
     "MAX_DIRECTIONS": "surface",
@@ -38,6 +40,11 @@ _HOMES = {
 }
 
 __all__ = list(_HOMES)
+
+
+def _exports(module: str) -> list[str]:
+    """The public names whose home is ``module`` (a module's ``__name__``), in ``__all__`` order."""
+    return [name for name, home in _HOMES.items() if home == module.rpartition(".")[2]]
 
 
 def __getattr__(name):

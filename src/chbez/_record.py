@@ -29,14 +29,13 @@ def record(cls):
 
     ``__init__`` passes the field values, in order, to the class's static
     method ``_convert`` if it has one, which checks them and returns the
-    values to store; then it sets each field once, by ``object.__setattr__``
-    (writing ``self.__dict__`` would give each instance a dict of its own),
-    and last runs ``__post_init__`` if the class has one.
+    values to store; this is the one construction hook.  Then it sets each
+    field once, by ``object.__setattr__`` (writing ``self.__dict__`` would
+    give each instance a dict of its own).
     """
     fields = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
     convert = getattr(cls, "_convert", None)
-    post = cls.__dict__.get("__post_init__")
     get = attrgetter(*fields)
     values = get if len(fields) > 1 else lambda self: (get(self),)
     required, tail = len(fields) - len(defaults), tuple(defaults.values())
@@ -61,8 +60,6 @@ def record(cls):
             args = convert(*args)
         for name, value in zip(fields, args):
             _set(self, name, value)
-        if post is not None:
-            post(self)
 
     def __repr__(self):
         shown = ", ".join(f"{name}={v!r}" for name, v in zip(fields, values(self)))

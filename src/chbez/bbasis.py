@@ -27,20 +27,11 @@ from functools import cache, lru_cache
 
 import numpy as np
 
+from . import _exports
 from ._record import record
 from .errors import RangeError
 
-__all__ = [
-    "MAX_DEGREE",
-    "BasisKind",
-    "BasisSpace",
-    "NormalizingCoefficients",
-    "normalizing_coefficients",
-    "basis_value",
-    "basis_vector",
-    "basis_matrix",
-    "bernstein_value",
-]
+__all__ = _exports(__name__) + ["NormalizingCoefficients"]  # not public at top level
 
 # Largest supported basis degree 2n.  Binomials are evaluated exactly with
 # integer arithmetic, so the cap only bounds memory and run time.
@@ -76,6 +67,16 @@ class BasisKind(Enum):
 
     TRIGONOMETRIC = "trigonometric"
     HYPERBOLIC = "hyperbolic"
+
+
+# Each kind's function family s, c, t: (sin, cos, tan) or (sinh, cosh, tanh),
+# from ``math`` for floats and from numpy for arrays.
+_FUNCTIONS = {
+    (BasisKind.TRIGONOMETRIC, math): (math.sin, math.cos, math.tan),
+    (BasisKind.TRIGONOMETRIC, np): (np.sin, np.cos, np.tan),
+    (BasisKind.HYPERBOLIC, math): (math.sinh, math.cosh, math.tanh),
+    (BasisKind.HYPERBOLIC, np): (np.sinh, np.cosh, np.tanh),
+}
 
 
 @record
@@ -132,10 +133,9 @@ class NormalizingCoefficients:
 
 def _half_functions(space: BasisSpace):
     """sin/sinh and cos/cosh of alpha / 2 for the space's kind."""
+    s, c, _ = _FUNCTIONS[space.kind, math]
     half = 0.5 * space.alpha
-    if space.kind is BasisKind.TRIGONOMETRIC:
-        return math.sin(half), math.cos(half)
-    return math.sinh(half), math.cosh(half)
+    return s(half), c(half)
 
 
 @cache
@@ -236,7 +236,7 @@ def basis_value(space: BasisSpace, i: int, u: float) -> float:
     """Value of the i-th normalized B-basis function at ``u``."""
     i = _check_index(space, i)
     u = _clamp_param(space, u)
-    s = math.sin if space.kind is BasisKind.TRIGONOMETRIC else math.sinh
+    s = _FUNCTIONS[space.kind, math][0]
     coeff = _normalizing_values(space)[i]
     return coeff * s(0.5 * (space.alpha - u)) ** (space.degree - i) * s(0.5 * u) ** i
 
@@ -263,12 +263,9 @@ def basis_matrix(space: BasisSpace, us) -> np.ndarray:
         _clamp_param(space, us[np.argmax(bad)])  # raises for the first offender
     # Like the scalar clamp, np.clip keeps -0.0.
     clamped = np.clip(us, 0.0, space.alpha)
-    if space.kind is BasisKind.TRIGONOMETRIC:
-        left = np.sin(0.5 * (space.alpha - clamped))
-        right = np.sin(0.5 * clamped)
-    else:
-        left = np.sinh(0.5 * (space.alpha - clamped))
-        right = np.sinh(0.5 * clamped)
+    s = _FUNCTIONS[space.kind, np][0]
+    left = s(0.5 * (space.alpha - clamped))
+    right = s(0.5 * clamped)
     coeffs = _normalizing_values(space)
     powers = np.arange(space.degree + 1)
     left_powers = space.degree - powers

@@ -22,30 +22,14 @@ from functools import cache
 
 import numpy as np
 
+from . import _exports
 from ._record import record
-from .bbasis import (
-    _PARAM_SLACK,
-    BasisKind,
-    BasisSpace,
-    _clamp_param,
-    _is_count,
-    _normalizing_values,
-    basis_matrix,
-)
+from .bbasis import (_FUNCTIONS, _PARAM_SLACK, BasisSpace, _clamp_param, _is_count,
+                     _normalizing_values, basis_matrix)
 from .errors import NumericalError, RangeError
 from .xform import elevate_coefficient_vector
 
-__all__ = [
-    "ControlCurve",
-    "BezierPiece",
-    "SubdivisionResult",
-    "evaluate",
-    "reparametrize",
-    "bezier_weights",
-    "subdivide",
-    "elevate",
-    "piece_matches_subspace_weights",
-]
+__all__ = _exports(__name__)
 
 # Rational denominators and weights at or below this floor are degenerate.
 _WEIGHT_FLOOR = 1e-14
@@ -62,23 +46,24 @@ def _below_floor(values: np.ndarray, weights: np.ndarray, floor: float = _WEIGHT
     return values <= floor * min(1.0, abs(weights).max())
 
 
-def _store_net(net, points: np.ndarray, dims: tuple, shape_error: str) -> None:
-    """Check a control net's points and weights and store read-only copies.
+def _checked_net(points: np.ndarray, weights, dims: tuple, shape_error: str) -> tuple:
+    """Read-only copies of a control net's points and weights (None stays None), once checked.
 
     Weights whose shape is not ``dims`` raise ``shape_error.format(shape)``.
     """
     if not np.all(np.isfinite(points)):
         raise RangeError("control points must be finite")
-    object.__setattr__(net, "points", points.copy())
-    net.points.flags.writeable = False
-    if net.weights is not None:
-        w = np.asarray(net.weights, dtype=float)
+    points = points.copy()
+    points.flags.writeable = False
+    if weights is not None:
+        w = np.asarray(weights, dtype=float)
         if w.shape != dims:
             raise RangeError(shape_error.format(w.shape))
         if not np.all(np.isfinite(w)) or np.any(w < 0.0) or not np.any(w > 0.0):
             raise RangeError("weights must be finite, nonnegative and not all zero")
-        object.__setattr__(net, "weights", w.copy())
-        net.weights.flags.writeable = False
+        weights = w.copy()
+        weights.flags.writeable = False
+    return points, weights
 
 
 def _folded(points: np.ndarray, weights) -> np.ndarray:
@@ -136,18 +121,20 @@ class ControlCurve:
     points: np.ndarray
     weights: np.ndarray | None = None
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+    @staticmethod
+    def _convert(space, points, weights):
+        pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2:
             raise RangeError(f"points must be a 2-d array, got shape {pts.shape}")
-        dims = (self.space.dimension,)
-        if pts.shape[0] != dims[0]:
-            raise RangeError(f"expected {dims[0]} control points, got {pts.shape[0]}")
+        size = space.dimension
+        if pts.shape[0] != size:
+            raise RangeError(f"expected {size} control points, got {pts.shape[0]}")
         if pts.shape[1] < 1:
             raise RangeError("control points need at least one coordinate")
-        _store_net(self, pts, dims, f"expected {dims[0]} weights, got shape {{}}")
+        shape_error = f"expected {size} weights, got shape {{}}"
+        return space, *_checked_net(pts, weights, (size,), shape_error)
 
     @property
     def dimension(self) -> int:
@@ -178,17 +165,15 @@ def reparametrize(space: BasisSpace, u: float) -> float:
     """
     u = _clamp_param(space, u)
     quarter = 0.25 * space.alpha
-    if space.kind is BasisKind.TRIGONOMETRIC:
-        return 0.5 + math.tan(0.5 * u - quarter) / (2.0 * math.tan(quarter))
-    return 0.5 + math.tanh(0.5 * u - quarter) / (2.0 * math.tanh(quarter))
+    t = _FUNCTIONS[space.kind, math][2]
+    return 0.5 + t(0.5 * u - quarter) / (2.0 * t(quarter))
 
 
 def _reparametrize_params(space: BasisSpace, us: np.ndarray) -> np.ndarray:
     """:func:`reparametrize` on clamped parameters ``us``, elementwise."""
     quarter = 0.25 * space.alpha
-    if space.kind is BasisKind.TRIGONOMETRIC:
-        return 0.5 + np.tan(0.5 * us - quarter) / (2.0 * math.tan(quarter))
-    return 0.5 + np.tanh(0.5 * us - quarter) / (2.0 * math.tanh(quarter))
+    scale = 2.0 * _FUNCTIONS[space.kind, math][2](quarter)
+    return 0.5 + _FUNCTIONS[space.kind, np][2](0.5 * us - quarter) / scale
 
 
 def bezier_weights(space: BasisSpace) -> np.ndarray:
@@ -248,7 +233,7 @@ class BezierPiece:
             ui = us[k]
             if outside[k]:
                 raise RangeError(
-                    f"parameter u = {ui!r} outside the piece interval [{lo:g}, {hi:g}]"
+                    f"parameter u = {float(ui)!r} outside the piece interval [{lo:g}, {hi:g}]"
                 )
             if off_parent[k]:
                 _clamp_param(space, ui)

@@ -16,7 +16,9 @@ command line front end) can map them to distinct exit codes:
 
 from __future__ import annotations
 
-__all__ = ["RangeError", "SpecError", "NumericalError"]
+from . import _exports
+
+__all__ = _exports(__name__)
 
 
 class RangeError(ValueError):

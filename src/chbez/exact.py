@@ -18,8 +18,11 @@ points here and in :mod:`chbez.surface` are thin wrappers around it.
 Rational shapes carry their denominator as one extra coordinate.  The body
 computes the pre-image net in one higher dimension first; if some of the
 resulting weights fail to be positive, order elevation is applied until
-they are (for curves this terminates after finitely many steps whenever the
-denominator is positive on the whole interval).
+they are.  The loop stops after ``max_elevations`` steps or at the order
+cap 32 (degree ``MAX_DEGREE``), whichever comes first, and then raises.
+For a curve whose denominator is positive on the whole interval some finite
+order would do, but it can lie beyond the cap: a rational trigonometric
+curve with alpha close to pi (3.135, say) stops at the cap.
 """
 
 from __future__ import annotations
@@ -30,24 +33,14 @@ from functools import reduce
 
 import numpy as np
 
+from . import _exports
 from ._record import record
-from .bbasis import MAX_DEGREE, BasisKind, BasisSpace, _is_count, _is_int
+from .bbasis import _FUNCTIONS, MAX_DEGREE, BasisKind, BasisSpace, _is_count, _is_int
 from .curve import ControlCurve, _below_floor, _projected
 from .errors import NumericalError, RangeError
 from .xform import elevate_coefficient_vector, transform_matrix
 
-__all__ = [
-    "DEFAULT_MAX_ELEVATIONS",
-    "TermFamily",
-    "Term",
-    "CoordinateFunction",
-    "CurveSpec",
-    "PreImageResult",
-    "min_order",
-    "coordinate_ordinates",
-    "exact_curve",
-    "exact_rational_curve",
-]
+__all__ = _exports(__name__) + ["coordinate_ordinates"]  # not public at top level
 
 # Pre-image weights at or below this floor (see ``curve._below_floor``) are not positive.
 WEIGHT_POSITIVITY = 1e-12
@@ -110,13 +103,10 @@ class CoordinateFunction:
         """Direct evaluation of the traditional form (used as the reference)."""
         us = np.asarray(us, dtype=float)
         out = np.zeros_like(us)
-        trig = kind is BasisKind.TRIGONOMETRIC
+        s, c, _ = _FUNCTIONS[kind, np]
         for t in self.terms:
-            arg = t.frequency * us + t.phase
-            if t.family is TermFamily.COSINE:
-                out += t.amplitude * (np.cos(arg) if trig else np.cosh(arg))
-            else:
-                out += t.amplitude * (np.sin(arg) if trig else np.sinh(arg))
+            f = c if t.family is TermFamily.COSINE else s
+            out += t.amplitude * f(t.frequency * us + t.phase)
         return out
 
     def differentiated(self, kind: BasisKind) -> CoordinateFunction:
@@ -199,24 +189,34 @@ def _sequence(values) -> tuple | None:
         return None
 
 
+def _integers(values, count: int, noun: str, each: str) -> tuple[int, ...]:
+    """``values`` as ``count`` ints, the package's rule for one integer per direction.
+
+    Refuses, in this order, a scalar, an entry that :func:`_is_int` refuses
+    (bools too) and a wrong count.  The errors name the values ``noun``
+    (``"orders"``) and one of them ``each`` (``"order n"``).
+    """
+    given = _sequence(values)
+    if given is None:
+        raise RangeError(f"expected a sequence of {count} {noun}, got {values!r}")
+    for v in given:
+        if not _is_int(v):
+            raise RangeError(f"{each} must be an integer, got {v!r}")
+    if len(given) != count:
+        raise RangeError(f"expected {count} {noun}, got {len(given)}")
+    return tuple(int(v) for v in given)
+
+
 def _check_orders(spec, orders) -> tuple[int, ...]:
     """``orders`` (one per direction) as ints, or the minimum orders when None.
 
-    Refuses, in this order, a scalar, an order that is not an integer, a
-    wrong count and an order below its direction's minimum.
+    Refuses what :func:`_integers` refuses, then an order below its
+    direction's minimum.
     """
     minimum = min_orders(spec)
     if orders is None:
         return minimum
-    given = _sequence(orders)
-    if given is None:
-        raise RangeError(f"expected a sequence of {len(minimum)} orders, got {orders!r}")
-    for n in given:
-        if not _is_int(n):
-            raise RangeError(f"order n must be an integer, got {n!r}")
-    orders = tuple(int(n) for n in given)
-    if len(orders) != len(minimum):
-        raise RangeError(f"expected {len(minimum)} orders, got {len(orders)}")
+    orders = _integers(orders, len(minimum), "orders", "order n")
     for j, (n, nu) in enumerate(zip(orders, minimum)):
         if n < nu and len(minimum) == 1:
             raise RangeError(f"order {n} below the curve's minimum order {nu}")
@@ -242,6 +242,7 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
         )
     matrix = transform_matrix(space)
     out = np.zeros(space.dimension)
+    s, c, _ = _FUNCTIONS[space.kind, math]
     trig = space.kind is BasisKind.TRIGONOMETRIC
     for t in fn.terms:
         k = t.frequency
@@ -250,20 +251,21 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
             continue
         sine = matrix.sine_row(k)
         cosine = matrix.cosine_row(k)
+        # The derivative rule: each derivative shifts a trigonometric phase by
+        # pi/2 and swaps a hyperbolic term's cosine-like and sine-like row.
+        phase, cosine_like = t.phase, t.family is TermFamily.COSINE
         if trig:
-            shifted = t.phase + 0.5 * math.pi * r
-            c, s = math.cos(shifted), math.sin(shifted)
-            if t.family is TermFamily.COSINE:
-                out += scale * (c * cosine - s * sine)
-            else:
-                out += scale * (c * sine + s * cosine)
+            phase += 0.5 * math.pi * r
         else:
-            ch, sh = math.cosh(t.phase), math.sinh(t.phase)
-            # Each derivative swaps the cosine-like and the sine-like row.
-            if (t.family is TermFamily.COSINE) != (r % 2 == 1):
-                out += scale * (ch * cosine + sh * sine)
-            else:
-                out += scale * (ch * sine + sh * cosine)
+            cosine_like ^= r % 2 == 1
+        # The addition identities, which differ only in the sign of one term.
+        cp, sp = c(phase), s(phase)
+        if not cosine_like:
+            out += scale * (cp * sine + sp * cosine)
+        elif trig:
+            out += scale * (cp * cosine - sp * sine)
+        else:
+            out += scale * (cp * cosine + sp * sine)
     return out
 
 
@@ -370,11 +372,13 @@ def exact_rational_curve(
 ) -> PreImageResult:
     """Rational description: last coordinate of ``spec`` is the denominator.
 
-    The denominator must be positive on all of ``[0, alpha]`` (checked by
-    dense sampling, endpoints included).  Whenever the pre-image polygon
+    The denominator must be positive on all of ``[0, alpha]``; it is checked
+    at 1001 uniform samples, endpoints included (``_DENOMINATOR_SAMPLES``),
+    so a dip between samples goes unseen.  Whenever the pre-image polygon
     yields weights that are not strictly positive, the polygon is order
-    elevated; positivity is reached after finitely many steps and the loop
-    raises once ``max_elevations`` is exhausted.
+    elevated.  The loop raises once ``max_elevations`` steps are spent or
+    the next step would pass the order cap 32, whichever comes first; a
+    positive denominator can need more (trigonometric alpha near pi).
     """
     if spec.dimension < 2:
         raise RangeError("rational description needs numerator and denominator coordinates")

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _exports
 from ._record import record
 from .curve import _projected
 from .errors import RangeError
@@ -27,15 +28,7 @@ from .exact import _describe, _lattice
 from .io import SpecDocument, SvgPath, export_obj, export_svg, parse_document
 from .surface import _sampled
 
-__all__ = [
-    "figure_names",
-    "load_figure_text",
-    "load_figure",
-    "reconstruction_error",
-    "RenderedFigure",
-    "render_figure",
-    "run_gallery",
-]
+__all__ = _exports(__name__) + ["RenderedFigure"]  # not public at top level
 
 # Samples per direction, by the number of directions.
 _SAMPLES = {1: 400, 2: 33, 3: 17}

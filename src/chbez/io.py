@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _exports
 from ._record import record
 from .bbasis import MAX_DEGREE, BasisKind, _is_count
 from .errors import RangeError, SpecError
@@ -27,18 +28,7 @@ if TYPE_CHECKING:  # the parsers import the spec types when they first run
     from .exact import CoordinateFunction, CurveSpec, Term
     from .surface import SurfaceSpec
 
-__all__ = [
-    "SpecDocument",
-    "parse_document",
-    "parse_spec",
-    "parse_angle",
-    "format_float",
-    "SvgPath",
-    "export_svg",
-    "export_obj",
-    "export_table",
-    "parse_table",
-]
+__all__ = _exports(__name__)
 
 _ANGLE_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$")
 

@@ -26,25 +26,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _exports
 from ._record import record
 from .bbasis import BasisKind, BasisSpace, _is_count, basis_matrix
-from .curve import ControlCurve, _combine, _store_net, evaluate
+from .curve import ControlCurve, _checked_net, _combine, evaluate
 from .errors import NumericalError, RangeError
-from .exact import DEFAULT_MAX_ELEVATIONS, CoordinateFunction, _describe, _lattice, min_orders
+from .exact import (DEFAULT_MAX_ELEVATIONS, CoordinateFunction, _describe, _integers, _lattice,
+                    min_orders)
 
-__all__ = [
-    "MAX_DIRECTIONS",
-    "Direction",
-    "ProductTerm",
-    "SurfaceCoordinateFunction",
-    "SurfaceSpec",
-    "ControlGrid",
-    "min_orders",
-    "exact_surface",
-    "exact_rational_surface",
-    "evaluate_surface",
-    "sample_lattice",
-]
+__all__ = _exports(__name__)
 
 MAX_DIRECTIONS = 4
 
@@ -170,13 +160,15 @@ class ControlGrid:
     points: np.ndarray
     weights: np.ndarray | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(n) for n in self.orders))
-        pts = np.asarray(self.points, dtype=float)
-        dims = tuple(2 * n + 1 for n in self.orders)
+    @staticmethod
+    def _convert(orders, points, weights):
+        orders = tuple(int(n) for n in orders)
+        pts = np.asarray(points, dtype=float)
+        dims = tuple(2 * n + 1 for n in orders)
         if pts.shape[:-1] != dims:
-            raise RangeError(f"points shape {pts.shape} does not match orders {self.orders}")
-        _store_net(self, pts, dims, f"weights shape {{}} does not match orders {self.orders}")
+            raise RangeError(f"points shape {pts.shape} does not match orders {orders}")
+        shape_error = f"weights shape {{}} does not match orders {orders}"
+        return orders, *_checked_net(pts, weights, dims, shape_error)
 
     @property
     def channels(self) -> int:
@@ -239,13 +231,15 @@ def evaluate_surface(grid: ControlGrid, directions, u) -> np.ndarray:
 def sample_lattice(grid: ControlGrid, directions, counts) -> np.ndarray:
     """Evaluate the patch on a uniform lattice, ``counts`` samples per direction.
 
-    Returns an array of shape ``counts + (channels,)``; much faster than
-    looping :func:`evaluate_surface` because each direction is contracted
-    with a whole basis matrix at once.
+    ``counts`` follows the rule of the orders (a sequence of integers, one
+    per direction), and each count is at least 2.  Returns an array of shape
+    ``counts + (channels,)``; much faster than looping
+    :func:`evaluate_surface` because each direction is contracted with a
+    whole basis matrix at once.
     """
     spaces = _spaces_for(grid, directions)
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != len(spaces) or any(c < 2 for c in counts):
+    counts = _integers(counts, len(spaces), "sample counts", "sample count")
+    if any(c < 2 for c in counts):
         raise RangeError(f"need at least 2 samples per direction, got {counts!r}")
     mats = [
         basis_matrix(s, np.linspace(0.0, s.alpha, c)) for s, c in zip(spaces, counts)

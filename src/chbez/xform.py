@@ -31,16 +31,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _exports
 from ._record import record
-from .bbasis import _MEMO_SPACES, BasisKind, BasisSpace, _is_int, _sums_by_order
+from .bbasis import _FUNCTIONS, _MEMO_SPACES, BasisKind, BasisSpace, _is_int, _sums_by_order
 from .errors import RangeError
 
-__all__ = [
-    "TransformMatrix",
-    "elevation_weights",
-    "elevate_coefficient_vector",
-    "transform_matrix",
-]
+__all__ = _exports(__name__)
 
 
 @record
@@ -128,13 +124,8 @@ def elevate_coefficient_vector(space: BasisSpace, coeffs) -> np.ndarray:
 
 
 def _order_one_rows(kind: BasisKind, alpha: float) -> np.ndarray:
-    if kind is BasisKind.TRIGONOMETRIC:
-        sine = [0.0, math.tan(0.5 * alpha), math.sin(alpha)]
-        cosine = [1.0, 1.0, math.cos(alpha)]
-    else:
-        sine = [0.0, math.tanh(0.5 * alpha), math.sinh(alpha)]
-        cosine = [1.0, 1.0, math.cosh(alpha)]
-    return np.array([[1.0, 1.0, 1.0], sine, cosine])
+    s, c, t = _FUNCTIONS[kind, math]
+    return np.array([[1.0, 1.0, 1.0], [0.0, t(0.5 * alpha), s(alpha)], [1.0, 1.0, c(alpha)]])
 
 
 @lru_cache(maxsize=_MEMO_SPACES)

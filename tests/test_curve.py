@@ -248,6 +248,12 @@ class TestSubdivide:
         with pytest.raises(RangeError):
             res.right.evaluate(0.5)
 
+    def test_piece_error_prints_the_parameter_as_a_float(self):
+        piece = BezierPiece(BasisSpace(TRIG, 1, 1.5), np.eye(3), np.ones(3), (0.0, 1.0))
+        with pytest.raises(RangeError) as err:
+            piece.evaluate(2.0)
+        assert str(err.value) == "parameter u = 2.0 outside the piece interval [0, 1]"
+
     def test_empty_piece_interval_rejected(self):
         piece = BezierPiece(BasisSpace(TRIG, 1, 1.0), np.eye(3), np.ones(3), (0.5, 0.5))
         with pytest.raises(RangeError, match=r"piece interval \[0\.5, 0\.5\] is empty"):

@@ -156,3 +156,25 @@ def test_every_public_name_is_in_its_home_modules_all():
 
     for name, home in chbez._HOMES.items():
         assert name in import_module(f"chbez.{home}").__all__, (name, home)
+
+
+# Names public in their module but deliberately not at the top level.
+MODULE_ONLY = {
+    "bbasis": {"NormalizingCoefficients"},
+    "exact": {"coordinate_ordinates"},
+    "gallery": {"RenderedFigure"},
+}
+
+
+@pytest.mark.parametrize("module", MODULES + ["cli"])
+def test_star_import_of_each_module_binds_its_all(module):
+    from importlib import import_module
+
+    mod = import_module(f"chbez.{module}")
+    namespace = {}
+    exec(f"from chbez.{module} import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(mod.__all__)
+    homed = {name for name, home in chbez._HOMES.items() if home == module}
+    want = {"main"} if module == "cli" else homed | MODULE_ONLY.get(module, set())
+    assert set(mod.__all__) == want
+    assert len(mod.__all__) == len(want)

@@ -171,7 +171,7 @@ def ref_piece_evaluate(self, u):
     for row, ui in enumerate(us):
         if ui < lo - 1e-12 or ui > hi + 1e-12:
             raise RangeError(
-                f"parameter u = {ui!r} outside the piece interval [{lo:g}, {hi:g}]"
+                f"parameter u = {float(ui)!r} outside the piece interval [{lo:g}, {hi:g}]"
             )
         s = (ref_reparametrize(self.parent_space, ui) - v_lo) / (v_hi - v_lo)
         s = min(max(s, 0.0), 1.0)

@@ -21,7 +21,6 @@ import pytest
 
 from chbez import bbasis, curve, exact, gallery, io, surface, xform
 from chbez.bbasis import MAX_DEGREE, BasisKind, _is_count
-from chbez.curve import _store_net
 from chbez.errors import RangeError
 from chbez.exact import TermFamily
 from chbez.surface import MAX_DIRECTIONS
@@ -33,6 +32,28 @@ _OVERFLOW_LIMIT = bbasis._OVERFLOW_LIMIT
 
 # ---------------------------------------------------------------------------
 # Verbatim dataclass copies
+
+
+# A verbatim copy of the package's former ``curve._store_net``, which the
+# ``ControlCurve`` and ``ControlGrid`` copies below call; kept here so that
+# these oracles do not share code with the package they check.
+def _store_net(net, points: np.ndarray, dims: tuple, shape_error: str) -> None:
+    """Check a control net's points and weights and store read-only copies.
+
+    Weights whose shape is not ``dims`` raise ``shape_error.format(shape)``.
+    """
+    if not np.all(np.isfinite(points)):
+        raise RangeError("control points must be finite")
+    object.__setattr__(net, "points", points.copy())
+    net.points.flags.writeable = False
+    if net.weights is not None:
+        w = np.asarray(net.weights, dtype=float)
+        if w.shape != dims:
+            raise RangeError(shape_error.format(w.shape))
+        if not np.all(np.isfinite(w)) or np.any(w < 0.0) or not np.any(w > 0.0):
+            raise RangeError("weights must be finite, nonnegative and not all zero")
+        object.__setattr__(net, "weights", w.copy())
+        net.weights.flags.writeable = False
 
 
 @dataclass(frozen=True)

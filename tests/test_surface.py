@@ -299,6 +299,32 @@ class TestEvaluateSurface:
         with pytest.raises(RangeError, match="at least 2 samples"):
             sample_lattice(grid, spec.directions, (1, 5))
 
+    @pytest.mark.parametrize(
+        "counts,message",
+        [
+            (5, "expected a sequence of 2 sample counts, got 5"),
+            ((2.9, 3), "sample count must be an integer, got 2.9"),
+            (("4", 3), "sample count must be an integer, got '4'"),
+            ((True, 3), "sample count must be an integer, got True"),
+            ((3, 3, 3), "expected 2 sample counts, got 3"),
+            ((1, 5), "need at least 2 samples per direction, got (1, 5)"),
+        ],
+    )
+    def test_sample_counts_follow_the_integer_rule(self, counts, message):
+        # The counts are checked like the orders: a sequence first, then its
+        # entries' type, then its length, then each count's range.
+        spec = load_figure("torus_patch").spec
+        grid = exact_surface(spec)
+        with pytest.raises(RangeError) as err:
+            sample_lattice(grid, spec.directions, counts)
+        assert str(err.value) == message
+
+    def test_numpy_integer_sample_counts_accepted(self):
+        spec = load_figure("torus_patch").spec
+        grid = exact_surface(spec)
+        lattice = sample_lattice(grid, spec.directions, np.array([4, 3]))
+        assert lattice.shape == (4, 3, grid.channels)
+
 
 class TestExactRationalSurface:
     def test_unit_denominator_gives_unit_weights(self):
