@@ -59,7 +59,8 @@ def _checked_net(points: np.ndarray, weights, dims: tuple, shape_error: str) -> 
         w = np.asarray(weights, dtype=float)
         if w.shape != dims:
             raise RangeError(shape_error.format(w.shape))
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0) or not np.any(w > 0.0):
+        lo, hi = w.min(), w.max()  # a NaN propagates into both and fails every comparison
+        if not (lo >= 0.0 and 0.0 < hi < np.inf):
             raise RangeError("weights must be finite, nonnegative and not all zero")
         weights = w.copy()
         weights.flags.writeable = False

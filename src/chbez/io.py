@@ -7,7 +7,11 @@ JSON path of the offending field.
 
 All exporters are plain functions from data to text.  Floats are printed in
 the shortest form that parses back to the identical double (``repr``),
-which makes every export byte-deterministic and round-trippable.
+which makes every export byte-deterministic and round-trippable.  Every
+exporter writes its rows (CSV lines, OBJ records, SVG points and markers)
+through one formatter that works in blocks of ``_BLOCK_ROWS`` rows and
+prints each distinct value of a block once; a block holds its cells, one
+string per distinct value and its text, a few hundred kB at most.
 """
 
 from __future__ import annotations
@@ -69,22 +73,37 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-# Rows per ``%`` operation in :func:`_format_rows`: large enough to amortize
-# the call, small enough that a block's Python floats stay a few hundred kB.
+# Rows per block of :func:`_format_rows`.  Each distinct value of a block is
+# formatted once; while a block is written it holds its cells (one object
+# pointer per value and literal piece), one string per distinct value and
+# the block's text, a few hundred kB for the widest table.
 _BLOCK_ROWS = 2048
 
 
-def _format_rows(template: str, rows: np.ndarray) -> list[str]:
-    """``template % tuple(row)`` for every row of a 2-d array, one string per block.
+def _format_rows(pieces, *groups: np.ndarray) -> list[str]:
+    """Text of rows whose cells are the columns of ``groups``, one string per block.
 
-    ``tolist`` turns float64 into Python floats exactly and ``%r`` of a
-    Python float is its ``repr``, so ``%r`` fields print the bytes of
-    :func:`format_float`.  Each block of rows is formatted by one ``%``.
+    A row reads ``pieces[0] cell pieces[1] cell ... pieces[-1]``: the
+    columns of all ``groups`` (2-d arrays of one row count and of 64-bit
+    float or integer dtype) in order, so ``len(pieces)`` is one more than
+    their total width.  Within a block, each distinct bit pattern of a group
+    (so ``0.0`` and ``-0.0``, and NaN payloads, stay apart) is turned into a
+    Python scalar by ``tolist`` and printed once by ``repr``: the bytes of
+    :func:`format_float` for a float and of ``%d`` for an integer.
     """
+    literals = np.array(pieces, dtype=object)
     blocks = []
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
-        blocks.append((template * len(block)) % tuple(block.ravel().tolist()))
+    for start in range(0, len(groups[0]), _BLOCK_ROWS):
+        parts = [g[start : start + _BLOCK_ROWS] for g in groups]
+        cells = np.empty((len(parts[0]), len(literals) * 2 - 1), dtype=object)
+        cells[:, 0::2] = literals
+        values, col = cells[:, 1::2], 0
+        for part in parts:
+            keys, inverse = np.unique(part.view(np.int64), return_inverse=True)
+            text = np.array([repr(x) for x in keys.view(part.dtype).tolist()], dtype=object)
+            values[:, col : col + part.shape[1]] = text[inverse.reshape(part.shape)]
+            col += part.shape[1]
+        blocks.append("".join(cells.ravel().tolist()))
     return blocks
 
 
@@ -334,7 +353,9 @@ def export_svg(paths, margin: float = 0.05) -> str:
         f'viewBox="{f(lo[0] - pad)} {f(lo[1] - pad)} {f(width)} {f(height)}">\n',
     ]
     for path, pts in flipped:
-        d = "M %r,%r" % tuple(pts[0].tolist()) + "".join(_format_rows(" L %r,%r", pts[1:]))
+        d = "".join(
+            _format_rows(("M ", ",", ""), pts[:1]) + _format_rows((" L ", ",", ""), pts[1:])
+        )
         color = _SVG_COLORS[path.role]
         if path.role == "curve":
             parts.append(
@@ -348,17 +369,13 @@ def export_svg(paths, margin: float = 0.05) -> str:
             # XML-escape the label as xml.sax.saxutils.escape does; importing
             # that module pulls in urllib.request and ssl (+7 MB, +45 ms).
             label = path.label.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
-            label = label.replace("%", "%%")
             marker = (
-                f'  <circle cx="%r" cy="%r" r="{f(radius)}" fill="{color}"/>\n'
-                f'  <text x="%r" y="%r" font-size="{f(font)}" fill="{color}">{label}%d</text>\n'
+                '  <circle cx="', '" cy="', f'" r="{f(radius)}" fill="{color}"/>\n  <text x="',
+                '" y="', f'" font-size="{f(font)}" fill="{color}">{label}', "</text>\n",
             )
-            # The vertex number rides along as a float column; %d prints it as an integer.
             offset = 1.6 * radius
-            rows = np.column_stack(
-                [pts, pts[:, 0] + offset, pts[:, 1] - offset, np.arange(len(pts))]
-            )
-            parts += _format_rows(marker, rows)
+            coords = np.column_stack([pts, pts[:, 0] + offset, pts[:, 1] - offset])
+            parts += _format_rows(marker, coords, np.arange(len(pts))[:, None])
     parts.append("</svg>\n")
     return "".join(parts)
 
@@ -374,6 +391,9 @@ def _quads(slabs: np.ndarray) -> np.ndarray:
     """
     corners = (slabs[:-1, :-1], slabs[1:, :-1], slabs[1:, 1:], slabs[:-1, 1:])
     return np.stack(corners, axis=-1).reshape(-1, 4)
+
+
+_VERTEX = ("v ", " ", " ", "\n")
 
 
 def export_obj(samples, control_net=None) -> str:
@@ -393,11 +413,11 @@ def export_obj(samples, control_net=None) -> str:
     if not np.all(np.isfinite(samples)):
         raise RangeError("samples contain non-finite points")
     ids = np.arange(1, samples[..., 0].size + 1).reshape(samples.shape[:-1])
-    parts = ["g samples\n", *_format_rows("v %r %r %r\n", samples.reshape(-1, 3))]
+    parts = ["g samples\n", *_format_rows(_VERTEX, samples.reshape(-1, 3))]
     if samples.ndim == 2:
         parts.append("l " + " ".join(map(str, ids.tolist())) + "\n")
     elif samples.ndim == 3:
-        parts += _format_rows("f %d %d %d %d\n", _quads(ids[..., None]))
+        parts += _format_rows(("f ", " ", " ", " ", "\n"), _quads(ids[..., None]))
     else:
         # Boundary slabs k = 0, N3-1, then j = 0, N2-1, then i = 0, N1-1.
         slabs = (
@@ -406,7 +426,7 @@ def export_obj(samples, control_net=None) -> str:
             ids[[0, -1]].transpose(1, 2, 0),
         )
         quads = np.concatenate([_quads(s) for s in slabs])
-        parts += _format_rows("f %d %d %d %d\n", quads)
+        parts += _format_rows(("f ", " ", " ", " ", "\n"), quads)
 
     if control_net is not None:
         net = np.asarray(control_net, dtype=float)
@@ -415,12 +435,12 @@ def export_obj(samples, control_net=None) -> str:
         if not np.all(np.isfinite(net)):
             raise RangeError("control net contains non-finite points")
         nids = np.arange(ids.size + 1, ids.size + net[..., 0].size + 1).reshape(net.shape[:-1])
-        parts += ["g control_net\n", *_format_rows("v %r %r %r\n", net.reshape(-1, 3))]
+        parts += ["g control_net\n", *_format_rows(_VERTEX, net.reshape(-1, 3))]
         # Edges along axis 0 first, then axis 1, ...; row-major within an axis.
         for axis in range(nids.ndim):
             head = (slice(None),) * axis
             edges = np.stack([nids[head + (slice(None, -1),)], nids[head + (slice(1, None),)]], -1)
-            parts += _format_rows("l %d %d\n", edges.reshape(-1, 2))
+            parts += _format_rows(("l ", " ", "\n"), edges.reshape(-1, 2))
     return "".join(parts)
 
 
@@ -432,7 +452,8 @@ def export_table(data, fmt: str, columns=None) -> str:
     """Serialize numeric data as CSV (up to 2-d) or JSON (any shape).
 
     Floats are printed so that parsing the text back recovers the identical
-    doubles; :func:`parse_table` is the inverse.
+    doubles; :func:`parse_table` is the inverse, so CSV column names it
+    would not read back as the same header are refused.
     """
     data = np.asarray(data, dtype=float)
     if fmt == "csv":
@@ -441,8 +462,9 @@ def export_table(data, fmt: str, columns=None) -> str:
         table = data if data.ndim == 2 else data[:, None] if data.ndim == 1 else data[None, None]
         if columns is not None and len(table) and len(columns) != table.shape[1]:
             raise RangeError(f"{len(columns)} column names for {table.shape[1]} columns")
-        parts = [] if columns is None else [",".join(str(c) for c in columns) + "\n"]
-        parts += _format_rows(",".join(["%r"] * table.shape[1]) + "\n", table)
+        parts = [] if columns is None else [_csv_header(columns)]
+        width = table.shape[1]
+        parts += _format_rows(["", *[","] * (width - 1), "\n"] if width else ["\n"], table)
         return "".join(parts)
     if fmt == "json":
         payload = {"data": data.tolist()}
@@ -452,19 +474,37 @@ def export_table(data, fmt: str, columns=None) -> str:
     raise RangeError(f"unknown table format {fmt!r}")
 
 
+def _csv_header(columns) -> str:
+    """The CSV header line naming ``columns``, refused unless :func:`parse_table` reads it back."""
+    names = [str(c) for c in columns]
+    for name in names:
+        if "," in name or "".join(name.splitlines()) != name:
+            raise RangeError(f"column name {name!r} contains a comma or a line break")
+    line = ",".join(names)
+    if names and not line.strip():
+        raise RangeError(f"column names {names} make a blank header line")
+    if names and _is_data_row(line):
+        raise RangeError(f"column names {names} all parse as numbers")
+    return line + "\n"
+
+
+def _is_data_row(line: str) -> bool:
+    """Whether a CSV line is read as data (every field parses as a float), not as a header."""
+    try:
+        [float(x) for x in line.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
 def parse_table(text: str, fmt: str):
     """Inverse of :func:`export_table`; returns ``(array, columns or None)``."""
     if fmt == "csv":
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             return np.zeros((0, 0)), None
-        columns = None
-        start = 0
-        try:
-            [float(x) for x in lines[0].split(",")]
-        except ValueError:
-            columns = lines[0].split(",")
-            start = 1
+        columns = None if _is_data_row(lines[0]) else lines[0].split(",")
+        start = 0 if columns is None else 1
         rows = [[float(x) for x in line.split(",")] for line in lines[start:]]
         if not rows:
             return np.zeros((0, len(columns) if columns else 0)), columns

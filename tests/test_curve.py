@@ -66,6 +66,33 @@ class TestControlCurve:
         with pytest.raises(RangeError):
             ControlCurve(space, np.zeros((5, 2)), np.zeros(5))
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.0, 1.0, np.nan, 1.0, 1.0],
+            [1.0, 1.0, np.inf, 1.0, 1.0],
+            [1.0, -np.inf, 1.0, 1.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0, -1e-300],
+            [0.0, -0.0, 0.0, 0.0, 0.0],
+            [-1.0, np.nan, 1.0, 1.0, 1.0],
+            [0.0, 0.0, np.inf, 0.0, 0.0],
+        ],
+        ids=["nan", "inf", "-inf", "negative", "all-zero", "nan-and-negative", "inf-among-zeros"],
+    )
+    def test_weights_finite_nonnegative_not_all_zero(self, weights):
+        space = BasisSpace(TRIG, 2, 1.0)
+        with pytest.raises(RangeError, match="^weights must be finite, nonnegative and not all zero$"):
+            ControlCurve(space, np.zeros((5, 2)), np.array(weights))
+
+    def test_weight_shape_is_checked_before_values(self):
+        with pytest.raises(RangeError, match="^expected 5 weights, got shape \\(3,\\)$"):
+            ControlCurve(BasisSpace(TRIG, 2, 1.0), np.zeros((5, 2)), [np.nan, -1.0, 0.0])
+
+    def test_zero_and_subnormal_weights_accepted(self):
+        weights = np.array([0.0, -0.0, 5e-324, 0.0, 0.0])
+        crv = ControlCurve(BasisSpace(TRIG, 2, 1.0), np.zeros((5, 2)), weights)
+        assert crv.weights.tobytes() == weights.tobytes()
+
     def test_endpoint_interpolation(self):
         crv = random_curve(HYP, 3, 2.0, seed=5)
         assert_allclose(evaluate(crv, 0.0), crv.points[0], rtol=1e-15)

@@ -668,3 +668,36 @@ class TestTables:
         back, columns = parse_table("x,y\n", "csv")
         assert back.shape == (0, 2)
         assert columns == ["x", "y"]
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (["a,b", "c"], "column name 'a,b' contains a comma or a line break"),
+            (["x\ny", "z"], "column name 'x\\\\ny' contains a comma or a line break"),
+            (["x", "y\r"], "column name 'y\\\\r' contains a comma or a line break"),
+            (["x", "y\u2028z"], "column name 'y\\\\u2028z' contains a comma or a line break"),
+            (["1", "2"], "column names \\['1', '2'\\] all parse as numbers"),
+            (["nan", " -1e3"], "column names \\['nan', ' -1e3'\\] all parse as numbers"),
+            ([1, 2.5], "column names \\['1', '2.5'\\] all parse as numbers"),
+            ([" "], "column names \\[' '\\] make a blank header line"),
+        ],
+        ids=["comma", "newline", "return", "line-separator", "numbers", "nan-and-exponent",
+             "non-str-numbers", "blank"],
+    )
+    def test_csv_header_that_would_not_read_back_is_refused(self, columns, message):
+        data = np.ones((2, len(columns)))
+        with pytest.raises(RangeError, match=f"^{message}$"):
+            export_table(data, "csv", columns)
+
+    @pytest.mark.parametrize(
+        "columns", [["u1", "u2", "x"], ["1", "b", "2"], ["nan", "inf", "weight"], [" a", "b ", ""]]
+    )
+    def test_csv_header_round_trips(self, columns):
+        data = np.arange(6.0).reshape(2, 3)
+        back, names = parse_table(export_table(data, "csv", columns), "csv")
+        assert names == columns
+        assert np.all(back == data)
+
+    def test_json_columns_are_not_checked(self):
+        text = export_table(np.ones((1, 2)), "json", ["1", "a,b"])
+        assert parse_table(text, "json")[1] == ["1", "a,b"]

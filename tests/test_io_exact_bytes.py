@@ -395,3 +395,94 @@ class TestSvgBytes:
     )
     def test_error_messages(self, paths):
         assert_same(ref_export_svg, export_svg, paths)
+
+
+# ---------------------------------------------------------------------------
+# Repeated values: each distinct bit pattern of a block is printed once and
+# mapped back to every cell that holds it.
+
+
+def nan_with_payload(bits: int) -> float:
+    return np.array([bits], dtype=np.int64).view(np.float64)[0]
+
+
+NANS = np.array([np.nan, nan_with_payload(0x7FF8000000000001), nan_with_payload(-0x8000000000001)])
+SUBNORMALS = np.array([5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, -4.9e-322])
+
+
+def meshgrid_table(rows: int, rng) -> np.ndarray:
+    """Parameter columns that repeat across block boundaries, then free columns."""
+    inner = 97
+    u1 = np.repeat(np.linspace(0.0, np.pi, rows // inner + 1), inner)[:rows]
+    u2 = np.tile(np.linspace(0.0, 2.0 * np.pi / 3.0, inner), rows // inner + 1)[:rows]
+    xyz = np.round(rng.standard_normal((rows, 3)), 2)
+    return np.column_stack([u1, u2, xyz])
+
+
+class TestRepeatedValues:
+    @pytest.mark.parametrize("rows", BLOCK_COUNTS + (2 * _BLOCK_ROWS + 7,))
+    @pytest.mark.parametrize("header", [False, True])
+    def test_meshgrid_tables(self, rows, header):
+        data = meshgrid_table(rows, np.random.default_rng(rows))
+        columns = ["u1", "u2", "x", "y", "z"] if header else None
+        assert_same(ref_export_table, export_table, data, "csv", columns)
+
+    def test_strided_tables(self):
+        data = meshgrid_table(_BLOCK_ROWS + 9, np.random.default_rng(5))
+        assert_same(ref_export_table, export_table, np.asfortranarray(data), "csv")
+        assert_same(ref_export_table, export_table, data[::-2, ::2], "csv")
+
+    def test_whole_table_of_one_value_across_blocks(self):
+        data = np.full((2 * _BLOCK_ROWS + 7, 3), 0.1)
+        assert_same(ref_export_table, export_table, data, "csv", ["a", "b", "c"])
+
+    def test_signed_zeros_stay_apart(self):
+        column = np.resize([0.0, -0.0, -0.0, 0.0, 1.0], 2 * _BLOCK_ROWS + 7)
+        assert_same(ref_export_table, export_table, column, "csv")
+        table = np.column_stack([column, column[::-1], -column])
+        assert_same(ref_export_table, export_table, table, "csv")
+
+    def test_nan_payloads_and_signs(self):
+        assert len({x.tobytes() for x in NANS}) == 3 and np.signbit(NANS[2])
+        values = np.concatenate([NANS, [0.0, -np.inf, np.inf, 1.5]])
+        table = np.resize(values, (_BLOCK_ROWS + 3, 3))
+        assert_same(ref_export_table, export_table, table, "csv")
+        assert_same(ref_export_table, export_table, NANS, "csv", ["n"])
+
+    def test_subnormals(self):
+        values = np.concatenate([SUBNORMALS, -SUBNORMALS, [0.0]])
+        assert_same(ref_export_table, export_table, np.resize(values, (_BLOCK_ROWS + 5, 4)), "csv")
+        samples = np.resize(SUBNORMALS, (9, 7, 3))
+        assert_same(ref_export_obj, export_obj, samples, np.resize(SUBNORMALS[::-1], (2, 3, 3)))
+
+    @pytest.mark.parametrize("shape", [(33, 33), (46, 45), (64, 65)])
+    def test_obj_patches_with_repeated_vertices(self, shape):
+        # A collapsed row (a pole) and a seam column repeat whole vertices.
+        rng = np.random.default_rng(sum(shape))
+        # Coarse values also repeat within rows; the widest patch draws free ones.
+        coarse = shape[0] < 64
+        samples = rng.integers(-20, 20, shape + (3,)) / 8.0 if coarse else lattice(rng, shape)
+        samples[0] = samples[0, 0]
+        samples[:, -1] = samples[:, 0]
+        net = np.resize(samples[:2, :3], (4, 3, 3))
+        assert_same(ref_export_obj, export_obj, samples, net)
+
+    def test_obj_volume_with_repeated_vertices(self):
+        rng = np.random.default_rng(17)
+        samples = rng.integers(-20, 20, (17, 17, 17, 3)) / 8.0
+        samples[:, :, -1] = samples[:, :, 0]
+        assert_same(ref_export_obj, export_obj, samples, samples[::8, ::8, ::8])
+
+    def test_obj_polyline_of_one_point(self):
+        assert_same(ref_export_obj, export_obj, np.full((_BLOCK_ROWS + 2, 3), -0.0))
+
+    def test_svg_markers_with_repeated_coordinates(self):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        polygon = np.resize(square, (_BLOCK_ROWS + 9, 2))
+        paths = [
+            SvgPath(polygon, "polygon", "p"),
+            SvgPath(np.resize(square[:2], (5, 2)), "polygon", "a"),
+            SvgPath(np.column_stack([np.zeros(7), np.arange(7.0) % 2]), "curve"),
+        ]
+        assert_same(ref_export_svg, export_svg, paths)
+        assert_same(ref_export_svg, export_svg, paths[:2], margin=0.0)

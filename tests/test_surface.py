@@ -243,6 +243,22 @@ class TestControlGrid:
         with pytest.raises(RangeError, match="^weights must be finite, nonnegative and not all zero$"):
             ControlGrid((1, 1), np.zeros((3, 3, 2)), weights)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [np.nan, -np.nan, np.inf, -np.inf, -1e-300, 0.0],
+        ids=["nan", "negative-nan", "inf", "-inf", "negative", "all-zero"],
+    )
+    def test_each_bad_weight_rejected_anywhere(self, bad):
+        # The bad entry sits in the last corner, past every positive weight.
+        weights = np.ones((3, 3)) if bad != 0.0 else np.zeros((3, 3))
+        weights[2, 2] = bad
+        with pytest.raises(RangeError, match="^weights must be finite, nonnegative and not all zero$"):
+            ControlGrid((1, 1), np.zeros((3, 3, 2)), weights)
+
+    def test_weight_shape_is_checked_before_values(self):
+        with pytest.raises(RangeError, match="^weights shape \\(3, 2\\) does not match orders"):
+            ControlGrid((1, 1), np.zeros((3, 3, 2)), np.full((3, 2), np.nan))
+
     def test_channels_count_the_last_axis(self):
         assert ControlGrid((1, 2), np.zeros((3, 5, 4))).channels == 4
 
