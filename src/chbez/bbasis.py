@@ -16,7 +16,10 @@ parameter ``u / alpha``.
 
 :func:`basis_matrix` tabulates the basis on a batch of parameters block by
 block: besides the result it holds one block of scratch rows, no full-size
-temporary table.
+temporary table.  The scalar :func:`basis_value` is the one-row case of that
+kernel and :func:`bernstein_value` the one-row case of the Bernstein table
+that rational Bezier pieces evaluate, so a scalar equals its batch entry bit
+for bit.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from .errors import RangeError
 
 __all__ = _exports(__name__) + ["NormalizingCoefficients"]  # not public at top level
 
-# Largest supported basis degree 2n.  Binomials are evaluated exactly with
-# integer arithmetic, so the cap only bounds memory and run time.
-MAX_DEGREE = 64
+# Largest supported basis degree 2n, and the order cap it sets.  Binomials are
+# evaluated exactly with integer arithmetic, so the cap only bounds memory and run time.
+_MAX_ORDER = 32
+MAX_DEGREE = 2 * _MAX_ORDER
 
 # Hyperbolic coefficients grow like exp(n * alpha); beyond this product the
 # normalizing coefficients overflow double precision range.
@@ -78,6 +82,11 @@ _FUNCTIONS = {
     (BasisKind.HYPERBOLIC, np): (np.sinh, np.cosh, np.tanh),
 }
 
+# Each kind's sign in the addition identity c(a + b) = c(a) c(b) + sign s(a) s(b):
+# cos carries -, cosh carries +.  Besides the function family, the two kinds'
+# constructions differ in nothing else.
+_ADDITION_SIGNS = {BasisKind.TRIGONOMETRIC: -1.0, BasisKind.HYPERBOLIC: 1.0}
+
 
 @record
 class BasisSpace:
@@ -100,7 +109,7 @@ class BasisSpace:
         n = int(n)
         if n < 1:
             raise RangeError(f"order n must be >= 1, got {n}")
-        if 2 * n > MAX_DEGREE:
+        if n > _MAX_ORDER:
             raise RangeError(f"degree 2n = {2 * n} exceeds the supported cap {MAX_DEGREE}")
         alpha = float(alpha)
         if not math.isfinite(alpha) or alpha <= 0.0:
@@ -233,12 +242,9 @@ def _check_index(space: BasisSpace, i: int) -> int:
 
 
 def basis_value(space: BasisSpace, i: int, u: float) -> float:
-    """Value of the i-th normalized B-basis function at ``u``."""
+    """Value of the i-th normalized B-basis function at ``u``: entry i of :func:`basis_vector`."""
     i = _check_index(space, i)
-    u = _clamp_param(space, u)
-    s = _FUNCTIONS[space.kind, math][0]
-    coeff = _normalizing_values(space)[i]
-    return coeff * s(0.5 * (space.alpha - u)) ** (space.degree - i) * s(0.5 * u) ** i
+    return basis_matrix(space, [u])[0, i]
 
 
 def basis_vector(space: BasisSpace, u: float) -> np.ndarray:
@@ -296,5 +302,18 @@ def bernstein_value(degree: int, i: int, v: float) -> float:
     v = float(v)
     if v < -_PARAM_SLACK or v > 1.0 + _PARAM_SLACK:
         raise RangeError(f"parameter v = {v!r} outside [0, 1]")
-    v = min(max(v, 0.0), 1.0)
-    return math.comb(degree, i) * v**i * (1.0 - v) ** (degree - i)
+    return float(_bernstein_table(degree, np.array([v]))[0, i])
+
+
+@cache
+def _binomials(degree: int) -> np.ndarray:
+    binom = np.array([math.comb(degree, i) for i in range(degree + 1)], dtype=float)
+    binom.flags.writeable = False
+    return binom
+
+
+def _bernstein_table(degree: int, vs: np.ndarray) -> np.ndarray:
+    """Bernstein polynomials of ``degree`` at ``vs`` clamped to [0, 1], one row per parameter."""
+    v = np.clip(vs, 0.0, 1.0)[:, None]
+    powers = np.arange(degree + 1)
+    return _binomials(degree) * v**powers * (1.0 - v) ** (degree - powers)

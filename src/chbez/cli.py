@@ -3,8 +3,10 @@
 Every subcommand validates its flags before computing anything and exits
 with 0 on success, 2 on a validation error (bad flag, malformed spec) and 3
 on a numerical failure (non-positive denominator, exhausted elevation
-budget).  Output goes to stdout unless ``--out`` names a file; ``gallery``
-treats ``--out`` as a directory and prints its error report to stdout.
+budget).  A --spec file that cannot be read as UTF-8 and an --out path that
+cannot be written are validation errors too.  Output goes to stdout unless
+``--out`` names a file; ``gallery`` treats ``--out`` as a directory and
+prints its error report to stdout.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bbasis import MAX_DEGREE, BasisKind, BasisSpace, basis_matrix
+from .bbasis import _MAX_ORDER, BasisKind, BasisSpace, basis_matrix
 from .errors import NumericalError, RangeError, SpecError
 from .io import (
     _KINDS,
@@ -51,10 +53,19 @@ def _named(flag: str, fn, *args):
         raise RangeError(f"{flag}: {exc}") from None
 
 
+def _filed(flag: str, verb: str, path, fn, *args):
+    """``fn(*args)``, which reads or writes ``path``; its OS or decoding error names ``flag``."""
+    try:
+        return fn(*args)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise RangeError(f"{flag}: cannot {verb} {path} ({reason})") from None
+
+
 def _capped(order: int, noun: str = "") -> int:
     """``order``, or a range error for --order if it exceeds the order cap."""
-    if order > MAX_DEGREE // 2:
-        raise RangeError(f"--order: {noun}{order} exceeds the order cap {MAX_DEGREE // 2}")
+    if order > _MAX_ORDER:
+        raise RangeError(f"--order: {noun}{order} exceeds the order cap {_MAX_ORDER}")
     return order
 
 
@@ -71,10 +82,7 @@ def _load_document(args) -> SpecDocument:
     if args.max_elevations < 0:
         raise RangeError(f"--max-elevations: must be nonnegative, got {args.max_elevations}")
     path = Path(args.spec)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise RangeError(f"--spec: cannot read {path} ({exc.strerror or exc})") from None
+    text = _filed("--spec", "read", path, path.read_text, "utf-8")
     try:
         return parse_document(text)
     except SpecError as exc:
@@ -265,7 +273,7 @@ def _cmd_elevate(args):
 def _cmd_gallery(args):
     from .gallery import run_gallery
 
-    entries = run_gallery(args.out)
+    entries = _filed("--out", "write", args.out, run_gallery, args.out)
     lines = [
         f"{e['figure']}: wrote {e['output']}, max reconstruction error {e['error']:.3e}"
         for e in entries
@@ -359,15 +367,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text, out = args.handler(args)
+        if out:
+            _filed("--out", "write", out, Path(out).write_text, text)
     except (RangeError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
     return 0
 

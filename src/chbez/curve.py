@@ -9,6 +9,11 @@ module provides the reparametrization onto ``[0, 1]`` that
 turns every such curve into a rational Bezier curve, corner cutting
 subdivision at an arbitrary interior parameter, and order elevation.
 
+The reparametrization has one body for floats and arrays.  The scalar
+:func:`reparametrize` keeps ``math.tan`` where arrays use ``np.tan``: the
+two differ in the last bit on some parameters, and subdivision, whose
+split ratio and pieces the CLI ``subdivide`` digest pins, runs on the scalar.
+
 The subdivision pieces are kept in rational Bezier form (points, weights and
 the covered subinterval); re-expressing them over the B-basis of the
 subinterval is possible but changes the weights by a geometric factor, see
@@ -18,14 +23,13 @@ subinterval is possible but changes the weights by a geometric factor, see
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
 from . import _exports
 from ._record import record
-from .bbasis import (_FUNCTIONS, _PARAM_SLACK, BasisSpace, _clamp_param, _is_count,
-                     _normalizing_values, basis_matrix)
+from .bbasis import (_FUNCTIONS, _PARAM_SLACK, BasisSpace, _bernstein_table, _binomials,
+                     _clamp_param, _is_count, _normalizing_values, basis_matrix)
 from .errors import NumericalError, RangeError
 from .xform import elevate_coefficient_vector
 
@@ -164,17 +168,18 @@ def reparametrize(space: BasisSpace, u: float) -> float:
     ``v(alpha / 2) = 1/2``; composed with it, the B-basis functions become
     rational Bernstein weight functions.
     """
-    u = _clamp_param(space, u)
-    quarter = 0.25 * space.alpha
-    t = _FUNCTIONS[space.kind, math][2]
-    return 0.5 + t(0.5 * u - quarter) / (2.0 * t(quarter))
+    return _bezier_parameter(space, _clamp_param(space, u), math)
 
 
-def _reparametrize_params(space: BasisSpace, us: np.ndarray) -> np.ndarray:
-    """:func:`reparametrize` on clamped parameters ``us``, elementwise."""
+def _bezier_parameter(space: BasisSpace, us, lib):
+    """:func:`reparametrize` of clamped ``us``, with the elementwise tan or tanh from ``lib``.
+
+    ``lib`` is ``math`` for a float and ``np`` for an array (the module
+    docstring says why the float keeps ``math``); the scale is a float in both.
+    """
     quarter = 0.25 * space.alpha
     scale = 2.0 * _FUNCTIONS[space.kind, math][2](quarter)
-    return 0.5 + _FUNCTIONS[space.kind, np][2](0.5 * us - quarter) / scale
+    return 0.5 + _FUNCTIONS[space.kind, lib][2](0.5 * us - quarter) / scale
 
 
 def bezier_weights(space: BasisSpace) -> np.ndarray:
@@ -185,13 +190,6 @@ def bezier_weights(space: BasisSpace) -> np.ndarray:
     ones as ``alpha -> 0`` (the polynomial Bezier limit).
     """
     return _normalizing_values(space) / _binomials(space.degree)
-
-
-@cache
-def _binomials(degree: int) -> np.ndarray:
-    binom = np.array([math.comb(degree, i) for i in range(degree + 1)], dtype=float)
-    binom.flags.writeable = False
-    return binom
 
 
 @record
@@ -217,13 +215,10 @@ class BezierPiece:
             raise RangeError(f"piece interval [{lo:g}, {hi:g}] is empty")
         scalar = np.ndim(u) == 0
         us = np.atleast_1d(np.asarray(u, dtype=float))
-        degree = self.points.shape[0] - 1
-        outside = ~((us >= lo - 1e-12) & (us <= hi + 1e-12))
+        outside = ~((us >= lo - _PARAM_SLACK) & (us <= hi + _PARAM_SLACK))
         off_parent = ~((us >= -_PARAM_SLACK) & (us <= space.alpha + _PARAM_SLACK))
-        s = (_reparametrize_params(space, np.clip(us, 0.0, space.alpha)) - v_lo) / (v_hi - v_lo)
-        s = np.clip(s, 0.0, 1.0)[:, None]
-        powers = np.arange(degree + 1)
-        bern = _binomials(degree) * s**powers * (1.0 - s) ** (degree - powers)
+        v = _bezier_parameter(space, np.clip(us, 0.0, space.alpha), np)
+        bern = _bernstein_table(self.points.shape[0] - 1, (v - v_lo) / (v_hi - v_lo))
         denom = bern @ self.weights
         vanishing = _below_floor(np.abs(denom), self.weights)
         # Report the first parameter that fails a check, and for it the first

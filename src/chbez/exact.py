@@ -35,7 +35,8 @@ import numpy as np
 
 from . import _exports
 from ._record import record
-from .bbasis import _FUNCTIONS, MAX_DEGREE, BasisKind, BasisSpace, _is_count, _is_int
+from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, _MAX_ORDER, BasisKind, BasisSpace, _is_count,
+                     _is_int)
 from .curve import ControlCurve, _below_floor, _projected
 from .errors import NumericalError, RangeError
 from .xform import elevate_coefficient_vector, transform_matrix
@@ -112,14 +113,23 @@ class CoordinateFunction:
     def differentiated(self, kind: BasisKind) -> CoordinateFunction:
         terms = []
         for t in self.terms:
-            if kind is BasisKind.TRIGONOMETRIC:
-                terms.append(
-                    Term(t.family, t.frequency, t.amplitude * t.frequency, t.phase + 0.5 * math.pi)
-                )
-            else:
-                flipped = TermFamily.SINE if t.family is TermFamily.COSINE else TermFamily.COSINE
-                terms.append(Term(flipped, t.frequency, t.amplitude * t.frequency, t.phase))
+            amplitude, phase, cosine_like = _derived(t, kind, 1)
+            family = TermFamily.COSINE if cosine_like else TermFamily.SINE
+            terms.append(Term(family, t.frequency, amplitude, phase))
         return CoordinateFunction(tuple(terms))
+
+
+def _derived(t: Term, kind: BasisKind, r: int) -> tuple[float, float, bool]:
+    """Amplitude, phase and cosine-likeness of the r-th derivative of term ``t``.
+
+    The derivative rule: each derivative scales by the frequency k (with
+    ``0**0 = 1``, so constants survive the underived case), shifts a
+    trigonometric phase by pi/2 and swaps a hyperbolic term's family.
+    """
+    amplitude, cosine_like = t.amplitude * float(t.frequency**r), t.family is TermFamily.COSINE
+    if kind is BasisKind.TRIGONOMETRIC:
+        return amplitude, t.phase + 0.5 * math.pi * r, cosine_like
+    return amplitude, t.phase, cosine_like ^ (r % 2 == 1)
 
 
 @record
@@ -230,8 +240,7 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
 
     This is the workhorse shared by curves and tensor product surfaces: each
     term contributes a combination of the sine-like and cosine-like rows of
-    the space's transformation matrix, scaled by ``frequency**r`` (with
-    ``0**0 = 1`` so constants survive the underived case).
+    the space's transformation matrix, derived by :func:`_derived`.
     """
     if not _is_count(r):
         raise RangeError(f"derivative order must be a nonnegative integer, got {r!r}")
@@ -243,29 +252,19 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
     matrix = transform_matrix(space)
     out = np.zeros(space.dimension)
     s, c, _ = _FUNCTIONS[space.kind, math]
-    trig = space.kind is BasisKind.TRIGONOMETRIC
+    sign = _ADDITION_SIGNS[space.kind]
     for t in fn.terms:
-        k = t.frequency
-        scale = t.amplitude * float(k**r)
+        scale, phase, cosine_like = _derived(t, space.kind, r)
         if scale == 0.0:
             continue
-        sine = matrix.sine_row(k)
-        cosine = matrix.cosine_row(k)
-        # The derivative rule: each derivative shifts a trigonometric phase by
-        # pi/2 and swaps a hyperbolic term's cosine-like and sine-like row.
-        phase, cosine_like = t.phase, t.family is TermFamily.COSINE
-        if trig:
-            phase += 0.5 * math.pi * r
-        else:
-            cosine_like ^= r % 2 == 1
-        # The addition identities, which differ only in the sign of one term.
+        sine = matrix.sine_row(t.frequency)
+        cosine = matrix.cosine_row(t.frequency)
+        # cos(k u + phase) and sin(k u + phase) by the addition identities.
         cp, sp = c(phase), s(phase)
-        if not cosine_like:
-            out += scale * (cp * sine + sp * cosine)
-        elif trig:
-            out += scale * (cp * cosine - sp * sine)
+        if cosine_like:
+            out += scale * (cp * cosine + sign * sp * sine)
         else:
-            out += scale * (cp * cosine + sp * sine)
+            out += scale * (cp * sine + sp * cosine)
     return out
 
 
@@ -429,9 +428,9 @@ def _elevate_until_positive(points: np.ndarray, orders, directions, max_elevatio
     bad = _below_floor(points[..., -1], points[..., -1], WEIGHT_POSITIVITY)
     while np.any(bad) and steps < max_elevations:
         j = steps % delta
-        if 2 * (orders[j] + 1) > MAX_DEGREE:
+        if orders[j] + 1 > _MAX_ORDER:
             j = min(range(delta), key=lambda d: orders[d])
-            if 2 * (orders[j] + 1) > MAX_DEGREE:
+            if orders[j] + 1 > _MAX_ORDER:
                 break
         space = directions[j].space(orders[j])
         lifted = elevate_coefficient_vector(space, np.moveaxis(points, j, 0))

@@ -6,10 +6,6 @@ exact.  :func:`run_gallery` re-describes every figure, writes an SVG or OBJ
 artifact plus a copy of the spec, measures the reconstruction error against
 direct evaluation of the traditional form and records everything in a
 manifest.  All outputs are byte-deterministic.
-
-Curves and patches share the description body and the lattice evaluator
-of :mod:`chbez.exact` and the sampling of :mod:`chbez.surface`; only the
-artifact format differs.
 """
 
 from __future__ import annotations

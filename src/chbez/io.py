@@ -9,9 +9,7 @@ All exporters are plain functions from data to text.  Floats are printed in
 the shortest form that parses back to the identical double (``repr``),
 which makes every export byte-deterministic and round-trippable.  Every
 exporter writes its rows (CSV lines, OBJ records, SVG points and markers)
-through one formatter that works in blocks of ``_BLOCK_ROWS`` rows and
-prints each distinct value of a block once; a block holds its cells, one
-string per distinct value and its text, a few hundred kB at most.
+through one formatter, :func:`_format_rows`.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 
 from . import _exports
 from ._record import record
-from .bbasis import MAX_DEGREE, BasisKind, _is_count
+from .bbasis import _MAX_ORDER, BasisKind, _is_count
 from .errors import RangeError, SpecError
 
 if TYPE_CHECKING:  # the parsers import the spec types when they first run
@@ -81,7 +79,7 @@ _BLOCK_ROWS = 2048
 
 
 def _format_rows(pieces, *groups: np.ndarray) -> list[str]:
-    """Text of rows whose cells are the columns of ``groups``, one string per block.
+    """Text of rows whose cells are the columns of ``groups``, one string per ``_BLOCK_ROWS`` block.
 
     A row reads ``pieces[0] cell pieces[1] cell ... pieces[-1]``: the
     columns of all ``groups`` (2-d arrays of one row count and of 64-bit
@@ -122,6 +120,8 @@ def parse_document(text: str) -> SpecDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError("", f"not valid JSON ({exc.msg} at line {exc.lineno})") from None
+    except RecursionError:
+        raise SpecError("", "not valid JSON (nested too deeply)") from None
     if not isinstance(raw, dict):
         raise SpecError("", "document must be a JSON object")
     doc_type = _field(raw, "type", "type", str, "a string")
@@ -230,8 +230,8 @@ def _parse_term(raw: dict, kind: BasisKind, path: str) -> Term:
     k = raw.get("k")
     if not _is_count(k):
         raise SpecError(f"{path}.k", f"must be a nonnegative integer, got {k!r}")
-    if k > MAX_DEGREE // 2:
-        raise SpecError(f"{path}.k", f"{k} exceeds the order cap {MAX_DEGREE // 2}")
+    if k > _MAX_ORDER:
+        raise SpecError(f"{path}.k", f"{k} exceeds the order cap {_MAX_ORDER}")
     a = _number(raw, "a", f"{path}.a")
     phase = _number(raw, "phase", f"{path}.phase", angle=True) if "phase" in raw else 0.0
     family = TermFamily.COSINE if family_raw == families[0] else TermFamily.SINE
@@ -483,32 +483,44 @@ def _csv_header(columns) -> str:
     line = ",".join(names)
     if names and not line.strip():
         raise RangeError(f"column names {names} make a blank header line")
-    if names and _is_data_row(line):
+    if names and _is_data_row(names):
         raise RangeError(f"column names {names} all parse as numbers")
     return line + "\n"
 
 
-def _is_data_row(line: str) -> bool:
-    """Whether a CSV line is read as data (every field parses as a float), not as a header."""
+def _is_data_row(fields) -> bool:
+    """Whether a CSV line's fields are read as data (each parses as a float), not as a header."""
     try:
-        [float(x) for x in line.split(",")]
+        [float(x) for x in fields]
     except ValueError:
         return False
     return True
 
 
 def parse_table(text: str, fmt: str):
-    """Inverse of :func:`export_table`; returns ``(array, columns or None)``."""
+    """Inverse of :func:`export_table`; returns ``(array, columns or None)``.
+
+    A CSV row whose width differs from the header's (or the first row's) and
+    a data cell that is not a number raise a range error naming the 1-based line.
+    """
     if fmt == "csv":
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            return np.zeros((0, 0)), None
-        columns = None if _is_data_row(lines[0]) else lines[0].split(",")
-        start = 0 if columns is None else 1
-        rows = [[float(x) for x in line.split(",")] for line in lines[start:]]
-        if not rows:
-            return np.zeros((0, len(columns) if columns else 0)), columns
-        return np.array(rows), columns
+        head = columns = None
+        rows = []
+        for i, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            fields = line.split(",")
+            if head is None and not _is_data_row(fields):
+                head = columns = fields  # a first line that is not data is the header
+                continue
+            head = head or fields
+            if len(fields) != len(head):
+                raise RangeError(f"CSV line {i}: expected {len(head)} fields, got {len(fields)}")
+            try:
+                rows.append(list(map(float, fields)))
+            except ValueError:
+                raise RangeError(f"CSV line {i}: a data cell is not a number") from None
+        return np.array(rows).reshape(len(rows), len(head or ())), columns
     if fmt == "json":
         payload = json.loads(text)
         return np.asarray(payload["data"], dtype=float), payload.get("columns")

@@ -15,11 +15,6 @@ coordinate, the denominator.  The repair loop that elevates the pre-image
 grid until its weights are positive runs round robin over the directions;
 unlike the curve case it is not guaranteed to succeed, so it runs under an
 explicit budget and reports the offending grid indices when it gives up.
-
-A curve is the one-direction case: the description body of
-:mod:`chbez.exact` (which also does the dispatch over "curve or patch,
-rational or not" for the CLI and the gallery) and the basis contraction of
-:mod:`chbez.curve` serve both, and the entry points here are thin wrappers.
 """
 
 from __future__ import annotations

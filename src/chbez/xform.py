@@ -33,7 +33,8 @@ import numpy as np
 
 from . import _exports
 from ._record import record
-from .bbasis import _FUNCTIONS, _MEMO_SPACES, BasisKind, BasisSpace, _is_int, _sums_by_order
+from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, _MEMO_SPACES, BasisKind, BasisSpace, _is_int,
+                     _sums_by_order)
 from .errors import RangeError
 
 __all__ = _exports(__name__)
@@ -130,7 +131,7 @@ def _order_one_rows(kind: BasisKind, alpha: float) -> np.ndarray:
 
 @lru_cache(maxsize=_MEMO_SPACES)
 def _transform_rows(space: BasisSpace) -> np.ndarray:
-    sign = -1.0 if space.kind is BasisKind.TRIGONOMETRIC else 1.0
+    sign = _ADDITION_SIGNS[space.kind]
     base = _order_one_rows(space.kind, space.alpha)
     # Factor rows of the four products sin(mu) cos(u), cos(mu) sin(u),
     # cos(mu) cos(u), sin(mu) sin(u), one column each.

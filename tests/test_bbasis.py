@@ -164,6 +164,20 @@ class TestBasisEvaluation:
             for i, value in enumerate(row):
                 assert_allclose(basis_value(space, i, u), value, rtol=1e-15)
 
+    @pytest.mark.parametrize("kind", [TRIG, HYP])
+    def test_scalar_is_the_matrix_entry_bit_for_bit(self, kind):
+        slack = 5e-13  # inside the clamping slack on both ends
+        for n in range(1, 33):
+            top = math.pi - 1e-3 if kind is TRIG else 299.0 / n
+            for alpha in (1e-3, 0.7, top):
+                space = BasisSpace(kind, n, alpha)
+                us = [-slack, 0.0, -0.0, 0.3 * alpha, 0.5 * alpha, alpha, alpha + slack]
+                mat = basis_matrix(space, us)
+                for row, u in zip(mat, us):
+                    values = np.array([basis_value(space, i, u) for i in range(space.dimension)])
+                    assert values.tobytes() == row.tobytes(), (n, alpha, u)
+        assert type(basis_value(space, 0, 0.5 * alpha)) is np.float64
+
     def test_parameter_clamping(self):
         space = BasisSpace(TRIG, 1, 1.0)
         assert basis_value(space, 0, -1e-13) == 1.0
@@ -239,6 +253,17 @@ class TestBernstein:
         assert bernstein_value(4, 0, 0.0) == 1.0
         assert bernstein_value(4, 4, 1.0) == 1.0
         assert bernstein_value(4, 2, 1.0) == 0.0
+
+    def test_scalar_is_the_table_entry_bit_for_bit(self):
+        from chbez.bbasis import _bernstein_table
+
+        vs = [-5e-13, 0.0, 0.3, 1.0 / 3.0, 0.5, 0.77, 1.0, 1.0 + 5e-13]
+        for degree in range(65):
+            table = _bernstein_table(degree, np.array(vs))
+            for row, v in zip(table, vs):
+                values = np.array([bernstein_value(degree, i, v) for i in range(degree + 1)])
+                assert values.tobytes() == row.tobytes(), (degree, v)
+                assert all(type(bernstein_value(degree, i, v)) is float for i in (0, degree))
 
     def test_partition(self):
         vs = np.linspace(0.0, 1.0, 17)

@@ -583,6 +583,15 @@ FAILING_COMMANDS = [
     # subdivide then fails as sample does.
     ("subdivide", "hypocycloid_k32_tiny_alpha", ["--split-at", "5e-6"], 2, _K32_TINY_ALPHA),
     ("sample", "hypocycloid_k32_tiny_alpha", ["--samples", "3"], 2, _K32_TINY_ALPHA),
+    # The file boundary: an unwritable --out and an unreadable or too deep
+    # --spec end in one error line, not a traceback.
+    ("describe", "hypocycloid", ["--out", "/nonexistent/dir/x.csv"], 2,
+     "error: --out: cannot write /nonexistent/dir/x.csv (No such file or directory)\n"),
+    ("gallery", "", ["--out", "/dev/null/sub"], 2,
+     "error: --out: cannot write /dev/null/sub (Not a directory)\n"),
+    ("describe", "utf16_bom", [], 2, "error: --spec: cannot read {spec} ('utf-8' codec can't "
+     "decode byte 0xff in position 0: invalid start byte)\n"),
+    ("sample", "nested_5000_deep", [], 2, "error: {spec}: not valid JSON (nested too deeply)\n"),
 ]
 
 
@@ -644,6 +653,13 @@ DERIVED_DOCS = {
 }
 
 
+# Spec files, by the name FAILING_COMMANDS gives them, whose bytes no JSON document dumps to.
+RAW_SPECS = {
+    "utf16_bom": b"\xff\xfe{}",
+    "nested_5000_deep": b"[" * 5000 + b"]" * 5000,
+}
+
+
 @pytest.mark.parametrize(
     "command, figure, flags, code, stderr",
     FAILING_COMMANDS,
@@ -657,6 +673,9 @@ def test_failing_command(capsys, tmp_path, command, figure, flags, code, stderr)
         path = write_doc(tmp_path, f"{figure}.json", DERIVED_DOCS[figure]())
     else:
         path = str(Path(chbez.__file__).parent / "figures" / f"{figure}.json")
+    if figure in RAW_SPECS:
+        path = str(tmp_path / f"{figure}.json")
+        Path(path).write_bytes(RAW_SPECS[figure])
     stderr = stderr.replace("{spec}", path)  # a spec error names the file first
     assert run(capsys, command, "--spec", path, *flags) == (code, "", stderr)
 

@@ -231,6 +231,27 @@ class TestExactCurve:
         b = exact_curve(spec, n, r).points
         assert np.abs(a - b).max() < 1e-12 * (1.0 + np.abs(a).max())
 
+    @pytest.mark.parametrize(
+        "figure",
+        ["hypocycloid", "torus_knot", "equilateral_hyperbola", "rational_hyperbolic_arc_a"],
+    )
+    def test_derivative_flag_is_the_differentiated_spec_bit_for_bit(self, figure):
+        # Both paths apply one derivative rule, so the bytes agree, not only the values.
+        spec = load_figure(figure).spec
+        n = min_order(spec) + 1
+        a = exact_curve(spec.differentiated(), n).points
+        b = exact_curve(spec, n, 1).points
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", [TRIG, HYP])
+    def test_derivative_flag_bytes_with_phases(self, kind):
+        terms = (Term(COS, 0, 2.0), Term(SIN, 3, -1.5, 0.4), Term(COS, 2, 0.7, -1.1))
+        fn = CoordinateFunction(terms)
+        spec = CurveSpec(kind, 1.3, (fn, CoordinateFunction((Term(SIN, 1, 0.3, 2.5),))))
+        for n in (3, 7):
+            a = exact_curve(spec.differentiated(), n).points
+            assert a.tobytes() == exact_curve(spec, n, 1).points.tobytes()
+
     def test_derivative_matches_finite_difference(self):
         spec = load_figure("hypocycloid").spec
         crv = exact_curve(spec, r=1)

@@ -295,6 +295,7 @@ SPEC_ERRORS = [
     ("json", "{nope",
      "not valid JSON (Expecting property name enclosed in double quotes at line 1)"),
     ("not-object", "[1, 2]", "document must be a JSON object"),
+    ("json-too-deep", "[" * 5000 + "]" * 5000, "not valid JSON (nested too deeply)"),
     ("type-missing", derived(curve_doc, (("type",), _DELETE)), "type: must be a string, got None"),
     ("type-bad", curve_doc(type="mesh"), "type: must be 'curve' or 'surface', got 'mesh'"),
     ("curve-unknown", curve_doc(comment="hi"), "comment: unknown field"),
@@ -494,6 +495,12 @@ def test_spec_error_text(doc, message):
     assert str(exc.value) == message
 
 
+def test_too_deep_nesting_is_a_spec_error_at_the_root():
+    with pytest.raises(SpecError) as exc:
+        parse_document('{"coords": ' + "[" * 5000 + "]" * 5000 + "}")
+    assert (exc.value.path, exc.value.message) == ("", "not valid JSON (nested too deeply)")
+
+
 def test_frequency_at_the_order_cap_parses():
     doc = derived(curve_doc, (C_TERM + ("k",), 32))
     assert parse_document(json.dumps(doc)).spec.coords[0].terms[0].frequency == 32
@@ -663,6 +670,27 @@ class TestTables:
             export_table(np.zeros(2), "yaml")
         with pytest.raises(RangeError, match="unknown table format"):
             parse_table("", "yaml")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1.0,2.0\n3.0\n", "CSV line 2: expected 2 fields, got 1"),
+            ("a,b\nx,1\n", "CSV line 2: a data cell is not a number"),
+            ("a,b\n1.0\n", "CSV line 2: expected 2 fields, got 1"),
+            ("a,b\n\n1.0,2.0\n3.0,y\n", "CSV line 4: a data cell is not a number"),
+            ("1.0\n2.0,3.0\n", "CSV line 2: expected 1 fields, got 2"),
+        ],
+    )
+    def test_malformed_csv_names_the_line(self, text, message):
+        with pytest.raises(RangeError) as exc:
+            parse_table(text, "csv")
+        assert str(exc.value) == message
+
+    def test_csv_round_trip_keeps_every_bit(self):
+        data = np.array([[-0.0, np.inf, -np.inf], [5e-324, 1.7976931348623157e308, 0.1]])
+        back, columns = parse_table(export_table(data, "csv", ["a", "b", "c"]), "csv")
+        assert columns == ["a", "b", "c"]
+        assert back.tobytes() == data.tobytes()
 
     def test_header_only_csv_keeps_its_columns(self):
         back, columns = parse_table("x,y\n", "csv")
