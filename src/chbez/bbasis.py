@@ -14,12 +14,31 @@ returned by :func:`normalizing_coefficients`.  In the limit ``alpha -> 0`` the
 basis degenerates to the Bernstein polynomials of degree ``2n`` in the local
 parameter ``u / alpha``.
 
-:func:`basis_matrix` tabulates the basis on a batch of parameters block by
-block: besides the result it holds one block of scratch rows, no full-size
-temporary table.  The scalar :func:`basis_value` is the one-row case of that
-kernel and :func:`bernstein_value` the one-row case of the Bernstein table
-that rational Bezier pieces evaluate, so a scalar equals its batch entry bit
-for bit.
+:func:`basis_matrix` evaluates the basis in scaled factors.  With
+``lam = s((alpha - u) / 2) / s(alpha / 2)`` and ``rho = s(u / 2) / s(alpha / 2)``,
+both in [0, 1], and the coefficient sums ``S_i = c_i s(alpha / 2)**2n``
+(:func:`_coefficient_sums`, ``S_0 = S_2n = 1``), entry i of a row is
+
+    b_i(u) = S_i * (lam**(2n - i) * rho**i).
+
+The divisor is the same numpy ``s`` of the same argument ``0.5 * alpha`` as
+``lam`` at ``u = 0`` and ``rho`` at ``u = alpha``, so those factors are exactly
+1 there and the endpoint rows are exactly ``[1, 0, ..., 0]`` and
+``[0, ..., 0, 1]``.  The Bernstein table that rational Bezier pieces
+evaluate is the same product with ``1 - v`` and ``v`` for the factors and
+``C(d, i)`` for the sums.
+
+Powers are products only, never a power routine whose last bit depends on
+the CPU: a ladder with ``P[0] = 1``, ``P[1] = x`` and ``P[k] = P[h] * P[k - h]``,
+``h`` the largest power of two below ``k``, so ``x**k`` is off by at most
+``(k - 1)`` units of roundoff (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., Lemma 3.1).  The ladder runs along the degree axis of a
+``(d + 1, block)`` scratch whose rows are contiguous over the parameters;
+the rungs ``h + 1 .. 2h`` take one numpy call, about log2(d) calls a block.
+Besides the result a table holds one block of scratch, no full-size
+temporary.  The scalar :func:`basis_value` is the one-row case of that
+kernel and :func:`bernstein_value` the one-row case of the Bernstein table,
+so a scalar equals its batch entry bit for bit.
 """
 
 from __future__ import annotations
@@ -51,9 +70,11 @@ _PARAM_SLACK = 1e-12
 
 _MEMO_SPACES = 128  # per-space memos here and in ``xform`` keep the spaces used last
 
-# Rows per block in :func:`basis_matrix`: a block of the largest table (order
-# 32, 65 columns) and its scratch copy stay within a few hundred kB of cache.
-_BLOCK_ROWS = 512
+# Parameters per block of a basis or Bernstein table: the block of the largest
+# table (order 32, 65 columns) and its scratch, two (65, 500) arrays of powers,
+# stay within 800 kB of cache.  Not 512: with scratch rows 4,096 bytes apart the
+# transposed write of a block took about 1.6 times as long.
+_BLOCK_ROWS = 500
 
 
 def _is_int(value) -> bool:
@@ -180,6 +201,7 @@ def _sums_by_order(space: BasisSpace, orders) -> list[np.ndarray]:
     return sums
 
 
+@lru_cache(maxsize=_MEMO_SPACES)
 def _coefficient_sums(space: BasisSpace) -> np.ndarray:
     """Normalizing coefficients without the 1 / s(alpha/2)**2n prefactor.
 
@@ -187,9 +209,12 @@ def _coefficient_sums(space: BasisSpace) -> np.ndarray:
     c = cos(alpha/2) or cosh(alpha/2).  These sums have only nonnegative
     terms, the first and last entry are exactly 1, and every coefficient
     ratio used by order elevation reduces to a ratio of these sums (the
-    s-prefactors cancel identically).
+    s-prefactors cancel identically).  The basis tables and the normalizing
+    coefficients both read this per-space memo.
     """
-    return _sums_by_order(space, [space.n])[0]
+    sums = _sums_by_order(space, [space.n])[0]
+    sums.flags.writeable = False
+    return sums
 
 
 @lru_cache(maxsize=_MEMO_SPACES)
@@ -255,11 +280,11 @@ def basis_vector(space: BasisSpace, u: float) -> np.ndarray:
 def basis_matrix(space: BasisSpace, us) -> np.ndarray:
     """Basis values on a batch of parameters, shape ``(len(us), 2n + 1)``.
 
-    Row ``j`` holds the nonnegative partition-of-unity weights at ``us[j]``.
-    The table is filled in blocks of ``_BLOCK_ROWS`` rows, each by the same
-    elementwise operations in the same order, so the bytes do not depend on
-    the block size.  Besides the result and a few vectors of one value per
-    parameter, only one block of scratch rows is held.
+    Row ``j`` holds the nonnegative partition-of-unity weights at ``us[j]``,
+    computed in the scaled factors of the module docstring.  A space whose
+    normalizing coefficients overflow is refused, as by
+    :func:`normalizing_coefficients`.  Besides the result and a few vectors of
+    one value per parameter, only one block of scratch is held.
     """
     us = np.asarray(us, dtype=float)
     if us.ndim != 1:
@@ -267,26 +292,46 @@ def basis_matrix(space: BasisSpace, us) -> np.ndarray:
     bad = ~((us >= -_PARAM_SLACK) & (us <= space.alpha + _PARAM_SLACK))
     if bad.any():
         _clamp_param(space, us[np.argmax(bad)])  # raises for the first offender
+    _normalizing_values(space)  # raises for a space whose coefficients overflow
     # Like the scalar clamp, np.clip keeps -0.0.
     clamped = np.clip(us, 0.0, space.alpha)
     s = _FUNCTIONS[space.kind, np][0]
-    left = s(0.5 * (space.alpha - clamped))
-    right = s(0.5 * clamped)
-    coeffs = _normalizing_values(space)
-    powers = np.arange(space.degree + 1)
-    left_powers = space.degree - powers
-    mat = np.empty((len(us), space.dimension))
-    scratch = np.empty((min(len(us), _BLOCK_ROWS), space.dimension))
-    for start in range(0, len(us), _BLOCK_ROWS):
+    scale = s(0.5 * space.alpha)
+    left = s(0.5 * (space.alpha - clamped)) / scale
+    right = s(0.5 * clamped) / scale
+    return _product_table(left, right, _coefficient_sums(space))
+
+
+def _ladder(powers: np.ndarray, x: np.ndarray) -> None:
+    """Fill row ``k`` of ``powers`` with ``x**k`` by the ladder of multiplies (module docstring)."""
+    powers[0] = 1.0
+    powers[1:2] = x  # no row to fill at degree 0
+    h = 1
+    while h + 1 < len(powers):
+        top = min(2 * h + 1, len(powers))
+        np.multiply(powers[h], powers[1 : top - h], out=powers[h + 1 : top])
+        h *= 2
+
+
+def _product_table(left: np.ndarray, right: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows ``weights[i] * (left**(d - i) * right**i)``, one per parameter (``d + 1`` weights).
+
+    Each block of ``_BLOCK_ROWS`` parameters builds its powers in two
+    ``(d + 1, block)`` scratch arrays and is written transposed into the
+    result; every entry takes the same multiplies whatever the block size.
+    """
+    count, width = len(left), len(weights)
+    table = np.empty((count, width))
+    lefts, rights = np.empty((2, width, min(count, _BLOCK_ROWS)))
+    for start in range(0, count, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        block = mat[rows]
-        right_block = scratch[: len(block)]
-        # 0.0 ** 0 evaluates to 1.0, so the endpoint columns come out exact.
-        np.power(left[rows, None], left_powers, out=block)
-        np.power(right[rows, None], powers, out=right_block)
-        block *= right_block
-        block *= coeffs
-    return mat
+        block = table[rows]
+        lp, rp = lefts[:, : len(block)], rights[:, : len(block)]
+        _ladder(lp, left[rows])
+        _ladder(rp, right[rows])
+        rp *= lp[::-1]
+        np.multiply(rp.T, weights, out=block)
+    return table
 
 
 def bernstein_value(degree: int, i: int, v: float) -> float:
@@ -314,6 +359,5 @@ def _binomials(degree: int) -> np.ndarray:
 
 def _bernstein_table(degree: int, vs: np.ndarray) -> np.ndarray:
     """Bernstein polynomials of ``degree`` at ``vs`` clamped to [0, 1], one row per parameter."""
-    v = np.clip(vs, 0.0, 1.0)[:, None]
-    powers = np.arange(degree + 1)
-    return _binomials(degree) * v**powers * (1.0 - v) ** (degree - powers)
+    v = np.clip(vs, 0.0, 1.0)
+    return _product_table(1.0 - v, v, _binomials(degree))

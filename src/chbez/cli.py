@@ -167,7 +167,7 @@ def _described(doc: SpecDocument, args, noun: str = "points"):
     Both flags are checked for shape before a rational document refuses a
     derivative, and --format (for output of ``noun``) before anything is built.
     """
-    from .exact import _describe
+    from .exact import _derivative_scale, _describe, min_orders
 
     spec = doc.spec
     delta = len(spec._directions)
@@ -178,6 +178,8 @@ def _described(doc: SpecDocument, args, noun: str = "points"):
     if args.format == "svg" and delta > 1:
         raise RangeError("--format: svg is for planar curves only")
     _check_format(doc, args.format, noun)
+    for k, rj in zip(min_orders(spec), r or ()):
+        _named("--derivative", _derivative_scale, k, rj)  # the largest frequency scales most
     return _describe(spec, orders, r, doc.rational, args.max_elevations)[0]
 
 

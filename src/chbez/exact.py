@@ -119,6 +119,16 @@ class CoordinateFunction:
         return CoordinateFunction(tuple(terms))
 
 
+def _derivative_scale(k: int, r: int) -> float:
+    """``k**r`` as a float, or a range error when it exceeds double range.
+
+    The bound is checked on ``r * log2(k)``, before the exact integer is built.
+    """
+    if k > 1 and r * math.log2(k) >= 1024.0:
+        raise RangeError(f"derivative order {r} overflows: {k}**{r} exceeds double range")
+    return float(k**r)
+
+
 def _derived(t: Term, kind: BasisKind, r: int) -> tuple[float, float, bool]:
     """Amplitude, phase and cosine-likeness of the r-th derivative of term ``t``.
 
@@ -126,7 +136,8 @@ def _derived(t: Term, kind: BasisKind, r: int) -> tuple[float, float, bool]:
     ``0**0 = 1``, so constants survive the underived case), shifts a
     trigonometric phase by pi/2 and swaps a hyperbolic term's family.
     """
-    amplitude, cosine_like = t.amplitude * float(t.frequency**r), t.family is TermFamily.COSINE
+    amplitude = t.amplitude * _derivative_scale(t.frequency, r)
+    cosine_like = t.family is TermFamily.COSINE
     if kind is BasisKind.TRIGONOMETRIC:
         return amplitude, t.phase + 0.5 * math.pi * r, cosine_like
     return amplitude, t.phase, cosine_like ^ (r % 2 == 1)

@@ -522,6 +522,31 @@ def parse_table(text: str, fmt: str):
                 raise RangeError(f"CSV line {i}: a data cell is not a number") from None
         return np.array(rows).reshape(len(rows), len(head or ())), columns
     if fmt == "json":
-        payload = json.loads(text)
-        return np.asarray(payload["data"], dtype=float), payload.get("columns")
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            reason = f"{exc.msg} at line {exc.lineno}"
+            raise RangeError(f"JSON table: not valid JSON ({reason})") from None
+        except RecursionError:
+            raise RangeError("JSON table: not valid JSON (nested too deeply)") from None
+        if not isinstance(payload, dict) or "data" not in payload:
+            raise RangeError('JSON table: expected an object with a "data" entry')
+        try:
+            return np.asarray(payload["data"], dtype=float), payload.get("columns")
+        except (TypeError, ValueError, OverflowError):
+            _json_shape(payload["data"], "data")  # raises for a ragged entry or a non-number
+            raise RangeError("JSON table: data holds an integer beyond double range") from None
     raise RangeError(f"unknown table format {fmt!r}")
+
+
+def _json_shape(value, path: str) -> tuple:
+    """Shape of nested lists of numbers, or a range error naming the first entry at fault."""
+    if not isinstance(value, list):
+        if isinstance(value, (int, float)):
+            return ()
+        raise RangeError(f"JSON table: {path} is not a number")
+    shapes = [_json_shape(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    for i, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise RangeError(f"JSON table: {path}[{i}] has shape {shape}, not {shapes[0]}")
+    return (len(value),) + (shapes[0] if shapes else ())

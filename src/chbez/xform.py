@@ -18,10 +18,10 @@ Two closely related tools live here:
   ``-``; that sign is the only difference between the two kinds).
 
 Caches: the alpha-free table ``C(n, i - r) C(i - r, r)`` is kept per order.
-The normalizing coefficients and transform rows are kept per space
-``(kind, n, alpha)`` a caller passes in, for the last 128 spaces; the
-elevation weights, the coefficient sums behind the normalizing coefficients
-and the recursion's intermediate orders are not kept.  Arrays are read-only.
+The coefficient sums, the normalizing coefficients and the transform rows
+are kept per space ``(kind, n, alpha)`` a caller passes in, for the last 128
+spaces; the elevation weights and the recursion's intermediate orders are
+not kept.  Arrays are read-only.
 """
 
 from __future__ import annotations

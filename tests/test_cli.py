@@ -502,6 +502,10 @@ FAILING_COMMANDS = [
      "error: --derivative: expected 1 orders, got 2\n"),
     ("sample", "hypocycloid", ["--derivative=-1"], 2,
      "error: --derivative: orders must be nonnegative, got '-1'\n"),
+    ("describe", "hypocycloid", ["--derivative", "1000"], 2,
+     "error: --derivative: derivative order 1000 overflows: 4**1000 exceeds double range\n"),
+    ("sample", "star_surface", ["--derivative", "400,0"], 2,
+     "error: --derivative: derivative order 400 overflows: 6**400 exceeds double range\n"),
     ("subdivide", "torus_patch", ["--split-at", "1"], 2,
      "error: subdivide works on curve specs only\n"),
     ("elevate", "torus_patch", [], 2, "error: elevate works on curve specs only\n"),
@@ -678,6 +682,14 @@ def test_failing_command(capsys, tmp_path, command, figure, flags, code, stderr)
         Path(path).write_bytes(RAW_SPECS[figure])
     stderr = stderr.replace("{spec}", path)  # a spec error names the file first
     assert run(capsys, command, "--spec", path, *flags) == (code, "", stderr)
+
+
+def test_derivative_scale_is_judged_per_direction(capsys):
+    # star_surface's second direction has frequency 1, whose powers never overflow.
+    path = str(Path(chbez.__file__).parent / "figures" / "star_surface.json")
+    code, out, err = run(capsys, "describe", "--spec", path, "--derivative", "0,1100")
+    assert (code, err) == (0, "")
+    assert out.startswith("i1,i2,x,y,z\n")
 
 
 def _unreachable(*args, **kwargs):

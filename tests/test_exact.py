@@ -469,6 +469,11 @@ DESCRIBE_ERRORS = [
      f"{_PATCH_R}1"),
     ("patch-derivative-float-scalar", exact_surface, "torus_patch", ((1, 1), 1.5), RangeError,
      f"{_PATCH_R}1.5"),
+    # k**r beyond double range, refused before the exact integer k**r is built.
+    ("curve-derivative-overflow", exact_curve, "hypocycloid", (None, 1000), RangeError,
+     "derivative order 1000 overflows: 4**1000 exceeds double range"),
+    ("patch-derivative-overflow", exact_surface, "star_surface", (None, (400, 0)), RangeError,
+     "derivative order 400 overflows: 6**400 exceeds double range"),
     # Elevation budgets and denominators.
     ("curve-budget-negative", exact_rational_curve, "lemniscate", (None, -1), RangeError,
      f"{_BUDGET}-1"),

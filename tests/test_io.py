@@ -686,6 +686,24 @@ class TestTables:
             parse_table(text, "csv")
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", 'JSON table: expected an object with a "data" entry'),
+            ('{"rows": []}', 'JSON table: expected an object with a "data" entry'),
+            ('{"data": [[1, 2], [3]]}', "JSON table: data[1] has shape (1,), not (2,)"),
+            ('{"data": [[1, "a"]]}', "JSON table: data[0][1] is not a number"),
+            ("nope", "JSON table: not valid JSON (Expecting value at line 1)"),
+            ('{"data": [1' + "0" * 400 + "]}",
+             "JSON table: data holds an integer beyond double range"),
+        ],
+        ids=["list", "no-data", "ragged", "non-number", "invalid", "huge-integer"],
+    )
+    def test_malformed_json_names_the_fault(self, text, message):
+        with pytest.raises(RangeError) as exc:
+            parse_table(text, "json")
+        assert str(exc.value) == message
+
     def test_csv_round_trip_keeps_every_bit(self):
         data = np.array([[-0.0, np.inf, -np.inf], [5e-324, 1.7976931348623157e308, 0.1]])
         back, columns = parse_table(export_table(data, "csv", ["a", "b", "c"]), "csv")

@@ -1,14 +1,19 @@
 """Byte-for-byte oracle for the curve kernels.
 
-The reference functions below are the original per-element kernels, kept
+Most reference functions below are the original per-element kernels, kept
 verbatim: a double loop over ``math.comb`` for the coefficient sums and the
 elevation weights, one ``_raise_order`` call per transform row, a Python
 ``_clamp_param`` call per basis parameter and a Bernstein row per piece
-parameter.  The package's vectorized kernels must give the same bytes for
-the coefficient sums, normalizing coefficients, elevation weights,
-transform rows and basis tables, piece values within 1e-13 of the largest
-control point coordinate, and the same ``RangeError`` / ``NumericalError``
-messages on out-of-range input.
+parameter.  The basis and Bernstein tables are checked against the scaled
+factor formula of :mod:`chbez.bbasis` written out one column at a time:
+entry ``[j, i]`` is ``S_i * (lam_j**(d - i) * rho_j**i)``, its powers taken
+from the multiply ladder ``x**k = x**h * x**(k - h)`` (``h`` the largest
+power of two below ``k``), with no blocks and no transposes.  The package's vectorized kernels
+must give the same bytes for the coefficient sums, normalizing
+coefficients, elevation weights, transform rows, basis tables and Bernstein
+tables, piece values within 1e-13 of the largest control point coordinate,
+and the same ``RangeError`` / ``NumericalError`` messages on out-of-range
+input.
 """
 
 import math
@@ -28,7 +33,8 @@ from chbez import (
     elevation_weights,
     subdivide,
 )
-from chbez.bbasis import _BLOCK_ROWS, _coefficient_sums, _half_functions, _normalizing_values
+from chbez.bbasis import (_BLOCK_ROWS, _bernstein_table, _coefficient_sums, _half_functions,
+                          _normalizing_values)
 from chbez.xform import _order_one_rows, _transform_rows
 
 TRIG = BasisKind.TRIGONOMETRIC
@@ -83,21 +89,41 @@ def ref_clamp_param(space: BasisSpace, u: float) -> float:
     return u
 
 
+def ref_powers(x: np.ndarray, degree: int) -> list[np.ndarray]:
+    """``x**k`` for k = 0 .. degree: ``x**h * x**(k - h)``, h the largest power of 2 below k."""
+    powers = [np.ones_like(x), x]
+    for k in range(2, degree + 1):
+        h = 1 << ((k - 1).bit_length() - 1)
+        powers.append(powers[h] * powers[k - h])
+    return powers[: degree + 1]
+
+
+def ref_products(left: np.ndarray, right: np.ndarray, weights) -> np.ndarray:
+    """Entry ``[j, i]`` is ``weights[i] * (left[j]**(d - i) * right[j]**i)``."""
+    d = len(weights) - 1
+    lp, rp = ref_powers(left, d), ref_powers(right, d)
+    table = np.empty((len(left), d + 1))
+    for i in range(d + 1):
+        table[:, i] = weights[i] * (lp[d - i] * rp[i])
+    return table
+
+
 def ref_basis_matrix(space: BasisSpace, us) -> np.ndarray:
     us = np.asarray(us, dtype=float)
     if us.ndim != 1:
         raise RangeError(f"parameter batch must be one dimensional, got shape {us.shape}")
-    clamped = np.array([ref_clamp_param(space, u) for u in us])
-    if space.kind is BasisKind.TRIGONOMETRIC:
-        left = np.sin(0.5 * (space.alpha - clamped))
-        right = np.sin(0.5 * clamped)
-    else:
-        left = np.sinh(0.5 * (space.alpha - clamped))
-        right = np.sinh(0.5 * clamped)
-    powers = np.arange(space.degree + 1)
-    # 0.0 ** 0 evaluates to 1.0, so the endpoint columns come out exact.
-    mat = left[:, None] ** (space.degree - powers)[None, :] * right[:, None] ** powers[None, :]
-    return mat * ref_normalizing_values(space)[None, :]
+    clamped = np.array([ref_clamp_param(space, u) for u in us], dtype=float)
+    ref_normalizing_values(space)  # the overflow refusal
+    s = np.sin if space.kind is BasisKind.TRIGONOMETRIC else np.sinh
+    scale = s(0.5 * space.alpha)
+    lam = s(0.5 * (space.alpha - clamped)) / scale
+    rho = s(0.5 * clamped) / scale
+    return ref_products(lam, rho, ref_coefficient_sums(space))
+
+
+def ref_bernstein_table(degree: int, vs) -> np.ndarray:
+    v = np.array([min(max(float(x), 0.0), 1.0) for x in vs], dtype=float)
+    return ref_products(1.0 - v, v, [float(math.comb(degree, i)) for i in range(degree + 1)])
 
 
 @cache
@@ -299,9 +325,12 @@ def test_basis_range_messages(kind, us):
 # Basis tables across block boundaries
 
 B = _BLOCK_ROWS
+# Batch sizes around the block size, and around 512, the block size the
+# tables were first built with.
+COUNTS = sorted({0, 1, B - 1, B, B + 1, 2 * B + 1, 511, 512, 513, 1025})
 
 
-@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("n", [1, 16, 32])
 @pytest.mark.parametrize("kind", [TRIG, HYP], ids=lambda k: k.value)
 def test_basis_table_across_blocks(kind, n, count):
@@ -316,6 +345,18 @@ def test_basis_table_across_blocks(kind, n, count):
     assert table.tobytes() == ref_basis_matrix(space, us).tobytes()
 
 
+@pytest.mark.parametrize("count", [0, 1, B - 1, B + 1, 2 * B + 1])
+def test_bernstein_table(count):
+    """Degrees 0 to 64; the first values are the clamped ends and a -0.0."""
+    vs = np.random.default_rng(count).uniform(0.0, 1.0, count)
+    ends = [-5e-13, -0.0, 0.0, 1.0, 1.0 + 5e-13][:count]
+    vs[: len(ends)] = ends
+    for degree in range(65):
+        table = _bernstein_table(degree, vs)
+        assert table.shape == (count, degree + 1)
+        assert table.tobytes() == ref_bernstein_table(degree, vs).tobytes(), degree
+
+
 @pytest.mark.parametrize(
     "offenders",
     [
@@ -323,13 +364,17 @@ def test_basis_table_across_blocks(kind, n, count):
         {B: 1.0 + 2e-12, 2 * B: -5.0},
         {B + 1: np.inf, 2 * B - 1: -np.inf},
         {B - 1: -1e-13, B + 3: -2e-12, 2 * B: 1.0 + 2e-12},
+        {1024: -1e-3},
+        {512: 1.0 + 2e-12, 1024: -5.0},
+        {513: np.inf, 1023: -np.inf},
+        {511: -1e-13, 515: -2e-12, 1024: 1.0 + 2e-12},
     ],
     ids=str,
 )
 @pytest.mark.parametrize("kind", [TRIG, HYP], ids=lambda k: k.value)
 def test_first_offender_in_a_later_block(kind, offenders):
     space = BasisSpace(kind, 3, 1.0)
-    us = np.linspace(0.0, 1.0, 2 * B + 1)
+    us = np.linspace(0.0, 1.0, max(2 * B, *offenders) + 1)
     for index, u in offenders.items():
         us[index] = u
     expected = outcome(ref_basis_matrix, space, us)
