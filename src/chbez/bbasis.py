@@ -95,12 +95,13 @@ class BasisKind(Enum):
 
 
 # Each kind's function family s, c, t: (sin, cos, tan) or (sinh, cosh, tanh),
-# from ``math`` for floats and from numpy for arrays.
+# from ``math`` for floats and from numpy for arrays.  Arrays have no t: the
+# Bezier parameter takes ``math``'s entry by entry (``curve._bezier_parameter``).
 _FUNCTIONS = {
     (BasisKind.TRIGONOMETRIC, math): (math.sin, math.cos, math.tan),
-    (BasisKind.TRIGONOMETRIC, np): (np.sin, np.cos, np.tan),
+    (BasisKind.TRIGONOMETRIC, np): (np.sin, np.cos),
     (BasisKind.HYPERBOLIC, math): (math.sinh, math.cosh, math.tanh),
-    (BasisKind.HYPERBOLIC, np): (np.sinh, np.cosh, np.tanh),
+    (BasisKind.HYPERBOLIC, np): (np.sinh, np.cosh),
 }
 
 # Each kind's sign in the addition identity c(a + b) = c(a) c(b) + sign s(a) s(b):

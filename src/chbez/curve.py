@@ -9,10 +9,11 @@ module provides the reparametrization onto ``[0, 1]`` that
 turns every such curve into a rational Bezier curve, corner cutting
 subdivision at an arbitrary interior parameter, and order elevation.
 
-The reparametrization has one body for floats and arrays.  The scalar
-:func:`reparametrize` keeps ``math.tan`` where arrays use ``np.tan``: the
-two differ in the last bit on some parameters, and subdivision, whose
-split ratio and pieces the CLI ``subdivide`` digest pins, runs on the scalar.
+Every Bezier piece is one homogeneous net ``(w p, w)``, the weights
+``w`` being the Bezier weights (times the curve's rational weights): one
+de Casteljau pyramid on that net splits a curve, its two edges are the
+pieces, and one Bernstein product evaluates a piece; each projects back
+by dividing by its weight channel only at the end.
 
 The subdivision pieces are kept in rational Bezier form (points, weights and
 the covered subinterval); re-expressing them over the B-basis of the
@@ -168,18 +169,19 @@ def reparametrize(space: BasisSpace, u: float) -> float:
     ``v(alpha / 2) = 1/2``; composed with it, the B-basis functions become
     rational Bernstein weight functions.
     """
-    return _bezier_parameter(space, _clamp_param(space, u), math)
+    return _bezier_parameter(space, [_clamp_param(space, u)])[0]
 
 
-def _bezier_parameter(space: BasisSpace, us, lib):
-    """:func:`reparametrize` of clamped ``us``, with the elementwise tan or tanh from ``lib``.
+def _bezier_parameter(space: BasisSpace, us) -> list[float]:
+    """:func:`reparametrize` of clamped floats ``us``, one at a time in float arithmetic.
 
-    ``lib`` is ``math`` for a float and ``np`` for an array (the module
-    docstring says why the float keeps ``math``); the scale is a float in both.
+    The tan or tanh is ``math``'s, so a value has the same bits alone and in
+    a batch, on every CPU.
     """
+    t = _FUNCTIONS[space.kind, math][2]
     quarter = 0.25 * space.alpha
-    scale = 2.0 * _FUNCTIONS[space.kind, math][2](quarter)
-    return 0.5 + _FUNCTIONS[space.kind, lib][2](0.5 * us - quarter) / scale
+    scale = 2.0 * t(quarter)
+    return [0.5 + t(0.5 * u - quarter) / scale for u in us]
 
 
 def bezier_weights(space: BasisSpace) -> np.ndarray:
@@ -217,10 +219,10 @@ class BezierPiece:
         us = np.atleast_1d(np.asarray(u, dtype=float))
         outside = ~((us >= lo - _PARAM_SLACK) & (us <= hi + _PARAM_SLACK))
         off_parent = ~((us >= -_PARAM_SLACK) & (us <= space.alpha + _PARAM_SLACK))
-        v = _bezier_parameter(space, np.clip(us, 0.0, space.alpha), np)
+        v = np.array(_bezier_parameter(space, np.clip(us, 0.0, space.alpha).tolist()))
         bern = _bernstein_table(self.points.shape[0] - 1, (v - v_lo) / (v_hi - v_lo))
-        denom = bern @ self.weights
-        vanishing = _below_floor(np.abs(denom), self.weights)
+        values = bern @ _folded(self.points, self.weights)
+        vanishing = _below_floor(np.abs(values[:, -1]), self.weights)
         # Report the first parameter that fails a check, and for it the first
         # check it fails: piece interval, parent interval, denominator.
         failed = outside | off_parent | vanishing
@@ -234,7 +236,7 @@ class BezierPiece:
             if off_parent[k]:
                 _clamp_param(space, ui)
             raise NumericalError(f"piece denominator vanishes near u = {ui:g}")
-        out = (bern * self.weights) @ self.points / denom[:, None]
+        out = _projected(values)[0]
         return out[0] if scalar else out
 
 
@@ -245,14 +247,6 @@ class SubdivisionResult:
     left: BezierPiece
     right: BezierPiece
     split_ratio: float
-
-
-def _weight_pyramid(weights: np.ndarray, v: float) -> list[np.ndarray]:
-    levels = [weights]
-    for _ in range(weights.shape[0] - 1):
-        prev = levels[-1]
-        levels.append((1.0 - v) * prev[:-1] + v * prev[1:])
-    return levels
 
 
 def _split_point(space: BasisSpace, u0: float) -> float:
@@ -268,39 +262,29 @@ def _split_point(space: BasisSpace, u0: float) -> float:
 def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     """Split the curve at interior parameter ``u0`` by corner cutting.
 
-    The recursion runs at the fixed ratio ``v = reparametrize(space, u0)``
-    on the Bezier weights; the two pyramid edges give the left and right
-    piece.  Rational curves are folded into their pre-image first so a
-    single pyramid serves both cases.
+    One de Casteljau pyramid runs at the fixed ratio ``v = reparametrize(space,
+    u0)`` on the homogeneous net ``(w p, w)``, where ``w`` is the Bezier weights
+    times the curve's weights (if any); its first edge is the left piece and its
+    last edge, reversed, the right one.  A weight at the floor on any level is
+    refused before anything is divided by it.  The piece weights keep that
+    scale: the parent's Bezier weights times its rational weights.
     """
     space = curve.space
     u0 = _split_point(space, u0)
     v = reparametrize(space, u0)
-    bez = bezier_weights(space)
-    w_levels = _weight_pyramid(bez, v)
-    rational = curve.weights is not None
-    pts = _folded(curve.points, curve.weights)
-    effective = _weight_pyramid(bez * curve.weights, v) if rational else w_levels
-
-    if np.any(_below_floor(np.abs(np.concatenate(effective)), effective[0])):
+    w = bezier_weights(space)
+    if curve.weights is not None:
+        w = w * curve.weights
+    levels = [_folded(curve.points, w)]
+    while len(levels[-1]) > 1:
+        level = levels[-1]
+        levels.append((1.0 - v) * level[:-1] + v * level[1:])
+    if np.any(_below_floor(np.abs(np.concatenate([lev[:, -1] for lev in levels])), w)):
         raise NumericalError(f"degenerate weight pyramid while splitting at u0 = {u0:g}")
-
-    p_levels = [pts]
-    for r in range(1, space.dimension):
-        wp, w = p_levels[-1], w_levels[r - 1]
-        nw = w_levels[r]
-        blended = (1.0 - v) * (w[:-1, None] * wp[:-1]) + v * (w[1:, None] * wp[1:])
-        p_levels.append(blended / nw[:, None])
-
-    # The left piece runs down the first pyramid edge, the right one up the last.
     pieces = []
     for edge, step, interval in ((0, 1, (0.0, u0)), (-1, -1, (u0, space.alpha))):
-        piece_pts = np.array([lev[edge] for lev in p_levels])[::step]
-        piece_w = np.array([lev[edge] for lev in w_levels])[::step]
-        if rational:
-            piece_pts, last = _projected(piece_pts)
-            piece_w = piece_w * last
-        pieces.append(BezierPiece(space, piece_pts, piece_w, interval))
+        points, weights = _projected(np.array([lev[edge] for lev in levels])[::step])
+        pieces.append(BezierPiece(space, points, weights, interval))
     return SubdivisionResult(*pieces, v)
 
 

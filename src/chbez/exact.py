@@ -104,7 +104,7 @@ class CoordinateFunction:
         """Direct evaluation of the traditional form (used as the reference)."""
         us = np.asarray(us, dtype=float)
         out = np.zeros_like(us)
-        s, c, _ = _FUNCTIONS[kind, np]
+        s, c = _FUNCTIONS[kind, np]
         for t in self.terms:
             f = c if t.family is TermFamily.COSINE else s
             out += t.amplitude * f(t.frequency * us + t.phase)

@@ -531,21 +531,27 @@ def parse_table(text: str, fmt: str):
             raise RangeError("JSON table: not valid JSON (nested too deeply)") from None
         if not isinstance(payload, dict) or "data" not in payload:
             raise RangeError('JSON table: expected an object with a "data" entry')
+        _json_shape(payload["data"], "data")  # raises for a ragged entry or a non-number
         try:
             return np.asarray(payload["data"], dtype=float), payload.get("columns")
-        except (TypeError, ValueError, OverflowError):
-            _json_shape(payload["data"], "data")  # raises for a ragged entry or a non-number
+        except OverflowError:
             raise RangeError("JSON table: data holds an integer beyond double range") from None
     raise RangeError(f"unknown table format {fmt!r}")
 
 
 def _json_shape(value, path: str) -> tuple:
-    """Shape of nested lists of numbers, or a range error naming the first entry at fault."""
+    """Shape of nested lists of numbers, or a range error naming the first entry at fault.
+
+    A number is a JSON integer or float (``NaN`` and ``Infinity`` included);
+    ``true``, ``false``, ``null`` and strings are not.
+    """
+    if type(value) in (int, float):
+        return ()
     if not isinstance(value, list):
-        if isinstance(value, (int, float)):
-            return ()
         raise RangeError(f"JSON table: {path} is not a number")
-    shapes = [_json_shape(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    # A number's path is spelled out only when it is at fault.
+    shapes = [() if type(v) in (int, float) else _json_shape(v, f"{path}[{i}]")
+              for i, v in enumerate(value)]
     for i, shape in enumerate(shapes):
         if shape != shapes[0]:
             raise RangeError(f"JSON table: {path}[{i}] has shape {shape}, not {shapes[0]}")

@@ -1,5 +1,8 @@
 """Accuracy, exact endpoint rows and CPU independence of the basis and Bernstein tables.
 
+The subdivision pieces evaluated on their intervals are checked for CPU
+independence as well.
+
 The oracle evaluates ``b_i(u) = S_i * lam**(2n - i) * rho**i`` (see
 :mod:`chbez.bbasis`) with mpmath at 50 digits, at the float parameters the
 package sees.  Each table entry lies in [0, 1] and the powers come from at
@@ -118,28 +121,50 @@ for _ in range(60):
 vs = rng.uniform(0.0, 1.0, 700)
 for degree in range(65):
     digest.update(_bernstein_table(degree, vs).tobytes())
-TABLES_DIGEST = digest.hexdigest()
+DIGEST = digest.hexdigest()
 """
 
-_EMULATION = {
-    "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
-    "OPENBLAS_CORETYPE": "Haswell",
-}
+# Subdivision pieces of trigonometric curves, plain and rational, evaluated
+# on their intervals: the Bezier parameter, the Bernstein table and the BLAS
+# product that folds points and weights together.
+_PIECES = """
+import hashlib
+import numpy as np
+from chbez import BasisKind, BasisSpace, ControlCurve, subdivide
+
+digest = hashlib.sha256()
+rng = np.random.default_rng(1998)
+for _ in range(40):
+    space = BasisSpace(BasisKind.TRIGONOMETRIC, int(rng.integers(1, 33)), rng.uniform(0.05, 3.1))
+    weights = 0.5 + rng.random(space.dimension) if rng.random() < 0.5 else None
+    curve = ControlCurve(space, rng.standard_normal((space.dimension, 3)), weights)
+    split = subdivide(curve, rng.uniform(0.1, 0.9) * space.alpha)
+    for piece in (split.left, split.right):
+        digest.update(piece.evaluate(rng.uniform(*piece.u_interval, 300)).tobytes())
+DIGEST = digest.hexdigest()
+"""
+
+_NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
 
 
-def test_tables_do_not_depend_on_the_simd_dispatch():
+def _digests(script: str, env: dict) -> tuple[str, str]:
+    """``DIGEST`` of ``script`` in process and in a child process run with ``env`` added.
+
+    Skips, naming the reason, when the host has no AVX512 loops to switch
+    off, when numpy refuses the variable or when it keeps its AVX512 loops.
+    """
     from numpy._core._multiarray_umath import __cpu_features__
 
     if not __cpu_features__.get("AVX512F"):
         pytest.skip("the host has no AVX512 loops to switch off")
     scope = {}
-    exec(_TABLES, scope)
-    child = _TABLES + (
+    exec(script, scope)
+    child = script + (
         "import json\n"
         "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
-        "print(json.dumps([TABLES_DIGEST, f.get('X86_V4', False), f.get('AVX512_SKX', False)]))\n"
+        "print(json.dumps([DIGEST, f.get('X86_V4', False), f.get('AVX512_SKX', False)]))\n"
     )
-    env = {**os.environ, **_EMULATION}
+    env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join([str(Path(chbez.__file__).parents[1]), *sys.path])
     run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
     if run.returncode != 0:
@@ -148,4 +173,16 @@ def test_tables_do_not_depend_on_the_simd_dispatch():
     digest, *avx512 = json.loads(run.stdout)
     if any(avx512):
         pytest.skip("numpy kept its AVX512 loops under NPY_DISABLE_CPU_FEATURES")
-    assert digest == scope["TABLES_DIGEST"]
+    return scope["DIGEST"], digest
+
+
+def test_tables_do_not_depend_on_the_simd_dispatch():
+    in_process, child = _digests(_TABLES, {**_NO_AVX512, "OPENBLAS_CORETYPE": "Haswell"})
+    assert child == in_process
+
+
+def test_piece_values_do_not_depend_on_the_simd_dispatch():
+    # OpenBLAS's core type still changes the bits of the piece product, so
+    # only numpy's own dispatch is switched.
+    in_process, child = _digests(_PIECES, _NO_AVX512)
+    assert child == in_process

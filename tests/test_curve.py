@@ -25,9 +25,11 @@ from chbez import (
     reparametrize,
     subdivide,
 )
+from chbez.curve import _bezier_parameter
 
 TRIG = BasisKind.TRIGONOMETRIC
 HYP = BasisKind.HYPERBOLIC
+EPS = np.finfo(float).eps
 
 
 def random_curve(kind, n, alpha, dim=2, seed=0, rational=False):
@@ -188,6 +190,16 @@ class TestReparametrize:
         with pytest.raises(RangeError, match="parameter u = nan is not a number"):
             reparametrize(BasisSpace(HYP, 1, 1.0), math.nan)
 
+    @pytest.mark.parametrize("kind", [TRIG, HYP], ids=lambda k: k.value)
+    def test_scalar_is_the_batch_entry(self, kind):
+        rng = np.random.default_rng(1998)
+        for _ in range(200):
+            alpha = rng.uniform(0.05, 3.1 if kind is TRIG else 6.0)
+            space = BasisSpace(kind, int(rng.integers(1, 33)), alpha)
+            us = rng.uniform(0.0, alpha, 60)
+            scalars = [reparametrize(space, u) for u in us]
+            assert np.array(scalars).tobytes() == np.array(_bezier_parameter(space, us)).tobytes()
+
 
 class TestBezierWeights:
     def test_quarter_turn_frozen(self):
@@ -342,6 +354,57 @@ class TestSubdivide:
             NumericalError, match=r"^degenerate weight pyramid while splitting at u0 = 0\.5$"
         ):
             subdivide(crv, 0.5)
+
+
+def oracle_split(curve: ControlCurve, u0: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Points and weights of both pieces, split in mpmath at 50 digits.
+
+    The float Bezier weights, the curve's points and weights and the split
+    ratio ``reparametrize(space, u0)`` are taken as exact inputs; the
+    homogeneous pyramid on ``(w p, w)`` then has one exact answer.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        v = mp.mpf(reparametrize(curve.space, u0))
+        w = [mp.mpf(x) for x in bezier_weights(curve.space)]
+        if curve.weights is not None:
+            w = [a * mp.mpf(b) for a, b in zip(w, curve.weights.tolist())]
+        level = [[a * mp.mpf(x) for x in row] + [a] for a, row in zip(w, curve.points.tolist())]
+        left, right = [level[0]], [level[-1]]
+        while len(level) > 1:
+            level = [[(1 - v) * a + v * b for a, b in zip(r0, r1)] for r0, r1 in zip(level, level[1:])]
+            left.append(level[0])
+            right.append(level[-1])
+        return [
+            (np.array([[float(x / row[-1]) for x in row[:-1]] for row in edge]),
+             np.array([float(row[-1]) for row in edge]))
+            for edge in (left, right[::-1])
+        ]
+
+
+# Spaces every order up to 32 splits in (hyperbolic n * alpha <= 80).
+SPLIT_SPACES = [(TRIG, 1.5), (TRIG, 3.1), (HYP, 1.5), (HYP, 2.5)]
+
+
+class TestSplitAgainstMpmath:
+    """Piece points within ``2 (2n + 1)`` eps of the parent's largest
+    coordinate, piece weights within as many eps relative to each weight."""
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["plain", "rational"])
+    @pytest.mark.parametrize("n", [1, 8, 16, 32])
+    @pytest.mark.parametrize(
+        "kind, alpha", SPLIT_SPACES, ids=[f"{k.value[:4]}-{a:g}" for k, a in SPLIT_SPACES]
+    )
+    def test_pieces_against_mpmath(self, kind, alpha, n, rational):
+        crv = random_curve(kind, n, alpha, dim=3, seed=n, rational=rational)
+        bound = 2 * (2 * n + 1) * EPS
+        for u0 in (0.13 * alpha, 0.5 * alpha, 0.71 * alpha):
+            res = subdivide(crv, u0)
+            for piece, (points, weights) in zip((res.left, res.right), oracle_split(crv, u0)):
+                error = np.max(np.abs(piece.points - points)) / np.max(np.abs(crv.points))
+                assert error <= bound, (u0, error / EPS)
+                error = np.max(np.abs(piece.weights - weights) / weights)
+                assert error <= bound, (u0, error / EPS)
 
 
 class TestElevate:

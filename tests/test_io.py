@@ -661,6 +661,11 @@ class TestTables:
         assert columns == ["u", "x"]
         assert np.all(back == data)
 
+    def test_json_round_trip_keeps_non_finite_values(self):
+        data = np.array([[np.nan, np.inf], [-np.inf, -0.0], [5e-324, 1e308]])
+        back, _ = parse_table(export_table(data, "json"), "json")
+        assert back.tobytes() == data.tobytes()
+
     def test_validation(self):
         with pytest.raises(RangeError, match="at most 2-d"):
             export_table(np.zeros((2, 2, 2)), "csv")
@@ -696,8 +701,12 @@ class TestTables:
             ("nope", "JSON table: not valid JSON (Expecting value at line 1)"),
             ('{"data": [1' + "0" * 400 + "]}",
              "JSON table: data holds an integer beyond double range"),
+            ('{"data": [[1, null]]}', "JSON table: data[0][1] is not a number"),
+            ('{"data": [true, 2.5]}', "JSON table: data[0] is not a number"),
+            ('{"data": [1, "2.5"]}', "JSON table: data[1] is not a number"),
         ],
-        ids=["list", "no-data", "ragged", "non-number", "invalid", "huge-integer"],
+        ids=["list", "no-data", "ragged", "non-number", "invalid", "huge-integer", "null",
+             "bool", "numeric-string"],
     )
     def test_malformed_json_names_the_fault(self, text, message):
         with pytest.raises(RangeError) as exc:
