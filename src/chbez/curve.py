@@ -32,7 +32,7 @@ from ._record import record
 from .bbasis import (_FUNCTIONS, _PARAM_SLACK, BasisSpace, _bernstein_table, _binomials,
                      _clamp_param, _is_count, _normalizing_values, basis_matrix)
 from .errors import NumericalError, RangeError
-from .xform import elevate_coefficient_vector
+from .xform import _elevated
 
 __all__ = _exports(__name__)
 
@@ -222,7 +222,10 @@ class BezierPiece:
         v = np.array(_bezier_parameter(space, np.clip(us, 0.0, space.alpha).tolist()))
         bern = _bernstein_table(self.points.shape[0] - 1, (v - v_lo) / (v_hi - v_lo))
         values = bern @ _folded(self.points, self.weights)
-        vanishing = _below_floor(np.abs(values[:, -1]), self.weights)
+        den = np.abs(values[:, -1])
+        vanishing = _below_floor(den, self.weights)
+        if vanishing.any():  # keep a cancellation, not positive weights however widely spread
+            vanishing &= den <= _WEIGHT_FLOOR * (bern @ np.abs(self.weights))
         # Report the first parameter that fails a check, and for it the first
         # check it fails: piece interval, parent interval, denominator.
         failed = outside | off_parent | vanishing
@@ -265,26 +268,32 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     One de Casteljau pyramid runs at the fixed ratio ``v = reparametrize(space,
     u0)`` on the homogeneous net ``(w p, w)``, where ``w`` is the Bezier weights
     times the curve's weights (if any); its first edge is the left piece and its
-    last edge, reversed, the right one.  A weight at the floor on any level is
-    refused before anything is divided by it.  The piece weights keep that
-    scale: the parent's Bezier weights times its rational weights.
+    last edge, reversed, the right one.  The Bezier weights ride along as one
+    more channel, so each weight entry can be judged against the Bezier weights
+    it combines: their ratio is a mean of the curve's weights.  An entry at the
+    floor both on the scale of ``w`` and in that ratio, on any level, is
+    refused before anything is divided by it; positive Bezier weights however
+    widely spread never are.  The piece weights keep the scale of ``w``.
     """
     space = curve.space
     u0 = _split_point(space, u0)
     v = reparametrize(space, u0)
-    w = bezier_weights(space)
-    if curve.weights is not None:
-        w = w * curve.weights
-    levels = [_folded(curve.points, w)]
+    bezier = bezier_weights(space)
+    w = bezier if curve.weights is None else bezier * curve.weights
+    levels = [np.concatenate([_folded(curve.points, w), bezier[:, None]], axis=1)]
     while len(levels[-1]) > 1:
         level = levels[-1]
         levels.append((1.0 - v) * level[:-1] + v * level[1:])
-    if np.any(_below_floor(np.abs(np.concatenate([lev[:, -1] for lev in levels])), w)):
+    # All levels stacked: level k starts at row k (d + 1) - k (k - 1) / 2.
+    pyramid, k = np.concatenate(levels), np.arange(len(levels))
+    first = k * len(levels) - k * (k - 1) // 2
+    weights, combined = pyramid[:, -2], pyramid[:, -1]
+    at_floor = _below_floor(weights, w)
+    scale = 1.0 if curve.weights is None else min(1.0, curve.weights.max())
+    if at_floor.any() and np.any(weights[at_floor] <= _WEIGHT_FLOOR * scale * combined[at_floor]):
         raise NumericalError(f"degenerate weight pyramid while splitting at u0 = {u0:g}")
-    pieces = []
-    for edge, step, interval in ((0, 1, (0.0, u0)), (-1, -1, (u0, space.alpha))):
-        points, weights = _projected(np.array([lev[edge] for lev in levels])[::step])
-        pieces.append(BezierPiece(space, points, weights, interval))
+    pieces = [BezierPiece(space, *_projected(pyramid[edge, :-1]), interval)
+              for edge, interval in ((first, (0.0, u0)), (first[::-1] + k, (u0, space.alpha)))]
     return SubdivisionResult(*pieces, v)
 
 
@@ -301,11 +310,7 @@ def elevate(curve: ControlCurve, z: int = 1) -> ControlCurve:
     z = int(z)
     if z == 0:
         return curve
-    space = curve.space
-    pts = _folded(curve.points, curve.weights)
-    for step in range(z):
-        pts = elevate_coefficient_vector(BasisSpace(space.kind, space.n + step, space.alpha), pts)
-    lifted = BasisSpace(space.kind, space.n + z, space.alpha)
+    lifted, pts = _elevated(curve.space, _folded(curve.points, curve.weights), z)
     if curve.weights is None:
         return ControlCurve(lifted, pts)
     if np.any(_below_floor(pts[:, -1], pts[:, -1])):

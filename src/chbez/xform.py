@@ -17,11 +17,18 @@ Two closely related tools live here:
   (for the hyperbolic kind the second identity carries ``+`` instead of
   ``-``; that sign is the only difference between the two kinds).
 
+Both rest on one table of step weights (:func:`_step_table`): the weights of
+every elevation step ``m -> m + 1`` over a range of orders, built from the
+coefficient sums of those orders at once.  The recursion takes all its steps
+from one table, as does an elevation by several orders, and
+:func:`elevation_weights` lays out one step of it.  A step writes its terms
+into a zero padded array and sums them in place: no per-step copies.
+
 Caches: the alpha-free table ``C(n, i - r) C(i - r, r)`` is kept per order.
 The coefficient sums, the normalizing coefficients and the transform rows
 are kept per space ``(kind, n, alpha)`` a caller passes in, for the last 128
-spaces; the elevation weights and the recursion's intermediate orders are
-not kept.  Arrays are read-only.
+spaces; step weight tables are built per call and not kept.  Arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -82,34 +89,69 @@ def elevation_weights(space: BasisSpace) -> np.ndarray:
     preserves the endpoint coefficients bit for bit.
     """
     high = BasisSpace(space.kind, space.n + 1, space.alpha)  # raises if order n + 1 is out of range
-    return _step_weights(*_sums_by_order(high, (space.n, 1, space.n + 1)))
-
-
-def _step_weights(low: np.ndarray, one: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """:func:`elevation_weights` from the coefficient sums of orders n, 1 and n + 1."""
-    size = low.shape[0]
-    weights = np.zeros((size + 2, 3))
+    steps = _step_table(high, space.n)[0]
+    weights = np.zeros((2 * space.n + 3, 3))
     for j in range(3):
-        weights[j : j + size, j] = low * one[j] / high[j : j + size]
+        weights[j : j + 2 * space.n + 1, j] = steps[j]
     weights.flags.writeable = False
     return weights
 
 
-def _raise_order(coeffs: np.ndarray, factor: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Shifted three-term combination shared by elevation and the recursion.
+def _step_table(space: BasisSpace, low: int) -> np.ndarray:
+    """Weights of the elevation steps ``m -> m + 1`` for ``m = low .. n - 1``.
 
-    With ``factor = (1, 1, 1)`` this is plain order elevation; with the
-    order-one row of a canonical function it realizes multiplication by that
-    function, because the product of two B-basis functions is again a scaled
-    B-basis function of the combined order.  ``factor`` may also have shape
-    ``(3, k)`` for ``k`` columns of coefficients, one factor row per column.
+    Shape ``(n - low, 3, 2n - 1)``: entry ``[m - low, j, r]`` is
+    ``(S_m[r] * S_1[j]) / S_{m + 1}[r + j]``, the share of old coefficient
+    ``r`` in new coefficient ``r + j``, with ``S_k`` the coefficient sums of
+    order ``k`` at the kind and alpha of ``space``.  Entries past ``r = 2m``
+    are padding.
     """
-    m = coeffs.shape[0]
-    out = np.zeros((m + 2,) + coeffs.shape[1:])
+    sums = _sums_by_order(space, [1, *range(low, space.n + 1)])
+    size = 2 * space.n - 1
+    table = sums[1:-1, None, :size] * sums[0, :3, None]
     for j in range(3):
-        w = weights[j : j + m, j].reshape((m,) + (1,) * (coeffs.ndim - 1)) * factor[j]
-        out[j : j + m] += w * coeffs
+        table[:, j] /= sums[2:, j : j + size]
+    return table
+
+
+def _raise_order(weights: np.ndarray, coeffs: np.ndarray, out, factors=None) -> np.ndarray:
+    """One elevation step of the rows of ``coeffs`` into the first rows of ``out``; returns ``out``.
+
+    Each row of ``coeffs`` holds B-basis coefficients, and ``weights`` is one
+    step of :func:`_step_table`: term ``j`` of coefficient ``r``,
+    ``weights[j, r] * coeffs[:, r]``, goes to coefficient ``r + j``, the terms
+    added onto zeros for j = 0, 1, 2 in turn.  If ``factors`` (shape
+    ``(3, k, 1)``) is given, the last ``k`` rows take the terms
+    ``(weights[j, r] * factors[j, i]) * coeffs[i, r]`` instead: with the
+    order-one row of a canonical function as factor the step realizes
+    multiplication by that function, because the product of two B-basis
+    functions is again a scaled B-basis function of the combined order.  The
+    terms are written into a zero padded array, so each sum is one pass.
+    """
+    rows, size = coeffs.shape
+    terms = np.zeros((3, rows, size + 2))
+    # A view of ``terms`` whose entry [j, :, r] is terms[j, :, r + j].
+    shifted = np.ndarray((3, rows, size), buffer=terms, strides=np.add(terms.strides, (8, 0, 0)))
+    weights = weights[:, None, :size]
+    np.multiply(weights, coeffs, out=shifted)
+    if factors is not None:
+        tail = -factors.shape[1]
+        np.multiply(weights * factors, coeffs[tail:], out=shifted[:, tail:])
+    head = out[:rows]
+    np.add(terms[0], 0.0, out=head)  # 0.0 + t: a -0.0 term gives 0.0, as onto zeros
+    head += terms[1]
+    head += terms[2]
     return out
+
+
+def _elevated(space: BasisSpace, coeffs: np.ndarray, z: int) -> tuple[BasisSpace, np.ndarray]:
+    """The space of order ``n + z`` and ``coeffs`` (stacked along axis 0) raised by z steps."""
+    for order in range(space.n + 1, space.n + z + 1):  # raises for the first order out of range
+        top = BasisSpace(space.kind, order, space.alpha)
+    rows = coeffs.reshape(len(coeffs), math.prod(coeffs.shape[1:])).T
+    for weights in _step_table(top, space.n):
+        rows = _raise_order(weights, rows, np.empty((rows.shape[0], rows.shape[1] + 2)))
+    return top, rows.T.reshape((rows.shape[1],) + coeffs.shape[1:])
 
 
 def elevate_coefficient_vector(space: BasisSpace, coeffs) -> np.ndarray:
@@ -121,7 +163,7 @@ def elevate_coefficient_vector(space: BasisSpace, coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape[0] != space.dimension:
         raise RangeError(f"expected {space.dimension} coefficients, got {coeffs.shape[0]}")
-    return _raise_order(coeffs, np.ones(3), elevation_weights(space))
+    return _elevated(space, coeffs, 1)[1]
 
 
 def _order_one_rows(kind: BasisKind, alpha: float) -> np.ndarray:
@@ -131,31 +173,25 @@ def _order_one_rows(kind: BasisKind, alpha: float) -> np.ndarray:
 
 @lru_cache(maxsize=_MEMO_SPACES)
 def _transform_rows(space: BasisSpace) -> np.ndarray:
-    sign = _ADDITION_SIGNS[space.kind]
     base = _order_one_rows(space.kind, space.alpha)
-    # Factor rows of the four products sin(mu) cos(u), cos(mu) sin(u),
-    # cos(mu) cos(u), sin(mu) sin(u), one column each.
-    product_factors = base[[2, 1, 2, 1]].T
-    # Column r holds the coefficients of canonical function r.
-    cols = base.T
-    sums = _sums_by_order(space, range(1, space.n + 1))
-    for m in range(1, space.n):
-        weights = _step_weights(sums[m - 1], sums[0], sums[m])
-        # One three-term pass raises the known functions 1..2m (factor one)
-        # and forms the four products of the angle addition identities.
-        products = cols[:, [2 * m - 1, 2 * m, 2 * m, 2 * m - 1]]
-        coeffs = np.concatenate([cols[:, 1:], products], axis=1)
-        factor = np.concatenate([np.ones((3, 2 * m)), product_factors], axis=1)
-        raised = _raise_order(coeffs, factor, weights)
-        grown = np.empty((2 * m + 3, 2 * m + 3))
-        grown[:, 0] = 1.0
-        grown[:, 1 : 2 * m + 1] = raised[:, : 2 * m]
-        grown[:, 2 * m + 1] = raised[:, 2 * m] + raised[:, 2 * m + 1]
-        grown[:, 2 * m + 2] = raised[:, 2 * m + 2] + sign * raised[:, 2 * m + 3]
-        cols = grown
-    rows = np.array(cols.T)
-    rows.flags.writeable = False
-    return rows
+    # Row k of ``rows`` holds the coefficients of canonical function k + 1
+    # (the constant is added at the end), followed by four product inputs
+    # sin(mu), cos(mu), sin(mu), cos(mu).  Their factor rows are cos(u),
+    # sin(u), sign sin(u), cos(u) (the known functions' factor is one), so the
+    # pairs of products sum to sin((m+1)u) and cos((m+1)u).  The sign folded
+    # into a factor gives the bits of negating the raised product: negation
+    # commutes with rounding, and the one zero it may flip vanishes in the sum.
+    rows = base[[1, 2, 1, 2, 1, 2]]
+    factors = base[[2, 1, 1, 2]].T[..., None] * [[1.0], [1.0], [_ADDITION_SIGNS[space.kind]], [1.0]]
+    for m, weights in enumerate(_step_table(space, 1), start=1):
+        rows = _raise_order(weights, rows, np.empty((2 * m + 6, 2 * m + 3)), factors)
+        # The last six rows as pairs: the two product sums, then their copies.
+        pairs = rows[2 * m :].reshape(3, 2, 2 * m + 3)
+        np.add(pairs[:2, 0], pairs[:2, 1], out=pairs[2])
+        pairs[:2] = pairs[2]
+    table = np.vstack([np.ones(space.dimension), rows[: space.degree]])
+    table.flags.writeable = False
+    return table
 
 
 def transform_matrix(space: BasisSpace) -> TransformMatrix:

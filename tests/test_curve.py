@@ -319,11 +319,14 @@ class TestSubdivide:
         us = np.linspace(0.0, 0.7, 9)
         assert_allclose(subdivide(tiny, 0.7).left.evaluate(us), evaluate(crv, us), atol=1e-12)
 
-    # Hyperbolic spaces with n * alpha of 54-90: the outer Bezier weights fall
-    # below 1e-14, which an absolute floor took for a degenerate pyramid.
+    # Hyperbolic spaces with n * alpha of 54-192: the outer Bezier weights fall
+    # below 1e-14, which an absolute floor took for a degenerate pyramid, and
+    # in the last two they spread by more than 1e14, which a floor relative to
+    # the largest weight took for one.
     @pytest.mark.parametrize(
         "n, alpha, rational",
-        [(12, 4.5, False), (20, 4.0, False), (31, 2.9, False), (14, 4.2, True)],
+        [(12, 4.5, False), (20, 4.0, False), (31, 2.9, False), (14, 4.2, True),
+         (32, 6.0, False), (16, 9.0, False)],
     )
     def test_large_hyperbolic_spaces_split(self, n, alpha, rational):
         coords = [
@@ -382,8 +385,10 @@ def oracle_split(curve: ControlCurve, u0: float) -> list[tuple[np.ndarray, np.nd
         ]
 
 
-# Spaces every order up to 32 splits in (hyperbolic n * alpha <= 80).
-SPLIT_SPACES = [(TRIG, 1.5), (TRIG, 3.1), (HYP, 1.5), (HYP, 2.5)]
+# Spaces every order up to 32 splits in (hyperbolic n * alpha <= 288).  At
+# alpha 6, order 32, and alpha 9, orders 16 and 32, the Bezier weights spread
+# by more than 1e14, which a floor relative to the largest weight refused.
+SPLIT_SPACES = [(TRIG, 1.5), (TRIG, 3.1), (HYP, 1.5), (HYP, 2.5), (HYP, 6.0), (HYP, 9.0)]
 
 
 class TestSplitAgainstMpmath:

@@ -8,12 +8,13 @@ parameter.  The basis and Bernstein tables are checked against the scaled
 factor formula of :mod:`chbez.bbasis` written out one column at a time:
 entry ``[j, i]`` is ``S_i * (lam_j**(d - i) * rho_j**i)``, its powers taken
 from the multiply ladder ``x**k = x**h * x**(k - h)`` (``h`` the largest
-power of two below ``k``), with no blocks and no transposes.  The package's vectorized kernels
-must give the same bytes for the coefficient sums, normalizing
-coefficients, elevation weights, transform rows, basis tables and Bernstein
-tables, piece values within 1e-13 of the largest control point coordinate,
-and the same ``RangeError`` / ``NumericalError`` messages on out-of-range
-input.
+power of two below ``k``), with no blocks and no transposes.  Elevation by
+z orders is checked against z single steps of the original coefficient
+elevation.  The package's vectorized kernels must give the same bytes for
+the coefficient sums, normalizing coefficients, elevation weights, transform
+rows, elevated curves, basis tables and Bernstein tables, piece values
+within 1e-13 of the largest control point coordinate, and the same
+``RangeError`` / ``NumericalError`` messages on out-of-range input.
 """
 
 import math
@@ -30,6 +31,8 @@ from chbez import (
     NumericalError,
     RangeError,
     basis_matrix,
+    elevate,
+    elevate_coefficient_vector,
     elevation_weights,
     subdivide,
 )
@@ -176,6 +179,32 @@ def ref_transform_rows(space: BasisSpace) -> np.ndarray:
     rows = np.array(rows)
     rows.flags.writeable = False
     return rows
+
+
+def ref_elevate_coefficient_vector(space: BasisSpace, coeffs) -> np.ndarray:
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape[0] != space.dimension:
+        raise RangeError(f"expected {space.dimension} coefficients, got {coeffs.shape[0]}")
+    return ref_raise_order(coeffs, np.ones(3), ref_elevation_weights(space))
+
+
+def ref_elevate(curve: ControlCurve, z: int) -> ControlCurve:
+    """``elevate`` for z >= 1 as z single steps of the reference coefficient elevation."""
+    space = curve.space
+    pts = curve.points
+    if curve.weights is not None:
+        w = curve.weights[..., None]
+        pts = np.concatenate([w * pts, w], axis=-1)
+    for step in range(z):
+        step_space = BasisSpace(space.kind, space.n + step, space.alpha)
+        pts = ref_elevate_coefficient_vector(step_space, pts)
+    lifted = BasisSpace(space.kind, space.n + z, space.alpha)
+    if curve.weights is None:
+        return ControlCurve(lifted, pts)
+    if np.any(pts[:, -1] <= _WEIGHT_FLOOR * min(1.0, abs(pts[:, -1]).max())):
+        raise NumericalError("degenerate weight after elevation")
+    with np.errstate(over="ignore"):
+        return ControlCurve(lifted, pts[:, :-1] / pts[:, -1:], pts[:, -1])
 
 
 def ref_reparametrize(space: BasisSpace, u: float) -> float:
@@ -325,9 +354,9 @@ def test_basis_range_messages(kind, us):
 # Basis tables across block boundaries
 
 B = _BLOCK_ROWS
-# Batch sizes around the block size, and around 512, the block size the
-# tables were first built with.
-COUNTS = sorted({0, 1, B - 1, B, B + 1, 2 * B + 1, 511, 512, 513, 1025})
+# Batch sizes around the block size, and around 512 and 500, the block sizes
+# the tables were built with before.
+COUNTS = sorted({0, 1, B - 1, B, B + 1, 2 * B + 1, 511, 512, 513, 1025, 499, 500, 501, 1001})
 
 
 @pytest.mark.parametrize("count", COUNTS)
@@ -345,7 +374,7 @@ def test_basis_table_across_blocks(kind, n, count):
     assert table.tobytes() == ref_basis_matrix(space, us).tobytes()
 
 
-@pytest.mark.parametrize("count", [0, 1, B - 1, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("count", sorted({0, 1, B - 1, B + 1, 2 * B + 1, 499, 501, 1001}))
 def test_bernstein_table(count):
     """Degrees 0 to 64; the first values are the clamped ends and a -0.0."""
     vs = np.random.default_rng(count).uniform(0.0, 1.0, count)
@@ -364,6 +393,10 @@ def test_bernstein_table(count):
         {B: 1.0 + 2e-12, 2 * B: -5.0},
         {B + 1: np.inf, 2 * B - 1: -np.inf},
         {B - 1: -1e-13, B + 3: -2e-12, 2 * B: 1.0 + 2e-12},
+        {1000: -1e-3},
+        {500: 1.0 + 2e-12, 1000: -5.0},
+        {501: np.inf, 999: -np.inf},
+        {499: -1e-13, 503: -2e-12, 1000: 1.0 + 2e-12},
         {1024: -1e-3},
         {512: 1.0 + 2e-12, 1024: -5.0},
         {513: np.inf, 1023: -np.inf},
@@ -380,6 +413,56 @@ def test_first_offender_in_a_later_block(kind, offenders):
     expected = outcome(ref_basis_matrix, space, us)
     assert expected.startswith("RangeError")
     assert outcome(basis_matrix, space, us) == expected
+
+
+# ---------------------------------------------------------------------------
+# Elevation by several steps
+
+# The last case reaches the hyperbolic overflow guard at order 13, before the cap.
+ELEVATION_SPACES = [(TRIG, 1, 0.7), (TRIG, 9, 3.1), (HYP, 2, 1.3), (HYP, 17, 0.4), (HYP, 4, 24.0)]
+
+
+def elevation_outcome(fn, curve, z):
+    """The lifted order, points and weights as bytes, or the type and text of the error."""
+    try:
+        lifted = fn(curve, z)
+    except (RangeError, NumericalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    weights = None if lifted.weights is None else lifted.weights.tobytes()
+    return lifted.space.n, lifted.points.tobytes(), weights
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["plain", "rational"])
+@pytest.mark.parametrize(
+    "kind, n, alpha",
+    ELEVATION_SPACES,
+    ids=[f"{k.value[:4]}-{n}-{a:g}" for k, n, a in ELEVATION_SPACES],
+)
+def test_elevation_by_z_steps(kind, n, alpha, rational):
+    rng = np.random.default_rng(n)
+    space = BasisSpace(kind, n, alpha)
+    weights = 0.5 + rng.random(space.dimension) if rational else None
+    curve = ControlCurve(space, rng.standard_normal((space.dimension, 2)), weights)
+    # Every z up to the order cap, the first z past it, and one far past it.
+    for z in [*range(1, 34 - n), 10**6]:
+        expected = elevation_outcome(ref_elevate, curve, z)
+        assert elevation_outcome(elevate, curve, z) == expected, z
+    assert expected == "RangeError: " + (
+        "degree 2n = 66 exceeds the supported cap 64"
+        if alpha < 20 else "hyperbolic n*alpha = 312 exceeds the overflow guard 300"
+    )
+
+
+def test_negative_zero_coefficients_elevate_like_the_reference():
+    # Added onto zeros, a -0.0 term gives 0.0; a copy of it would keep -0.0
+    # where three -0.0 terms meet (three -0.0 coefficients in a row).
+    space = BasisSpace(TRIG, 2, 1.0)
+    coeffs = np.array([[1.0, -0.0], [-0.0, -0.0], [-0.0, -0.0], [-0.0, 3.0], [2.0, -0.0]])
+    for z in (1, 2, 3):
+        expected = ref_elevate(ControlCurve(space, coeffs), z).points.tobytes()
+        assert elevate(ControlCurve(space, coeffs), z).points.tobytes() == expected
+    expected = ref_elevate_coefficient_vector(space, coeffs[:, 0]).tobytes()
+    assert elevate_coefficient_vector(space, coeffs[:, 0]).tobytes() == expected
 
 
 # ---------------------------------------------------------------------------
