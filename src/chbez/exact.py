@@ -39,7 +39,7 @@ from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, _MAX_ORDER, BasisKind, BasisSp
                      _is_int)
 from .curve import ControlCurve, _below_floor, _projected
 from .errors import NumericalError, RangeError
-from .xform import elevate_coefficient_vector, transform_matrix
+from .xform import _elevated, transform_matrix
 
 __all__ = _exports(__name__) + ["coordinate_ordinates"]  # not public at top level
 
@@ -340,7 +340,8 @@ def _describe(spec, orders=None, r=None, rational=False, max_elevations=DEFAULT_
     if not rational:
         return spec._net(orders, points), points, 0
     points, orders, steps = _elevate_until_positive(points, orders, directions, max_elevations)
-    return spec._net(orders, *_finite_projection(points)), points, steps
+    numerators, weights = _projected(points)
+    return spec._net(orders, _finite_channels(numerators), weights), points, steps
 
 
 def exact_curve(spec: CurveSpec, n: int | None = None, r: int = 0) -> ControlCurve:
@@ -418,38 +419,32 @@ def _check_denominator(spec, max_elevations):
         raise NumericalError(f"denominator is not positive on {box} (fails near u = {at})")
 
 
-def _finite_projection(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projected control points of a positive pre-image, checked finite, and its weights."""
-    numerators, weights = _projected(points)
-    return _finite_channels(numerators), weights
-
-
 def _elevate_until_positive(points: np.ndarray, orders, directions, max_elevations: int):
     """Order elevate a pre-image until its weights (last channel) are positive.
 
     ``points`` has one leading axis per direction, whose space at order
-    ``n`` is ``directions[j].space(n)``.  Directions take turns (one at the
-    degree cap gives way to the lowest order) for at most ``max_elevations`` steps.
+    ``n`` is ``directions[j].space(n)``.  Step s raises direction s mod
+    delta by one order with :func:`xform._elevated` along its axis; if that
+    direction is at the cap, the first lowest-order direction takes the
+    step.  One test per pass stops the loop: the weights are positive, or
+    ``max_elevations`` steps are spent, or the chosen direction is at the cap.
     Returns the tensor, the orders and the step count, or raises with the
     indices of the weights still not positive (ints for a curve).
     """
     orders = list(orders)
     delta = len(orders)
     steps = 0
-    bad = _below_floor(points[..., -1], points[..., -1], WEIGHT_POSITIVITY)
-    while np.any(bad) and steps < max_elevations:
+    while True:
+        bad = _below_floor(points[..., -1], points[..., -1], WEIGHT_POSITIVITY)
         j = steps % delta
-        if orders[j] + 1 > _MAX_ORDER:
-            j = min(range(delta), key=lambda d: orders[d])
-            if orders[j] + 1 > _MAX_ORDER:
-                break
-        space = directions[j].space(orders[j])
-        lifted = elevate_coefficient_vector(space, np.moveaxis(points, j, 0))
-        points = np.moveaxis(lifted, 0, j)
+        if orders[j] >= _MAX_ORDER:
+            j = orders.index(min(orders))
+        if not bad.any() or steps >= max_elevations or orders[j] >= _MAX_ORDER:
+            break
+        points = _elevated(directions[j].space(orders[j]), points, 1, j)[1]
         orders[j] += 1
         steps += 1
-        bad = _below_floor(points[..., -1], points[..., -1], WEIGHT_POSITIVITY)
-    if np.any(bad):
+    if bad.any():
         found = [tuple(int(x) for x in idx) for idx in np.argwhere(bad)]
         raise NumericalError(
             f"weights not positive after {steps} elevation(s)",

@@ -24,6 +24,13 @@ from one table, as does an elevation by several orders, and
 :func:`elevation_weights` lays out one step of it.  A step writes its terms
 into a zero padded array and sums them in place: no per-step copies.
 
+Every order change goes through one operator, :func:`_elevated`, which
+raises the coefficients along any one axis of an array by z orders.  Its
+three callers: :func:`elevate_coefficient_vector` (axis 0),
+``curve.elevate`` (axis 0 of the folded pre-image) and the rational repair
+loop ``exact._elevate_until_positive`` (one step along the axis of the
+direction whose turn it is).
+
 Caches: the alpha-free table ``C(n, i - r) C(i - r, r)`` is kept per order.
 The coefficient sums, the normalizing coefficients and the transform rows
 are kept per space ``(kind, n, alpha)`` a caller passes in, for the last 128
@@ -144,14 +151,20 @@ def _raise_order(weights: np.ndarray, coeffs: np.ndarray, out, factors=None) -> 
     return out
 
 
-def _elevated(space: BasisSpace, coeffs: np.ndarray, z: int) -> tuple[BasisSpace, np.ndarray]:
-    """The space of order ``n + z`` and ``coeffs`` (stacked along axis 0) raised by z steps."""
-    for order in range(space.n + 1, space.n + z + 1):  # raises for the first order out of range
+def _elevated(space: BasisSpace, coeffs: np.ndarray, z: int, axis: int = 0):
+    """The space of order ``n + z`` and ``coeffs`` raised by z steps along ``axis``.
+
+    The B-basis coefficients lie along ``axis`` of ``coeffs``; each step is
+    one :func:`_raise_order` of every vector along it, so any axis gets the
+    same multiplies and adds.  Raises for the first order out of range.
+    """
+    for order in range(space.n + 1, space.n + z + 1):
         top = BasisSpace(space.kind, order, space.alpha)
-    rows = coeffs.reshape(len(coeffs), math.prod(coeffs.shape[1:])).T
+    moved = np.moveaxis(coeffs, axis, 0)
+    rows = moved.reshape(len(moved), math.prod(moved.shape[1:])).T
     for weights in _step_table(top, space.n):
         rows = _raise_order(weights, rows, np.empty((rows.shape[0], rows.shape[1] + 2)))
-    return top, rows.T.reshape((rows.shape[1],) + coeffs.shape[1:])
+    return top, np.moveaxis(rows.T.reshape((rows.shape[1],) + moved.shape[1:]), 0, axis)
 
 
 def elevate_coefficient_vector(space: BasisSpace, coeffs) -> np.ndarray:
@@ -161,8 +174,9 @@ def elevate_coefficient_vector(space: BasisSpace, coeffs) -> np.ndarray:
     that length (control points elevate columnwise).
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[0] != space.dimension:
-        raise RangeError(f"expected {space.dimension} coefficients, got {coeffs.shape[0]}")
+    got = coeffs.shape[0] if coeffs.ndim else "a scalar"
+    if got != space.dimension:
+        raise RangeError(f"expected {space.dimension} coefficients, got {got}")
     return _elevated(space, coeffs, 1)[1]
 
 

@@ -522,6 +522,51 @@ def test_loops_exhaust_their_budget():
         assert any(t.startswith("denominator is not positive") for t in texts)
 
 
+@pytest.mark.parametrize("seed", [9, 14])
+def test_rational_surface_cap_fallback_matches(seed):
+    """Direction 0 starts at the cap, so direction 1, the lowest order, takes every step."""
+    spec = random_surface_spec(seed, 2, rational=True)
+    got = exact_rational_surface(spec, (32, 3))
+    want = ref_exact_rational_surface(spec, (32, 3))
+    assert got.orders == want.orders == (32, 13)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+# The largest budget an int64 holds: the loops must stop without arithmetic on it.
+_HUGE_BUDGET = np.int64(2**63 - 1)
+
+
+@pytest.mark.parametrize("seed,steps", [(4, 2), (5, None)])
+def test_rational_curve_loop_huge_budget(seed, steps):
+    """Seed 4 needs two steps; seed 5 is refused at the order cap."""
+    spec = random_rational_spec(seed)
+    got = outcome(exact_rational_curve, spec, None, _HUGE_BUDGET)
+    want = outcome(ref_exact_rational_curve, spec, None, _HUGE_BUDGET)
+    if steps is None:
+        assert got == want and want[1] == "weights not positive after 30 elevation(s)"
+        return
+    pre, curve, count = want
+    assert got.elevations == count == steps
+    assert got.preimage.points.tobytes() == pre.points.tobytes()
+    assert got.curve.points.tobytes() == curve.points.tobytes()
+    assert got.weights.tobytes() == curve.weights.tobytes()
+
+
+@pytest.mark.parametrize("seed,orders", [(9, (32, 13)), (7, None)])
+def test_rational_surface_loop_huge_budget(seed, orders):
+    """Seed 9 reaches positive weights at (32, 13); seed 7 is refused at the cap."""
+    spec = random_surface_spec(seed, 2, rational=True)
+    got = outcome(exact_rational_surface, spec, (32, 3), _HUGE_BUDGET)
+    want = outcome(ref_exact_rational_surface, spec, (32, 3), _HUGE_BUDGET)
+    if orders is None:
+        assert got == want and want[1] == "weights not positive after 29 elevation(s)"
+        return
+    assert got.orders == want.orders == orders
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
 @pytest.mark.parametrize("delta", [2, 3, 4])
 @pytest.mark.parametrize("seed", range(30))
 def test_surface_spec_evaluate_matches(seed, delta):

@@ -83,6 +83,11 @@ class TestElevateCoefficientVector:
         with pytest.raises(RangeError, match="expected 5"):
             elevate_coefficient_vector(BasisSpace(TRIG, 2, 1.0), np.ones(7))
 
+    @pytest.mark.parametrize("coeffs,got", [(3.0, "a scalar"), (np.ones(4), "4")])
+    def test_refusal_text(self, coeffs, got):
+        with pytest.raises(RangeError, match=f"^expected 5 coefficients, got {got}$"):
+            elevate_coefficient_vector(BasisSpace(TRIG, 2, 1.0), coeffs)
+
 
 class TestTransformMatrix:
     def test_order_one_rows_trigonometric(self):
