@@ -9,11 +9,14 @@ All exporters are plain functions from data to text.  Floats are printed
 exactly as ``repr`` prints them: the shortest decimal ``d`` that parses
 back to the identical double, in fixed form when its decimal-point
 position ``p`` (``d = 0.d1d2... * 10**p``) has ``-4 < p <= 16``, that is
-``1e-4 <= |d| < 1e16``, and in exponent form otherwise.  That makes every export byte-deterministic and round-trippable.  Every exporter
-writes its rows (CSV lines, OBJ records, SVG points and markers) through
-one formatter, :func:`_format_rows`.  It prints finite floats, in either
-form, and integer ids with numpy integer arithmetic on whole blocks, the
-digits from Schubfach (R. Giulietti, "The Schubfach way to render
+``1e-4 <= |d| < 1e16``, and in exponent form otherwise.  That makes every
+export byte-deterministic and round-trippable.
+
+Each exporter writes its rows (CSV lines, OBJ records, SVG path points
+and markers) and the literal text between them with one call of one
+formatter, :func:`_format_rows`.  It prints finite floats, in either
+form, and integer ids with numpy integer arithmetic on blocks of cells,
+the digits from Schubfach (R. Giulietti, "The Schubfach way to render
 doubles", 2020; :func:`_shortest`); the other values (``nan``, ``inf``,
 ``-inf``) still go through ``repr``.
 """
@@ -78,12 +81,12 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-# Rows per block of :func:`_format_rows`.  At its peak a block holds about
-# 250 bytes of numpy scratch per cell, 3 MB for a table 6 columns wide.
-_BLOCK_ROWS = 2048
+# Cells per block of :func:`_format_rows`.  A block's numpy scratch peaks at
+# about 200 bytes per cell, 1.2 MB, within a 2 MB L2 cache; smaller blocks
+# pay the fixed cost of some 200 numpy calls per block more often.
+_BLOCK_CELLS = 6144
 
 _U64 = np.uint64
-_LOW32 = _U64(0xFFFFFFFF)
 _ASCII_ZEROS = _U64(0x3030303030303030)
 
 
@@ -93,36 +96,53 @@ def _tables():
 
     ``g``: the Schubfach multipliers ``floor(10**e * 2**(127 - floor(e * log2(10)))) + 1``,
     each in ``[2**127, 2**128)``, for ``e = -292..324``, as high and low words;
-    ``pow10``: ``10**0 .. 10**17``; ``pad[i, lo * 25 + hi]``: ``0xFF`` in every byte
-    of word ``i`` of a 24-byte field that lies outside bytes ``[lo, hi)``.
+    ``pow10``: ``10**0 .. 10**17``.  By a float field's decimal-point position
+    plus 340: ``form``, its key base ``18 * form + 1`` (plus ``18 * 22`` more
+    when negative, from index 680 on), and ``exponents``, the last word of its
+    mask, holding the exponent, if any, at bytes 19-23.  By the key
+    ``18 * form + digits`` of a field (see :func:`_fields`): ``shifts``, the
+    bit offsets of its head and tail text, and ``masks``, the words of its
+    head, tail and character masks.
     """
-    g = [(10**e << 127 >> ((e * 1741647) >> 19) if e >= 0
-          else (1 << 127 - ((e * 1741647) >> 19)) // 10**-e) + 1 for e in range(-292, 325)]
-    split = np.array([(x >> 64, x & 0xFFFFFFFFFFFFFFFF) for x in g], dtype=_U64).T.copy()
-    lo, hi, byte = np.ogrid[:25, :25, :24]
-    pad = np.where((byte < lo) | (byte >= hi), np.uint8(0xFF), np.uint8(0)).view("<u8")
-    pow10 = np.array([10**i for i in range(18)], dtype=_U64)
-    return split, pow10, pad.reshape(625, 3).T.copy()
+    tens = np.cumprod([1] + [10] * 324, dtype=object).tolist()
+    g = [(tens[e] << 127 >> ((e * 1741647) >> 19) if e >= 0
+          else (1 << 127 - ((e * 1741647) >> 19)) // tens[-e]) + 1 for e in range(-292, 325)]
+    split = np.frombuffer(b"".join(x.to_bytes(16, "little") for x in g), "<u8").reshape(-1, 2)
+    p = np.arange(-340, 340)
+    form = np.where((p > 0) & (p <= 16), p - 1, np.where((p <= 0) & (p > -4), 16 - p, 20))
+    size = np.abs(p - 1).astype(_U64)  # "e-" or "e+", at least two digits
+    exponents = _ascii8(size) >> _U64(40) << _U64(16) | np.where(p < 1, _U64(0x2D65), _U64(0x2B65))
+    exponents |= (size < _U64(100)) * _U64(0xFF0000)
+    exponents = np.where(form < 20, ~_U64(0), exponents << _U64(24) | _U64(0xFFFFFF))
+    # Forms 0-15: fixed with 1 to 16 integer digits; 16-19: fixed below 1 with 0 to
+    # 3 zeros after the point; 20: exponent form; 21: an integer.  The head and
+    # the tail text have ASCII zeros below their first digit.
+    key = np.arange(2 * 22 * 18)
+    neg, f, j = key // 396, key // 18 % 22, key % 18
+    p, o = np.where(f < 16, f + 1, 16 - f), neg * (f < 21)  # o: 1 after a sign
+
+    def by_form(fixed, below, sci, whole):  # in bytes from o
+        return np.where(f < 16, fixed, np.where(f < 20, below, np.where(f == 20, sci, whole))) + o
+
+    byte = np.arange(24)[:, None]
+    masks = np.empty((3, 24, len(key)), np.uint8)  # head, tail and character masks
+    masks[0] = np.where((byte < o) | (byte >= by_form(p, 1, 1, j)), 0xFF, 0)
+    start, end = by_form(p + 1, 2, 2, 0), by_form(np.maximum(j, p + 1) + 1, 2 - p + j, j + 1, 0)
+    masks[1] = np.where((byte < start) | (byte >= end), 0xFF, 0)
+    masks[2] = np.where(byte == by_form(p, 1, np.where(j > 1, 1, -99), -99), 0x2E, 0xFF)
+    masks[2, 0] = np.where(o > 0, 0x2D, masks[2, 0])
+    return (split.T[::-1], np.array(tens[:18], dtype=_U64), (form + [[0], [22]]).ravel() * 18 + 1,
+            exponents, (8 * np.stack([by_form(0, 1, 0, 0), by_form(1, 2 - p, 1, 0)])).astype(_U64),
+            masks.transpose(0, 2, 1).copy().view("<u8").transpose(0, 2, 1).copy())
 
 
-def _mul(a1, a0, b):
-    """High and low words of the 128-bit products of ``a`` (as 32-bit halves) and ``b``."""
-    s = _U64(32)
-    b1, b0 = b >> s, b & _LOW32
-    cross0, cross1 = a0 * b1, a1 * b0
-    mid = (cross0 & _LOW32) + (cross1 & _LOW32) + (a0 * b0 >> s)
-    return a1 * b1 + (cross0 >> s) + (cross1 >> s) + (mid >> s), (mid << s) | (a0 * b0 & _LOW32)
-
-
-def _shifted(g, n):
-    """The three words of the 128-bit ``g`` (two words) times ``2**n``, ``1 <= n < 64``."""
-    back = _U64(64) - n
-    return g[0] >> back, g[0] << n | g[1] >> back, g[1] << n
-
-
-def _rounded(p2, p1):
-    """Round to odd: ``p2``, its last bit set when the word below it exceeds 1."""
-    return p2 | (p1 > _U64(1))
+def _mul(a, b):
+    """High and low words of the 128-bit products of ``a`` and ``b``, from their 32-bit halves."""
+    s, low32 = _U64(32), _U64(0xFFFFFFFF)
+    a1, a0, b1, b0 = a >> s, a & low32, b >> s, b & low32
+    cross0, cross1, low = a0 * b1, a1 * b0, a0 * b0
+    mid = (cross0 & low32) + (cross1 & low32) + (low >> s)
+    return a1 * b1 + (cross0 >> s) + (cross1 >> s) + (mid >> s), (mid << s) | (low & low32)
 
 
 def _shortest(mag):
@@ -137,57 +157,60 @@ def _shortest(mag):
     the same double and, among those, the nearest one, ties to even.
     ``m`` may end in zeros.  The value and its two rounding bounds are
     ``cp * g / 2**128`` and ``(cp -+ 2**n) * g / 2**128``, so one 192-bit
-    product ``cp * g`` and two shifts of ``g`` give all three.
+    product ``cp * g`` and two shifts of ``g`` give all three.  Spent arrays
+    are dropped on the way, as the peak of live arrays sets the scratch.
     """
     one, two = _U64(1), _U64(2)
-    frac = mag & _U64(2**52 - 1)
-    biased = (mag >> _U64(52)).astype(np.int64)
+    frac, biased = mag & _U64(2**52 - 1), (mag >> _U64(52)).view(np.int64)
     c = np.where(biased > 0, frac | _U64(2**52), frac)
-    q = np.maximum(biased, 1) - 1075
     # A power of two has a lower neighbour at half the spacing of the upper one.
     irregular = (frac == 0) & (biased > 1)
+    q = np.maximum(biased, 1) - 1075
     k = (q * 1262611 - irregular * 524031) >> 22  # floor(log10(2**q)), or of 3/4 2**q
-    h = (q + ((-k * 1741647) >> 19) + 1).astype(_U64)
-    g = [row.take(292 - k) for row in _tables()[0]]
-    cp = c << two + h
-    cp1, cp0 = cp >> _U64(32), cp & _LOW32
-    x1, p0 = _mul(cp1, cp0, g[1])
-    p2, p1 = _mul(cp1, cp0, g[0])
+    h = (q + ((-k * 1741647) >> 19) + 1).view(_U64)
+    g = _tables()[0].take(292 - k, axis=1)
+    x1, p0 = _mul(c << two + h, g[1])
+    p2, p1 = _mul(c << two + h, g[0])
     p1 += x1
     p2 += p1 < x1
-    vb = _rounded(p2, p1)
-    d2, d1, d0 = _shifted(g, h + one)  # the upper bound adds 2**(h + 1) * g
-    s0 = p0 + d0
-    s1 = p1 + d1
+    vb = p2 | (p1 > one)  # rounded to odd: the last bit set when the word below exceeds 1
+    # The upper bound adds 2**(h + 1) * g, the three words of g shifted.
+    n, back = h + one, _U64(63) - h
+    d2, d1, d0 = g[0] >> back, g[0] << n | g[1] >> back, g[1] << n
+    s0, s1 = p0 + d0, p1 + d1
     carry = (s1 < d1) | ((s1 == _U64(2**64 - 1)) & (s0 < d0))
-    upper = _rounded(p2 + d2 + carry, s1 + (s0 < d0)) - (c & one)
-    d2, d1, d0 = _shifted(g, h + one - irregular)  # the lower bound subtracts it, or half of it
+    upper = ((p2 + d2 + carry) | (s1 + (s0 < d0) > one)) - (c & one)
+    n, back = n - irregular, back + irregular  # the lower bound subtracts it, or half of it
+    d2, d1, d0 = g[0] >> back, g[0] << n | g[1] >> back, g[1] << n
     s1 = p1 - d1
     borrow = (p1 < d1) | ((s1 == 0) & (p0 < d0))
-    lower = _rounded(p2 - d2 - borrow, s1 - (p0 < d0)) + (c & one)
-    s = vb >> two
-    sp = s // _U64(10)
+    lower = ((p2 - d2 - borrow) | (s1 - (p0 < d0) > one)) + (c & one)
+    del q, x1, p0, p1, p2, d2, d1, d0, s0, s1, carry, borrow
+    s, sp = vb >> two, (vb >> two) // _U64(10)
     up, wp = lower <= sp * _U64(40), sp * _U64(40) + _U64(40) <= upper
     u, w = lower <= s << two, (s + one) << two <= upper
-    mid = (s << two) + two
-    nearer = np.where(u != w, w, (vb > mid) | ((vb == mid) & (s & one).astype(bool)))
+    # Past the midpoint, or on it with s odd, rounds up (ties to even).
+    nearer = np.where(u != w, w, vb + (s & one) > (s << two) + two)
     shorter = up != wp
     return np.where(shorter, sp + wp, s + nearer), k + shorter
 
 
-def _digits(m):
-    """Words of the 24-byte text ``0000``, the 17 digits of ``m < 10**17`` split by a gap, padding.
+def _text(m):
+    """Words of the text of each ``m < 10**17`` scaled to 17 digits, and the digit count of ``m``.
 
-    Bytes go low first, so byte ``j`` of the text is byte ``j % 8`` of word
-    ``j // 8``: digits at bytes 4 and 6-21, ``0xFF`` at byte 5 (the gap) and
-    bytes 22-23.  Also returns the words of the digits at bytes 6-13 and 14-21.
+    The first of the four words is all ASCII zeros; the next three hold the
+    17 digits, the first in the lowest byte, then 7 zeros.  ``m`` is
+    overwritten.
     """
-    eight, s, t = _U64(10**8), _U64(48), _U64(16)
-    hi = m // eight
-    a = hi // eight
-    b, c = _ascii8(hi - a * eight), _ascii8(m - hi * eight)
-    return (_U64(0xFF0030303030) | (a + _U64(0x30)) << _U64(32) | b << s, b >> t | c << s,
-            c >> t | _U64(0xFFFF000000000000)), b, c
+    pow10, ten = _tables()[1], _U64(10)
+    # floor(log10(m)) is that of 2**floor(log2(m)), or one more.
+    ndig = ((m.astype(np.float64).view(np.int64) >> 52) - 1023) * 1233 >> 12
+    ndig += 1 + (m >= pow10.take(ndig + 1, mode="clip"))
+    m *= pow10.take(17 - ndig, mode="clip")
+    tens = m // ten
+    runs = _ascii8(np.stack([m // _U64(10**9), tens % _U64(10**8)]))
+    zeros = np.full((1, len(m)), _ASCII_ZEROS)
+    return np.concatenate([zeros, runs, (m - tens * ten + _ASCII_ZEROS)[None]]), ndig
 
 
 def _ascii8(x):
@@ -200,99 +223,119 @@ def _ascii8(x):
     return tens + ((pairs - _U64(10) * tens) << _U64(8)) + _ASCII_ZEROS
 
 
-def _last_digit(ascii):
-    """Byte index, within each word, of its last digit that is not 0 (-1 if none is)."""
-    flags = ((ascii ^ _ASCII_ZEROS) + _U64(0x7F7F7F7F7F7F7F7F)) & _U64(0x8080808080808080)
-    return (np.frexp(flags.astype(np.float64))[1] - 8) >> 3
+def _fields(v) -> np.ndarray:
+    """The ``(n, 3)`` words of the 24-byte field of each value: its text from byte 0, then ``0xFF``.
 
-
-def _float_cells(v):
-    """Words of the text of each double and a mask of those left to ``repr``.
-
-    A value takes two 24-byte fields, both windows of the :func:`_digits` text of
-    its significand scaled to 17 digits; bytes outside a window are ``0xFF``
-    padding.  In fixed form the first field holds the sign and the integer
-    digits, the second the decimal point (byte 0) and the fraction digits.
-    In exponent form the first holds the sign and all digits, the gap after
-    the first digit becoming the point, and the second holds ``e``, the
-    exponent's sign and its at least two digits.
+    An integer is the head of its 17-digit text (:func:`_text`).  A double
+    is its sign, a head window of the 17-digit text of its significand, the
+    decimal point and a tail window of the same text moved one byte further
+    up.  Below 1 the head is a "0" and the tail starts with the zeros the
+    point needs, both from the ASCII zeros a moved text has below its first
+    digit.  In exponent form the head is the first digit, and ``e``, the
+    exponent's sign and its at least two digits end the field at bytes
+    19-23, padding before them.  A field is ``(head | a) & (tail | b) &
+    chars``, its masks picked by its form and digit count from
+    :func:`_tables`.  Non-finite floats, negative integers and integers
+    from ``10**17`` up are written from ``repr``.
     """
-    _, pow10, pad = _tables()
-    bits = v.view(_U64)
-    mag = bits & _U64(2**63 - 1)
-    zero, slow = mag == 0, mag >= _U64(0x7FF0000000000000)
-    m, e = _shortest(mag)
-    m[zero] = 0
-    ndig = np.searchsorted(pow10, m, "right")
-    point = np.where(zero, 1, ndig + e)  # digits before the decimal point, as repr counts them
-    x, b, c = _digits(m * pow10.take(17 - ndig, mode="clip"))
-    last_b, last_c = _last_digit(b), _last_digit(c)
-    end = np.where(last_c >= 0, 15 + last_c, np.where(last_b >= 0, 7 + last_b, 5))
-    positive = point > 0
-    scientific = (point <= -4) | (point > 16)
-    start = 4 + point + positive
-    first = np.where(scientific, end, 4 + positive * (1 + point))  # end of the first field
-    windows = (np.where(positive | scientific, 100, 75) + first,
-               start * 25 + np.maximum(end, start + 1))
-    words = np.array([x[i] | pad[i].take(w, mode="clip") for w in windows for i in range(3)])
-    # Byte 0: "-" for a negative value; byte 5, the gap: "." in exponent form.
-    words[0] &= ~(_U64(0xD1 << 40) * (scientific & (end > 5)) | _U64(0xD2) * (bits >> _U64(63)))
-    words[3] &= _U64(2**64 - 1 - 0xD1)  # "."
-    at = np.flatnonzero(scientific & ~slow)
-    if at.size:
-        exponent = point[at] - 1
-        text = _ascii8(np.abs(exponent).astype(_U64)) >> _U64(40) << _U64(16)
-        text |= np.where(exponent < 0, _U64(0x2D65), _U64(0x2B65))  # "e-", "e+"
-        words[3, at] = text | _U64(0xFFFFFF0000000000) | (np.abs(exponent) < 100) * _U64(0xFF0000)
-        words[4:, at] = _U64(2**64 - 1)
-    return words, slow
+    _, _, form, exponents, shifts, masks = _tables()
+    if v.dtype.kind == "f":
+        zero, slow = v == 0, ~np.isfinite(v)
+        m, point = _shortest(np.abs(v).view(_U64))
+        m[zero] = 0
+        text, ndig = _text(m)
+        point += ndig  # digits before the decimal point, as repr counts them
+        point[zero] = 1
+        # The exponent of this sum gives the digit count up to the last nonzero digit.
+        ends = ((text[1:] ^ _ASCII_ZEROS) + _U64(0x7F7F7F7F7F7F7F7F)) & _U64(0x8080808080808080)
+        ends = (ends.astype(float) * np.array([[1.0], [2.0**64], [2.0**128]])).sum(0) + 0.5
+        key = form.take(point + 340 + 680 * np.signbit(v), mode="clip")
+        key += (ends.view(np.int64) >> 52) - 1023 >> 3
+    else:
+        m = v.astype(np.int64)
+        slow, point = (m < 0) | (m >= 10**17), 1
+        text, ndig = _text(m.view(_U64))
+        key = np.maximum(ndig, 1) + 18 * 21
+    head, tail = shifts.take(key, axis=1)  # bits to move the head and the tail text up
+    out = np.empty((len(v), 3), _U64)
+    for i in range(3):
+        word = text[i + 1] << head | text[i] >> _U64(64) - head | masks[0, i].take(key)
+        word &= text[i + 1] << tail | text[i] >> _U64(64) - tail | masks[1, i].take(key)
+        out[:, i] = word & masks[2, i].take(key)
+    out[:, 2] &= exponents.take(point + 340, mode="clip")
+    for i in np.flatnonzero(slow).tolist():
+        out[i] = np.frombuffer(repr(v[i].item()).encode().ljust(24, b"\xff"), "<u8")
+    return out
 
 
-def _int_cells(v):
-    """Words of the decimal text of each integer and a mask of those left to ``repr``."""
-    _, pow10, pad = _tables()
-    m = v.astype(np.int64)
-    ndig = np.maximum(np.searchsorted(pow10, m.view(_U64), "right"), 1)
-    window = (22 - ndig - (ndig > 16)) * 25 + 22  # the gap is inside 17 digits
-    x = _digits(m.view(_U64))[0]
-    words = np.array([x[i] | pad[i].take(window, mode="clip") for i in range(3)])
-    return words, (m < 0) | (m >= 10**17)
+def _format_rows(items) -> list[str]:
+    """Text of a document of literal strings and tables, as strings to join.
 
-
-def _format_rows(pieces, *groups: np.ndarray) -> list[str]:
-    """Text of rows whose cells are the columns of ``groups``, one string per ``_BLOCK_ROWS`` block.
-
-    A row reads ``pieces[0] cell pieces[1] cell ... pieces[-1]``: the
+    An item is a ``str``, copied as it is, or a table ``(pieces, *groups)``
+    whose rows read ``pieces[0] cell pieces[1] cell ... pieces[-1]``: the
     columns of all ``groups`` (2-d arrays of one row count and of 64-bit
     float or integer dtype) in order, so ``len(pieces)`` is one more than
     their total width.  A float cell holds the bytes of :func:`format_float`
-    and an integer cell those of ``%d``.  Cells are computed as uint64 words
-    of ASCII bytes padded with ``0xFF`` (:func:`_float_cells`,
-    :func:`_int_cells`) and written with the padded pieces into one table
-    per block; the padding is deleted and the text decoded once per block.
-    Non-finite floats, negative integers and integers from ``10**17`` up
-    are written from ``repr``.
+    and an integer cell those of ``%d``.  The tables are cut at row ends
+    into blocks of at most ``_BLOCK_CELLS`` cells (or one row), small tables
+    sharing a block, and each block is printed by :func:`_render`.  When
+    the integers of a call are ids ``0..n`` in more cells than ids, each id
+    is formatted once and its field copied to every cell that holds it.
     """
-    literals = [np.frombuffer(p + b"\xff" * (-len(p) % 8), "<u8")
-                for p in (piece.encode("utf-8", "surrogatepass") for piece in pieces)]
-    blocks = []
-    for start in range(0, len(groups[0]), _BLOCK_ROWS):
-        parts = [g[start : start + _BLOCK_ROWS] for g in groups]
-        rows = len(parts[0])
-        cells = []  # one (rows, words) array per column
-        for part in parts:
-            flat = part.ravel()
-            words, slow = (_float_cells if flat.dtype.kind == "f" else _int_cells)(flat)
-            for i in np.flatnonzero(slow).tolist():
-                text = repr(flat[i].item()).encode().ljust(8 * len(words), b"\xff")
-                words[:, i] = np.frombuffer(text, "<u8")
-            cells += list(words.reshape(len(words), rows, -1).transpose(2, 1, 0))
-        columns = [np.broadcast_to(literals[0], (rows, len(literals[0])))]
-        for cell, piece in zip(cells, literals[1:]):
-            columns += [cell, np.broadcast_to(piece, (rows, len(piece)))]
-        table = np.concatenate(columns, axis=1, dtype="<u8").tobytes()
-        blocks.append(table.translate(None, b"\xff").decode("utf-8", "surrogatepass"))
-    return blocks
+    tables = [item[1:] for item in items if not isinstance(item, str)]
+    ints = [g for groups in tables for g in groups if g.dtype.kind != "f" and g.size]
+    low, high = (min(g.min() for g in ints), max(g.max() for g in ints)) if ints else (0, 0)
+    # An integer field keeps the words its longest text needs, all three beside floats.
+    mixed = any(len({g.dtype.kind == "f" for g in groups}) > 1 for groups in tables)
+    width = 3 if mixed or low < 0 or high >= 10**15 else 1 if high < 10**7 else 2
+    make = {True: _fields, False: lambda v: _fields(v)[:, :width]}
+    if 0 <= low and high < sum(g.size for g in ints):
+        ids = make[False](np.arange(high + 1))
+        make[False] = lambda v: ids.take(v, axis=0)
+    blocks, block, cells, lead = [], [], 0, ""
+    for item in items:
+        pieces, *groups = ("",) if isinstance(item, str) else item
+        rows, wide = len(groups[0]) if groups else 0, sum(g.shape[1] for g in groups)
+        if not rows * wide:  # a literal, or rows without cells
+            lead += item if isinstance(item, str) else "".join(pieces) * rows
+            continue
+        # Each cell is followed by its piece, a row's last cell also by the next row's first.
+        seps = [p.encode("utf-8", "surrogatepass")
+                for p in (*pieces[1:-1], pieces[-1] + pieces[0], pieces[-1])]
+        size = -(-max(map(len, seps)) // 8) * 8
+        seps = np.frombuffer(b"".join(p.ljust(size, b"\xff") for p in seps), "<u8")
+        seps = seps.reshape(wide + 1, -1)
+        lead, step = lead + pieces[0], max(1, _BLOCK_CELLS // wide)
+        for at in range(0, rows, step):
+            if block and cells + min(step, rows - at) * wide > _BLOCK_CELLS:
+                blocks.append(_render(block, make))
+                block, cells = [], 0
+            block.append((lead, seps, [g[at : at + step] for g in groups], at + step >= rows))
+            cells, lead = cells + min(step, rows - at) * wide, ""
+    return blocks + ([_render(block, make)] if block else []) + [lead]
+
+
+def _render(block, make) -> str:
+    """Text of a block of :func:`_format_rows`: its ``(lead, seps, groups, last)`` table parts.
+
+    The cells of each dtype are computed at once as fields of ASCII bytes
+    padded with ``0xFF`` (:func:`_fields`).  A part is its lead text, then
+    one slot per cell: its field and the piece after it.  The padding of
+    the block is deleted and its text decoded at once.
+    """
+    fields = {}  # per dtype, the fields of the cells of each group
+    for flat in (True, False):
+        if gs := [g for _, _, part, _ in block for g in part if (g.dtype.kind == "f") == flat]:
+            fields[flat] = np.split(make[flat](np.concatenate([g.ravel() for g in gs])),
+                                    np.cumsum([g.size for g in gs[:-1]]))[::-1]
+    chunks = []
+    for lead, seps, groups, last in block:
+        cells = np.concatenate([fields[g.dtype.kind == "f"].pop().reshape(len(g), g.shape[1], -1)
+                                for g in groups], axis=1)
+        slots = np.dstack([cells, np.broadcast_to(seps[:-1], cells.shape[:2] + seps.shape[1:])])
+        slots[-1, -1, cells.shape[2] :] = seps[-1 if last else -2]
+        chunks += [lead.encode("utf-8", "surrogatepass"), slots]
+    return b"".join(chunks).translate(None, b"\xff").decode("utf-8", "surrogatepass")
 
 
 @record
@@ -524,37 +567,22 @@ def export_svg(paths, margin: float = 0.05) -> str:
         flipped.append((path, pts * np.array([1.0, -1.0])))
 
     stacked = np.vstack([pts for _, pts in flipped])
-    lo = stacked.min(axis=0)
-    hi = stacked.max(axis=0)
-    extent = float(max(hi[0] - lo[0], hi[1] - lo[1]))
-    if extent <= 0.0:
-        extent = 1.0
+    lo, hi = stacked.min(axis=0), stacked.max(axis=0)
+    extent = float(max(hi[0] - lo[0], hi[1] - lo[1])) or 1.0
     pad = margin * extent
-    width = hi[0] - lo[0] + 2.0 * pad
-    height = hi[1] - lo[1] + 2.0 * pad
+    width, height = hi - lo + 2.0 * pad
     f = format_float
-    stroke = extent / 300.0
-    radius = extent / 120.0
-    font = extent / 30.0
+    stroke, radius, font = extent / 300.0, extent / 120.0, extent / 30.0
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>\n',
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{f(lo[0] - pad)} {f(lo[1] - pad)} {f(width)} {f(height)}">\n',
-    ]
+    items = ['<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
+             f'version="1.1" viewBox="{f(lo[0] - pad)} {f(lo[1] - pad)} {f(width)} {f(height)}">\n']
+    # One formatter call for every path and marker, as each call has a fixed cost.
     for path, pts in flipped:
-        # One formatter call per path, as each call has a fixed cost of numpy calls.
-        d = "M " + "".join(_format_rows((" L ", ",", ""), pts))[3:]
         color = _SVG_COLORS[path.role]
-        if path.role == "curve":
-            parts.append(
-                f'  <path d="{d}" fill="none" stroke="{color}" stroke-width="{f(stroke)}"/>\n'
-            )
-        else:
-            parts.append(
-                f'  <path d="{d}" fill="none" stroke="{color}" '
-                f'stroke-width="{f(stroke)}" stroke-dasharray="{f(4 * stroke)} {f(3 * stroke)}"/>\n'
-            )
+        items += ['  <path d="M ', (("", ",", ""), pts[:1]), ((" L ", ",", ""), pts[1:])]
+        dash = f' stroke-dasharray="{f(4 * stroke)} {f(3 * stroke)}"' * (path.role == "polygon")
+        items.append(f'" fill="none" stroke="{color}" stroke-width="{f(stroke)}"{dash}/>\n')
+        if path.role == "polygon":
             # XML-escape the label as xml.sax.saxutils.escape does; importing
             # that module pulls in urllib.request and ssl (+7 MB, +45 ms).
             label = path.label.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
@@ -564,9 +592,9 @@ def export_svg(paths, margin: float = 0.05) -> str:
             )
             offset = 1.6 * radius
             coords = np.column_stack([pts, pts[:, 0] + offset, pts[:, 1] - offset])
-            parts += _format_rows(marker, coords, np.arange(len(pts))[:, None])
-    parts.append("</svg>\n")
-    return "".join(parts)
+            items.append((marker, coords, np.arange(len(pts))[:, None]))
+    items.append("</svg>\n")
+    return "".join(_format_rows(items))
 
 
 # ---------------------------------------------------------------------------
@@ -602,20 +630,15 @@ def export_obj(samples, control_net=None) -> str:
     if not np.all(np.isfinite(samples)):
         raise RangeError("samples contain non-finite points")
     ids = np.arange(1, samples[..., 0].size + 1).reshape(samples.shape[:-1])
-    parts = ["g samples\n", *_format_rows(_VERTEX, samples.reshape(-1, 3))]
+    items = ["g samples\n", (_VERTEX, samples.reshape(-1, 3))]
     if samples.ndim == 2:
-        parts.append("l " + " ".join(map(str, ids.tolist())) + "\n")
-    elif samples.ndim == 3:
-        parts += _format_rows(("f ", " ", " ", " ", "\n"), _quads(ids[..., None]))
+        items += ["l", ((" ", ""), ids[:, None]), "\n"]
     else:
-        # Boundary slabs k = 0, N3-1, then j = 0, N2-1, then i = 0, N1-1.
-        slabs = (
-            ids[:, :, [0, -1]],
-            ids[:, [0, -1]].transpose(0, 2, 1),
-            ids[[0, -1]].transpose(1, 2, 0),
-        )
-        quads = np.concatenate([_quads(s) for s in slabs])
-        parts += _format_rows(("f ", " ", " ", " ", "\n"), quads)
+        # A patch is one slab; a volume its boundary slabs k = 0, N3-1, then
+        # j = 0, N2-1, then i = 0, N1-1.
+        slabs = [ids[..., None]] if samples.ndim == 3 else [
+            ids[:, :, [0, -1]], ids[:, [0, -1]].transpose(0, 2, 1), ids[[0, -1]].transpose(1, 2, 0)]
+        items.append((("f ", " ", " ", " ", "\n"), np.concatenate([_quads(s) for s in slabs])))
 
     if control_net is not None:
         net = np.asarray(control_net, dtype=float)
@@ -624,13 +647,13 @@ def export_obj(samples, control_net=None) -> str:
         if not np.all(np.isfinite(net)):
             raise RangeError("control net contains non-finite points")
         nids = np.arange(ids.size + 1, ids.size + net[..., 0].size + 1).reshape(net.shape[:-1])
-        parts += ["g control_net\n", *_format_rows(_VERTEX, net.reshape(-1, 3))]
+        items += ["g control_net\n", (_VERTEX, net.reshape(-1, 3))]
         # Edges along axis 0 first, then axis 1, ...; row-major within an axis.
         for axis in range(nids.ndim):
             head = (slice(None),) * axis
             edges = np.stack([nids[head + (slice(None, -1),)], nids[head + (slice(1, None),)]], -1)
-            parts += _format_rows(("l ", " ", "\n"), edges.reshape(-1, 2))
-    return "".join(parts)
+            items.append((("l ", " ", "\n"), edges.reshape(-1, 2)))
+    return "".join(_format_rows(items))
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +674,8 @@ def export_table(data, fmt: str, columns=None) -> str:
         table = data if data.ndim == 2 else data[:, None] if data.ndim == 1 else data[None, None]
         if columns is not None and len(table) and len(columns) != table.shape[1]:
             raise RangeError(f"{len(columns)} column names for {table.shape[1]} columns")
-        parts = [] if columns is None else [_csv_header(columns)]
-        width = table.shape[1]
-        parts += _format_rows(["", *[","] * (width - 1), "\n"] if width else ["\n"], table)
-        return "".join(parts)
+        header = "" if columns is None else _csv_header(columns)
+        return "".join(_format_rows([header, (["", *[","] * (table.shape[1] - 1), "\n"], table)]))
     if fmt == "json":
         payload = {"data": data.tolist()}
         if columns is not None:

@@ -8,12 +8,14 @@ raise the same ``RangeError`` messages on every input here.
 """
 
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chbez import RangeError, SvgPath, export_obj, export_svg, export_table
-from chbez.io import _BLOCK_ROWS, _SVG_COLORS, format_float
+from chbez.io import _BLOCK_CELLS, _SVG_COLORS, format_float
 from chbez.io import _format_rows
 
 # ---------------------------------------------------------------------------
@@ -227,7 +229,17 @@ def assert_same(ref, new, *args, **kwargs):
     assert new(*args, **kwargs) == expected
 
 
+# The formatter cuts tables into blocks of _BLOCK_CELLS cells, _BLOCK_ROWS
+# rows of a table 3 cells wide (OBJ vertices).  BLOCK_COUNTS straddle the
+# first block edge of such a table, and of wider ones; block_rows(width)
+# that of a table of any width.
+_BLOCK_ROWS = _BLOCK_CELLS // 3
 BLOCK_COUNTS = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1)
+
+
+def block_rows(width):
+    rows = _BLOCK_CELLS // width
+    return (rows - 1, rows, rows + 1, 2 * rows + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +373,7 @@ class TestObjBytes:
 
 
 class TestSvgBytes:
-    @pytest.mark.parametrize("n", [2, 3, 400, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", [2, 3, 400, _BLOCK_ROWS + 1, _BLOCK_CELLS // 2 + 1])
     def test_both_roles(self, n):
         rng = np.random.default_rng(n)
         curve = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-5, 5)
@@ -442,6 +454,8 @@ class TestRepeatedValues:
         assert_same(ref_export_table, export_table, column, "csv")
         table = np.column_stack([column, column[::-1], -column])
         assert_same(ref_export_table, export_table, table, "csv")
+        column = np.resize(column, 2 * _BLOCK_CELLS + 7)
+        assert_same(ref_export_table, export_table, column, "csv")
 
     def test_nan_payloads_and_signs(self):
         assert len({x.tobytes() for x in NANS}) == 3 and np.signbit(NANS[2])
@@ -498,7 +512,7 @@ class TestRepeatedValues:
 def formatted(values) -> list[str]:
     """Each value as the one cell of a row, printed by the row formatter."""
     values = np.asarray(values)
-    return "".join(_format_rows(("", "\n"), values.reshape(-1, 1))).split("\n")[:-1]
+    return "".join(_format_rows([(("", "\n"), values.reshape(-1, 1))])).split("\n")[:-1]
 
 
 def assert_repr(values):
@@ -599,7 +613,7 @@ class TestMixedNotationBlocks:
         patch = mixed_cells(rng, (3, n // 3 + 2, 3))
         assert_same(ref_export_obj, export_obj, patch, mixed_cells(rng, (2, 5, 3)))
 
-    @pytest.mark.parametrize("n", BLOCK_COUNTS[1:] + (2,))
+    @pytest.mark.parametrize("n", BLOCK_COUNTS[1:] + (2,) + block_rows(2))
     def test_svg(self, n):
         rng = np.random.default_rng(n)
         paths = [SvgPath(mixed_cells(rng, (n, 2)), "curve"),
@@ -612,6 +626,83 @@ class TestMixedNotationBlocks:
         assert not np.all(np.isfinite(bad))
         assert_same(ref_export_obj, export_obj, bad)
         assert_same(ref_export_svg, export_svg, [SvgPath(bad[:, :2], "polygon")])
+
+
+# ---------------------------------------------------------------------------
+# Block edges: the formatter cuts its tables into blocks of _BLOCK_CELLS
+# cells, so a table of any width, of floats or of integers, prints the same
+# on both sides of an edge, and small tables and literals that share a block
+# keep their order.
+
+
+def rows_text(pieces, *columns):
+    """The per-value reference: ``repr`` for a float cell, ``%d`` for an integer cell."""
+    cells = [[repr(x) if isinstance(x, float) else "%d" % x for x in row]
+             for row in zip(*(c.tolist() for c in columns))]
+    return "".join(pieces[0] + "".join(c + p for c, p in zip(row, pieces[1:])) for row in cells)
+
+
+def columns_of(*groups):
+    return [g[:, i] for g in groups for i in range(g.shape[1])]
+
+
+class TestBlockEdges:
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 7])
+    def test_float_tables(self, width):
+        rng = np.random.default_rng(width)
+        for rows in block_rows(width):
+            data = mixed_cells(rng, (rows, width), finite=False)
+            assert_same(ref_export_table, export_table, data, "csv")
+            pieces = ("<", *[", "] * (width - 1), ">\n")
+            assert "".join(_format_rows([(pieces, data)])) == rows_text(pieces, *columns_of(data))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("high", [None, 10**8, 2**63 - 1], ids=["ids", "wide", "any"])
+    def test_integer_tables(self, width, high):
+        # Ids below the cell count are formatted once and gathered; other
+        # integers, negative ones and those from 10**17 up among them, cell by cell.
+        rng = np.random.default_rng(width)
+        for rows in block_rows(width):
+            top = rows * width if high is None else high
+            ids = rng.integers(-1000 if high == 2**63 - 1 else 0, top, (rows, width))
+            pieces = ("f ", *[" "] * (width - 1), "\n")
+            assert "".join(_format_rows([(pieces, ids)])) == rows_text(pieces, *columns_of(ids))
+
+    @pytest.mark.parametrize("rows", block_rows(5)[:3])
+    def test_floats_beside_integers(self, rows):
+        rng = np.random.default_rng(rows)
+        coords, ids = mixed_cells(rng, (rows, 4)), np.arange(rows)[:, None]
+        pieces = ("(", ",", ") ", ",", ' "', '"\n')
+        text = "".join(_format_rows([(pieces, coords, ids)]))
+        assert text == rows_text(pieces, *columns_of(coords, ids))
+
+    def test_small_tables_and_literals_share_blocks(self):
+        rng = np.random.default_rng(21)
+        small = [mixed_cells(rng, (n, 2)) for n in (1, 2, 5)]
+        large = mixed_cells(rng, (2 * _BLOCK_CELLS // 3 + 5, 3))
+        faces = rng.integers(1, 50, (7, 4))
+        items = ["head\n", ((" L ", ",", ""), small[0]), "", (("", "|"), small[1][:, :1]),
+                 ((" L ", ",", ""), small[2]), " mid\n", (("v ", " ", " ", "\n"), large),
+                 (("f ", " ", " ", " ", "\n"), faces), ((";",), np.zeros((3, 0))), "tail"]
+        expected = ["head\n", rows_text((" L ", ",", ""), *columns_of(small[0])),
+                    rows_text(("", "|"), small[1][:, 0]),
+                    rows_text((" L ", ",", ""), *columns_of(small[2])),
+                    " mid\n", rows_text(("v ", " ", " ", "\n"), *columns_of(large)),
+                    rows_text(("f ", " ", " ", " ", "\n"), *columns_of(faces)), ";;;tail"]
+        assert "".join(_format_rows(items)) == "".join(expected)
+
+    @pytest.mark.parametrize("rows", [2048, 20000])
+    def test_scratch_stays_below_one_and_a_half_megabytes(self, rows):
+        table = np.random.default_rng(rows).standard_normal((rows, 5))
+        items = [(("", ",", ",", ",", ",", "\n"), table)]
+        _format_rows(items)  # the constant tables are built on first use
+        tracemalloc.start()
+        try:
+            texts = _format_rows(items)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(map(sys.getsizeof, texts)) <= 1.5e6
 
 
 # ---------------------------------------------------------------------------

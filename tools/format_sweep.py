@@ -1,13 +1,18 @@
-"""Compare the exporters' row formatter with ``repr`` on many doubles.
+"""Compare the exporters' row formatter with ``repr`` and ``%d`` on many values.
 
 Prints, through ``chbez.io._format_rows``, every notation class (powers of
 two and of ten, the first subnormals, both sides of each switch between
 fixed and exponent form, integers, zeros and non-finite values, each with
 both signs) and then ``count`` seeded random 64-bit patterns read as
-doubles, in chunks of 2**20, and compares each line with ``repr``.  On the
-first mismatch it prints the value and its bits and exits 1; otherwise it
-prints how many values matched.  Uses numpy and the standard library only.
-Run from the root of the repository:
+doubles, in chunks of 2**20.  Each chunk is printed one value a line, as
+OBJ vertex rows of 3 and as CSV rows of 5, so cells meet literals of
+several lengths, and each line is compared with ``repr``.  Then it prints
+integers of every length from 1 to 17 digits, ``10**17`` and up and
+negative ones (both printed through ``repr``), and small ids that are
+formatted once each, in the same three layouts, and compares them with
+``%d``.  On the first mismatch it prints the value and exits 1; otherwise
+it prints how many values matched.  Uses numpy and the standard library
+only.  Run from the root of the repository:
 ``python3 tools/format_sweep.py [count [seed]]`` (defaults 1000000 and 0).
 """
 
@@ -20,6 +25,8 @@ sys.path.insert(0, "src")
 from chbez.io import _format_rows
 
 CHUNK = 2**20
+# Row pieces: one value a line, OBJ vertex rows and CSV rows.
+LAYOUTS = (("", "\n"), ("v ", " ", " ", "\n"), ("", ",", ",", ",", ",", "\n"))
 
 
 def notation_classes() -> np.ndarray:
@@ -36,30 +43,45 @@ def notation_classes() -> np.ndarray:
     return np.concatenate([values, -values])
 
 
+def integers(rng) -> np.ndarray:
+    """Integers of every length from 1 to 17 digits, from 10**17 up, and negative ones."""
+    ends = [10**d for d in range(18)]
+    values = [0, 2**63 - 1, -(2**63), *ends, *(e - 1 for e in ends), *(-e for e in ends)]
+    for d in range(1, 18):
+        values += rng.integers(10 ** (d - 1), 10**d, 64).tolist()
+    return np.array(values + rng.integers(10**17, 2**63 - 1, 64).tolist(), dtype=np.int64)
+
+
 def first_mismatch(values: np.ndarray):
-    """The first value whose formatted line differs from its ``repr``, or None."""
-    text = "".join(_format_rows(("", "\n"), values[:, None]))
-    floats = values.tolist()
-    if text == "\n".join(map(repr, floats)) + "\n":
-        return None
-    lines = text.split("\n")
-    return next((x, line) for x, line in zip(floats, lines) if line != repr(x))
+    """The first value whose text differs from its ``repr`` or ``%d`` in some layout, or None."""
+    texts = [repr(x) if isinstance(x, float) else "%d" % x for x in values.tolist()]
+    for pieces in LAYOUTS:
+        width = len(pieces) - 1
+        n = len(values) // width * width
+        text = "".join(_format_rows([(pieces, values[:n].reshape(-1, width))]))
+        # No value's text holds a space, a comma or "v ", so the rows split back into lines.
+        lines = text.replace("v ", "").replace(" ", "\n").replace(",", "\n")
+        if lines != "".join(t + "\n" for t in texts[:n]):
+            got = lines.split("\n")
+            return next((x, g) for x, t, g in zip(values.tolist(), texts, got) if g != t)
+    return None
 
 
 def main(count: int, seed: int) -> int:
     rng = np.random.default_rng(seed)
     sizes = (min(CHUNK, count - start) for start in range(0, count, CHUNK))
     randoms = (rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64) for n in sizes)
+    ids = np.random.default_rng(seed).integers(0, 5000, 20000)  # formatted once each
     checked = 0
-    for values in itertools.chain([notation_classes()], randoms):
+    for values in itertools.chain([notation_classes()], randoms, [integers(rng), ids]):
         bad = first_mismatch(values)
         if bad is not None:
             x, line = bad
-            bits = int(np.array([x]).view(np.uint64)[0])
+            bits = int(np.array([x]).view(np.uint64)[0]) if isinstance(x, float) else x
             print(f"mismatch: {x!r} (bits {bits:#018x}) printed as {line!r}")
             return 1
         checked += len(values)
-    print(f"{checked} values print as repr")
+    print(f"{checked} values print as repr and %d")
     return 0
 
 
