@@ -24,8 +24,8 @@ both in [0, 1], and the coefficient sums ``S_i = c_i s(alpha / 2)**2n``
 The divisor is the same numpy ``s`` of the same argument ``0.5 * alpha`` as
 ``lam`` at ``u = 0`` and ``rho`` at ``u = alpha``, so those factors are exactly
 1 there and the endpoint rows are exactly ``[1, 0, ..., 0]`` and
-``[0, ..., 0, 1]``.  The Bernstein table that rational Bezier pieces
-evaluate is the same product with ``1 - v`` and ``v`` for the factors and
+``[0, ..., 0, 1]``.  The Bernstein table of :func:`bernstein_value` is the
+same product with ``1 - v`` and ``v`` for the factors and
 ``C(d, i)`` for the sums.
 
 Powers are products only, never a power routine whose last bit depends on
@@ -307,7 +307,15 @@ def basis_matrix(space: BasisSpace, us) -> np.ndarray:
         _clamp_param(space, us[np.argmax(bad)])  # raises for the first offender
     _normalizing_values(space)  # raises for a space whose coefficients overflow
     # Like the scalar clamp, np.clip keeps -0.0.
-    clamped = np.clip(us, 0.0, space.alpha)
+    return _basis_table(space, np.clip(us, 0.0, space.alpha))
+
+
+def _basis_table(space: BasisSpace, clamped: np.ndarray) -> np.ndarray:
+    """:func:`basis_matrix` on parameters already inside ``[0, alpha]``, without its checks.
+
+    The table needs only the coefficient sums, which stay finite where the
+    normalizing coefficients overflow (tiny alpha at a high order).
+    """
     s = _FUNCTIONS[space.kind, np][0]
     scale = s(0.5 * space.alpha)
     left = s(0.5 * (space.alpha - clamped)) / scale

@@ -9,16 +9,30 @@ module provides the reparametrization onto ``[0, 1]`` that
 turns every such curve into a rational Bezier curve, corner cutting
 subdivision at an arbitrary interior parameter, and order elevation.
 
-Every Bezier piece is one homogeneous net ``(w p, w)``, the weights
-``w`` being the Bezier weights (times the curve's rational weights): one
-de Casteljau pyramid on that net splits a curve, its two edges are the
-pieces, and one Bernstein product evaluates a piece; each projects back
-by dividing by its weight channel only at the end.
+One de Casteljau pyramid on the homogeneous net ``(w p, w)``, the weights
+``w`` being the Bezier weights (times the curve's rational weights), splits
+a curve; its two edges, projected back, are the pieces.  A piece is kept in
+rational Bezier form: points ``p_i``, weights ``w_i`` and the covered
+subinterval ``[lo, hi]``.  The normalized B-bases are translation invariant,
+so the piece is also the curve of the same order over
+``BasisSpace(kind, n, hi - lo)`` at ``u - lo``, with the same points and the
+rational weights
 
-The subdivision pieces are kept in rational Bezier form (points, weights and
-the covered subinterval); re-expressing them over the B-basis of the
-subinterval is possible but changes the weights by a geometric factor, see
-:func:`piece_matches_subspace_weights`.
+    omega_i = w_i gamma**i C(2n, i) / S_i,
+    gamma = (s((alpha - hi) / 2) + s(hi / 2)) / (s((alpha - lo) / 2) + s(lo / 2)),
+
+``S_i`` the coefficient sums of the subinterval's space and ``s`` sin or
+sinh: the two Bezier parametrizations differ by a Moebius map fixing 0 and
+1, which rescales rational Bezier weights by ``gamma**i`` (Sanchez-Reyes,
+CAGD 15, 1998).  A piece is evaluated that way, by the one rational
+combination that curves and patches use.
+
+A rational denominator is degenerate where it is at most 1e-14 times the
+same combination of the absolute weights.  For nonnegative weights, those
+of every control curve and grid, that is a zero denominator only, however
+small or widely spread the weights are; elevation and subdivision divide
+only by nonnegative combinations, so they refuse a weight only when it is
+not positive.
 """
 
 from __future__ import annotations
@@ -29,26 +43,16 @@ import numpy as np
 
 from . import _exports
 from ._record import record
-from .bbasis import (_FUNCTIONS, _PARAM_SLACK, BasisSpace, _bernstein_table, _binomials,
-                     _clamp_param, _is_count, _normalizing_values, basis_matrix)
+from .bbasis import (_FUNCTIONS, _PARAM_SLACK, BasisSpace, _basis_table, _binomials,
+                     _clamp_param, _coefficient_sums, _is_count, _normalizing_values,
+                     basis_matrix)
 from .errors import NumericalError, RangeError
 from .xform import _elevated
 
 __all__ = _exports(__name__)
 
-# Rational denominators and weights at or below this floor are degenerate.
-_WEIGHT_FLOOR = 1e-14
-
-
-def _below_floor(values: np.ndarray, weights: np.ndarray, floor: float = _WEIGHT_FLOOR):
-    """Mask of ``values`` at or below ``floor`` times ``min(1, max |weights|)``.
-
-    Weights matter only up to a common scale (hyperbolic Bezier weights shrink
-    like exp(-n * alpha) as a whole), so tiny weights lower the floor; a wide
-    spread does not raise it, as over a nonnegative partition of unity a
-    denominator is at least the smallest weight.
-    """
-    return values <= floor * min(1.0, abs(weights).max())
+# A rational denominator at or below this share of the combined absolute weights vanishes.
+_CANCELLATION = 1e-14
 
 
 def _checked_net(points: np.ndarray, weights, dims: tuple, shape_error: str) -> tuple:
@@ -102,15 +106,20 @@ def _contract(mats, tensor: np.ndarray) -> np.ndarray:
 def _combine(mats, points: np.ndarray, weights, vanishing) -> np.ndarray:
     """Values of a control net on the samples of ``mats`` (see :func:`_contract`).
 
-    Rational when ``weights`` is given; where the denominator falls to the
-    floor, the error ``vanishing(mask of failing samples)`` is raised.
+    Rational when ``weights`` is given.  Where the denominator is at most
+    ``_CANCELLATION`` times the combination of ``|weights|``, the error
+    ``vanishing(mask of failing samples)`` is raised.  That combination is
+    formed only where ``|den|`` is below the bound it cannot exceed,
+    ``_CANCELLATION * max |weights|``.
     """
     if weights is None:
         return _contract(mats, points)
     den = _contract(mats, weights)
-    bad = _below_floor(np.abs(den), weights)
+    bad = np.abs(den) <= _CANCELLATION * abs(weights).max()
     if bad.any():
-        raise vanishing(bad)
+        bad &= np.abs(den) <= _CANCELLATION * _contract(mats, np.abs(weights))
+        if bad.any():
+            raise vanishing(bad)
     return _contract(mats, weights[..., None] * points) / den[..., None]
 
 
@@ -198,9 +207,9 @@ def bezier_weights(space: BasisSpace) -> np.ndarray:
 class BezierPiece:
     """One half of a subdivision in rational Bezier form.
 
-    The piece covers ``u_interval`` of the parent curve; ``evaluate`` maps a
-    parent parameter inside that interval through the parent's Bezier
-    reparametrization before running the rational Bernstein combination.
+    The piece covers ``u_interval`` of the parent curve.  ``evaluate`` takes
+    a parent parameter inside that interval and evaluates the piece as the
+    rational curve over the B-basis of the interval (module docstring).
     """
 
     parent_space: BasisSpace
@@ -209,38 +218,52 @@ class BezierPiece:
     u_interval: tuple[float, float]
 
     def evaluate(self, u):
-        lo, hi = self.u_interval
+        lo, sub, omega = _restricted(self)
+        a, b = self.u_interval
         space = self.parent_space
-        v_lo = reparametrize(space, lo)
-        v_hi = reparametrize(space, hi)
-        if not v_hi > v_lo:
-            raise RangeError(f"piece interval [{lo:g}, {hi:g}] is empty")
         scalar = np.ndim(u) == 0
         us = np.atleast_1d(np.asarray(u, dtype=float))
-        outside = ~((us >= lo - _PARAM_SLACK) & (us <= hi + _PARAM_SLACK))
+        outside = ~((us >= a - _PARAM_SLACK) & (us <= b + _PARAM_SLACK))
         off_parent = ~((us >= -_PARAM_SLACK) & (us <= space.alpha + _PARAM_SLACK))
-        v = np.array(_bezier_parameter(space, np.clip(us, 0.0, space.alpha).tolist()))
-        bern = _bernstein_table(self.points.shape[0] - 1, (v - v_lo) / (v_hi - v_lo))
-        values = bern @ _folded(self.points, self.weights)
-        den = np.abs(values[:, -1])
-        vanishing = _below_floor(den, self.weights)
-        if vanishing.any():  # keep a cancellation, not positive weights however widely spread
-            vanishing &= den <= _WEIGHT_FLOOR * (bern @ np.abs(self.weights))
         # Report the first parameter that fails a check, and for it the first
-        # check it fails: piece interval, parent interval, denominator.
-        failed = outside | off_parent | vanishing
-        if failed.any():
-            k = np.argmax(failed)
-            ui = us[k]
+        # check it fails: piece interval, parent interval, denominator.  The
+        # parameters before the first interval failure are evaluated, so a
+        # vanishing denominator among them is reported first.
+        failed = outside | off_parent
+        k = int(np.argmax(failed)) if failed.any() else len(us)
+        table = _basis_table(sub, np.clip(us[:k] - lo, 0.0, sub.alpha))
+        out = _combine([table], self.points, omega, lambda bad: NumericalError(
+            f"piece denominator vanishes near u = {us[np.argmax(bad)]:g}"
+        ))
+        if k < len(us):
             if outside[k]:
                 raise RangeError(
-                    f"parameter u = {float(ui)!r} outside the piece interval [{lo:g}, {hi:g}]"
+                    f"parameter u = {float(us[k])!r} outside the piece interval [{a:g}, {b:g}]"
                 )
-            if off_parent[k]:
-                _clamp_param(space, ui)
-            raise NumericalError(f"piece denominator vanishes near u = {ui:g}")
-        out = _projected(values)[0]
+            _clamp_param(space, us[k])  # raises: off the parent
         return out[0] if scalar else out
+
+
+def _restricted(piece: BezierPiece) -> tuple[float, BasisSpace, np.ndarray]:
+    """The piece as a rational curve over the B-basis of its interval (module docstring).
+
+    Returns the interval's start ``lo``, the space ``BasisSpace(kind, n, hi -
+    lo)`` and the weights ``omega`` that go with the piece's points.  The
+    ends are clamped to the parent's interval, and an empty interval is refused.
+    """
+    space = piece.parent_space
+    lo, hi = (_clamp_param(space, end) for end in piece.u_interval)
+    if not hi > lo:
+        a, b = piece.u_interval
+        raise RangeError(f"piece interval [{a:g}, {b:g}] is empty")
+    s = _FUNCTIONS[space.kind, math][0]
+    half = 0.5 * space.alpha
+    gamma = (s(half - 0.5 * hi) + s(0.5 * hi)) / (s(half - 0.5 * lo) + s(0.5 * lo))
+    sub = BasisSpace(space.kind, space.n, hi - lo)
+    powers = np.full(sub.dimension, gamma)
+    powers[0] = 1.0
+    factors = np.cumprod(powers) * _binomials(sub.degree) / _coefficient_sums(sub)
+    return lo, sub, piece.weights * factors
 
 
 @record
@@ -268,33 +291,27 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     One de Casteljau pyramid runs at the fixed ratio ``v = reparametrize(space,
     u0)`` on the homogeneous net ``(w p, w)``, where ``w`` is the Bezier weights
     times the curve's weights (if any); its first edge is the left piece and its
-    last edge, reversed, the right one.  The Bezier weights ride along as one
-    more channel, so each weight entry can be judged against the Bezier weights
-    it combines: their ratio is a mean of the curve's weights.  An entry at the
-    floor both on the scale of ``w`` and in that ratio, on any level, is
-    refused before anything is divided by it; positive Bezier weights however
-    widely spread never are.  The piece weights keep the scale of ``w``.
+    last edge, reversed, the right one.  The piece weights keep the scale of
+    ``w``; a split is refused where one of them is not positive, and where
+    ``v`` rounds to 0 or 1, which would collapse a piece to a point.
     """
     space = curve.space
     u0 = _split_point(space, u0)
     v = reparametrize(space, u0)
-    bezier = bezier_weights(space)
-    w = bezier if curve.weights is None else bezier * curve.weights
-    levels = [np.concatenate([_folded(curve.points, w), bezier[:, None]], axis=1)]
+    if not 0.0 < v < 1.0:
+        raise NumericalError(f"split ratio at u0 = {u0!r} rounds to {v:g}")
+    w = bezier_weights(space) * (1.0 if curve.weights is None else curve.weights)
+    levels = [_folded(curve.points, w)]
     while len(levels[-1]) > 1:
         level = levels[-1]
         levels.append((1.0 - v) * level[:-1] + v * level[1:])
-    # All levels stacked: level k starts at row k (d + 1) - k (k - 1) / 2.
-    pyramid, k = np.concatenate(levels), np.arange(len(levels))
-    first = k * len(levels) - k * (k - 1) // 2
-    weights, combined = pyramid[:, -2], pyramid[:, -1]
-    at_floor = _below_floor(weights, w)
-    scale = 1.0 if curve.weights is None else min(1.0, curve.weights.max())
-    if at_floor.any() and np.any(weights[at_floor] <= _WEIGHT_FLOOR * scale * combined[at_floor]):
+    edges = [np.stack([level[0] for level in levels]),
+             np.stack([level[-1] for level in levels[::-1]])]
+    if not all(np.all(edge[:, -1] > 0.0) for edge in edges):
         raise NumericalError(f"degenerate weight pyramid while splitting at u0 = {u0:g}")
-    pieces = [BezierPiece(space, *_projected(pyramid[edge, :-1]), interval)
-              for edge, interval in ((first, (0.0, u0)), (first[::-1] + k, (u0, space.alpha)))]
-    return SubdivisionResult(*pieces, v)
+    left, right = (BezierPiece(space, *_projected(edge), interval)
+                   for edge, interval in zip(edges, ((0.0, u0), (u0, space.alpha))))
+    return SubdivisionResult(left, right, v)
 
 
 def elevate(curve: ControlCurve, z: int = 1) -> ControlCurve:
@@ -313,7 +330,7 @@ def elevate(curve: ControlCurve, z: int = 1) -> ControlCurve:
     lifted, pts = _elevated(curve.space, _folded(curve.points, curve.weights), z)
     if curve.weights is None:
         return ControlCurve(lifted, pts)
-    if np.any(_below_floor(pts[:, -1], pts[:, -1])):
+    if not np.all(pts[:, -1] > 0.0):
         raise NumericalError("degenerate weight after elevation")
     return ControlCurve(lifted, *_projected(pts))
 
@@ -321,17 +338,11 @@ def elevate(curve: ControlCurve, z: int = 1) -> ControlCurve:
 def piece_matches_subspace_weights(piece: BezierPiece, rtol: float = 1e-9) -> bool:
     """Check the documented link between a piece and the subinterval basis.
 
-    The piece's weights agree with the Bezier weights of the B-basis over
-    its own subinterval up to a common scale and a geometric factor
-    ``gamma**i`` (the two parametrizations differ by a Moebius map fixing 0
-    and 1, which rescales rational Bezier weights exactly that way).
+    A piece of a polynomial curve is a polynomial curve over the B-basis of
+    its own subinterval: its weights are that basis's Bezier weights times
+    ``gamma**-i`` up to a common scale, ``gamma`` the closed form of the
+    module docstring.  Then the rational weights ``omega`` over that basis
+    are positive and equal within ``rtol``.
     """
-    lo, hi = piece.u_interval
-    sub = BasisSpace(piece.parent_space.kind, piece.parent_space.n, hi - lo)
-    ref = bezier_weights(sub)
-    ratio = piece.weights / ref
-    if np.any(ratio <= 0.0):
-        return False
-    gamma = ratio[1] / ratio[0]
-    expected = ratio[0] * gamma ** np.arange(ratio.shape[0])
-    return bool(np.allclose(ratio, expected, rtol=rtol, atol=0.0))
+    omega = _restricted(piece)[2]
+    return bool(np.all(omega > 0.0) and np.allclose(omega, omega[0], rtol=rtol, atol=0.0))

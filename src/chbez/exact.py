@@ -37,13 +37,14 @@ from . import _exports
 from ._record import record
 from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, _MAX_ORDER, BasisKind, BasisSpace, _is_count,
                      _is_int)
-from .curve import ControlCurve, _below_floor, _projected
+from .curve import ControlCurve, _projected
 from .errors import NumericalError, RangeError
 from .xform import _elevated, transform_matrix
 
 __all__ = _exports(__name__) + ["coordinate_ordinates"]  # not public at top level
 
-# Pre-image weights at or below this floor (see ``curve._below_floor``) are not positive.
+# Pre-image weights at or below this floor, times min(1, max |weight|), are not
+# positive: tiny weights lower the floor, as weights matter only up to a common scale.
 WEIGHT_POSITIVITY = 1e-12
 
 # Denominator sign is checked on a lattice of this many uniform samples per
@@ -435,7 +436,8 @@ def _elevate_until_positive(points: np.ndarray, orders, directions, max_elevatio
     delta = len(orders)
     steps = 0
     while True:
-        bad = _below_floor(points[..., -1], points[..., -1], WEIGHT_POSITIVITY)
+        weights = points[..., -1]
+        bad = weights <= WEIGHT_POSITIVITY * min(1.0, abs(weights).max())
         j = steps % delta
         if orders[j] >= _MAX_ORDER:
             j = orders.index(min(orders))

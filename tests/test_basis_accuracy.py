@@ -125,8 +125,8 @@ DIGEST = digest.hexdigest()
 """
 
 # Subdivision pieces of trigonometric curves, plain and rational, evaluated
-# on their intervals: the Bezier parameter, the Bernstein table and the BLAS
-# product that folds points and weights together.
+# on their intervals: the piece's weights over its sub-interval's basis, that
+# basis's table and the BLAS contraction of the rational combination.
 _PIECES = """
 import hashlib
 import numpy as np

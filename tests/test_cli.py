@@ -554,6 +554,10 @@ FAILING_COMMANDS = [
      "error: --split-at: split parameter u0 = 5.0 must lie strictly inside (0, 2.35619)\n"),
     ("subdivide", "hypocycloid", ["--split-at", "0"], 2,
      "error: --split-at: split parameter u0 = 0.0 must lie strictly inside (0, 2.35619)\n"),
+    # An interior split point whose Bezier parameter tanh saturates to 0: the
+    # left piece would collapse to one point.
+    ("subdivide", "equilateral_hyperbola_alpha_200", ["--split-at", "10"], 3,
+     "numerical failure: split ratio at u0 = 10.0 rounds to 0\n"),
     # basis and xform read no spec (figure ""); a range error names the flag at
     # fault, and alpha is judged alone before the order.
     *[
@@ -639,6 +643,13 @@ def _k32_doc() -> dict:
     return doc
 
 
+def _alpha_200_doc() -> dict:
+    """equilateral_hyperbola.json (order 1) with alpha set to 200."""
+    doc = json.loads(load_figure_text("equilateral_hyperbola"))
+    doc["alpha"] = 200
+    return doc
+
+
 def _k32_tiny_alpha_doc() -> dict:
     """hypocycloid.json with its first frequency set to 32 and alpha set to 1e-5."""
     doc = _k32_doc()
@@ -654,6 +665,7 @@ DERIVED_DOCS = {
     "lemniscate_dip_denominator": _dip_denominator_doc,
     "hypocycloid_k40": _k40_doc,
     "hypocycloid_huge_a": _huge_a_doc,
+    "equilateral_hyperbola_alpha_200": _alpha_200_doc,
 }
 
 

@@ -12,8 +12,12 @@ from chbez import (
     BasisSpace,
     BezierPiece,
     ControlCurve,
+    CoordinateFunction,
+    CurveSpec,
     NumericalError,
     RangeError,
+    Term,
+    TermFamily,
     basis_matrix,
     bezier_weights,
     elevate,
@@ -155,6 +159,24 @@ class TestControlCurve:
             piece_us = np.linspace(*piece.u_interval, 7)
             assert_allclose(piece.evaluate(piece_us), evaluate(crv, piece_us), atol=1e-14)
 
+    def test_tiny_weight_evaluates_elevates_and_splits(self):
+        # Nonnegative weights leave a denominator that is not 0 nonzero,
+        # however small the smallest weight is against the largest.
+        space = BasisSpace(TRIG, 1, 2.0)
+        points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+        weights = np.array([1e-20, 1.0, 1.0])
+        crv = ControlCurve(space, points, weights)
+        us = np.linspace(0.0, 2.0, 9)
+        basis = basis_matrix(space, us)
+        expected = (basis @ (weights[:, None] * points)) / (basis @ weights)[:, None]
+        assert_allclose(evaluate(crv, us), expected, rtol=1e-14, atol=1e-15)
+        assert_allclose(evaluate(crv, 0.0), points[0], rtol=0.0, atol=0.0)
+        assert_allclose(evaluate(elevate(crv, 3), us), expected, rtol=1e-13, atol=1e-15)
+        parts = subdivide(crv, 1.0)
+        for piece in (parts.left, parts.right):
+            piece_us = np.linspace(*piece.u_interval, 7)
+            assert_allclose(piece.evaluate(piece_us), evaluate(crv, piece_us), atol=1e-14)
+
     def test_vanishing_denominator_raises(self):
         space = BasisSpace(TRIG, 1, 1.0)
         crv = ControlCurve(space, np.ones((3, 2)), np.array([0.0, 0.0, 1.0]))
@@ -273,6 +295,45 @@ class TestSubdivide:
         piece = BezierPiece(space, np.zeros((5, 2)), np.ones(5), (0.0, 1.0))
         assert not piece_matches_subspace_weights(piece)
 
+    def test_geometric_factor_check_rejects_other_factors(self):
+        # Weights times a geometric sequence still fit some factor, but only
+        # the Moebius factor gamma of the piece's interval makes them match.
+        crv = random_curve(HYP, 3, 2.4, seed=12)
+        piece = subdivide(crv, 0.9).right
+        for factor in (1.3, 0.5):
+            skewed = piece.weights * factor ** np.arange(piece.weights.size)
+            foreign = BezierPiece(piece.parent_space, piece.points, skewed, piece.u_interval)
+            assert not piece_matches_subspace_weights(foreign)
+
+    def test_zero_inner_weight_splits(self):
+        # Both pieces of [1, 0, 1] have positive weights: the edges of the
+        # pyramid mix the zero weight with a positive neighbour.
+        space = BasisSpace(TRIG, 1, 1.0)
+        crv = ControlCurve(space, [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], [1.0, 0.0, 1.0])
+        res = subdivide(crv, 0.5)
+        for piece in (res.left, res.right):
+            assert np.all(piece.weights > 0.0)
+            us = np.linspace(*piece.u_interval, 11)
+            assert_allclose(piece.evaluate(us), evaluate(crv, us), atol=1e-15)
+
+    @pytest.mark.parametrize("kind", [TRIG, HYP], ids=lambda k: k.value)
+    def test_short_piece_at_the_order_cap_evaluates(self, kind):
+        # The normalizing coefficients of a 1e-6 long interval overflow at
+        # order 32; a piece needs only its coefficient sums.
+        crv = random_curve(kind, 32, 2.0, seed=17, rational=True)
+        piece = subdivide(crv, 1e-6).left
+        us = np.linspace(*piece.u_interval, 5)
+        assert_allclose(piece.evaluate(us), evaluate(crv, us), atol=1e-14)
+
+    @pytest.mark.parametrize("n, alpha, u0", [(1, 200.0, 10.0), (1, 200.0, 190.0),
+                                              (1, 100.0, 4.0), (3, 90.0, 3.0)])
+    def test_saturated_split_ratio_refused(self, n, alpha, u0):
+        # tanh(u0 / 2 - alpha / 4) rounds to -1 or 1, so the ratio rounds to
+        # 0 or 1 and one piece would collapse to a point.
+        crv = random_curve(HYP, n, alpha, seed=16)
+        with pytest.raises(NumericalError, match=rf"^split ratio at u0 = {u0!r} rounds to [01]$"):
+            subdivide(crv, u0)
+
     def test_split_parameter_must_be_interior(self):
         crv = random_curve(TRIG, 1, 1.0, seed=13)
         for u0 in (0.0, 1.0, -0.2, 1.2):
@@ -351,8 +412,9 @@ class TestSubdivide:
             assert np.max(np.abs(piece.evaluate(us) - parent)) <= 1e-12 * np.max(np.abs(parent))
 
     def test_degenerate_weight_pyramid_refused(self):
+        # The left piece's first weight is the curve's first, 0.
         space = BasisSpace(TRIG, 1, 1.0)
-        crv = ControlCurve(space, [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], [1.0, 0.0, 1.0])
+        crv = ControlCurve(space, [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], [0.0, 1.0, 1.0])
         with pytest.raises(
             NumericalError, match=r"^degenerate weight pyramid while splitting at u0 = 0\.5$"
         ):
@@ -410,6 +472,74 @@ class TestSplitAgainstMpmath:
                 assert error <= bound, (u0, error / EPS)
                 error = np.max(np.abs(piece.weights - weights) / weights)
                 assert error <= bound, (u0, error / EPS)
+
+
+def term_spec(kind, alpha, coords, shift=0.0):
+    """A curve spec from ``(family, k, a, phase)`` tuples, each phase moved by ``k * shift``.
+
+    With ``shift = u0`` it describes the curve at ``u0 + x``: each term's
+    ``f(k (u0 + x) + phase)`` is ``f(k x + phase + k u0)``.
+    """
+    return CurveSpec(kind, alpha, [
+        CoordinateFunction([Term(f, k, a, phase + k * shift) for f, k, a, phase in terms])
+        for terms in coords
+    ])
+
+
+def random_coords(rng, kind, n, rational):
+    """Two or three coordinates of random terms up to frequency ``n``, one of them at ``n``.
+
+    A rational spec's last coordinate is a denominator positive on any interval.
+    """
+    coords = [
+        [(TermFamily(str(rng.choice(["cos", "sin"]))), int(k), rng.standard_normal(),
+          rng.uniform(-1, 1)) for k in rng.integers(0, n + 1, 3)]
+        for _ in range(2)
+    ]
+    coords[0].append((TermFamily.COSINE, n, 1.0, 0.0))
+    if rational:
+        coords.append([(TermFamily.COSINE, 0, 2.0, 0.0),
+                       (TermFamily.COSINE, 1, 0.5 if kind is TRIG else 0.3, rng.uniform(-1, 1))])
+    return coords
+
+
+class TestRestrictedDescription:
+    """Split pieces against the exact description of the curve restricted to each piece.
+
+    The left piece is the curve over ``[0, u0]``, the right one the curve at
+    ``u0 + x`` over ``[0, alpha - u0]``; both are described at the parent's
+    order.  A plain piece's points are that description's control points,
+    and its values are that curve's values; a rational piece is compared by
+    values only, as the restricted pre-image may take a different number of
+    elevation steps.  Errors are measured against the parent's largest
+    control coordinate and bounded by ``4 (2n + 1)`` eps.
+    """
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["plain", "rational"])
+    @pytest.mark.parametrize("n", range(1, 33))
+    @pytest.mark.parametrize("kind", [TRIG, HYP], ids=lambda k: k.value)
+    def test_pieces_are_the_restricted_curves(self, kind, n, rational):
+        rng = np.random.default_rng(100 * n + rational)
+        bound = 4 * (2 * n + 1) * EPS
+        for _ in range(2):
+            alpha = rng.uniform(0.2, 3.1) if kind is TRIG else rng.uniform(0.2, min(6.0, 200.0 / n))
+            coords = random_coords(rng, kind, n, rational)
+            spec = term_spec(kind, alpha, coords)
+            crv = exact_rational_curve(spec, n).curve if rational else exact_curve(spec, n)
+            scale = np.max(np.abs(crv.points))
+            u0 = rng.uniform(0.1, 0.9) * alpha
+            res = subdivide(crv, u0)
+            restricted = [term_spec(kind, u0, coords), term_spec(kind, alpha - u0, coords, u0)]
+            for piece, sub in zip((res.left, res.right), restricted):
+                lo = piece.u_interval[0]
+                ref = exact_rational_curve(sub, n).curve if rational else exact_curve(sub, n)
+                if not rational:
+                    error = np.max(np.abs(piece.points - ref.points)) / scale
+                    assert error <= bound, (alpha, u0, error / EPS)
+                us = np.linspace(*piece.u_interval, 41)
+                want = evaluate(ref, np.clip(us - lo, 0.0, ref.space.alpha))
+                error = np.max(np.abs(piece.evaluate(us) - want)) / scale
+                assert error <= bound, (alpha, u0, error / EPS)
 
 
 class TestElevate:
