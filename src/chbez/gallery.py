@@ -104,7 +104,12 @@ def render_figure(name: str) -> RenderedFigure:
     A planar curve gives an SVG with its control polygons, anything else an
     OBJ of its samples (a patch's reconstructed ones) and control net.
     """
-    doc = load_figure(name)
+    return _rendered(name, load_figure_text(name))
+
+
+def _rendered(name: str, text: str) -> RenderedFigure:
+    """:func:`render_figure` of the figure ``name`` whose spec text is ``text``."""
+    doc = parse_document(text)
     spec = doc.spec
     directions = spec._directions
     overlay = _OVERLAY_ORDERS.get(name, (None,))
@@ -139,7 +144,7 @@ def run_gallery(out_dir) -> list[dict]:
     for name in _FIGURES:
         spec_text = load_figure_text(name)
         (specs / f"{name}.json").write_text(spec_text)
-        rendered = render_figure(name)
+        rendered = _rendered(name, spec_text)
         output = f"{name}.{rendered.suffix}"
         (out / output).write_text(rendered.artifact)
         entries.append(

@@ -15,10 +15,15 @@ export byte-deterministic and round-trippable.
 Each exporter writes its rows (CSV lines, OBJ records, SVG path points
 and markers) and the literal text between them with one call of one
 formatter, :func:`_format_rows`.  It prints finite floats, in either
-form, and integer ids with numpy integer arithmetic on blocks of cells,
-the digits from Schubfach (R. Giulietti, "The Schubfach way to render
-doubles", 2020; :func:`_shortest`); the other values (``nan``, ``inf``,
-``-inf``) still go through ``repr``.
+form, and integer ids with numpy integer arithmetic on blocks of up to
+``_BLOCK_CELLS`` cells, the digits from Schubfach (R. Giulietti, "The
+Schubfach way to render doubles", 2020; :func:`_shortest`); the other
+values (``nan``, ``inf``, ``-inf``) still go through ``repr``.  A block
+formats each distinct 64-bit pattern among its float cells once (so
+``0.0`` and ``-0.0`` stay apart, as do NaNs of different payloads) and
+gathers its field into every cell that holds it.  Every step writes with
+``out=`` into one scratch buffer that all blocks of a call reuse, at most
+14 words a cell, 1.1 MB for a block.
 """
 
 from __future__ import annotations
@@ -81,13 +86,23 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-# Cells per block of :func:`_format_rows`.  A block's numpy scratch peaks at
-# about 200 bytes per cell, 1.2 MB, within a 2 MB L2 cache; smaller blocks
-# pay the fixed cost of some 200 numpy calls per block more often.
-_BLOCK_CELLS = 6144
+# Cells per block of :func:`_format_rows`.  A block's scratch is at most 14
+# words per cell (see :func:`_render`), reused by every block of a call;
+# smaller blocks pay the fixed cost of some 250 numpy calls more often.
+_BLOCK_CELLS = 10240
 
 _U64 = np.uint64
-_ASCII_ZEROS = _U64(0x3030303030303030)
+
+
+@cache
+def _u(value, dtype=_U64):
+    """``value`` as a read-only 0-d array, which a ufunc reads in half the time of a scalar."""
+    value = np.array(value, dtype)
+    value.flags.writeable = False
+    return value
+
+
+_ASCII_ZEROS, _M32 = _u(0x3030303030303030), _u(2**32 - 1)
 
 
 @cache
@@ -101,8 +116,8 @@ def _tables():
     when negative, from index 680 on), and ``exponents``, the last word of its
     mask, holding the exponent, if any, at bytes 19-23.  By the key
     ``18 * form + digits`` of a field (see :func:`_fields`): ``shifts``, the
-    bit offsets of its head and tail text, and ``masks``, the words of its
-    head, tail and character masks.
+    bit offsets of its head and tail text, each followed by 64 less it, and
+    ``masks``, the words of its head, tail and character masks.
     """
     tens = np.cumprod([1] + [10] * 324, dtype=object).tolist()
     g = [(tens[e] << 127 >> ((e * 1741647) >> 19) if e >= 0
@@ -111,8 +126,8 @@ def _tables():
     p = np.arange(-340, 340)
     form = np.where((p > 0) & (p <= 16), p - 1, np.where((p <= 0) & (p > -4), 16 - p, 20))
     size = np.abs(p - 1).astype(_U64)  # "e-" or "e+", at least two digits
-    exponents = _ascii8(size) >> _U64(40) << _U64(16) | np.where(p < 1, _U64(0x2D65), _U64(0x2B65))
-    exponents |= (size < _U64(100)) * _U64(0xFF0000)
+    exponents = _ascii8(size.copy(), *np.empty((2, len(p)), _U64)) >> _U64(40) << _U64(16)
+    exponents |= np.where(p < 1, _U64(0x2D65), _U64(0x2B65)) | (size < _U64(100)) * _U64(0xFF0000)
     exponents = np.where(form < 20, ~_U64(0), exponents << _U64(24) | _U64(0xFFFFFF))
     # Forms 0-15: fixed with 1 to 16 integer digits; 16-19: fixed below 1 with 0 to
     # 3 zeros after the point; 20: exponent form; 21: an integer.  The head and
@@ -131,141 +146,221 @@ def _tables():
     masks[1] = np.where((byte < start) | (byte >= end), 0xFF, 0)
     masks[2] = np.where(byte == by_form(p, 1, np.where(j > 1, 1, -99), -99), 0x2E, 0xFF)
     masks[2, 0] = np.where(o > 0, 0x2D, masks[2, 0])
-    return (split.T[::-1], np.array(tens[:18], dtype=_U64), (form + [[0], [22]]).ravel() * 18 + 1,
-            exponents, (8 * np.stack([by_form(0, 1, 0, 0), by_form(1, 2 - p, 1, 0)])).astype(_U64),
+    head, tail = 8 * by_form(0, 1, 0, 0), 8 * by_form(1, 2 - p, 1, 0)
+    return (split.T[::-1].copy(), np.array(tens[:18], dtype=_U64),
+            (form + [[0], [22]]).ravel() * 18 + 1, exponents,
+            np.stack([head, 64 - head, tail, 64 - tail]).astype(_U64),
             masks.transpose(0, 2, 1).copy().view("<u8").transpose(0, 2, 1).copy())
 
 
-def _mul(a, b):
-    """High and low words of the 128-bit products of ``a`` and ``b``, from their 32-bit halves."""
-    s, low32 = _U64(32), _U64(0xFFFFFFFF)
-    a1, a0, b1, b0 = a >> s, a & low32, b >> s, b & low32
-    cross0, cross1, low = a0 * b1, a1 * b0, a0 * b0
-    mid = (cross0 & low32) + (cross1 & low32) + (low >> s)
-    return a1 * b1 + (cross0 >> s) + (cross1 >> s) + (mid >> s), (mid << s) | (low & low32)
+def _shortest(r, b):
+    """Significands ``m`` and exponents ``k`` of the shortest decimals ``m * 10**k`` of doubles.
 
-
-def _shortest(mag):
-    """Significands ``m`` and exponents ``e`` of the shortest decimals ``m * 10**e`` of doubles.
-
-    ``mag`` holds the bits of finite positive doubles.  This is Schubfach
-    (R. Giulietti, "The Schubfach way to render doubles", 2020), as Java's
-    ``DoubleToDecimal`` computes it but without its two rules for output of
-    at least two digits: a tiny subnormal is not scaled by ten, and the
-    shorter candidate ``10 * floor(s / 10)`` is tried for every ``s``.  So
-    it picks the decimal ``repr`` prints: the shortest that reads back as
-    the same double and, among those, the nearest one, ties to even.
-    ``m`` may end in zeros.  The value and its two rounding bounds are
-    ``cp * g / 2**128`` and ``(cp -+ 2**n) * g / 2**128``, so one 192-bit
-    product ``cp * g`` and two shifts of ``g`` give all three.  Spent arrays
-    are dropped on the way, as the peak of live arrays sets the scratch.
+    ``r[0]`` holds the bits of finite positive doubles; ``m`` is left in
+    ``r[5]`` and ``k`` in ``r[11]``, and the rest of ``r[:12]`` and the bool
+    rows ``b[3:8]`` are scratch.  This is Schubfach (R. Giulietti, "The
+    Schubfach way to render doubles", 2020), as Java's ``DoubleToDecimal``
+    computes it but without its two rules for output of at least two
+    digits: a tiny subnormal is not scaled by ten, and the shorter candidate
+    ``10 * floor(s / 10)`` is tried for every ``s``.  So it picks the
+    decimal ``repr`` prints: the shortest that reads back as the same double
+    and, among those, the nearest one, ties to even.  ``m`` may end in
+    zeros.  The value and its two rounding bounds are ``cp * g / 2**128`` and
+    ``(cp -+ 2**n) * g / 2**128``, so one 192-bit product ``cp * g`` and two
+    shifts of ``g`` give all three.  Each step writes into a row whose value
+    is spent.
     """
-    one, two = _U64(1), _U64(2)
-    frac, biased = mag & _U64(2**52 - 1), (mag >> _U64(52)).view(np.int64)
-    c = np.where(biased > 0, frac | _U64(2**52), frac)
+    cp, n, col, a0, vb, p0, p2, p1, gw, t, upper, lower = r[:12]
+    irregular, odd, c0, c1, e = b[3:8]
+    one, g, i64 = _u(1), _tables()[0], np.int64
+    q, k, low = n.view(i64), col.view(i64), t.view(i64)
+    np.right_shift(cp, _u(52), out=n)  # the biased exponent
+    cp &= _u(2**52 - 1)
     # A power of two has a lower neighbour at half the spacing of the upper one.
-    irregular = (frac == 0) & (biased > 1)
-    q = np.maximum(biased, 1) - 1075
-    k = (q * 1262611 - irregular * 524031) >> 22  # floor(log10(2**q)), or of 3/4 2**q
-    h = (q + ((-k * 1741647) >> 19) + 1).view(_U64)
-    g = _tables()[0].take(292 - k, axis=1)
-    x1, p0 = _mul(c << two + h, g[1])
-    p2, p1 = _mul(c << two + h, g[0])
-    p1 += x1
-    p2 += p1 < x1
-    vb = p2 | (p1 > one)  # rounded to odd: the last bit set when the word below exceeds 1
-    # The upper bound adds 2**(h + 1) * g, the three words of g shifted.
-    n, back = h + one, _U64(63) - h
-    d2, d1, d0 = g[0] >> back, g[0] << n | g[1] >> back, g[1] << n
-    s0, s1 = p0 + d0, p1 + d1
-    carry = (s1 < d1) | ((s1 == _U64(2**64 - 1)) & (s0 < d0))
-    upper = ((p2 + d2 + carry) | (s1 + (s0 < d0) > one)) - (c & one)
-    n, back = n - irregular, back + irregular  # the lower bound subtracts it, or half of it
-    d2, d1, d0 = g[0] >> back, g[0] << n | g[1] >> back, g[1] << n
-    s1 = p1 - d1
-    borrow = (p1 < d1) | ((s1 == 0) & (p0 < d0))
-    lower = ((p2 - d2 - borrow) | (s1 - (p0 < d0) > one)) + (c & one)
-    del q, x1, p0, p1, p2, d2, d1, d0, s0, s1, carry, borrow
-    s, sp = vb >> two, (vb >> two) // _U64(10)
-    up, wp = lower <= sp * _U64(40), sp * _U64(40) + _U64(40) <= upper
-    u, w = lower <= s << two, (s + one) << two <= upper
+    np.logical_and(np.equal(cp, _u(0), out=irregular), np.greater(n, one, out=c0), out=irregular)
+    cp |= np.left_shift(np.minimum(n, one, out=t), _u(52), out=t)  # c
+    np.bitwise_and(cp, one, out=odd, casting="unsafe")
+    np.subtract(np.maximum(q, _u(1, i64), out=q), _u(1075, i64), out=q)  # c * 2**q
+    np.multiply(q, _u(1262611, i64), out=k)
+    np.subtract(k, _u(524031, i64), out=k, where=irregular)
+    k >>= _u(22, i64)  # floor(log10(2**q)), or of 3/4 2**q
+    np.right_shift(np.multiply(k, _u(-1741647, i64), out=low), _u(19, i64), out=low)
+    q += np.add(low, _u(2, i64), out=low)  # n = h + 1
+    np.subtract(_u(292, i64), k, out=k)  # the column of g = 10**-k
+    cp <<= np.add(n, one, out=t)
+    np.bitwise_and(cp, _M32, out=a0)
+    cp >>= _u(32)  # c << h + 2 in 32-bit halves, cp and a0
+    for word, hi, lo in ((g[1], vb, p0), (g[0], p2, p1)):  # the 128-bit products cp * g
+        np.bitwise_and(word.take(k, out=gw, mode="clip"), _M32, out=t)
+        np.multiply(cp, np.right_shift(gw, _u(32), out=gw), out=hi)
+        gw *= a0
+        np.multiply(a0, t, out=lo)
+        t *= cp
+        gw += np.right_shift(lo, _u(32), out=upper)
+        t += np.bitwise_and(gw, _M32, out=upper)
+        hi += np.right_shift(gw, _u(32), out=gw)
+        hi += np.right_shift(t, _u(32), out=upper)
+        np.bitwise_or(np.bitwise_and(lo, _M32, out=lo), np.left_shift(t, _u(32), out=t), out=lo)
+    p1 += vb
+    p2 += np.less(p1, vb, out=c0)
+    # Rounded to odd: the last bit set when the word below exceeds 1.
+    np.bitwise_or(p2, np.greater(p1, one, out=c0), out=vb)
+    # The upper bound adds 2**n * g, the three words of g shifted; the lower
+    # bound subtracts it, or half of it.
+    back = np.subtract(_u(64), n, out=cp)
+    for bound in upper, lower:
+        if bound is lower:
+            n -= irregular
+            back += irregular
+        np.right_shift(g[0].take(k, out=gw, mode="clip"), back, out=bound)
+        gw <<= n
+        gw |= np.right_shift(g[1].take(k, out=t, mode="clip"), back, out=a0)
+        t <<= n
+        if bound is upper:  # with the carries out of the low and the middle word
+            np.less(np.add(t, p0, out=t), p0, out=c0)
+            np.less(np.add(gw, p1, out=gw), p1, out=c1)
+            np.logical_and(np.equal(gw, ~_u(0), out=e), c0, out=e)
+            np.add(np.add(bound, p2, out=bound), np.logical_or(e, c1, out=e), out=bound)
+            gw += c0
+        else:  # with the borrows
+            np.less(p0, t, out=c0)
+            np.less(p1, gw, out=c1)
+            np.logical_and(np.equal(np.subtract(p1, gw, out=gw), _u(0), out=e), c0, out=e)
+            np.subtract(np.subtract(p2, bound, out=bound), np.logical_or(e, c1, out=e), out=bound)
+            gw -= c0
+        bound |= np.greater(gw, one, out=e)
+    upper -= odd
+    lower += odd
+    s, cand, sp = p0, p2, p1
+    np.floor_divide(np.right_shift(vb, _u(2), out=s), _u(10), out=sp)
+    np.less_equal(lower, np.multiply(sp, _u(40), out=cand), out=c0)
+    np.less_equal(np.add(cand, _u(40), out=cand), upper, out=c1)
+    shorter = np.not_equal(c0, c1, out=e)
+    sp += c1
+    np.less_equal(lower, np.left_shift(s, _u(2), out=cand), out=c0)
+    np.less_equal(np.add(cand, _u(4), out=cand), upper, out=c1)
     # Past the midpoint, or on it with s odd, rounds up (ties to even).
-    nearer = np.where(u != w, w, vb + (s & one) > (s << two) + two)
-    shorter = up != wp
-    return np.where(shorter, sp + wp, s + nearer), k + shorter
+    np.add(np.bitwise_and(s, one, out=gw), vb, out=gw)
+    tie = np.greater(gw, np.subtract(cand, _u(2), out=cand), out=irregular)
+    c0 ^= c1  # s + w is nearer where u and w differ
+    s += np.logical_or(np.logical_and(c1, c0, out=c1), np.greater(tie, c0, out=tie), out=c1)
+    np.copyto(s, sp, where=shorter)
+    np.add(np.subtract(_u(292, i64), k, out=lower.view(i64)), shorter, out=lower.view(i64))
 
 
-def _text(m):
+def _text(r, m):
     """Words of the text of each ``m < 10**17`` scaled to 17 digits, and the digit count of ``m``.
 
-    The first of the four words is all ASCII zeros; the next three hold the
-    17 digits, the first in the lowest byte, then 7 zeros.  ``m`` is
-    overwritten.
+    The three words ``r[1:4]`` get the 17 digits, the first in the lowest
+    byte, then 7 ASCII zeros, and ``r[4]`` the count; ``m`` is overwritten
+    and ``r[6:10]`` are scratch.
     """
-    pow10, ten = _tables()[1], _U64(10)
+    pow10, i64 = _tables()[1], np.int64
+    ndig, at = r[4].view(i64), r[7].view(i64)
+    np.copyto(r[4].view(np.float64), m, casting="unsafe")
     # floor(log10(m)) is that of 2**floor(log2(m)), or one more.
-    ndig = ((m.astype(np.float64).view(np.int64) >> 52) - 1023) * 1233 >> 12
-    ndig += 1 + (m >= pow10.take(ndig + 1, mode="clip"))
-    m *= pow10.take(17 - ndig, mode="clip")
-    tens = m // ten
-    runs = _ascii8(np.stack([m // _U64(10**9), tens % _U64(10**8)]))
-    zeros = np.full((1, len(m)), _ASCII_ZEROS)
-    return np.concatenate([zeros, runs, (m - tens * ten + _ASCII_ZEROS)[None]]), ndig
+    np.subtract(np.right_shift(ndig, _u(52, i64), out=ndig), _u(1023, i64), out=ndig)
+    np.right_shift(np.multiply(ndig, _u(1233, i64), out=ndig), _u(12, i64), out=ndig)
+    pow10.take(np.add(ndig, _u(1, i64), out=at), out=r[6], mode="clip")
+    ndig += np.greater_equal(m, r[6], out=r[8]).view(i64)
+    ndig += _u(1, i64)
+    m *= pow10.take(np.subtract(_u(17, i64), ndig, out=at), out=r[6], mode="clip")
+    np.floor_divide(m, _u(10**9), out=r[1])
+    np.floor_divide(m, _u(10), out=r[2])
+    np.subtract(m, np.multiply(r[2], _u(10), out=r[3]), out=r[3])
+    r[3] |= _ASCII_ZEROS
+    r[2] -= np.multiply(np.floor_divide(r[2], _u(10**8), out=r[6]), _u(10**8), out=r[6])
+    _ascii8(r[1:3], r[6:8], r[8:10])
+    return ndig
 
 
-def _ascii8(x):
-    """ASCII words of the 8 digits of each ``x < 10**8``, the first digit in the lowest byte."""
-    half = x // _U64(10000)
-    pairs = half | (x - half * _U64(10000)) << _U64(32)  # two 4-digit halves in 32-bit lanes
-    top = (pairs * _U64(10486)) >> _U64(20) & _U64(0x0000007F0000007F)  # lane // 100
-    pairs = (pairs - _U64(100) * top) << _U64(16) | top  # 2-digit numbers in 16-bit lanes
-    tens = (pairs * _U64(103)) >> _U64(10) & _U64(0x000F000F000F000F)  # lane // 10
-    return tens + ((pairs - _U64(10) * tens) << _U64(8)) + _ASCII_ZEROS
+def _ascii8(x, t, s):
+    """Overwrite each ``x < 10**8`` with the ASCII word of its 8 digits, the first lowest.
+
+    ``t`` and ``s`` are scratch of ``x``'s shape.  Each step splits every
+    lane in two by a multiply and a shift: 4-digit halves in 32-bit lanes,
+    2-digit numbers in 16-bit lanes, then digits in bytes.
+    """
+    for mul, shift, mask, base, lane in ((109951163, 40, 2**64 - 1, 10000, 32),
+                                         (10486, 20, 0x0000007F0000007F, 100, 16),
+                                         (103, 10, 0x000F000F000F000F, 10, 8)):
+        np.right_shift(np.multiply(x, _u(mul), out=t), _u(shift), out=t)
+        t &= _u(mask)  # each lane // base
+        x -= np.multiply(t, _u(base), out=s)
+        x <<= _u(lane)
+        x |= t
+    x |= _ASCII_ZEROS
+    return x
 
 
-def _fields(v) -> np.ndarray:
-    """The ``(n, 3)`` words of the 24-byte field of each value: its text from byte 0, then ``0xFF``.
+def _fields(w, n, floats):
+    """The ``(3, n)`` words of the 24-byte field of each value: its text from byte 0, then ``0xFF``.
 
-    An integer is the head of its 17-digit text (:func:`_text`).  A double
-    is its sign, a head window of the 17-digit text of its significand, the
-    decimal point and a tail window of the same text moved one byte further
-    up.  Below 1 the head is a "0" and the tail starts with the zeros the
-    point needs, both from the ASCII zeros a moved text has below its first
-    digit.  In exponent form the head is the first digit, and ``e``, the
-    exponent's sign and its at least two digits end the field at bytes
-    19-23, padding before them.  A field is ``(head | a) & (tail | b) &
-    chars``, its masks picked by its form and digit count from
-    :func:`_tables`.  Non-finite floats, negative integers and integers
-    from ``10**17`` up are written from ``repr``.
+    The values are the first ``n`` words of ``w``, the bits of doubles or
+    int64 integers; the fields are left in the first ``3 n`` words, and
+    ``w[:13 n]`` is scratch.  An integer is the head of its 17-digit text
+    (:func:`_text`).  A double is its sign, a head window of the 17-digit
+    text of its significand, the decimal point and a tail window of the same
+    text moved one byte further up.  Below 1 the head is a "0" and the tail
+    starts with the zeros the point needs, both from the ASCII zeros a moved
+    text has below its first digit.  In exponent form the head is the first
+    digit, and ``e``, the exponent's sign and its at least two digits end the
+    field at bytes 19-23, padding before them.  A field is ``(head | a) &
+    (tail | b) & chars``, its masks picked by its form and digit count from
+    :func:`_tables`.  Non-finite floats, negative integers and integers from
+    ``10**17`` up are written from ``repr``.
     """
     _, _, form, exponents, shifts, masks = _tables()
-    if v.dtype.kind == "f":
-        zero, slow = v == 0, ~np.isfinite(v)
-        m, point = _shortest(np.abs(v).view(_U64))
-        m[zero] = 0
-        text, ndig = _text(m)
-        point += ndig  # digits before the decimal point, as repr counts them
-        point[zero] = 1
-        # The exponent of this sum gives the digit count up to the last nonzero digit.
-        ends = ((text[1:] ^ _ASCII_ZEROS) + _U64(0x7F7F7F7F7F7F7F7F)) & _U64(0x8080808080808080)
-        ends = (ends.astype(float) * np.array([[1.0], [2.0**64], [2.0**128]])).sum(0) + 0.5
-        key = form.take(point + 340 + 680 * np.signbit(v), mode="clip")
-        key += (ends.view(np.int64) >> 52) - 1023 >> 3
+    r, i64 = w[: 13 * n].reshape(13, n), np.int64
+    b, point, key = r[12].view(np.bool_).reshape(8, n), r[11].view(i64), r[4].view(i64)
+    (neg, zero, slow), v = b[:3], r[0]
+    if floats:
+        np.greater_equal(np.left_shift(v, _u(1), out=r[1]), _u(0xFFE << 52), out=slow)
+        late = [repr(x) for x in v[slow].view(np.float64).tolist()]
+        np.greater_equal(v, _u(2**63), out=neg)
+        np.equal(np.bitwise_and(v, _u(2**63 - 1), out=v), _u(0), out=zero)
+        _shortest(r, b)
+        np.copyto(r[5], _u(0), where=zero)
+        point += _text(r, r[5])  # digits before the decimal point, as repr counts them
+        np.copyto(point, _u(1, i64), where=zero)
+        at = np.add(point, _u(340, i64), out=r[10].view(i64))
+        exponents.take(at, out=r[5], mode="clip")
+        form.take(np.add(at, _u(680, i64), out=at, where=neg), out=key, mode="clip")
+        # The top bits of the bytes of nonzero digits; the exponent of the
+        # highest gives the digit count up to the last nonzero digit.
+        flags = np.add(r[1:4], _u(0x4F4F4F4F4F4F4F4F), out=r[6:9])
+        flags &= _u(0x8080808080808080)
+        top, last = r[9:12].view(i64), r[6].view(i64)
+        np.copyto(top.view(np.float64), flags, casting="unsafe")
+        top >>= _u(52, i64)
+        top += _u(((-1023,), (-959,), (-895,)), i64)
+        np.maximum(top.max(0, out=last), _u(-1, i64), out=last)
+        key += np.right_shift(last, _u(3, i64), out=last)
     else:
-        m = v.astype(np.int64)
-        slow, point = (m < 0) | (m >= 10**17), 1
-        text, ndig = _text(m.view(_U64))
-        key = np.maximum(ndig, 1) + 18 * 21
-    head, tail = shifts.take(key, axis=1)  # bits to move the head and the tail text up
-    out = np.empty((len(v), 3), _U64)
-    for i in range(3):
-        word = text[i + 1] << head | text[i] >> _U64(64) - head | masks[0, i].take(key)
-        word &= text[i + 1] << tail | text[i] >> _U64(64) - tail | masks[1, i].take(key)
-        out[:, i] = word & masks[2, i].take(key)
-    out[:, 2] &= exponents.take(point + 340, mode="clip")
-    for i in np.flatnonzero(slow).tolist():
-        out[i] = np.frombuffer(repr(v[i].item()).encode().ljust(24, b"\xff"), "<u8")
-    return out
+        np.greater_equal(v, _u(10**17), out=slow)
+        late = ["%d" % x for x in v[slow].view(i64).tolist()]
+        np.add(np.maximum(_text(r, v), _u(1, i64), out=key), _u(18 * 21, i64), out=key)
+    head, nhead, tail, ntail = shifts.take(key, axis=1, out=r[6:10], mode="clip")
+    mix, t = r[10:12]
+    for i, lo, hi in ((0, _ASCII_ZEROS, r[1]), (1, r[1], r[2]), (2, r[2], r[3])):
+        np.bitwise_or(np.left_shift(hi, tail, out=mix), np.right_shift(lo, ntail, out=t), out=mix)
+        mix |= masks[1, i].take(key, out=t, mode="clip")  # the tail window
+        np.bitwise_or(np.right_shift(lo, nhead, out=t), np.left_shift(hi, head, out=r[i]), out=r[i])
+        r[i] |= masks[0, i].take(key, out=t, mode="clip")  # and the head window
+        r[i] &= mix
+        r[i] &= masks[2, i].take(key, out=t, mode="clip")
+    if floats:
+        r[2] &= r[5]
+    for i, text in zip(np.flatnonzero(slow).tolist(), late):
+        r[:3, i] = np.frombuffer(text.encode().ljust(24, b"\xff"), "<u8")
+    return r[:3]
+
+
+def _scratch(work, size):
+    """The first ``size`` words of the scratch ``work[0]``, replaced first if it is shorter."""
+    if len(work[0]) < size:
+        work[0] = np.empty(size, _U64)
+    return work[0][:size]
 
 
 def _format_rows(items) -> list[str]:
@@ -278,9 +373,10 @@ def _format_rows(items) -> list[str]:
     their total width.  A float cell holds the bytes of :func:`format_float`
     and an integer cell those of ``%d``.  The tables are cut at row ends
     into blocks of at most ``_BLOCK_CELLS`` cells (or one row), small tables
-    sharing a block, and each block is printed by :func:`_render`.  When
-    the integers of a call are ids ``0..n`` in more cells than ids, each id
-    is formatted once and its field copied to every cell that holds it.
+    sharing a block, and each block is printed by :func:`_render` in
+    scratch words that every block of the call reuses.  When the integers
+    of a call are ids ``0..n`` in more cells than ids, each id is formatted
+    once and its field copied to every cell that holds it.
     """
     tables = [item[1:] for item in items if not isinstance(item, str)]
     ints = [g for groups in tables for g in groups if g.dtype.kind != "f" and g.size]
@@ -288,10 +384,13 @@ def _format_rows(items) -> list[str]:
     # An integer field keeps the words its longest text needs, all three beside floats.
     mixed = any(len({g.dtype.kind == "f" for g in groups}) > 1 for groups in tables)
     width = 3 if mixed or low < 0 or high >= 10**15 else 1 if high < 10**7 else 2
-    make = {True: _fields, False: lambda v: _fields(v)[:, :width]}
+    work, ids = [np.empty(0, _U64)], None
     if 0 <= low and high < sum(g.size for g in ints):
-        ids = make[False](np.arange(high + 1))
-        make[False] = lambda v: ids.take(v, axis=0)
+        ids = np.empty((width, high + 1), _U64)
+        for at in range(0, high + 1, _BLOCK_CELLS):
+            chunk = np.arange(at, min(at + _BLOCK_CELLS, high + 1))
+            _scratch(work, 13 * len(chunk))[: len(chunk)] = chunk
+            ids[:, at : at + len(chunk)] = _fields(work[0], len(chunk), False)[:width]
     blocks, block, cells, lead = [], [], 0, ""
     for item in items:
         pieces, *groups = ("",) if isinstance(item, str) else item
@@ -299,43 +398,83 @@ def _format_rows(items) -> list[str]:
         if not rows * wide:  # a literal, or rows without cells
             lead += item if isinstance(item, str) else "".join(pieces) * rows
             continue
-        # Each cell is followed by its piece, a row's last cell also by the next row's first.
+        # Each cell is preceded by its piece, a row's first cell by the previous row's last
+        # and its first; the table's first cell by none, as its lead ends in it.
         seps = [p.encode("utf-8", "surrogatepass")
-                for p in (*pieces[1:-1], pieces[-1] + pieces[0], pieces[-1])]
+                for p in (pieces[-1] + pieces[0], *pieces[1:-1], "")]
         size = -(-max(map(len, seps)) // 8) * 8
-        seps = np.frombuffer(b"".join(p.ljust(size, b"\xff") for p in seps), "<u8")
+        seps = np.frombuffer(b"".join(p.rjust(size, b"\xff") for p in seps), "<u8")
         seps = seps.reshape(wide + 1, -1)
+        words = 3 if any(g.dtype.kind == "f" for g in groups) else width
         lead, step = lead + pieces[0], max(1, _BLOCK_CELLS // wide)
         for at in range(0, rows, step):
             if block and cells + min(step, rows - at) * wide > _BLOCK_CELLS:
-                blocks.append(_render(block, make))
+                blocks.append(_render(block, ids, work))
                 block, cells = [], 0
-            block.append((lead, seps, [g[at : at + step] for g in groups], at + step >= rows))
+            text = lead.encode("utf-8", "surrogatepass")
+            text = np.frombuffer(text.ljust(-(-len(text) // 8) * 8, b"\xff"), "<u8")
+            block.append((text, seps, words, [g[at : at + step] for g in groups], at == 0))
             cells, lead = cells + min(step, rows - at) * wide, ""
-    return blocks + ([_render(block, make)] if block else []) + [lead]
+        lead = pieces[-1]
+    return blocks + ([_render(block, ids, work)] if block else []) + [lead]
 
 
-def _render(block, make) -> str:
-    """Text of a block of :func:`_format_rows`: its ``(lead, seps, groups, last)`` table parts.
+def _render(block, ids, work) -> str:
+    """Text of a block of :func:`_format_rows`: its ``(lead, seps, words, groups, first)`` parts.
 
-    The cells of each dtype are computed at once as fields of ASCII bytes
-    padded with ``0xFF`` (:func:`_fields`).  A part is its lead text, then
-    one slot per cell: its field and the piece after it.  The padding of
-    the block is deleted and its text decoded at once.
+    The float cells, and the integer cells unless they are ids, are printed
+    by their distinct 64-bit patterns: sorted, each pattern's field computed
+    once by :func:`_fields`, and gathered for every cell that holds it.  A
+    part is its lead text, then one slot per cell: the piece before the
+    cell, padded with ``0xFF`` in front, and the first ``words`` of its
+    field, so a slot keeps its text in one run.  The parts are written into
+    one buffer whose padding is deleted and whose text is decoded at once.
+    All of it lives in ``work``: per ``n`` cells of a kind, ``n`` words of
+    indices and ``3 u`` of fields for its ``u`` distinct values (``13 u``
+    while they are computed), then the slots and the mask of their padding.
     """
-    fields = {}  # per dtype, the fields of the cells of each group
-    for flat in (True, False):
-        if gs := [g for _, _, part, _ in block for g in part if (g.dtype.kind == "f") == flat]:
-            fields[flat] = np.split(make[flat](np.concatenate([g.ravel() for g in gs])),
-                                    np.cumsum([g.size for g in gs[:-1]]))[::-1]
-    chunks = []
-    for lead, seps, groups, last in block:
-        cells = np.concatenate([fields[g.dtype.kind == "f"].pop().reshape(len(g), g.shape[1], -1)
-                                for g in groups], axis=1)
-        slots = np.dstack([cells, np.broadcast_to(seps[:-1], cells.shape[:2] + seps.shape[1:])])
-        slots[-1, -1, cells.shape[2] :] = seps[-1 if last else -2]
-        chunks += [lead.encode("utf-8", "surrogatepass"), slots]
-    return b"".join(chunks).translate(None, b"\xff").decode("utf-8", "surrogatepass")
+    cells = [g for *_, groups, _ in block for g in groups if g.size]
+    kinds = {flat: [g for g in cells if (g.dtype.kind == "f") == flat] for flat in (True, False)}
+    counts = [sum(g.size for g in gs) for gs in kinds.values()]
+    size = sum(len(lead) + len(gs[0]) * (len(seps) - 1) * (words + seps.shape[1])
+               for lead, seps, words, gs, _ in block)
+    need = 4 * sum(counts) + max(10 * max(counts), 2 * size)
+    w, fields, at, i64 = _scratch(work, need), {}, 0, np.int64
+    for (flat, gs), n in zip(kinds.items(), counts):
+        index, (v, s, new, rank) = w[at : at + n].view(i64), w[at + n : at + 5 * n].reshape(4, n)
+        if gs and ids is not None and not flat:
+            fields[flat] = ids, np.concatenate([g.ravel() for g in gs], out=index)
+        elif gs:
+            v = np.concatenate([g.ravel() for g in gs], out=v.view(gs[0].dtype)).view(_U64)
+            order = v.view(i64).argsort()
+            v.take(order, out=s, mode="clip")
+            new = new.view(np.bool_)[:n]
+            np.not_equal(s[1:], s[:-1], out=new[1:])
+            new[0] = True
+            rank = np.add(new.cumsum(out=rank.view(i64)), _u(-1, i64), out=rank.view(i64))
+            index[order], u = rank, int(rank[-1]) + 1
+            v[rank] = s  # the distinct patterns, in order
+            fields[flat] = _fields(w[at + n :], u, flat), index
+            at += 3 * u
+        at += n
+    buf, spare, done = w[at : at + size], w[at + size : at + 2 * size], {True: 0, False: 0}
+    for lead, seps, words, groups, first in block:
+        buf[: len(lead)], buf = lead, buf[len(lead) :]
+        slots = buf[: len(groups[0]) * (len(seps) - 1) * (words + seps.shape[1])]
+        slots, buf = slots.reshape(len(groups[0]), len(seps) - 1, -1), buf[slots.size :]
+        slots[:, :, :-words] = seps[:-1]
+        if first:
+            slots[0, 0, :-words] = seps[-1]
+        for col, g in zip(np.cumsum([0] + [g.shape[1] for g in groups]).tolist(), groups):
+            src, index = fields.get(g.dtype.kind == "f", (None, None))
+            start = done[g.dtype.kind == "f"]
+            done[g.dtype.kind == "f"] += g.size
+            for i in range(words if g.size else 0):
+                src[i].take(index[start : start + g.size], out=spare[: g.size], mode="clip")
+                slots[:, col : col + g.shape[1], i - words] = spare[: g.size].reshape(g.shape)
+    text = w[at : at + size].view(np.uint8)
+    mask = np.not_equal(text, _u(0xFF, np.uint8), out=spare.view(np.bool_))
+    return str(text[mask], "utf-8", "surrogatepass")
 
 
 @record

@@ -83,3 +83,19 @@ class TestRunGallery:
         assert names == sorted(p.name for p in second.iterdir() if p.is_file())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_reads_each_figure_once(self, tmp_path, monkeypatch):
+        import chbez.gallery
+
+        reads = []
+        monkeypatch.setattr(chbez.gallery, "load_figure_text",
+                            lambda name: reads.append(name) or load_figure_text(name))
+        run_gallery(tmp_path)
+        assert reads == list(figure_names())
+
+    def test_artifacts_match_render_figure(self, tmp_path):
+        entries = run_gallery(tmp_path)
+        for entry in entries[:4] + entries[-2:]:
+            rendered = render_figure(entry["figure"])
+            assert (tmp_path / entry["output"]).read_text() == rendered.artifact
+            assert entry["error"] == rendered.error

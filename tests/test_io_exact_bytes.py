@@ -229,17 +229,30 @@ def assert_same(ref, new, *args, **kwargs):
     assert new(*args, **kwargs) == expected
 
 
-# The formatter cuts tables into blocks of _BLOCK_CELLS cells, _BLOCK_ROWS
-# rows of a table 3 cells wide (OBJ vertices).  BLOCK_COUNTS straddle the
-# first block edge of such a table, and of wider ones; block_rows(width)
-# that of a table of any width.
-_BLOCK_ROWS = _BLOCK_CELLS // 3
+# The formatter cuts tables into blocks of _BLOCK_CELLS cells.  The row
+# counts that name parametrized tests were drawn at the first edge of
+# _FIRST_CELLS-cell blocks and keep their values, so the tests keep their
+# ids: _BLOCK_ROWS rows of a table 3 cells wide (OBJ vertices), BLOCK_COUNTS
+# around them and block_rows(width) around that edge of a table of any
+# width.  The EDGE_ names follow _BLOCK_CELLS: EDGE_ROWS rows of a table 3
+# cells wide, EDGE_COUNTS around them (named by their offset, so a change of
+# block size renames no test) and edge_rows(width) around the first and
+# second edge of a table of any width.
+_FIRST_CELLS = 6144
+_BLOCK_ROWS = _FIRST_CELLS // 3
 BLOCK_COUNTS = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1)
+EDGE_ROWS = _BLOCK_CELLS // 3
+EDGE_COUNTS = tuple(pytest.param(EDGE_ROWS + d, id=f"edge{d:+d}") for d in (-1, 0, 1))
 
 
 def block_rows(width):
-    rows = _BLOCK_CELLS // width
+    rows = _FIRST_CELLS // width
     return (rows - 1, rows, rows + 1, 2 * rows + 3)
+
+
+def edge_rows(width):
+    rows = _BLOCK_CELLS // width
+    return (rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +260,7 @@ def block_rows(width):
 
 
 class TestTableBytes:
-    @pytest.mark.parametrize("rows", BLOCK_COUNTS + (2 * _BLOCK_ROWS + 7,))
+    @pytest.mark.parametrize("rows", BLOCK_COUNTS + (2 * _BLOCK_ROWS + 7,) + EDGE_COUNTS)
     @pytest.mark.parametrize("header", [False, True])
     def test_block_boundaries(self, rows, header):
         rng = np.random.default_rng(rows)
@@ -310,7 +323,7 @@ def lattice(rng, shape):
 
 
 class TestObjBytes:
-    @pytest.mark.parametrize("n", BLOCK_COUNTS[1:] + (2,))
+    @pytest.mark.parametrize("n", BLOCK_COUNTS[1:] + (2,) + EDGE_COUNTS)
     def test_polylines(self, n):
         rng = np.random.default_rng(n)
         assert_same(ref_export_obj, export_obj, lattice(rng, (n,)))
@@ -373,7 +386,8 @@ class TestObjBytes:
 
 
 class TestSvgBytes:
-    @pytest.mark.parametrize("n", [2, 3, 400, _BLOCK_ROWS + 1, _BLOCK_CELLS // 2 + 1])
+    @pytest.mark.parametrize("n", [2, 3, 400, _BLOCK_ROWS + 1, _FIRST_CELLS // 2 + 1,
+                                   pytest.param(_BLOCK_CELLS // 2 + 1, id="half-block+1")])
     def test_both_roles(self, n):
         rng = np.random.default_rng(n)
         curve = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-5, 5)
@@ -433,7 +447,7 @@ def meshgrid_table(rows: int, rng) -> np.ndarray:
 
 
 class TestRepeatedValues:
-    @pytest.mark.parametrize("rows", BLOCK_COUNTS + (2 * _BLOCK_ROWS + 7,))
+    @pytest.mark.parametrize("rows", BLOCK_COUNTS + (2 * _BLOCK_ROWS + 7,) + EDGE_COUNTS)
     @pytest.mark.parametrize("header", [False, True])
     def test_meshgrid_tables(self, rows, header):
         data = meshgrid_table(rows, np.random.default_rng(rows))
@@ -441,16 +455,16 @@ class TestRepeatedValues:
         assert_same(ref_export_table, export_table, data, "csv", columns)
 
     def test_strided_tables(self):
-        data = meshgrid_table(_BLOCK_ROWS + 9, np.random.default_rng(5))
+        data = meshgrid_table(EDGE_ROWS + 9, np.random.default_rng(5))
         assert_same(ref_export_table, export_table, np.asfortranarray(data), "csv")
         assert_same(ref_export_table, export_table, data[::-2, ::2], "csv")
 
     def test_whole_table_of_one_value_across_blocks(self):
-        data = np.full((2 * _BLOCK_ROWS + 7, 3), 0.1)
+        data = np.full((2 * EDGE_ROWS + 7, 3), 0.1)
         assert_same(ref_export_table, export_table, data, "csv", ["a", "b", "c"])
 
     def test_signed_zeros_stay_apart(self):
-        column = np.resize([0.0, -0.0, -0.0, 0.0, 1.0], 2 * _BLOCK_ROWS + 7)
+        column = np.resize([0.0, -0.0, -0.0, 0.0, 1.0], 2 * EDGE_ROWS + 7)
         assert_same(ref_export_table, export_table, column, "csv")
         table = np.column_stack([column, column[::-1], -column])
         assert_same(ref_export_table, export_table, table, "csv")
@@ -460,13 +474,13 @@ class TestRepeatedValues:
     def test_nan_payloads_and_signs(self):
         assert len({x.tobytes() for x in NANS}) == 3 and np.signbit(NANS[2])
         values = np.concatenate([NANS, [0.0, -np.inf, np.inf, 1.5]])
-        table = np.resize(values, (_BLOCK_ROWS + 3, 3))
+        table = np.resize(values, (EDGE_ROWS + 3, 3))
         assert_same(ref_export_table, export_table, table, "csv")
         assert_same(ref_export_table, export_table, NANS, "csv", ["n"])
 
     def test_subnormals(self):
         values = np.concatenate([SUBNORMALS, -SUBNORMALS, [0.0]])
-        assert_same(ref_export_table, export_table, np.resize(values, (_BLOCK_ROWS + 5, 4)), "csv")
+        assert_same(ref_export_table, export_table, np.resize(values, (EDGE_ROWS + 5, 4)), "csv")
         samples = np.resize(SUBNORMALS, (9, 7, 3))
         assert_same(ref_export_obj, export_obj, samples, np.resize(SUBNORMALS[::-1], (2, 3, 3)))
 
@@ -489,11 +503,11 @@ class TestRepeatedValues:
         assert_same(ref_export_obj, export_obj, samples, samples[::8, ::8, ::8])
 
     def test_obj_polyline_of_one_point(self):
-        assert_same(ref_export_obj, export_obj, np.full((_BLOCK_ROWS + 2, 3), -0.0))
+        assert_same(ref_export_obj, export_obj, np.full((EDGE_ROWS + 2, 3), -0.0))
 
     def test_svg_markers_with_repeated_coordinates(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        polygon = np.resize(square, (_BLOCK_ROWS + 9, 2))
+        polygon = np.resize(square, (EDGE_ROWS + 9, 2))
         paths = [
             SvgPath(polygon, "polygon", "p"),
             SvgPath(np.resize(square[:2], (5, 2)), "polygon", "a"),
@@ -501,6 +515,78 @@ class TestRepeatedValues:
         ]
         assert_same(ref_export_svg, export_svg, paths)
         assert_same(ref_export_svg, export_svg, paths[:2], margin=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The gather path: a block formats each distinct 64-bit pattern of its cells
+# once and every cell gathers its field from them, so a pattern repeated in
+# a block, on both sides of a block edge or beside the patterns it must not
+# be merged with prints as the per-value references print it.
+
+
+def cli_table(rows, rng):
+    """A table in the layout of ``cli._output``: meshgrid columns, then x, y, z and a weight."""
+    inner = 7
+    axes = np.linspace(0.0, np.pi, -(-rows // inner)), np.linspace(-1.0, 1.0, inner)
+    grid = [m.reshape(-1, 1)[:rows] for m in np.meshgrid(*axes, indexing="ij")]
+    coords = np.round(rng.standard_normal((rows, 3)), 3)
+    return np.hstack(grid + [coords, np.ones((rows, 1))])
+
+
+class TestGatherPath:
+    @pytest.mark.parametrize("value", [0.1, -0.0, 5e-324, -1e300, np.nan], ids=str)
+    def test_block_of_one_value(self, value):
+        table = np.full((2 * _BLOCK_CELLS // 5 + 3, 5), value)
+        assert_same(ref_export_table, export_table, table, "csv")
+        assert_same(ref_export_table, export_table, table[: _BLOCK_CELLS // 5], "csv")
+
+    def test_zero_beside_negative_zero(self):
+        table = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]])
+        assert_same(ref_export_table, export_table, table, "csv")
+        assert formatted(table.ravel()) == ["0.0", "-0.0", "0.0", "-0.0", "-0.0", "0.0"]
+        samples = np.resize([0.0, -0.0, 1.0, -1.0], (3, 4, 3))
+        assert_same(ref_export_obj, export_obj, samples, np.resize([-0.0, 0.0], (2, 2, 3)))
+
+    def test_nans_and_infinities_within_and_across_blocks(self):
+        values = np.concatenate([NANS, -NANS, [np.inf, -np.inf, 1.0]])
+        assert len({x.tobytes() for x in values}) == len(values)
+        column = np.resize(values, 2 * _BLOCK_CELLS + 5)
+        assert_same(ref_export_table, export_table, column, "csv")
+        assert_same(ref_export_table, export_table, column.reshape(-1, 5), "csv", list("abcde"))
+        assert formatted(column[:9]) == ["nan"] * 6 + ["inf", "-inf", "1.0"]
+
+    def test_repeated_subnormals(self):
+        values = np.concatenate([SUBNORMALS, -SUBNORMALS, FIRST_SUBNORMALS[:5]])
+        for rows in edge_rows(4):
+            table = np.resize(values, (rows, 4))
+            assert_same(ref_export_table, export_table, table, "csv")
+
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_value_on_both_sides_of_a_block_edge(self, width):
+        rows = _BLOCK_CELLS // width
+        data = mixed_cells(np.random.default_rng(width), (2 * rows + 2, width))
+        data[rows - 1 : rows + 1] = data[rows]  # the last row of a block and the first of the next
+        data[2 * rows - 1 : 2 * rows + 1, 0] = 1.0 / 3.0
+        assert_same(ref_export_table, export_table, data, "csv")
+        pieces = ("[", *[" "] * (width - 1), "]\n")
+        assert "".join(_format_rows([(pieces, data)])) == rows_text(pieces, *columns_of(data))
+
+    def test_cli_layout_across_the_first_and_second_block_edge(self):
+        for rows in edge_rows(6):
+            data = cli_table(rows, np.random.default_rng(rows))
+            columns = ["u1", "u2", "x", "y", "z", "weight"]
+            assert_same(ref_export_table, export_table, data, "csv", columns)
+
+    @pytest.mark.parametrize("ids", [True, False], ids=["ids", "any"])
+    def test_floats_and_integers_in_one_table(self, ids):
+        rng = np.random.default_rng(31)
+        for rows in edge_rows(4)[:4]:
+            coords = np.round(rng.standard_normal((rows, 3)), 1)
+            coords[::5] = -0.0
+            index = np.arange(rows) if ids else rng.integers(-3, 10**17 + 3, rows)
+            pieces = ("(", ",", ",", ") ", "\n")
+            text = "".join(_format_rows([(pieces, coords, index[:, None])]))
+            assert text == rows_text(pieces, *columns_of(coords, index[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -599,21 +685,21 @@ def mixed_cells(rng, shape, finite=True):
 
 
 class TestMixedNotationBlocks:
-    @pytest.mark.parametrize("rows", BLOCK_COUNTS)
+    @pytest.mark.parametrize("rows", BLOCK_COUNTS + EDGE_COUNTS)
     @pytest.mark.parametrize("header", [False, True])
     def test_csv(self, rows, header):
         data = mixed_cells(np.random.default_rng(rows), (rows, 4), finite=False)
         columns = ["a", "b", "c", "d"] if header else None
         assert_same(ref_export_table, export_table, data, "csv", columns)
 
-    @pytest.mark.parametrize("n", BLOCK_COUNTS[1:] + (2,))
+    @pytest.mark.parametrize("n", BLOCK_COUNTS[1:] + (2,) + EDGE_COUNTS)
     def test_obj(self, n):
         rng = np.random.default_rng(n)
         assert_same(ref_export_obj, export_obj, mixed_cells(rng, (n, 3)), mixed_cells(rng, (4, 3)))
         patch = mixed_cells(rng, (3, n // 3 + 2, 3))
         assert_same(ref_export_obj, export_obj, patch, mixed_cells(rng, (2, 5, 3)))
 
-    @pytest.mark.parametrize("n", BLOCK_COUNTS[1:] + (2,) + block_rows(2))
+    @pytest.mark.parametrize("n", BLOCK_COUNTS[1:] + (2,) + block_rows(2) + EDGE_COUNTS)
     def test_svg(self, n):
         rng = np.random.default_rng(n)
         paths = [SvgPath(mixed_cells(rng, (n, 2)), "curve"),
@@ -622,7 +708,7 @@ class TestMixedNotationBlocks:
 
     def test_nonfinite_refused_alike(self):
         rng = np.random.default_rng(8)
-        bad = mixed_cells(rng, (_BLOCK_ROWS + 1, 3), finite=False)
+        bad = mixed_cells(rng, (EDGE_ROWS + 1, 3), finite=False)
         assert not np.all(np.isfinite(bad))
         assert_same(ref_export_obj, export_obj, bad)
         assert_same(ref_export_svg, export_svg, [SvgPath(bad[:, :2], "polygon")])
@@ -650,7 +736,7 @@ class TestBlockEdges:
     @pytest.mark.parametrize("width", [1, 2, 3, 5, 7])
     def test_float_tables(self, width):
         rng = np.random.default_rng(width)
-        for rows in block_rows(width):
+        for rows in edge_rows(width):
             data = mixed_cells(rng, (rows, width), finite=False)
             assert_same(ref_export_table, export_table, data, "csv")
             pieces = ("<", *[", "] * (width - 1), ">\n")
@@ -662,13 +748,14 @@ class TestBlockEdges:
         # Ids below the cell count are formatted once and gathered; other
         # integers, negative ones and those from 10**17 up among them, cell by cell.
         rng = np.random.default_rng(width)
-        for rows in block_rows(width):
+        for rows in edge_rows(width):
             top = rows * width if high is None else high
             ids = rng.integers(-1000 if high == 2**63 - 1 else 0, top, (rows, width))
             pieces = ("f ", *[" "] * (width - 1), "\n")
             assert "".join(_format_rows([(pieces, ids)])) == rows_text(pieces, *columns_of(ids))
 
-    @pytest.mark.parametrize("rows", block_rows(5)[:3])
+    @pytest.mark.parametrize("rows", block_rows(5)[:3] + tuple(
+        pytest.param(n, id=f"edge{d:+d}") for d, n in zip((-1, 0, 1), edge_rows(5))))
     def test_floats_beside_integers(self, rows):
         rng = np.random.default_rng(rows)
         coords, ids = mixed_cells(rng, (rows, 4)), np.arange(rows)[:, None]
@@ -694,15 +781,25 @@ class TestBlockEdges:
     @pytest.mark.parametrize("rows", [2048, 20000])
     def test_scratch_stays_below_one_and_a_half_megabytes(self, rows):
         table = np.random.default_rng(rows).standard_normal((rows, 5))
-        items = [(("", ",", ",", ",", ",", "\n"), table)]
-        _format_rows(items)  # the constant tables are built on first use
-        tracemalloc.start()
-        try:
-            texts = _format_rows(items)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - sum(map(sys.getsizeof, texts)) <= 1.5e6
+        assert scratch_peak(table) <= 1.5e6
+
+    def test_scratch_of_a_lattice_table_stays_below_one_and_a_half_megabytes(self):
+        table = cli_table(20000, np.random.default_rng(3))[:, :5]
+        table[:, 2:] = np.random.default_rng(4).standard_normal((20000, 3))
+        assert scratch_peak(table) <= 1.5e6
+
+
+def scratch_peak(table):
+    """Bytes one ``_format_rows`` call of a 5-column table allocates beyond the text it returns."""
+    items = [(("", ",", ",", ",", ",", "\n"), table)]
+    _format_rows(items)  # the constant tables are built on first use
+    tracemalloc.start()
+    try:
+        texts = _format_rows(items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(map(sys.getsizeof, texts))
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +821,13 @@ extra = np.resize([np.nan, np.inf, -0.0, 1e300, 0.5], 2000)
 table = np.column_stack([lattice.reshape(-1, 3), extra])
 digest = hashlib.sha256(export_obj(lattice, net).encode())
 digest.update(export_table(table, "csv", ["x", "y", "z", "w"]).encode())
+# A meshgrid table: repeated parameters, signed zeros and NaN payloads, whose
+# bit patterns the block's sort groups.
+u, v = np.meshgrid(np.linspace(0.0, np.pi, 90), np.linspace(-1.0, 1.0, 70), indexing="ij")
+nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x8000000000001]).view(np.float64)
+grid = np.column_stack([u.ravel(), v.ravel(), np.resize([0.0, -0.0, 2.5], 6300),
+                        np.resize(np.concatenate([nans, -nans, lattice[0, :5, 0]]), 6300)])
+digest.update(export_table(grid, "csv").encode())
 DIGEST = digest.hexdigest()
 """
 

@@ -6,7 +6,10 @@ fixed and exponent form, integers, zeros and non-finite values, each with
 both signs) and then ``count`` seeded random 64-bit patterns read as
 doubles, in chunks of 2**20.  Each chunk is printed one value a line, as
 OBJ vertex rows of 3 and as CSV rows of 5, so cells meet literals of
-several lengths, and each line is compared with ``repr``.  Then it prints
+several lengths, and each line is compared with ``repr``.  Each chunk is
+printed once more with every value twice, at shuffled positions, as OBJ
+and CSV rows, so the formatter's blocks format each distinct bit pattern
+once and gather it into every cell that holds it.  Then it prints
 integers of every length from 1 to 17 digits, ``10**17`` and up and
 negative ones (both printed through ``repr``), and small ids that are
 formatted once each, in the same three layouts, and compares them with
@@ -52,10 +55,14 @@ def integers(rng) -> np.ndarray:
     return np.array(values + rng.integers(10**17, 2**63 - 1, 64).tolist(), dtype=np.int64)
 
 
-def first_mismatch(values: np.ndarray):
-    """The first value whose text differs from its ``repr`` or ``%d`` in some layout, or None."""
-    texts = [repr(x) if isinstance(x, float) else "%d" % x for x in values.tolist()]
-    for pieces in LAYOUTS:
+def reference(values: np.ndarray) -> list[str]:
+    """``repr`` of each float and ``%d`` of each integer."""
+    return [repr(x) if isinstance(x, float) else "%d" % x for x in values.tolist()]
+
+
+def first_mismatch(values: np.ndarray, texts: list[str], layouts=LAYOUTS):
+    """The first value whose text differs from its reference ``texts`` in some layout, or None."""
+    for pieces in layouts:
         width = len(pieces) - 1
         n = len(values) // width * width
         text = "".join(_format_rows([(pieces, values[:n].reshape(-1, width))]))
@@ -72,16 +79,19 @@ def main(count: int, seed: int) -> int:
     sizes = (min(CHUNK, count - start) for start in range(0, count, CHUNK))
     randoms = (rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64) for n in sizes)
     ids = np.random.default_rng(seed).integers(0, 5000, 20000)  # formatted once each
-    checked = 0
+    checked, shuffle = 0, np.random.default_rng(seed + 1)
     for values in itertools.chain([notation_classes()], randoms, [integers(rng), ids]):
-        bad = first_mismatch(values)
+        texts, order = reference(values), shuffle.permutation(2 * len(values))
+        twice, both = np.concatenate([values, values])[order], texts * 2
+        bad = first_mismatch(values, texts) or first_mismatch(
+            twice, [both[i] for i in order.tolist()], LAYOUTS[1:])
         if bad is not None:
             x, line = bad
             bits = int(np.array([x]).view(np.uint64)[0]) if isinstance(x, float) else x
             print(f"mismatch: {x!r} (bits {bits:#018x}) printed as {line!r}")
             return 1
         checked += len(values)
-    print(f"{checked} values print as repr and %d")
+    print(f"{checked} values print as repr and %d, alone and repeated")
     return 0
 
 
