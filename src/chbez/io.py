@@ -86,9 +86,10 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-# Cells per block of :func:`_format_rows`.  A block's scratch is at most 14
-# words per cell (see :func:`_render`), reused by every block of a call;
-# smaller blocks pay the fixed cost of some 250 numpy calls more often.
+# Cells per block of :func:`_format_rows`: the largest block whose scratch,
+# at most 14 words a cell (see :func:`_render`) and reused by every block of
+# a call, stays within the 1.5 MB that tests/test_io_exact_bytes.py allows.
+# Smaller blocks pay the fixed cost of some 250 numpy calls more often.
 _BLOCK_CELLS = 10240
 
 _U64 = np.uint64
