@@ -446,7 +446,7 @@ def _render(block, ids, work) -> str:
         if gs and ids is not None and not flat:
             fields[flat] = ids, np.concatenate([g.ravel() for g in gs], out=index)
         elif gs:
-            v = np.concatenate([g.ravel() for g in gs], out=v.view(gs[0].dtype)).view(_U64)
+            v = np.concatenate([g.ravel() for g in gs], out=v.view(np.float64 if flat else i64)).view(_U64)
             order = v.view(i64).argsort()
             v.take(order, out=s, mode="clip")
             new = new.view(np.bool_)[:n]
