@@ -49,6 +49,7 @@ equals its batch entry bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from functools import cache, lru_cache
 
@@ -102,8 +103,9 @@ class BasisKind(Enum):
 
 
 # Each kind's function family s, c, t: (sin, cos, tan) or (sinh, cosh, tanh),
-# from ``math`` for floats and from numpy for arrays.  Arrays have no t: the
-# Bezier parameter takes ``math``'s entry by entry (``curve._bezier_parameter``).
+# from ``math`` for floats and from numpy for arrays.  Only the order-one
+# transform rows read t; the Bezier parameter reads ``math``'s s
+# (``curve._half_sines``).
 _FUNCTIONS = {
     (BasisKind.TRIGONOMETRIC, math): (math.sin, math.cos, math.tan),
     (BasisKind.TRIGONOMETRIC, np): (np.sin, np.cos),
@@ -294,10 +296,11 @@ def basis_matrix(space: BasisSpace, us) -> np.ndarray:
     """Basis values on a batch of parameters, shape ``(len(us), 2n + 1)``.
 
     Row ``j`` holds the nonnegative partition-of-unity weights at ``us[j]``,
-    computed in the scaled factors of the module docstring.  A space whose
-    normalizing coefficients overflow is refused, as by
-    :func:`normalizing_coefficients`.  Besides the result and a few vectors of
-    one value per parameter, only one block of scratch is held.
+    computed in the scaled factors of the module docstring from the
+    coefficient sums alone, which stay finite where the normalizing
+    coefficients overflow (tiny alpha at a high order).  The one divisor,
+    ``s(alpha / 2)``, must be a normal double.  Besides the result and a few
+    vectors of one value per parameter, only one block of scratch is held.
     """
     us = np.asarray(us, dtype=float)
     if us.ndim != 1:
@@ -305,19 +308,14 @@ def basis_matrix(space: BasisSpace, us) -> np.ndarray:
     bad = ~((us >= -_PARAM_SLACK) & (us <= space.alpha + _PARAM_SLACK))
     if bad.any():
         _clamp_param(space, us[np.argmax(bad)])  # raises for the first offender
-    _normalizing_values(space)  # raises for a space whose coefficients overflow
-    # Like the scalar clamp, np.clip keeps -0.0.
-    return _basis_table(space, np.clip(us, 0.0, space.alpha))
-
-
-def _basis_table(space: BasisSpace, clamped: np.ndarray) -> np.ndarray:
-    """:func:`basis_matrix` on parameters already inside ``[0, alpha]``, without its checks.
-
-    The table needs only the coefficient sums, which stay finite where the
-    normalizing coefficients overflow (tiny alpha at a high order).
-    """
     s = _FUNCTIONS[space.kind, np][0]
     scale = s(0.5 * space.alpha)
+    if not scale >= sys.float_info.min:
+        raise RangeError(
+            f"alpha = {space.alpha!r} too small: {s.__name__}(alpha/2) is not a normal double"
+        )
+    # Like the scalar clamp, np.clip keeps -0.0.
+    clamped = np.clip(us, 0.0, space.alpha)
     left = s(0.5 * (space.alpha - clamped)) / scale
     right = s(0.5 * clamped) / scale
     return _product_table(left, right, _coefficient_sums(space))

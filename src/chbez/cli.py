@@ -130,7 +130,7 @@ def _cmd_basis(args):
     _check_samples(args.samples)
     space = _space_flags(args)
     us = np.linspace(0.0, space.alpha, args.samples)
-    mat = _named("--order", basis_matrix, space, us)  # the order can overflow the coefficients
+    mat = _named("--alpha", basis_matrix, space, us)  # a tiny alpha has no normal s(alpha/2)
     columns = ["u"] + [f"b{i}" for i in range(space.dimension)]
     return export_table(np.hstack([us[:, None], mat]), args.format, columns), args.out
 

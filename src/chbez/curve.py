@@ -9,23 +9,26 @@ module provides the reparametrization onto ``[0, 1]`` that
 turns every such curve into a rational Bezier curve, corner cutting
 subdivision at an arbitrary interior parameter, and order elevation.
 
-One de Casteljau pyramid on the homogeneous net ``(w p, w)``, the weights
-``w`` being the Bezier weights (times the curve's rational weights), splits
-a curve; its two edges, projected back, are the pieces.  A piece is kept in
-rational Bezier form: points ``p_i``, weights ``w_i`` and the covered
-subinterval ``[lo, hi]``.  The normalized B-bases are translation invariant,
-so the piece is also the curve of the same order over
-``BasisSpace(kind, n, hi - lo)`` at ``u - lo``, with the same points and the
-rational weights
+The Bezier map is stated once, by the two half-angle sines whose powers
+make the basis rows: ``v(u) = s(u/2) / (s(u/2) + s((alpha - u)/2))``, ``s``
+sin or sinh.  One de Casteljau pyramid with the shares ``1 - v`` and ``v``,
+each its own quotient of the sines, splits a curve.  It runs on the
+homogeneous net ``(c p, c)``, ``c_i`` the coefficient sum of the curve's
+space over ``C(2n, i)`` (times the curve's rational weight); its two edges,
+projected back, are the pieces.  A piece is kept in rational Bezier form:
+points ``p_i``, weights ``w_i`` and the covered subinterval ``[lo, hi]``.
+The normalized B-bases are translation invariant, so the piece is also the
+curve of the same order over ``BasisSpace(kind, n, hi - lo)`` at ``u - lo``,
+with the same points and the rational weights
 
     omega_i = w_i gamma**i C(2n, i) / S_i,
     gamma = (s((alpha - hi) / 2) + s(hi / 2)) / (s((alpha - lo) / 2) + s(lo / 2)),
 
-``S_i`` the coefficient sums of the subinterval's space and ``s`` sin or
-sinh: the two Bezier parametrizations differ by a Moebius map fixing 0 and
-1, which rescales rational Bezier weights by ``gamma**i`` (Sanchez-Reyes,
-CAGD 15, 1998).  A piece is evaluated that way, by the one rational
-combination that curves and patches use.
+``S_i`` the coefficient sums of the subinterval's space, and ``gamma`` a
+quotient of sums of the same sines: the two Bezier parametrizations differ
+by a Moebius map fixing 0 and 1, which rescales rational Bezier weights by
+``gamma**i`` (Sanchez-Reyes, CAGD 15, 1998).  A piece is evaluated that
+way, by the one rational combination that curves and patches use.
 
 A rational denominator is degenerate where it is at most 1e-14 times the
 same combination of the absolute weights.  For nonnegative weights, those
@@ -43,9 +46,8 @@ import numpy as np
 
 from . import _exports
 from ._record import record
-from .bbasis import (_FUNCTIONS, _PARAM_SLACK, BasisSpace, _basis_table, _binomials,
-                     _clamp_param, _coefficient_sums, _is_count, _normalizing_values,
-                     basis_matrix)
+from .bbasis import (_FUNCTIONS, _PARAM_SLACK, BasisSpace, _binomials, _clamp_param,
+                     _coefficient_sums, _is_count, _normalizing_values, basis_matrix)
 from .errors import NumericalError, RangeError
 from .xform import _elevated
 
@@ -171,26 +173,22 @@ def evaluate(curve: ControlCurve, u):
     return values[0] if scalar else values
 
 
+def _half_sines(space: BasisSpace, u: float) -> tuple[float, float]:
+    """``s((alpha - u) / 2)`` and ``s(u / 2)`` by ``math``: the basis rows' factors at ``u``."""
+    s = _FUNCTIONS[space.kind, math][0]
+    return s(0.5 * (space.alpha - u)), s(0.5 * u)
+
+
 def reparametrize(space: BasisSpace, u: float) -> float:
     """Map ``u`` in ``[0, alpha]`` to the Bezier parameter ``v`` in ``[0, 1]``.
 
-    The map is strictly increasing with ``v(0) = 0``, ``v(alpha) = 1`` and
-    ``v(alpha / 2) = 1/2``; composed with it, the B-basis functions become
-    rational Bernstein weight functions.
+    ``v = s(u/2) / (s(u/2) + s((alpha - u)/2))``, a quotient of nonnegative
+    terms that nothing cancels.  The map is strictly increasing with
+    ``v(0) = 0``, ``v(alpha) = 1`` and ``v(alpha / 2) = 1/2``; composed with
+    it, the B-basis functions become rational Bernstein weight functions.
     """
-    return _bezier_parameter(space, [_clamp_param(space, u)])[0]
-
-
-def _bezier_parameter(space: BasisSpace, us) -> list[float]:
-    """:func:`reparametrize` of clamped floats ``us``, one at a time in float arithmetic.
-
-    The tan or tanh is ``math``'s, so a value has the same bits alone and in
-    a batch, on every CPU.
-    """
-    t = _FUNCTIONS[space.kind, math][2]
-    quarter = 0.25 * space.alpha
-    scale = 2.0 * t(quarter)
-    return [0.5 + t(0.5 * u - quarter) / scale for u in us]
+    b, a = _half_sines(space, _clamp_param(space, u))
+    return a / (a + b)
 
 
 def bezier_weights(space: BasisSpace) -> np.ndarray:
@@ -231,7 +229,7 @@ class BezierPiece:
         # vanishing denominator among them is reported first.
         failed = outside | off_parent
         k = int(np.argmax(failed)) if failed.any() else len(us)
-        table = _basis_table(sub, np.clip(us[:k] - lo, 0.0, sub.alpha))
+        table = basis_matrix(sub, np.clip(us[:k] - lo, 0.0, sub.alpha))
         out = _combine([table], self.points, omega, lambda bad: NumericalError(
             f"piece denominator vanishes near u = {us[np.argmax(bad)]:g}"
         ))
@@ -256,9 +254,7 @@ def _restricted(piece: BezierPiece) -> tuple[float, BasisSpace, np.ndarray]:
     if not hi > lo:
         a, b = piece.u_interval
         raise RangeError(f"piece interval [{a:g}, {b:g}] is empty")
-    s = _FUNCTIONS[space.kind, math][0]
-    half = 0.5 * space.alpha
-    gamma = (s(half - 0.5 * hi) + s(0.5 * hi)) / (s(half - 0.5 * lo) + s(0.5 * lo))
+    gamma = sum(_half_sines(space, hi)) / sum(_half_sines(space, lo))
     sub = BasisSpace(space.kind, space.n, hi - lo)
     powers = np.full(sub.dimension, gamma)
     powers[0] = 1.0
@@ -288,23 +284,27 @@ def _split_point(space: BasisSpace, u0: float) -> float:
 def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     """Split the curve at interior parameter ``u0`` by corner cutting.
 
-    One de Casteljau pyramid runs at the fixed ratio ``v = reparametrize(space,
-    u0)`` on the homogeneous net ``(w p, w)``, where ``w`` is the Bezier weights
-    times the curve's weights (if any); its first edge is the left piece and its
-    last edge, reversed, the right one.  The piece weights keep the scale of
-    ``w``; a split is refused where one of them is not positive, and where
-    ``v`` rounds to 0 or 1, which would collapse a piece to a point.
+    One de Casteljau pyramid runs on the homogeneous net ``(c p, c)``, where
+    ``c_i = S_i / C(2n, i)`` (the coefficient sums over the binomials, the
+    Bezier weights times ``s(alpha/2)**2n``) times the curve's weights (if
+    any).  Its shares ``1 - v`` and ``v``, ``v = reparametrize(space, u0)``,
+    are each their own quotient of the half-angle sines, so a tiny share is
+    not lost to ``1 - v``.  The first edge is the left piece and the last
+    edge, reversed, the right one; a polynomial curve's outer piece weights
+    are exactly 1.  A split is refused where a piece weight is not positive,
+    and where a share is 0, which would collapse a piece to a point.
     """
     space = curve.space
     u0 = _split_point(space, u0)
-    v = reparametrize(space, u0)
-    if not 0.0 < v < 1.0:
+    b, a = _half_sines(space, u0)
+    stay, v = b / (a + b), a / (a + b)
+    if not (stay > 0.0 and v > 0.0):
         raise NumericalError(f"split ratio at u0 = {u0!r} rounds to {v:g}")
-    w = bezier_weights(space) * (1.0 if curve.weights is None else curve.weights)
-    levels = [_folded(curve.points, w)]
+    c = _coefficient_sums(space) / _binomials(space.degree)
+    levels = [_folded(curve.points, c if curve.weights is None else c * curve.weights)]
     while len(levels[-1]) > 1:
         level = levels[-1]
-        levels.append((1.0 - v) * level[:-1] + v * level[1:])
+        levels.append(stay * level[:-1] + v * level[1:])
     edges = [np.stack([level[0] for level in levels]),
              np.stack([level[-1] for level in levels[::-1]])]
     if not all(np.all(edge[:, -1] > 0.0) for edge in edges):

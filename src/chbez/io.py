@@ -386,6 +386,9 @@ def _format_rows(items) -> list[str]:
     mixed = any(len({g.dtype.kind == "f" for g in groups}) > 1 for groups in tables)
     width = 3 if mixed or low < 0 or high >= 10**15 else 1 if high < 10**7 else 2
     work, ids = [np.empty(0, _U64)], None
+    # Ids skip the dedupe of _render: its int64 argsort costs 150-180 us per
+    # 10,240-cell block of OBJ faces, about +1.2 ms on an 11 ms mesh export,
+    # and one offset table for every integer left io.py no shorter.
     if 0 <= low and high < sum(g.size for g in ints):
         ids = np.empty((width, high + 1), _U64)
         for at in range(0, high + 1, _BLOCK_CELLS):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import chbez
-from chbez import BasisKind, BasisSpace, basis_matrix
+from chbez import BasisKind, BasisSpace, RangeError, basis_matrix
 from chbez.bbasis import _bernstein_table
 
 TRIG = BasisKind.TRIGONOMETRIC
@@ -80,6 +80,26 @@ def test_basis_table_against_mpmath(kind, alpha, n):
     us = np.linspace(0.0, alpha, PARAMETERS)
     error = np.max(np.abs(basis_matrix(space, us) - oracle_basis(space, us)))
     assert error <= 2 * (2 * n + 1) * EPS, error / EPS
+
+
+@pytest.mark.parametrize("kind", [TRIG, HYP], ids=lambda k: k.value)
+def test_tiny_alpha_tables_without_normalizing_coefficients(kind):
+    # At alpha 1e-5, order 32, the normalizing coefficients 1 / s(alpha/2)**64
+    # overflow; the table divides only by s(alpha/2), a normal double down to
+    # alpha 4.5e-308.  Below that the table is refused, as it would hold
+    # all-zero rows (alpha 1e-323) or NaNs (alpha 5e-324).
+    for alpha in (1e-5, 1e-307):
+        space = BasisSpace(kind, 32, alpha)
+        us = np.linspace(0.0, alpha, PARAMETERS)
+        table = basis_matrix(space, us)
+        assert np.max(np.abs(table - oracle_basis(space, us))) <= 2 * 65 * EPS
+        assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= 65 * EPS
+    name = "sin" if kind is TRIG else "sinh"
+    for alpha in (4e-308, 1e-320, 5e-324):
+        with pytest.raises(RangeError) as err:
+            basis_matrix(BasisSpace(kind, 32, alpha), [0.0])
+        message = f"alpha = {alpha!r} too small: {name}(alpha/2) is not a normal double"
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n", ORDERS)

@@ -10,6 +10,9 @@ from numpy.testing import assert_allclose
 
 import chbez
 from chbez import (
+    BasisKind,
+    BasisSpace,
+    BezierPiece,
     exact_curve,
     exact_rational_surface,
     exact_surface,
@@ -17,9 +20,13 @@ from chbez import (
     load_figure,
     load_figure_text,
     min_order,
+    parse_document,
     parse_table,
 )
 from chbez.cli import main
+from test_basis_accuracy import oracle_basis
+
+EPS = np.finfo(float).eps
 
 
 def run(capsys, *argv):
@@ -453,10 +460,6 @@ def _over_cap(order):
     return f"error: --order: {order} exceeds the order cap 32\n"
 
 
-_K32_TINY_ALPHA = (
-    "error: normalizing coefficients overflow for trigonometric space with n=32, alpha=1e-05\n"
-)
-
 # command, figure, extra flags -> exit code and the whole of stderr.
 FAILING_COMMANDS = [
     ("describe", "lemniscate", ["--derivative", "1"], 2, _REFUSED),
@@ -554,10 +557,10 @@ FAILING_COMMANDS = [
      "error: --split-at: split parameter u0 = 5.0 must lie strictly inside (0, 2.35619)\n"),
     ("subdivide", "hypocycloid", ["--split-at", "0"], 2,
      "error: --split-at: split parameter u0 = 0.0 must lie strictly inside (0, 2.35619)\n"),
-    # An interior split point whose Bezier parameter tanh saturates to 0: the
-    # left piece would collapse to one point.
-    ("subdivide", "equilateral_hyperbola_alpha_200", ["--split-at", "10"], 3,
-     "numerical failure: split ratio at u0 = 10.0 rounds to 0\n"),
+    # An interior split point whose share s(u0 / 2) underflows to 0: the left
+    # piece would collapse to one point.
+    ("subdivide", "equilateral_hyperbola_alpha_200", ["--split-at", "5e-324"], 3,
+     "numerical failure: split ratio at u0 = 5e-324 rounds to 0\n"),
     # basis and xform read no spec (figure ""); a range error names the flag at
     # fault, and alpha is judged alone before the order.
     *[
@@ -575,22 +578,17 @@ FAILING_COMMANDS = [
              "error: --order: hyperbolic n*alpha = 400 exceeds the overflow guard 300\n"),
         ]
     ],
-    # alpha = 1e-5 is valid alone; at order 32 the normalizing coefficients
-    # overflow, which basis needs and xform does not.
+    # A valid alpha whose s(alpha / 2) is not a normal double: the basis table
+    # would divide by it.
     *[
-        ("basis", "", ["--kind", kind, "--alpha", "1e-5", "--order", "32", "--samples", "3"], 2,
-         f"error: --order: normalizing coefficients overflow for {name} space with n=32, "
-         "alpha=1e-05\n")
-        for kind, name in [("trig", "trigonometric"), ("hyp", "hyperbolic")]
+        ("basis", "", ["--kind", kind, "--alpha", "1e-320", "--order", "3"], 2,
+         f"error: --alpha: alpha = 1e-320 too small: {name}(alpha/2) is not a normal double\n")
+        for kind, name in [("trig", "sin"), ("hyp", "sinh")]
     ],
     ("describe", "hypocycloid", ["--order", "abc"], 2,
      "error: --order: expected an integer or comma list, got 'abc'\n"),
     ("describe", "torus_patch", ["--derivative", "1,x"], 2,
      "error: --derivative: expected an integer or comma list, got '1,x'\n"),
-    # A valid split point is not named when the curve's own space overflows;
-    # subdivide then fails as sample does.
-    ("subdivide", "hypocycloid_k32_tiny_alpha", ["--split-at", "5e-6"], 2, _K32_TINY_ALPHA),
-    ("sample", "hypocycloid_k32_tiny_alpha", ["--samples", "3"], 2, _K32_TINY_ALPHA),
     # The file boundary: an unwritable --out and an unreadable or too deep
     # --spec end in one error line, not a traceback.
     ("describe", "hypocycloid", ["--out", "/nonexistent/dir/x.csv"], 2,
@@ -759,10 +757,65 @@ def test_overflowing_coordinate_is_named(capsys, tmp_path, figure, command):
 
 
 def test_xform_needs_no_normalizing_coefficients(capsys):
-    # The flags basis refuses for overflowing coefficients (see FAILING_COMMANDS).
+    # At these flags the normalizing coefficients overflow; basis needs them no
+    # more either (test_basis_at_tiny_alpha_and_the_order_cap).
     code, out, err = run(capsys, "xform", "--kind", "trig", "--alpha", "1e-5", "--order", "32")
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 65
+
+
+# Commands refused while the basis tables and the split read the normalizing
+# coefficients, which overflow at alpha 1e-5, order 32, or while the split
+# ratio came from tanh, which rounded it to 0 at alpha 200, u0 = 10.  Their
+# values are checked against the traditional form within 4 (2n + 1) eps of
+# the largest value.
+
+
+@pytest.mark.parametrize("kind", [BasisKind.TRIGONOMETRIC, BasisKind.HYPERBOLIC],
+                         ids=lambda k: k.value)
+def test_basis_at_tiny_alpha_and_the_order_cap(capsys, kind):
+    code, out, err = run(capsys, "basis", "--kind", kind.value, "--alpha", "1e-5",
+                         "--order", "32", "--samples", "3")
+    assert (code, err) == (0, "")
+    table, _ = parse_table(out, "csv")
+    expected = oracle_basis(BasisSpace(kind, 32, 1e-5), table[:, 0])
+    assert np.max(np.abs(table[:, 1:] - expected)) <= 4 * 65 * EPS
+
+
+def traditional_error(spec, us, values) -> float:
+    """Largest deviation of ``values`` from the spec's coordinate functions, relative to them."""
+    direct = np.stack([c.values(spec.kind, us) for c in spec.coords], axis=1)
+    return np.max(np.abs(values - direct)) / np.max(np.abs(direct))
+
+
+def test_sample_at_tiny_alpha_and_the_order_cap(capsys, tmp_path):
+    doc = _k32_tiny_alpha_doc()
+    code, out, err = run(capsys, "sample", "--spec", write_doc(tmp_path, "k32.json", doc),
+                         "--samples", "201")
+    assert (code, err) == (0, "")
+    table, _ = parse_table(out, "csv")
+    spec = parse_document(json.dumps(doc)).spec
+    assert traditional_error(spec, table[:, 0], table[:, 1:]) <= 4 * 65 * EPS
+
+
+@pytest.mark.parametrize("figure, u0", [("hypocycloid_k32_tiny_alpha", "5e-6"),
+                                        ("equilateral_hyperbola_alpha_200", "10")])
+def test_subdivide_formerly_refused(capsys, tmp_path, figure, u0):
+    doc = DERIVED_DOCS[figure]()
+    path = write_doc(tmp_path, f"{figure}.json", doc)
+    code, out, err = run(capsys, "subdivide", "--spec", path, "--split-at", u0)
+    assert (code, err) == (0, "")
+    spec = parse_document(json.dumps(doc)).spec
+    payload = json.loads(out)
+    for side in ("left", "right"):
+        piece = payload[side]
+        space = BasisSpace(spec.kind, (len(piece["points"]) - 1) // 2, spec.alpha)
+        bezier = BezierPiece(space, np.array(piece["points"]), np.array(piece["weights"]),
+                             tuple(piece["interval"]))
+        assert piece["weights"][0 if side == "left" else -1] == 1.0
+        us = np.linspace(*piece["interval"], 101)
+        bound = 4 * space.dimension * EPS
+        assert traditional_error(spec, us, bezier.evaluate(us)) <= bound
 
 
 def test_describe_names_coordinates_beyond_three(capsys, tmp_path):

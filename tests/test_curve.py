@@ -29,7 +29,7 @@ from chbez import (
     reparametrize,
     subdivide,
 )
-from chbez.curve import _bezier_parameter
+from chbez.bbasis import _binomials, _coefficient_sums
 
 TRIG = BasisKind.TRIGONOMETRIC
 HYP = BasisKind.HYPERBOLIC
@@ -184,6 +184,21 @@ class TestControlCurve:
             evaluate(crv, 0.0)
 
 
+def mp_shares(kind, u: float, rest: float, exact: bool = False):
+    """The shares ``(1 - v, v)`` of the split ratio at ``u``, in mpmath at 60 digits.
+
+    ``v = s(u/2) / (s(u/2) + s(rest/2))``, ``rest`` the double ``alpha - u``,
+    and ``1 - v`` its own quotient.  With ``exact`` the third argument is
+    ``alpha`` itself and ``alpha - u`` is taken exactly.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(60):
+        s = mp.sin if kind is TRIG else mp.sinh
+        a = s(mp.mpf(u) / 2)
+        b = s(((mp.mpf(rest) - mp.mpf(u)) if exact else mp.mpf(rest)) / 2)
+        return b / (a + b), a / (a + b)
+
+
 class TestReparametrize:
     def test_endpoints_and_midpoint_exact(self):
         for kind, alpha in [(TRIG, 2.8), (HYP, 4.1)]:
@@ -204,6 +219,17 @@ class TestReparametrize:
         vs = [reparametrize(space, u) for u in us]
         assert np.all(np.diff(vs) > 0.0)
 
+    @pytest.mark.parametrize("kind, alpha", [(TRIG, 2.8), (HYP, 4.1)], ids=["trig", "hyp"])
+    def test_clamped_within_the_slack(self, kind, alpha):
+        # Within _PARAM_SLACK above alpha (or below 0) a parameter is alpha (or 0).
+        space = BasisSpace(kind, 3, alpha)
+        assert reparametrize(space, alpha + 1e-13) == 1.0
+        assert reparametrize(space, -1e-13) == 0.0
+        piece = subdivide(random_curve(kind, 3, alpha, seed=3), 0.4 * alpha).right
+        over = BezierPiece(space, piece.points, piece.weights, (piece.u_interval[0], alpha + 1e-13))
+        at = piece.evaluate([alpha, alpha])
+        assert over.evaluate([alpha, alpha + 1e-13]).tobytes() == at.tobytes()
+
     def test_out_of_range_rejected(self):
         with pytest.raises(RangeError):
             reparametrize(BasisSpace(TRIG, 1, 1.0), 1.5)
@@ -212,15 +238,31 @@ class TestReparametrize:
         with pytest.raises(RangeError, match="parameter u = nan is not a number"):
             reparametrize(BasisSpace(HYP, 1, 1.0), math.nan)
 
+    # (kind, alpha, u): the tan/tanh form of the map erred here by 2.3e-9,
+    # 9.5e-7, 4.7e-11, 2.1e-13 and 1.0 (a ratio of 8.2e-40 rounded to 0).
+    CASES = [(HYP, 40.0, 2.0), (HYP, 60.0, 5.0), (HYP, 30.0, 1.0), (TRIG, 3.14, 0.001),
+             (HYP, 200.0, 10.0)]
+
+    @pytest.mark.parametrize("kind, alpha, u", CASES,
+                             ids=[f"{k.value[:4]}-{a:g}-{u:g}" for k, a, u in CASES])
+    def test_against_mpmath(self, kind, alpha, u):
+        v = reparametrize(BasisSpace(kind, 1, alpha), u)
+        assert abs(v - mp_shares(kind, u, alpha, exact=True)[1]) <= 4 * EPS * v
+
     @pytest.mark.parametrize("kind", [TRIG, HYP], ids=lambda k: k.value)
-    def test_scalar_is_the_batch_entry(self, kind):
+    def test_random_against_mpmath(self, kind):
+        # Over the whole range: trigonometric alpha up to pi - 1e-3,
+        # hyperbolic n * alpha up to 300, u uniform or down to 1e-6 alpha.
+        # The oracle takes the double alpha - u, the one rounding before the
+        # sines: a hyperbolic s((alpha - u)/2) magnifies that rounding by
+        # about alpha / 4, which reaches 57 eps of v at alpha 258, u 0.11.
         rng = np.random.default_rng(1998)
-        for _ in range(200):
-            alpha = rng.uniform(0.05, 3.1 if kind is TRIG else 6.0)
-            space = BasisSpace(kind, int(rng.integers(1, 33)), alpha)
-            us = rng.uniform(0.0, alpha, 60)
-            scalars = [reparametrize(space, u) for u in us]
-            assert np.array(scalars).tobytes() == np.array(_bezier_parameter(space, us)).tobytes()
+        for _ in range(300):
+            n = int(rng.integers(1, 33))
+            alpha = rng.uniform(1e-3, math.pi - 1e-3 if kind is TRIG else 300.0 / n)
+            u = alpha * (rng.random() if rng.random() < 0.5 else 10 ** rng.uniform(-6, 0))
+            v = reparametrize(BasisSpace(kind, n, alpha), u)
+            assert abs(v - mp_shares(kind, u, alpha - u)[1]) <= 4 * EPS * v, (n, alpha, u)
 
 
 class TestBezierWeights:
@@ -327,12 +369,24 @@ class TestSubdivide:
 
     @pytest.mark.parametrize("n, alpha, u0", [(1, 200.0, 10.0), (1, 200.0, 190.0),
                                               (1, 100.0, 4.0), (3, 90.0, 3.0)])
-    def test_saturated_split_ratio_refused(self, n, alpha, u0):
-        # tanh(u0 / 2 - alpha / 4) rounds to -1 or 1, so the ratio rounds to
-        # 0 or 1 and one piece would collapse to a point.
+    def test_saturated_tanh_ratio_splits(self, n, alpha, u0):
+        # tanh(u0 / 2 - alpha / 4) rounds to -1 or 1, so a ratio by tanh
+        # rounded to 0 or 1 and these splits were refused.  Each share, as
+        # small as 8e-40, is its own quotient of positive sines.
         crv = random_curve(HYP, n, alpha, seed=16)
-        with pytest.raises(NumericalError, match=rf"^split ratio at u0 = {u0!r} rounds to [01]$"):
-            subdivide(crv, u0)
+        res = subdivide(crv, u0)
+        bound = 2 * (2 * n + 1) * EPS
+        assert point_error(crv, (res.left, res.right), oracle_split(crv, u0, exact=True)) <= bound
+        scale = np.max(np.abs(crv.points))
+        for piece in (res.left, res.right):
+            us = np.linspace(*piece.u_interval, 9)
+            assert np.max(np.abs(piece.evaluate(us) - evaluate(crv, us))) <= bound * scale
+
+    def test_zero_share_refused(self):
+        # s(u0 / 2) underflows to 0: the left piece would collapse to a point.
+        crv = random_curve(HYP, 1, 200.0, seed=16)
+        with pytest.raises(NumericalError, match=r"^split ratio at u0 = 5e-324 rounds to 0$"):
+            subdivide(crv, 5e-324)
 
     def test_split_parameter_must_be_interior(self):
         crv = random_curve(TRIG, 1, 1.0, seed=13)
@@ -372,6 +426,23 @@ class TestSubdivide:
         degenerate = BezierPiece(BasisSpace(TRIG, 1, 1.0), np.eye(3), weights, (0.0, 1.0))
         with pytest.raises(NumericalError, match="piece denominator vanishes near u = 0.5"):
             degenerate.evaluate([0.1, 0.5, 2.0])
+
+    @pytest.mark.parametrize("share, evaluates", [(1e-13, True), (1e-15, False)])
+    def test_signed_weights_around_the_cancellation_floor(self, share, evaluates):
+        # A hand-made piece with weights [1, w, 1], w < 0, over the whole
+        # parent interval (gamma = 1): at the midpoint its denominator is
+        # ``share`` times the same combination of |weights|.  The floor,
+        # _CANCELLATION = 1e-14, lies between the two shares.
+        space = BasisSpace(TRIG, 1, 1.0)
+        c = basis_matrix(space, [0.5])[0] * [1.0, 2.0, 1.0] / _coefficient_sums(space)
+        w = -(c[0] + c[2]) * (1.0 - share) / ((1.0 + share) * c[1])
+        piece = BezierPiece(space, np.eye(3), np.array([1.0, w, 1.0]), (0.0, 1.0))
+        if evaluates:
+            point = piece.evaluate(0.5)
+            assert np.all(np.isfinite(point)) and np.max(np.abs(point)) > 1e12
+        else:
+            with pytest.raises(NumericalError, match=r"^piece denominator vanishes near u = 0\.5$"):
+                piece.evaluate([0.1, 0.5])
 
     def test_weight_scale_does_not_decide_splitting(self):
         # Scaling all rational weights leaves the curve and its pieces unchanged.
@@ -421,23 +492,33 @@ class TestSubdivide:
             subdivide(crv, 0.5)
 
 
-def oracle_split(curve: ControlCurve, u0: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def oracle_split(curve: ControlCurve, u0: float,
+                 exact: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
     """Points and weights of both pieces, split in mpmath at 50 digits.
 
-    The float Bezier weights, the curve's points and weights and the split
-    ratio ``reparametrize(space, u0)`` are taken as exact inputs; the
-    homogeneous pyramid on ``(w p, w)`` then has one exact answer.
+    The curve's points and weights and the float pyramid weights ``S_i /
+    C(2n, i)`` are taken as exact inputs.  So are the float shares ``1 - v``
+    and ``v``, each its own quotient of the double half-angle sines; with
+    ``exact`` the shares are the exact split ratio at ``u0`` instead, so that
+    the error of the float ratio counts too.  The homogeneous pyramid on
+    ``(w p, w)`` then has one exact answer.
     """
     mp = pytest.importorskip("mpmath").mp
+    space = curve.space
     with mp.workdps(50):
-        v = mp.mpf(reparametrize(curve.space, u0))
-        w = [mp.mpf(x) for x in bezier_weights(curve.space)]
+        if exact:
+            stay, v = mp_shares(space.kind, u0, space.alpha, exact=True)
+        else:
+            s = math.sin if space.kind is TRIG else math.sinh
+            a, b = s(0.5 * u0), s(0.5 * (space.alpha - u0))
+            stay, v = mp.mpf(b / (a + b)), mp.mpf(a / (a + b))
+        w = [mp.mpf(x) for x in _coefficient_sums(space) / _binomials(space.degree)]
         if curve.weights is not None:
             w = [a * mp.mpf(b) for a, b in zip(w, curve.weights.tolist())]
         level = [[a * mp.mpf(x) for x in row] + [a] for a, row in zip(w, curve.points.tolist())]
         left, right = [level[0]], [level[-1]]
         while len(level) > 1:
-            level = [[(1 - v) * a + v * b for a, b in zip(r0, r1)] for r0, r1 in zip(level, level[1:])]
+            level = [[stay * a + v * b for a, b in zip(r0, r1)] for r0, r1 in zip(level, level[1:])]
             left.append(level[0])
             right.append(level[-1])
         return [
@@ -447,10 +528,23 @@ def oracle_split(curve: ControlCurve, u0: float) -> list[tuple[np.ndarray, np.nd
         ]
 
 
+def point_error(crv: ControlCurve, pieces, oracle) -> float:
+    """Largest piece point error against ``oracle``, relative to the largest control coordinate."""
+    scale = np.max(np.abs(crv.points))
+    return max(np.max(np.abs(p.points - points)) / scale for p, (points, _) in zip(pieces, oracle))
+
+
 # Spaces every order up to 32 splits in (hyperbolic n * alpha <= 288).  At
 # alpha 6, order 32, and alpha 9, orders 16 and 32, the Bezier weights spread
 # by more than 1e14, which a floor relative to the largest weight refused.
 SPLIT_SPACES = [(TRIG, 1.5), (TRIG, 3.1), (HYP, 1.5), (HYP, 2.5), (HYP, 6.0), (HYP, 9.0)]
+
+# (kind, alpha, n) split at the exact ratio; a ratio by tan or tanh erred by
+# up to 4.9e8 (2n + 1) eps in the piece points here.
+EXACT_SPLITS = [(HYP, 40.0, n) for n in (1, 2, 4, 7)] + [(HYP, 60.0, n) for n in (1, 3, 5)] + [
+    (kind, alpha, n) for kind, alpha in ((TRIG, 1.5), (TRIG, 3.14), (HYP, 9.0))
+    for n in (1, 8, 16, 32)
+]
 
 
 class TestSplitAgainstMpmath:
@@ -467,11 +561,23 @@ class TestSplitAgainstMpmath:
         bound = 2 * (2 * n + 1) * EPS
         for u0 in (0.13 * alpha, 0.5 * alpha, 0.71 * alpha):
             res = subdivide(crv, u0)
-            for piece, (points, weights) in zip((res.left, res.right), oracle_split(crv, u0)):
-                error = np.max(np.abs(piece.points - points)) / np.max(np.abs(crv.points))
-                assert error <= bound, (u0, error / EPS)
+            pieces = (res.left, res.right)
+            oracle = oracle_split(crv, u0)
+            assert point_error(crv, pieces, oracle) <= bound, u0
+            for piece, (_, weights) in zip(pieces, oracle):
                 error = np.max(np.abs(piece.weights - weights) / weights)
                 assert error <= bound, (u0, error / EPS)
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["plain", "rational"])
+    @pytest.mark.parametrize(
+        "kind, alpha, n", EXACT_SPLITS, ids=[f"{k.value[:4]}-{a:g}-{n}" for k, a, n in EXACT_SPLITS]
+    )
+    def test_points_against_an_exact_ratio(self, kind, alpha, n, rational):
+        crv = random_curve(kind, n, alpha, dim=3, seed=n, rational=rational)
+        for u0 in (0.05 * alpha, 0.13 * alpha, 0.5 * alpha, 0.71 * alpha):
+            res = subdivide(crv, u0)
+            error = point_error(crv, (res.left, res.right), oracle_split(crv, u0, exact=True))
+            assert error <= 2 * (2 * n + 1) * EPS, (u0, error / EPS)
 
 
 def term_spec(kind, alpha, coords, shift=0.0):

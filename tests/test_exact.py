@@ -353,6 +353,21 @@ class TestExactRationalCurve:
         assert_allclose(evaluate(res.curve, us), expected, atol=1e-12)
         assert_allclose(evaluate(elevate(res.curve, 2), us), expected, atol=1e-12)
 
+    def test_weight_just_above_the_positivity_floor(self):
+        # 1 + 1e-11 - cos(u) over the quarter turn has the order one polygon
+        # [1e-11, 1e-11, 1 + 1e-11]: positive at 1e-11 of the largest weight,
+        # ten times the floor WEIGHT_POSITIVITY, so no elevation step is taken.
+        x = CoordinateFunction((Term(SIN, 1, 1.0),))
+        y = CoordinateFunction((Term(COS, 1, 1.0),))
+        den = CoordinateFunction((Term(COS, 0, 1.0 + 1e-11), Term(COS, 1, -1.0)))
+        spec = CurveSpec(TRIG, 0.5 * math.pi, (x, y, den))
+        res = exact_rational_curve(spec)
+        assert (res.elevations, res.order) == (0, 1)
+        assert res.weights.min() / res.weights.max() == pytest.approx(1e-11, rel=1e-4)
+        us = np.linspace(0.1, 0.5 * math.pi, 40)
+        direct = spec.evaluate(us)[:, :2] / den.values(TRIG, us)[:, None]
+        assert rel_error(evaluate(res.curve, us), direct) < 1e-12
+
     def test_nonpositive_denominator_rejected(self):
         x = CoordinateFunction((Term(COS, 1, 1.0),))
         y = CoordinateFunction((Term(SIN, 1, 1.0),))

@@ -661,6 +661,14 @@ class TestTables:
         assert columns == ["u", "x"]
         assert np.all(back == data)
 
+    def test_json_zero_dimensional_round_trip(self):
+        # data is a bare number, whose shape is ().
+        text = export_table(np.array(-2.5e-300), "json")
+        assert json.loads(text) == {"data": -2.5e-300}
+        back, columns = parse_table(text, "json")
+        assert back.shape == () and back.tobytes() == np.array(-2.5e-300).tobytes()
+        assert columns is None
+
     def test_json_round_trip_keeps_non_finite_values(self):
         data = np.array([[np.nan, np.inf], [-np.inf, -0.0], [5e-324, 1e308]])
         back, _ = parse_table(export_table(data, "json"), "json")
@@ -704,9 +712,11 @@ class TestTables:
             ('{"data": [[1, null]]}', "JSON table: data[0][1] is not a number"),
             ('{"data": [true, 2.5]}', "JSON table: data[0] is not a number"),
             ('{"data": [1, "2.5"]}', "JSON table: data[1] is not a number"),
+            ('{"data": ' + "[" * 5000 + "]" * 5000 + "}",
+             "JSON table: not valid JSON (nested too deeply)"),
         ],
         ids=["list", "no-data", "ragged", "non-number", "invalid", "huge-integer", "null",
-             "bool", "numeric-string"],
+             "bool", "numeric-string", "too-deep"],
     )
     def test_malformed_json_names_the_fault(self, text, message):
         with pytest.raises(RangeError) as exc:

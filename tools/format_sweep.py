@@ -9,8 +9,12 @@ OBJ vertex rows of 3 and as CSV rows of 5, so cells meet literals of
 several lengths, and each line is compared with ``repr``.  Each chunk is
 printed once more with every value twice, at shuffled positions, as OBJ
 and CSV rows, so the formatter's blocks format each distinct bit pattern
-once and gather it into every cell that holds it.  Then it prints
-integers of every length from 1 to 17 digits, ``10**17`` and up and
+once and gather it into every cell that holds it.  Two chunks shorter
+than one 10,240-cell block put ``0.0``, ``-0.0``, NaNs of several payloads
+and both signs, and ``+-inf`` into one block; in the second no value but
+``-0.0`` is negative, so the two zeros are neighbours in bit order, where a
+dedupe that compares float values instead of bit patterns merges them.
+Then it prints integers of every length from 1 to 17 digits, ``10**17`` and up and
 negative ones (both printed through ``repr``), and small ids that are
 formatted once each, in the same three layouts, and compares them with
 ``%d``.  On the first mismatch it prints the value and exits 1; otherwise
@@ -44,6 +48,22 @@ def notation_classes() -> np.ndarray:
         [0.0, np.nan, np.inf, 5e-324, 8e-323, 2.2250738585072014e-308, 1.7976931308623157e308],
     ])
     return np.concatenate([values, -values])
+
+
+def edge_blocks(rng) -> list[np.ndarray]:
+    """Zeros of both signs, NaNs of several payloads and infinities among other values.
+
+    Each array fits in one block of the formatter.
+    """
+    quiet, signalling = 0x7FF8 << 48, (0x7FF0 << 48) + 1
+    nans = np.array([quiet, quiet + 1, signalling, 2**63 - 1], dtype=np.uint64)
+    nans = np.concatenate([nans, nans | np.uint64(2**63)]).view(np.float64)
+    mixed = np.concatenate([np.repeat([0.0, -0.0, np.inf, -np.inf, *nans], 200),
+                            rng.standard_normal(600)])
+    # Negative values other than -0.0 would sit between the two zeros in bit order.
+    signless = np.concatenate([np.repeat([0.0, -0.0, np.inf, *nans[:4]], 300),
+                               np.abs(rng.standard_normal(600))])
+    return [rng.permutation(mixed), rng.permutation(signless)]
 
 
 def integers(rng) -> np.ndarray:
@@ -80,7 +100,8 @@ def main(count: int, seed: int) -> int:
     randoms = (rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64) for n in sizes)
     ids = np.random.default_rng(seed).integers(0, 5000, 20000)  # formatted once each
     checked, shuffle = 0, np.random.default_rng(seed + 1)
-    for values in itertools.chain([notation_classes()], randoms, [integers(rng), ids]):
+    edges = edge_blocks(np.random.default_rng(seed + 2))
+    for values in itertools.chain([notation_classes()], edges, randoms, [integers(rng), ids]):
         texts, order = reference(values), shuffle.permutation(2 * len(values))
         twice, both = np.concatenate([values, values])[order], texts * 2
         bad = first_mismatch(values, texts) or first_mismatch(
