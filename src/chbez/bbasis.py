@@ -305,8 +305,9 @@ def basis_matrix(space: BasisSpace, us) -> np.ndarray:
     us = np.asarray(us, dtype=float)
     if us.ndim != 1:
         raise RangeError(f"parameter batch must be one dimensional, got shape {us.shape}")
-    bad = ~((us >= -_PARAM_SLACK) & (us <= space.alpha + _PARAM_SLACK))
-    if bad.any():
+    # The mask is built only when the extremes (NaN if any parameter is) fail the check.
+    if us.size and not (us.min() >= -_PARAM_SLACK and us.max() <= space.alpha + _PARAM_SLACK):
+        bad = ~((us >= -_PARAM_SLACK) & (us <= space.alpha + _PARAM_SLACK))
         _clamp_param(space, us[np.argmax(bad)])  # raises for the first offender
     s = _FUNCTIONS[space.kind, np][0]
     scale = s(0.5 * space.alpha)
@@ -314,8 +315,8 @@ def basis_matrix(space: BasisSpace, us) -> np.ndarray:
         raise RangeError(
             f"alpha = {space.alpha!r} too small: {s.__name__}(alpha/2) is not a normal double"
         )
-    # Like the scalar clamp, np.clip keeps -0.0.
-    clamped = np.clip(us, 0.0, space.alpha)
+    # Like the scalar clamp, clip keeps -0.0.
+    clamped = us.clip(0.0, space.alpha)
     left = s(0.5 * (space.alpha - clamped)) / scale
     right = s(0.5 * clamped) / scale
     return _product_table(left, right, _coefficient_sums(space))
@@ -382,5 +383,5 @@ def _binomials(degree: int) -> np.ndarray:
 
 def _bernstein_table(degree: int, vs: np.ndarray) -> np.ndarray:
     """Bernstein polynomials of ``degree`` at ``vs`` clamped to [0, 1], one row per parameter."""
-    v = np.clip(vs, 0.0, 1.0)
+    v = vs.clip(0.0, 1.0)
     return _product_table(1.0 - v, v, _binomials(degree))

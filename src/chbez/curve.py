@@ -4,10 +4,10 @@ A :class:`ControlCurve` pairs a :class:`~chbez.bbasis.BasisSpace` with a
 polygon of control points and optional rational weights.  Evaluation runs
 through the contraction shared with tensor product patches
 (:mod:`chbez.surface`): a curve is the one-direction case, one basis matrix
-applied to the leading axis of the control tensor.  Besides evaluation, the
-module provides the reparametrization onto ``[0, 1]`` that
-turns every such curve into a rational Bezier curve, corner cutting
-subdivision at an arbitrary interior parameter, and order elevation.
+applied to the leading axis of the control tensor by one ``np.dot``.
+Besides evaluation, the module provides the reparametrization onto
+``[0, 1]`` that turns every such curve into a rational Bezier curve, corner
+cutting subdivision at an arbitrary interior parameter, and order elevation.
 
 The Bezier map is stated once, by the two half-angle sines whose powers
 make the basis rows: ``v(u) = s(u/2) / (s(u/2) + s((alpha - u)/2))``, ``s``
@@ -41,6 +41,7 @@ not positive.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def _checked_net(points: np.ndarray, weights, dims: tuple, shape_error: str) -> 
 
     Weights whose shape is not ``dims`` raise ``shape_error.format(shape)``.
     """
-    if not np.all(np.isfinite(points)):
+    if not np.isfinite(points).all():
         raise RangeError("control points must be finite")
     points = points.copy()
     points.flags.writeable = False
@@ -98,10 +99,14 @@ def _projected(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _contract(mats, tensor: np.ndarray) -> np.ndarray:
     """Replace axis ``j`` of a control tensor by its samples ``mats[j] @``.
 
-    Trailing axes (coordinates) ride along; every direction is one ``np.tensordot``.
+    Trailing axes (coordinates) ride along.  Every direction is one ``np.dot``
+    of the matrix and the tensor's 2-d view with axis ``j`` moved first, the
+    call ``np.tensordot`` makes; axis 0 needs no moves.
     """
     for j, mat in enumerate(mats):
-        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=(1, j)), 0, j)
+        moved = np.moveaxis(tensor, j, 0) if j else tensor
+        out = np.dot(mat, moved.reshape(len(moved), -1)).reshape(len(mat), *moved.shape[1:])
+        tensor = np.moveaxis(out, 0, j) if j else out
     return tensor
 
 
@@ -221,20 +226,22 @@ class BezierPiece:
         space = self.parent_space
         scalar = np.ndim(u) == 0
         us = np.atleast_1d(np.asarray(u, dtype=float))
-        outside = ~((us >= a - _PARAM_SLACK) & (us <= b + _PARAM_SLACK))
-        off_parent = ~((us >= -_PARAM_SLACK) & (us <= space.alpha + _PARAM_SLACK))
         # Report the first parameter that fails a check, and for it the first
         # check it fails: piece interval, parent interval, denominator.  The
         # parameters before the first interval failure are evaluated, so a
-        # vanishing denominator among them is reported first.
-        failed = outside | off_parent
-        k = int(np.argmax(failed)) if failed.any() else len(us)
-        table = basis_matrix(sub, np.clip(us[:k] - lo, 0.0, sub.alpha))
+        # vanishing denominator among them is reported first.  Both intervals
+        # with their slack meet in [low, high] (rounding is monotone), and the
+        # mask is built only when the extremes (NaN if any is) leave it.
+        low, high = max(a, 0.0) - _PARAM_SLACK, min(b, space.alpha) + _PARAM_SLACK
+        k = len(us)
+        if k and not (us.min() >= low and us.max() <= high):
+            k = int(np.argmax(~((us >= low) & (us <= high))))
+        table = basis_matrix(sub, (us[:k] - lo).clip(0.0, sub.alpha))
         out = _combine([table], self.points, omega, lambda bad: NumericalError(
             f"piece denominator vanishes near u = {us[np.argmax(bad)]:g}"
         ))
         if k < len(us):
-            if outside[k]:
+            if not a - _PARAM_SLACK <= us[k] <= b + _PARAM_SLACK:
                 raise RangeError(
                     f"parameter u = {float(us[k])!r} outside the piece interval [{a:g}, {b:g}]"
                 )
@@ -258,7 +265,7 @@ def _restricted(piece: BezierPiece) -> tuple[float, BasisSpace, np.ndarray]:
     sub = BasisSpace(space.kind, space.n, hi - lo)
     powers = np.full(sub.dimension, gamma)
     powers[0] = 1.0
-    factors = np.cumprod(powers) * _binomials(sub.degree) / _coefficient_sums(sub)
+    factors = powers.cumprod() * _binomials(sub.degree) / _coefficient_sums(sub)
     return lo, sub, piece.weights * factors
 
 
@@ -292,7 +299,9 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     not lost to ``1 - v``.  The first edge is the left piece and the last
     edge, reversed, the right one; a polynomial curve's outer piece weights
     are exactly 1.  A split is refused where a piece weight is not positive,
-    and where a share is 0, which would collapse a piece to a point.
+    where a share is 0, which would collapse a piece to a point, and where
+    a piece is too short for the basis of its interval: ``s(w/2)`` of its
+    width ``w`` is not a normal double, the rule of :func:`basis_matrix`.
     """
     space = curve.space
     u0 = _split_point(space, u0)
@@ -300,14 +309,20 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     stay, v = b / (a + b), a / (a + b)
     if not (stay > 0.0 and v > 0.0):
         raise NumericalError(f"split ratio at u0 = {u0!r} rounds to {v:g}")
+    if not min(a, b) >= sys.float_info.min:  # the rule of basis_matrix, for each piece's width
+        raise NumericalError(f"split at u0 = {u0!r} leaves a piece too short for its basis")
     c = _coefficient_sums(space) / _binomials(space.degree)
-    levels = [_folded(curve.points, c if curve.weights is None else c * curve.weights)]
-    while len(levels[-1]) > 1:
-        level = levels[-1]
-        levels.append(stay * level[:-1] + v * level[1:])
-    edges = [np.stack([level[0] for level in levels]),
-             np.stack([level[-1] for level in levels[::-1]])]
-    if not all(np.all(edge[:, -1] > 0.0) for edge in edges):
+    net = _folded(curve.points, c if curve.weights is None else c * curve.weights)
+    size = len(net)
+    # Level k of the pyramid in the first size - k entries of row k; an edge is one copying index.
+    pyramid = np.empty((size,) + net.shape)
+    pyramid[0] = net
+    for k in range(1, size):
+        level, prev = pyramid[k, : size - k], pyramid[k - 1, : size - k + 1]
+        np.add(np.multiply(stay, prev[:-1], out=level), v * prev[1:], out=level)
+    rows = np.arange(size)
+    edges = pyramid[rows, 0], pyramid[rows[::-1], rows]
+    if not all((edge[:, -1] > 0.0).all() for edge in edges):
         raise NumericalError(f"degenerate weight pyramid while splitting at u0 = {u0:g}")
     left, right = (BezierPiece(space, *_projected(edge), interval)
                    for edge, interval in zip(edges, ((0.0, u0), (u0, space.alpha))))
@@ -330,7 +345,7 @@ def elevate(curve: ControlCurve, z: int = 1) -> ControlCurve:
     lifted, pts = _elevated(curve.space, _folded(curve.points, curve.weights), z)
     if curve.weights is None:
         return ControlCurve(lifted, pts)
-    if not np.all(pts[:, -1] > 0.0):
+    if not (pts[:, -1] > 0.0).all():
         raise NumericalError("degenerate weight after elevation")
     return ControlCurve(lifted, *_projected(pts))
 

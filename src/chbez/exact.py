@@ -39,7 +39,7 @@ from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, _MAX_ORDER, BasisKind, BasisSp
                      _is_int)
 from .curve import ControlCurve, _projected
 from .errors import NumericalError, RangeError
-from .xform import _elevated, transform_matrix
+from .xform import _elevated, _transform_rows
 
 __all__ = _exports(__name__) + ["coordinate_ordinates"]  # not public at top level
 
@@ -261,7 +261,7 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
         raise RangeError(
             f"coordinate of frequency {fn.max_frequency()} does not fit order {space.n}"
         )
-    matrix = transform_matrix(space)
+    rows = _transform_rows(space)
     out = np.zeros(space.dimension)
     s, c, _ = _FUNCTIONS[space.kind, math]
     sign = _ADDITION_SIGNS[space.kind]
@@ -269,8 +269,8 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
         scale, phase, cosine_like = _derived(t, space.kind, r)
         if scale == 0.0:
             continue
-        sine = matrix.sine_row(t.frequency)
-        cosine = matrix.cosine_row(t.frequency)
+        k = t.frequency  # sin(0 u) has the zero row
+        sine, cosine = rows[2 * k - 1] if k else np.zeros(space.dimension), rows[2 * k]
         # cos(k u + phase) and sin(k u + phase) by the addition identities.
         cp, sp = c(phase), s(phase)
         if cosine_like:

@@ -138,7 +138,8 @@ def _raise_order(weights: np.ndarray, coeffs: np.ndarray, out, factors=None) -> 
     rows, size = coeffs.shape
     terms = np.zeros((3, rows, size + 2))
     # A view of ``terms`` whose entry [j, :, r] is terms[j, :, r + j].
-    shifted = np.ndarray((3, rows, size), buffer=terms, strides=np.add(terms.strides, (8, 0, 0)))
+    step, *rest = terms.strides
+    shifted = np.ndarray((3, rows, size), buffer=terms, strides=(step + 8, *rest))
     weights = weights[:, None, :size]
     np.multiply(weights, coeffs, out=shifted)
     if factors is not None:
@@ -160,11 +161,12 @@ def _elevated(space: BasisSpace, coeffs: np.ndarray, z: int, axis: int = 0):
     """
     for order in range(space.n + 1, space.n + z + 1):
         top = BasisSpace(space.kind, order, space.alpha)
-    moved = np.moveaxis(coeffs, axis, 0)
+    moved = np.moveaxis(coeffs, axis, 0) if axis else coeffs
     rows = moved.reshape(len(moved), math.prod(moved.shape[1:])).T
     for weights in _step_table(top, space.n):
         rows = _raise_order(weights, rows, np.empty((rows.shape[0], rows.shape[1] + 2)))
-    return top, np.moveaxis(rows.T.reshape((rows.shape[1],) + moved.shape[1:]), 0, axis)
+    out = rows.T.reshape((rows.shape[1],) + moved.shape[1:])
+    return top, np.moveaxis(out, 0, axis) if axis else out
 
 
 def elevate_coefficient_vector(space: BasisSpace, coeffs) -> np.ndarray:

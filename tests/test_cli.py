@@ -561,6 +561,9 @@ FAILING_COMMANDS = [
     # piece would collapse to one point.
     ("subdivide", "equilateral_hyperbola_alpha_200", ["--split-at", "5e-324"], 3,
      "numerical failure: split ratio at u0 = 5e-324 rounds to 0\n"),
+    # A subnormal s(u0 / 2): the left piece is too short for the basis of its interval.
+    ("subdivide", "hypocycloid", ["--split-at", "1e-310"], 3,
+     "numerical failure: split at u0 = 1e-310 leaves a piece too short for its basis\n"),
     # basis and xform read no spec (figure ""); a range error names the flag at
     # fault, and alpha is judged alone before the order.
     *[

@@ -15,8 +15,9 @@ the same bytes and the same error texts.  ``evaluate_surface`` may differ
 by a few ulps, since no artifact reads it, and its error text now prints
 plain floats.
 
-``ref_contract`` is the hand-rolled contraction (one ``@`` on a 2-d view
-per direction) that one ``np.tensordot`` per direction replaced; on random
+``ref_contract`` is the hand-rolled contraction, one ``@`` on a 2-d view
+per direction.  The package's ``_contract`` makes one ``np.dot`` on the
+same view per direction, the call ``np.tensordot`` makes; on random
 tensors the two must give the same bytes under the BLAS at hand.
 """
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from chbez import (
     subdivide,
 )
 from chbez.bbasis import _binomials, _coefficient_sums
+from chbez.curve import SubdivisionResult, _folded, _half_sines, _projected, _split_point
 
 TRIG = BasisKind.TRIGONOMETRIC
 HYP = BasisKind.HYPERBOLIC
@@ -388,6 +391,31 @@ class TestSubdivide:
         with pytest.raises(NumericalError, match=r"^split ratio at u0 = 5e-324 rounds to 0$"):
             subdivide(crv, 5e-324)
 
+    @pytest.mark.parametrize("kind", [TRIG, HYP], ids=lambda k: k.value)
+    @pytest.mark.parametrize("alpha, u0", [(1.0, 1e-310), (1e-300, 1e-300 - 1e-310)],
+                             ids=["left", "right"])
+    def test_piece_too_short_for_its_basis_refused(self, kind, alpha, u0):
+        # The piece width w (u0, or alpha - u0) leaves s(w / 2) subnormal,
+        # which a table over the piece's own interval refuses; the split
+        # names u0 instead of an alpha the caller never gave.
+        crv = random_curve(kind, 2, alpha, seed=18)
+        message = rf"^split at u0 = {re.escape(repr(u0))} leaves a piece too short for its basis$"
+        with pytest.raises(NumericalError, match=message):
+            subdivide(crv, u0)
+
+    @pytest.mark.parametrize("kind", [TRIG, HYP], ids=lambda k: k.value)
+    @pytest.mark.parametrize("alpha, u0", [(1.0, 2.0 * sys.float_info.min),
+                                           (1e-300, 1e-300 - 2.0 * sys.float_info.min)],
+                             ids=["left", "right"])
+    def test_shortest_accepted_piece_evaluates(self, kind, alpha, u0):
+        # The piece width w is exactly 2**-1021, so s(w / 2) is the smallest
+        # normal double: the split is accepted and both pieces evaluate.
+        crv = random_curve(kind, 2, alpha, seed=18)
+        res = subdivide(crv, u0)
+        for piece in (res.left, res.right):
+            us = np.array(piece.u_interval)
+            assert_allclose(piece.evaluate(us), evaluate(crv, us), atol=1e-14)
+
     def test_split_parameter_must_be_interior(self):
         crv = random_curve(TRIG, 1, 1.0, seed=13)
         for u0 in (0.0, 1.0, -0.2, 1.2):
@@ -526,6 +554,85 @@ def oracle_split(curve: ControlCurve, u0: float,
              np.array([float(row[-1]) for row in edge]))
             for edge in (left, right[::-1])
         ]
+
+
+class TestParameterBatchChecks:
+    """``basis_matrix`` and piece evaluation check a batch by its extremes; the
+    first offender, its message and the order of the checks stay."""
+
+    def test_nan_is_the_first_offender(self):
+        piece = subdivide(random_curve(TRIG, 2, 2.0, seed=14), 0.8).left
+        message = r"^parameter u = nan outside the piece interval \[0, 0\.8\]$"
+        with pytest.raises(RangeError, match=message):
+            piece.evaluate([0.1, math.nan, 1.5, -1.0])
+
+    def test_just_past_the_slack_at_either_end(self):
+        space = BasisSpace(HYP, 2, 1.5)
+        with pytest.raises(RangeError, match=r"^parameter u = -2e-12 below 0$"):
+            basis_matrix(space, [0.5, -2e-12])
+        with pytest.raises(RangeError, match=r"^parameter u = 1\.500000000002 above alpha = 1\.5$"):
+            basis_matrix(space, [1.5 + 2e-12, 0.5])
+        within = basis_matrix(space, [-5e-13, 1.5 + 5e-13])
+        assert within.tobytes() == basis_matrix(space, [0.0, 1.5]).tobytes()
+
+    def test_just_past_the_slack_of_an_inner_piece_end(self):
+        # The piece ends inside the parent: the piece's slack decides, not the parent's.
+        res = subdivide(random_curve(TRIG, 2, 2.0, seed=14), 0.8)
+        for piece, inside, u in ((res.left, 0.1, 0.8 + 2e-12), (res.right, 1.0, 0.8 - 2e-12)):
+            with pytest.raises(RangeError, match=rf"^parameter u = {re.escape(repr(u))} outside"):
+                piece.evaluate([inside, u])
+        for piece, u in ((res.left, 0.8 + 5e-13), (res.right, 0.8 - 5e-13)):
+            assert piece.evaluate([u]).tobytes() == piece.evaluate([0.8]).tobytes()
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["plain", "rational"])
+    def test_empty_batch(self, rational):
+        crv = random_curve(HYP, 3, 1.2, dim=3, seed=19, rational=rational)
+        assert basis_matrix(crv.space, []).shape == (0, 7)
+        assert evaluate(crv, []).shape == (0, 3)
+
+
+def ref_subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
+    """Verbatim copy of ``subdivide`` with its list of pyramid levels, the byte reference."""
+    space = curve.space
+    u0 = _split_point(space, u0)
+    b, a = _half_sines(space, u0)
+    stay, v = b / (a + b), a / (a + b)
+    if not (stay > 0.0 and v > 0.0):
+        raise NumericalError(f"split ratio at u0 = {u0!r} rounds to {v:g}")
+    c = _coefficient_sums(space) / _binomials(space.degree)
+    levels = [_folded(curve.points, c if curve.weights is None else c * curve.weights)]
+    while len(levels[-1]) > 1:
+        level = levels[-1]
+        levels.append(stay * level[:-1] + v * level[1:])
+    edges = [np.stack([level[0] for level in levels]),
+             np.stack([level[-1] for level in levels[::-1]])]
+    if not all(np.all(edge[:, -1] > 0.0) for edge in edges):
+        raise NumericalError(f"degenerate weight pyramid while splitting at u0 = {u0:g}")
+    left, right = (BezierPiece(space, *_projected(edge), interval)
+                   for edge, interval in zip(edges, ((0.0, u0), (u0, space.alpha))))
+    return SubdivisionResult(left, right, v)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["plain", "rational"])
+@pytest.mark.parametrize("kind", [TRIG, HYP], ids=lambda k: k.value)
+def test_pyramid_matches_the_level_list_bit_for_bit(kind, rational):
+    # Every order, a random alpha (hyperbolic n * alpha <= 300) and split
+    # points across the interval, the ends included.
+    rng = np.random.default_rng(4100 + 2 * (kind is HYP) + rational)
+    for n in range(1, 33):
+        top = 3.14 if kind is TRIG else min(40.0, 300.0 / n)
+        alpha = float(np.exp(rng.uniform(np.log(0.01), np.log(top))))
+        crv = random_curve(kind, n, alpha, dim=int(rng.integers(1, 4)), seed=n, rational=rational)
+        for share in (1e-9, *rng.uniform(0.0, 1.0, 4), 1.0 - 1e-9):
+            u0 = float(share) * alpha
+            got, expected = subdivide(crv, u0), ref_subdivide(crv, u0)
+            ratios = np.array([got.split_ratio, expected.split_ratio])
+            assert ratios[0].tobytes() == ratios[1].tobytes()
+            for piece, ref in ((got.left, expected.left), (got.right, expected.right)):
+                assert piece.u_interval == ref.u_interval
+                assert piece.points.shape == ref.points.shape
+                assert piece.points.tobytes() == ref.points.tobytes(), (n, alpha, u0)
+                assert piece.weights.tobytes() == ref.weights.tobytes(), (n, alpha, u0)
 
 
 def point_error(crv: ControlCurve, pieces, oracle) -> float:
