@@ -6,15 +6,29 @@ on a numerical failure (non-positive denominator, exhausted elevation
 budget).  A --spec file that cannot be read as UTF-8 and an --out path that
 cannot be written are validation errors too.  Output goes to stdout unless
 ``--out`` names a file; ``gallery`` treats ``--out`` as a directory and
-prints its error report to stdout.
+prints its error report to stdout.  A stdout that cannot be written is a
+validation error as well.
+
+A CLI process (``python -m chbez.cli`` or the ``chbez`` script) keeps the
+cyclic garbage collector off while its modules load.  Before the command it
+freezes what the imports made, so no later collection traverses those
+long-lived objects again, not even the ones at exit, and turns the collector
+back on.  Importing this module, or calling :func:`main` in process, does
+nothing to the collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
+import os
 import sys
 from pathlib import Path
+
+if __name__ == "__main__":
+    gc.disable()  # until _process_entry freezes what the imports below make
 
 import numpy as np
 
@@ -53,13 +67,16 @@ def _named(flag: str, fn, *args):
         raise RangeError(f"{flag}: {exc}") from None
 
 
-def _filed(flag: str, verb: str, path, fn, *args):
-    """``fn(*args)``, which reads or writes ``path``; its OS or decoding error names ``flag``."""
+def _filed(flag: str, action: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, which does ``action`` (``read PATH``, ``write``, ...).
+
+    Its OS or decoding error names ``flag`` and the action.
+    """
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        raise RangeError(f"{flag}: cannot {verb} {path} ({reason})") from None
+        raise RangeError(f"{flag}: cannot {action} ({reason})") from None
 
 
 def _capped(order: int, noun: str = "") -> int:
@@ -71,10 +88,9 @@ def _capped(order: int, noun: str = "") -> int:
 
 def _int_list_flag(text: str, flag: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise RangeError(f"{flag}: expected an integer or comma list, got {text!r}") from None
-    return values
 
 
 def _load_document(args) -> SpecDocument:
@@ -82,7 +98,7 @@ def _load_document(args) -> SpecDocument:
     if args.max_elevations < 0:
         raise RangeError(f"--max-elevations: must be nonnegative, got {args.max_elevations}")
     path = Path(args.spec)
-    text = _filed("--spec", "read", path, path.read_text, "utf-8")
+    text = _filed("--spec", f"read {path}", path.read_text, "utf-8")
     try:
         return parse_document(text)
     except SpecError as exc:
@@ -90,9 +106,7 @@ def _load_document(args) -> SpecDocument:
 
 
 def _coord_names(count: int) -> list[str]:
-    if count <= 3:
-        return ["x", "y", "z"][:count]
-    return [f"c{i + 1}" for i in range(count)]
+    return ["x", "y", "z"][:count] if count <= 3 else [f"c{i + 1}" for i in range(count)]
 
 
 def _order_flag(args, delta: int):
@@ -119,6 +133,22 @@ def _check_samples(count: int):
         raise RangeError(f"--samples: need at least 2 samples, got {count}")
 
 
+@contextlib.contextmanager
+def _sized(count: int, delta: int = 1):
+    """Refuse ``count`` samples a direction, on ``delta`` axes, that do not fit in memory.
+
+    A lattice of more doubles than one array can index is refused before
+    anything is allocated; a ``MemoryError`` raised in the block is refused
+    the same way.
+    """
+    try:
+        if count**delta > np.iinfo(np.intp).max // 8:
+            raise MemoryError
+        yield
+    except MemoryError:
+        raise RangeError(f"--samples: {count} samples do not fit in memory") from None
+
+
 def _space_flags(args) -> BasisSpace:
     """The space of --kind, --alpha and --order; alpha is checked alone first."""
     kind, alpha = _kind_flag(args.kind), _named("--alpha", parse_angle, args.alpha)
@@ -129,10 +159,11 @@ def _space_flags(args) -> BasisSpace:
 def _cmd_basis(args):
     _check_samples(args.samples)
     space = _space_flags(args)
-    us = np.linspace(0.0, space.alpha, args.samples)
-    mat = _named("--alpha", basis_matrix, space, us)  # a tiny alpha has no normal s(alpha/2)
-    columns = ["u"] + [f"b{i}" for i in range(space.dimension)]
-    return export_table(np.hstack([us[:, None], mat]), args.format, columns), args.out
+    with _sized(args.samples):
+        us = np.linspace(0.0, space.alpha, args.samples)
+        mat = _named("--alpha", basis_matrix, space, us)  # a tiny alpha has no normal s(alpha/2)
+        columns = ["u"] + [f"b{i}" for i in range(space.dimension)]
+        return export_table(np.hstack([us[:, None], mat]), args.format, columns), args.out
 
 
 def _cmd_xform(args):
@@ -222,8 +253,10 @@ def _cmd_sample(args):
 
     _check_samples(args.samples)
     doc = _load_document(args)
-    axes, values = _sampled(_described(doc, args, "samples"), doc.spec, args.samples)
-    return _output(values, args.format, "curve", axes, "u"), args.out
+    net = _described(doc, args, "samples")
+    with _sized(args.samples, len(doc.spec._directions)):
+        axes, values = _sampled(net, doc.spec, args.samples)
+        return _output(values, args.format, "curve", axes, "u"), args.out
 
 
 def _cmd_subdivide(args):
@@ -275,11 +308,9 @@ def _cmd_elevate(args):
 def _cmd_gallery(args):
     from .gallery import run_gallery
 
-    entries = _filed("--out", "write", args.out, run_gallery, args.out)
-    lines = [
-        f"{e['figure']}: wrote {e['output']}, max reconstruction error {e['error']:.3e}"
-        for e in entries
-    ]
+    entries = _filed("--out", f"write {args.out}", run_gallery, args.out)
+    report = "{figure}: wrote {output}, max reconstruction error {error:.3e}"
+    lines = [report.format(**e) for e in entries]
     lines.append(f"{len(entries)} artifacts in {args.out}")
     return "\n".join(lines) + "\n", None
 
@@ -370,17 +401,35 @@ def main(argv=None) -> int:
     try:
         text, out = args.handler(args)
         if out:
-            _filed("--out", "write", out, Path(out).write_text, text)
+            _filed("--out", f"write {out}", Path(out).write_text, text)
+        else:
+            _filed("stdout", "write", print, text, end="", flush=True)
     except (RangeError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if not out:
-        sys.stdout.write(text)
     return 0
 
 
+def _process_entry() -> int:
+    """:func:`main` as a process: ``python -m chbez.cli`` and the ``chbez`` script.
+
+    What the imports made lives as long as the process, so it moves to the
+    collector's permanent generation first.  A stdout that still cannot be
+    flushed afterwards is pointed at the null device, so the flush at exit
+    neither fails again nor changes the exit code.
+    """
+    gc.freeze()
+    gc.enable()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_process_entry())

@@ -1,7 +1,10 @@
 """End to end tests for the command line front end."""
 
+import errno
 import json
 import math
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +459,10 @@ _REFUSED = "error: --derivative: not supported for rational specs\n"
 _BAD_BUDGET = "error: --max-elevations: must be nonnegative, got -1\n"
 
 
+def _too_many(count):
+    return f"error: --samples: {count} samples do not fit in memory\n"
+
+
 def _over_cap(order):
     return f"error: --order: {order} exceeds the order cap 32\n"
 
@@ -601,6 +608,15 @@ FAILING_COMMANDS = [
     ("describe", "utf16_bom", [], 2, "error: --spec: cannot read {spec} ('utf-8' codec can't "
      "decode byte 0xff in position 0: invalid start byte)\n"),
     ("sample", "nested_5000_deep", [], 2, "error: {spec}: not valid JSON (nested too deeply)\n"),
+    # More samples than one array can index, refused before anything is
+    # allocated: per direction, or (a volume) on the lattice of three axes.
+    ("basis", "", ["--kind", "trig", "--alpha", "1", "--order", "2", "--samples", str(10**20)], 2,
+     _too_many(10**20)),
+    *[
+        ("sample", figure, ["--samples", str(10**20)], 2, _too_many(10**20))
+        for figure in ("hypocycloid", "torus_patch", "trigonometric_volume_1")
+    ],
+    ("sample", "trigonometric_volume_1", ["--samples", "1100000"], 2, _too_many(1100000)),
 ]
 
 
@@ -695,6 +711,54 @@ def test_failing_command(capsys, tmp_path, command, figure, flags, code, stderr)
         Path(path).write_bytes(RAW_SPECS[figure])
     stderr = stderr.replace("{spec}", path)  # a spec error names the file first
     assert run(capsys, command, "--spec", path, *flags) == (code, "", stderr)
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("chbez.cli.basis_matrix", ["basis", "--kind", "hyp", "--alpha", "1", "--order", "3"]),
+        *[
+            ("chbez.surface._sampled", ["sample", "--spec", figure])
+            for figure in ("hypocycloid", "torus_patch", "trigonometric_volume_1")
+        ],
+    ],
+)
+def test_samples_out_of_memory_name_the_flag(capsys, monkeypatch, target, argv):
+    """A MemoryError from the table or lattice allocation is refused like a count too large."""
+    monkeypatch.setattr(target, _out_of_memory)
+    if argv[0] == "sample":
+        argv = [*argv[:-1], str(Path(chbez.__file__).parent / "figures" / f"{argv[-1]}.json")]
+    assert run(capsys, *argv) == (2, "", _too_many(200))
+
+
+class _FullStream:
+    """A stdout on a full disk, whose ``fails`` method ("write" or "flush") raises ENOSPC."""
+
+    def __init__(self, fails):
+        self.fails = fails
+
+    def _call(self, name, result=None):
+        if name == self.fails:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return result
+
+    def write(self, text):
+        return self._call("write", len(text))
+
+    def flush(self):
+        self._call("flush")
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+def test_unwritable_stdout_is_a_validation_error(capsys, monkeypatch, fails):
+    monkeypatch.setattr(sys, "stdout", _FullStream(fails))
+    code = main(["basis", "--kind", "trig", "--alpha", "1", "--order", "3", "--samples", "5"])
+    err = capsys.readouterr().err
+    assert (code, err) == (2, "error: stdout: cannot write (No space left on device)\n")
 
 
 def test_derivative_scale_is_judged_per_direction(capsys):
