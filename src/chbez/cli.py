@@ -336,69 +336,80 @@ def _add_output_flags(sub, default_format="csv", formats=("csv", "json", "svg", 
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# Command -> its help line and its handler; :func:`_add_flags` adds its flags.
+_COMMANDS = {
+    "basis": ("tabulate the basis functions of one space", _cmd_basis),
+    "xform": ("basis-to-canonical transformation matrix", _cmd_xform),
+    "describe": ("control points of a spec document", _cmd_describe),
+    "describe-rational": ("like describe, but requires a rational spec",
+                          lambda args: _cmd_describe(args, require_rational=True)),
+    "subdivide": ("split a curve at an interior parameter", _cmd_subdivide),
+    "elevate": ("order elevate a curve step by step", _cmd_elevate),
+    "sample": ("evaluate a spec document on a uniform grid", _cmd_sample),
+    "gallery": ("regenerate all bundled figures", _cmd_gallery),
+}
+
+
+def _add_flags(p, command: str):
+    """The flags of ``command`` on its parser ``p``, in the order its help lists them."""
+    if command in ("basis", "xform"):
+        p.add_argument("--kind", required=True, help="trig or hyperbolic")
+        p.add_argument("--alpha", required=True, help="shape parameter (number or pi literal)")
+        p.add_argument("--order", type=int, required=True, help="order n")
+        if command == "basis":
+            p.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
+        return _add_output_flags(p, formats=("csv", "json"))
+    if command == "gallery":
+        return p.add_argument("--out", required=True, help="output directory")
+    _add_spec_flags(p)
+    if command == "subdivide":
+        p.add_argument(
+            "--split-at", required=True, help="split parameter u0 (number or pi literal)"
+        )
+        p.set_defaults(derivative=None)
+        return _add_output_flags(p, default_format="json", formats=("json",))
+    if command in ("describe", "sample"):
+        p.add_argument("--derivative", help="derivative order r, or comma list for surfaces")
+    elif command == "describe-rational":
+        p.add_argument("--derivative", help=argparse.SUPPRESS)
+    if command == "sample":
+        p.add_argument(
+            "--samples", type=int, default=200, help="samples per direction (default 200)"
+        )
+    if command == "elevate":
+        return _add_output_flags(p, formats=("csv", "json", "svg"))
+    _add_output_flags(p)
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        """Help goes through the check of command output, which refuses a stdout it cannot write."""
+        _filed("stdout", "write", print, self.format_help(), end="", file=file, flush=True)
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, with the flags of ``command`` only if it names one.
+
+    Every command keeps its help line, so the help, usage and error text of
+    a parse are those of the parser with the flags of every command.
+    """
+    parser = _Parser(
         prog="chbez",
         description="Control point descriptions of trigonometric and hyperbolic geometry.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("basis", help="tabulate the basis functions of one space")
-    p.add_argument("--kind", required=True, help="trig or hyperbolic")
-    p.add_argument("--alpha", required=True, help="shape parameter (number or pi literal)")
-    p.add_argument("--order", type=int, required=True, help="order n")
-    p.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
-    _add_output_flags(p, formats=("csv", "json"))
-    p.set_defaults(handler=_cmd_basis)
-
-    p = sub.add_parser("xform", help="basis-to-canonical transformation matrix")
-    p.add_argument("--kind", required=True, help="trig or hyperbolic")
-    p.add_argument("--alpha", required=True, help="shape parameter (number or pi literal)")
-    p.add_argument("--order", type=int, required=True, help="order n")
-    _add_output_flags(p, formats=("csv", "json"))
-    p.set_defaults(handler=_cmd_xform)
-
-    p = sub.add_parser("describe", help="control points of a spec document")
-    _add_spec_flags(p)
-    p.add_argument("--derivative", help="derivative order r, or comma list for surfaces")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_describe)
-
-    p = sub.add_parser("describe-rational", help="like describe, but requires a rational spec")
-    _add_spec_flags(p)
-    p.add_argument("--derivative", help=argparse.SUPPRESS)
-    _add_output_flags(p)
-    p.set_defaults(handler=lambda args: _cmd_describe(args, require_rational=True))
-
-    p = sub.add_parser("subdivide", help="split a curve at an interior parameter")
-    _add_spec_flags(p)
-    p.add_argument("--split-at", required=True, help="split parameter u0 (number or pi literal)")
-    _add_output_flags(p, default_format="json", formats=("json",))
-    p.set_defaults(handler=_cmd_subdivide, derivative=None)
-
-    p = sub.add_parser("elevate", help="order elevate a curve step by step")
-    _add_spec_flags(p)
-    _add_output_flags(p, formats=("csv", "json", "svg"))
-    p.set_defaults(handler=_cmd_elevate)
-
-    p = sub.add_parser("sample", help="evaluate a spec document on a uniform grid")
-    _add_spec_flags(p)
-    p.add_argument("--derivative", help="derivative order r, or comma list for surfaces")
-    p.add_argument("--samples", type=int, default=200, help="samples per direction (default 200)")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_sample)
-
-    p = sub.add_parser("gallery", help="regenerate all bundled figures")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(handler=_cmd_gallery)
-
+    for name, (help_line, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command == name or command not in _COMMANDS:
+            _add_flags(p, name)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         text, out = args.handler(args)
         if out:
             _filed("--out", f"write {out}", Path(out).write_text, text)

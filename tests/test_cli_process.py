@@ -196,8 +196,10 @@ _NO_SPACE = b"error: stdout: cannot write (No space left on device)\n"
     [
         ["basis", "--kind", "trig", "--alpha", "1", "--order", "3", "--samples", "5"],
         ["sample", "--spec", str(FIGURES / "torus_patch.json"), "--samples", "40"],
+        ["--help"],
+        ["basis", "--help"],
     ],
-    ids=["basis", "sample"],
+    ids=["basis", "sample", "help", "basis-help"],
 )
 def test_full_stdout_is_one_error_line(argv, unbuffered):
     with open(DEV_FULL, "wb") as full:
@@ -209,3 +211,54 @@ def test_full_stdout_keeps_the_gallery_files(tmp_path):
     with open(DEV_FULL, "wb") as full:
         assert run_process(["gallery", "--out", str(tmp_path)], stdout=full) == (2, b"", _NO_SPACE)
     assert (tmp_path / "manifest.json").is_file()
+
+
+# A child that runs ``python -m chbez.cli`` on its arguments, stdout discarded,
+# then prints its exit code and whether the vectorized formatter was loaded.
+LOADS = r"""
+import runpy, sys
+
+sys.argv = ["chbez", *sys.argv[1:]]
+try:
+    runpy.run_module("chbez.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, "chbez._vectorized" in sys.modules, file=sys.stderr)
+"""
+
+
+def vectorized_loaded(argv) -> bool:
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS, *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    code, loaded = proc.stderr.split()
+    assert code == "0", proc.stderr
+    return loaded == "True"
+
+
+# Small exports print through repr, so these processes never load the
+# vectorized formatter; large ones (the gallery's patches and volumes, a
+# basis table of 13,200 cells) do.
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["describe", "--spec", str(FIGURES / "torus_patch.json"), "--format", "obj"], False),
+        (["describe-rational", "--spec", str(FIGURES / "lemniscate.json")], False),
+        (["subdivide", "--spec", str(FIGURES / "quadrifolium.json"), "--split-at", "1"], False),
+        (["elevate", "--spec", str(FIGURES / "torus_knot.json"), "--format", "json"], False),
+        (["elevate", "--spec", str(FIGURES / "hypocycloid.json"), "--format", "svg"], False),
+        (["sample", "--spec", str(FIGURES / "lemniscate.json"), "--samples", "50"], False),
+        (["xform", "--kind", "trig", "--alpha", "1", "--order", "8"], False),
+        (["basis", "--kind", "hyp", "--alpha", "1", "--order", "32", "--samples", "200"], True),
+        (["gallery", "--out", "GALLERY"], True),
+    ],
+    ids=["describe", "describe-rational", "subdivide", "elevate", "elevate-svg", "sample", "xform",
+         "basis-32", "gallery"],
+)
+def test_only_large_exports_load_the_vectorized_formatter(tmp_path, argv, loaded):
+    argv = [str(tmp_path) if a == "GALLERY" else a for a in argv]
+    assert vectorized_loaded(argv) is loaded

@@ -4,7 +4,10 @@ The reference functions below are the original per-element exporters,
 kept verbatim: one ``format_float`` call per float, one Python ``vid()``
 call per quad corner and an ``np.ndindex`` walk over the control net.
 The package's block-wise exporters must print exactly the same bytes and
-raise the same ``RangeError`` messages on every input here.
+raise the same ``RangeError`` messages on every input here.  Every export
+in this module prints through the vectorized formatter, and the tests that
+call a formatter call its entry ``chbez._vectorized.format_rows``;
+tests/test_io_repr_path.py runs the reference cases through ``repr``.
 """
 
 import json
@@ -14,9 +17,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import chbez.io
 from chbez import RangeError, SvgPath, export_obj, export_svg, export_table
-from chbez.io import _BLOCK_CELLS, _SVG_COLORS, format_float
-from chbez.io import _format_rows
+from chbez._vectorized import _BLOCK_CELLS, format_rows
+from chbez.io import _SVG_COLORS, format_float
+
+
+@pytest.fixture(autouse=True)
+def vectorized(monkeypatch):
+    """Every export here prints through the vectorized formatter, however few its cells."""
+    monkeypatch.setattr(chbez.io, "_VECTOR_CELLS", 0)
+
 
 # ---------------------------------------------------------------------------
 # Reference exporters (verbatim copies of the per-element originals)
@@ -569,7 +580,7 @@ class TestGatherPath:
         data[2 * rows - 1 : 2 * rows + 1, 0] = 1.0 / 3.0
         assert_same(ref_export_table, export_table, data, "csv")
         pieces = ("[", *[" "] * (width - 1), "]\n")
-        assert "".join(_format_rows([(pieces, data)])) == rows_text(pieces, *columns_of(data))
+        assert "".join(format_rows([(pieces, data)])) == rows_text(pieces, *columns_of(data))
 
     def test_cli_layout_across_the_first_and_second_block_edge(self):
         for rows in edge_rows(6):
@@ -585,20 +596,20 @@ class TestGatherPath:
             coords[::5] = -0.0
             index = np.arange(rows) if ids else rng.integers(-3, 10**17 + 3, rows)
             pieces = ("(", ",", ",", ") ", "\n")
-            text = "".join(_format_rows([(pieces, coords, index[:, None])]))
+            text = "".join(format_rows([(pieces, coords, index[:, None])]))
             assert text == rows_text(pieces, *columns_of(coords, index[:, None]))
 
 
 # ---------------------------------------------------------------------------
-# The row formatter against repr: every float cell of every exporter is
-# printed by _format_rows, so its text must be repr of the value, in fixed
+# The vectorized formatter against repr: every float cell of a large export
+# is printed by format_rows, so its text must be repr of the value, in fixed
 # and exponent form alike, and an integer cell's text that of %d.
 
 
 def formatted(values) -> list[str]:
     """Each value as the one cell of a row, printed by the row formatter."""
     values = np.asarray(values)
-    return "".join(_format_rows([(("", "\n"), values.reshape(-1, 1))])).split("\n")[:-1]
+    return "".join(format_rows([(("", "\n"), values.reshape(-1, 1))])).split("\n")[:-1]
 
 
 def assert_repr(values):
@@ -740,7 +751,7 @@ class TestBlockEdges:
             data = mixed_cells(rng, (rows, width), finite=False)
             assert_same(ref_export_table, export_table, data, "csv")
             pieces = ("<", *[", "] * (width - 1), ">\n")
-            assert "".join(_format_rows([(pieces, data)])) == rows_text(pieces, *columns_of(data))
+            assert "".join(format_rows([(pieces, data)])) == rows_text(pieces, *columns_of(data))
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5, 7])
     @pytest.mark.parametrize("high", [None, 10**8, 2**63 - 1], ids=["ids", "wide", "any"])
@@ -752,7 +763,7 @@ class TestBlockEdges:
             top = rows * width if high is None else high
             ids = rng.integers(-1000 if high == 2**63 - 1 else 0, top, (rows, width))
             pieces = ("f ", *[" "] * (width - 1), "\n")
-            assert "".join(_format_rows([(pieces, ids)])) == rows_text(pieces, *columns_of(ids))
+            assert "".join(format_rows([(pieces, ids)])) == rows_text(pieces, *columns_of(ids))
 
     @pytest.mark.parametrize("rows", block_rows(5)[:3] + tuple(
         pytest.param(n, id=f"edge{d:+d}") for d, n in zip((-1, 0, 1), edge_rows(5))))
@@ -760,7 +771,7 @@ class TestBlockEdges:
         rng = np.random.default_rng(rows)
         coords, ids = mixed_cells(rng, (rows, 4)), np.arange(rows)[:, None]
         pieces = ("(", ",", ") ", ",", ' "', '"\n')
-        text = "".join(_format_rows([(pieces, coords, ids)]))
+        text = "".join(format_rows([(pieces, coords, ids)]))
         assert text == rows_text(pieces, *columns_of(coords, ids))
 
     def test_small_tables_and_literals_share_blocks(self):
@@ -776,7 +787,7 @@ class TestBlockEdges:
                     rows_text((" L ", ",", ""), *columns_of(small[2])),
                     " mid\n", rows_text(("v ", " ", " ", "\n"), *columns_of(large)),
                     rows_text(("f ", " ", " ", " ", "\n"), *columns_of(faces)), ";;;tail"]
-        assert "".join(_format_rows(items)) == "".join(expected)
+        assert "".join(format_rows(items)) == "".join(expected)
 
     @pytest.mark.parametrize("rows", [2048, 20000])
     def test_scratch_stays_below_one_and_a_half_megabytes(self, rows):
@@ -790,12 +801,12 @@ class TestBlockEdges:
 
 
 def scratch_peak(table):
-    """Bytes one ``_format_rows`` call of a 5-column table allocates beyond the text it returns."""
+    """Bytes one ``format_rows`` call of a 5-column table allocates beyond the text it returns."""
     items = [(("", ",", ",", ",", ",", "\n"), table)]
-    _format_rows(items)  # the constant tables are built on first use
+    format_rows(items)  # the constant tables are built on first use
     tracemalloc.start()
     try:
-        texts = _format_rows(items)
+        texts = format_rows(items)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

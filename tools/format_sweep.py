@@ -1,15 +1,17 @@
-"""Compare the exporters' row formatter with ``repr`` and ``%d`` on many values.
+"""Compare the exporters' vectorized row formatter with ``repr`` and ``%d`` on many values.
 
-Prints, through ``chbez.io._format_rows``, every notation class (powers of
-two and of ten, the first subnormals, both sides of each switch between
-fixed and exponent form, integers, zeros and non-finite values, each with
-both signs) and then ``count`` seeded random 64-bit patterns read as
-doubles, in chunks of 2**20.  Each chunk is printed one value a line, as
-OBJ vertex rows of 3 and as CSV rows of 5, so cells meet literals of
-several lengths, and each line is compared with ``repr``.  Each chunk is
-printed once more with every value twice, at shuffled positions, as OBJ
-and CSV rows, so the formatter's blocks format each distinct bit pattern
-once and gather it into every cell that holds it.  Two chunks shorter
+Prints, through ``chbez._vectorized.format_rows`` (the formatter of every
+export of many cells, called directly, whatever the size of its input),
+every notation class (powers of two and of ten, the first subnormals, both
+sides of each switch between fixed and exponent form, integers, zeros and
+non-finite values, each with both signs) and then ``count`` seeded random
+64-bit patterns read as doubles, in chunks of 2**20.  Each chunk is
+printed one value a line, as OBJ vertex rows of 3 and as CSV rows of 5,
+so cells meet literals of several lengths, and each line is compared with
+``repr``.  Each chunk is printed once more with every value twice, at
+shuffled positions, as OBJ and CSV rows, so the formatter's blocks format
+each distinct bit pattern once and gather it into every cell that holds
+it.  Two chunks shorter
 than one 10,240-cell block put ``0.0``, ``-0.0``, NaNs of several payloads
 and both signs, and ``+-inf`` into one block; in the second no value but
 ``-0.0`` is negative, so the two zeros are neighbours in bit order, where a
@@ -29,7 +31,7 @@ import sys
 import numpy as np
 
 sys.path.insert(0, "src")
-from chbez.io import _format_rows
+from chbez._vectorized import format_rows
 
 CHUNK = 2**20
 # Row pieces: one value a line, OBJ vertex rows and CSV rows.
@@ -85,7 +87,7 @@ def first_mismatch(values: np.ndarray, texts: list[str], layouts=LAYOUTS):
     for pieces in layouts:
         width = len(pieces) - 1
         n = len(values) // width * width
-        text = "".join(_format_rows([(pieces, values[:n].reshape(-1, width))]))
+        text = "".join(format_rows([(pieces, values[:n].reshape(-1, width))]))
         # No value's text holds a space, a comma or "v ", so the rows split back into lines.
         lines = text.replace("v ", "").replace(" ", "\n").replace(",", "\n")
         if lines != "".join(t + "\n" for t in texts[:n]):
