@@ -7,7 +7,9 @@ budget).  A --spec file that cannot be read as UTF-8 and an --out path that
 cannot be written are validation errors too.  Output goes to stdout unless
 ``--out`` names a file; ``gallery`` treats ``--out`` as a directory and
 prints its error report to stdout.  A stdout that cannot be written is a
-validation error as well.
+validation error as well, and so is a command that runs out of memory: its
+message names --samples once the command samples, else --order, which sizes
+the control net.
 
 A CLI process (``python -m chbez.cli`` or the ``chbez`` script) keeps the
 cyclic garbage collector off while its modules load.  Before the command it
@@ -20,7 +22,6 @@ nothing to the collector.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import json
 import os
@@ -109,17 +110,27 @@ def _coord_names(count: int) -> list[str]:
     return ["x", "y", "z"][:count] if count <= 3 else [f"c{i + 1}" for i in range(count)]
 
 
-def _order_flag(args, delta: int):
-    """--order: ``delta`` ints (one order repeats; a curve takes just one), or None."""
+def _order_flag(args, spec):
+    """--order: an int per direction of ``spec`` (one repeats; a curve takes one), or None.
+
+    Refused are an order above the cap, and a positive one whose hyperbolic
+    space trips the overflow guard.
+    """
     if args.order is None:
         return None
+    directions = spec._directions
+    delta = len(directions)
     orders = _int_list_flag(args.order, "--order")
     if delta == 1 and len(orders) != 1:
         raise RangeError(f"--order: a curve takes one order, got {len(orders)}")
     if len(orders) not in (1, delta):
         raise RangeError(f"--order: expected {delta} orders, got {len(orders)}")
     _capped(max(orders))
-    return orders * delta if len(orders) == 1 else orders
+    orders = orders * delta if len(orders) == 1 else orders
+    for direction, n in zip(directions, orders):
+        if n > 0:  # a smaller order is refused against the minimum order when described
+            _named("--order", direction.space, n)
+    return orders
 
 
 def _require_curve(doc: SpecDocument, command: str):
@@ -133,20 +144,16 @@ def _check_samples(count: int):
         raise RangeError(f"--samples: need at least 2 samples, got {count}")
 
 
-@contextlib.contextmanager
-def _sized(count: int, delta: int = 1):
-    """Refuse ``count`` samples a direction, on ``delta`` axes, that do not fit in memory.
+def _sampling(args, delta: int = 1):
+    """Sampling begins: from here on :func:`main` refuses a ``MemoryError`` at --samples.
 
-    A lattice of more doubles than one array can index is refused before
-    anything is allocated; a ``MemoryError`` raised in the block is refused
-    the same way.
+    Until then the refusal names --order, which sizes the control net described
+    and written.  A lattice of more doubles than one array can index is
+    refused before anything is allocated.
     """
-    try:
-        if count**delta > np.iinfo(np.intp).max // 8:
-            raise MemoryError
-        yield
-    except MemoryError:
-        raise RangeError(f"--samples: {count} samples do not fit in memory") from None
+    args.memory_refusal = f"--samples: {args.samples} samples do not fit in memory"
+    if args.samples**delta > np.iinfo(np.intp).max // 8:
+        raise MemoryError
 
 
 def _space_flags(args) -> BasisSpace:
@@ -159,33 +166,35 @@ def _space_flags(args) -> BasisSpace:
 def _cmd_basis(args):
     _check_samples(args.samples)
     space = _space_flags(args)
-    with _sized(args.samples):
-        us = np.linspace(0.0, space.alpha, args.samples)
-        mat = _named("--alpha", basis_matrix, space, us)  # a tiny alpha has no normal s(alpha/2)
-        columns = ["u"] + [f"b{i}" for i in range(space.dimension)]
-        return export_table(np.hstack([us[:, None], mat]), args.format, columns), args.out
+    _sampling(args)
+    us = np.linspace(0.0, space.alpha, args.samples)
+    mat = _named("--alpha", basis_matrix, space, us)  # a tiny alpha has no normal s(alpha/2)
+    columns = ["u"] + [f"b{i}" for i in range(space.dimension)]
+    return export_table(np.hstack([us[:, None], mat]), args.format, columns), args.out
 
 
 def _cmd_xform(args):
     return export_table(transform_matrix(_space_flags(args)).rows, args.format), args.out
 
 
-def _derivative_orders(args, delta: int):
-    if args.derivative is None:
+def _derivative_orders(text, delta: int):
+    if text is None:
         return None
-    orders = _int_list_flag(args.derivative, "--derivative")
+    orders = _int_list_flag(text, "--derivative")
     if len(orders) == 1 and delta > 1:
         orders = orders * delta
     if len(orders) != delta:
         raise RangeError(f"--derivative: expected {delta} orders, got {len(orders)}")
     if any(r < 0 for r in orders):
-        raise RangeError(f"--derivative: orders must be nonnegative, got {args.derivative!r}")
+        raise RangeError(f"--derivative: orders must be nonnegative, got {text!r}")
     return orders
 
 
 def _check_format(doc: SpecDocument, fmt: str, noun: str):
-    """Refuse svg or obj output whose channel count does not fit, from the spec alone."""
+    """Refuse svg output of a patch, and svg or obj output whose channel count does not fit."""
     channels = len(doc.spec._products) - doc.rational
+    if fmt == "svg" and len(doc.spec._directions) > 1:
+        raise RangeError("--format: svg is for planar curves only")
     if fmt == "svg" and channels != 2:
         raise RangeError(f"--format: svg needs 2-d {noun}")
     if fmt == "obj" and channels != 3:
@@ -201,13 +210,11 @@ def _described(doc: SpecDocument, args, noun: str = "points"):
     from .exact import _derivative_scale, _describe, min_orders
 
     spec = doc.spec
-    delta = len(spec._directions)
-    r = _derivative_orders(args, delta)
-    orders = _order_flag(args, delta)
+    derivative = getattr(args, "derivative", None)  # subdivide has no --derivative
+    r = _derivative_orders(derivative, len(spec._directions))
+    orders = _order_flag(args, spec)
     if doc.rational and r is not None and any(r):
         raise RangeError("--derivative: not supported for rational specs")
-    if args.format == "svg" and delta > 1:
-        raise RangeError("--format: svg is for planar curves only")
     _check_format(doc, args.format, noun)
     for k, rj in zip(min_orders(spec), r or ()):
         _named("--derivative", _derivative_scale, k, rj)  # the largest frequency scales most
@@ -241,9 +248,9 @@ def _control_output(net, fmt: str) -> str:
     return _output(net.points, fmt, "polygon", index, "i", net.weights)
 
 
-def _cmd_describe(args, require_rational=False):
+def _cmd_describe(args):
     doc = _load_document(args)
-    if require_rational and not doc.rational:
+    if args.command == "describe-rational" and not doc.rational:
         raise SpecError("rational", "describe-rational needs a spec with rational = true")
     return _control_output(_described(doc, args), args.format), args.out
 
@@ -254,9 +261,9 @@ def _cmd_sample(args):
     _check_samples(args.samples)
     doc = _load_document(args)
     net = _described(doc, args, "samples")
-    with _sized(args.samples, len(doc.spec._directions)):
-        axes, values = _sampled(net, doc.spec, args.samples)
-        return _output(values, args.format, "curve", axes, "u"), args.out
+    _sampling(args, len(doc.spec._directions))
+    axes, values = _sampled(net, doc.spec, args.samples)
+    return _output(values, args.format, "curve", axes, "u"), args.out
 
 
 def _cmd_subdivide(args):
@@ -269,17 +276,11 @@ def _cmd_subdivide(args):
     result = subdivide(curve, _named("--split-at", _split_point, curve.space, u0))
 
     def piece(p):
-        return {
-            "interval": [p.u_interval[0], p.u_interval[1]],
-            "points": p.points.tolist(),
-            "weights": p.weights.tolist(),
-        }
+        return {"interval": list(p.u_interval), "points": p.points.tolist(),
+                "weights": p.weights.tolist()}
 
-    payload = {
-        "split_ratio": result.split_ratio,
-        "left": piece(result.left),
-        "right": piece(result.right),
-    }
+    payload = {"split_ratio": result.split_ratio, "left": piece(result.left),
+               "right": piece(result.right)}
     return json.dumps(payload, indent=2) + "\n", args.out
 
 
@@ -291,7 +292,7 @@ def _cmd_elevate(args):
     spec = _require_curve(doc, "elevate")
     _check_format(doc, args.format, "points")
     base = min_order(spec)
-    target = (_order_flag(args, 1) or (None,))[0]
+    target = (_order_flag(args, spec) or (None,))[0]
     if target is not None and target < base:
         raise RangeError(f"--order: target {target} below the minimum order {base}")
     curve = _describe(spec, None, None, doc.rational, args.max_elevations)[0]
@@ -299,9 +300,9 @@ def _cmd_elevate(args):
     if target is None:
         target = _capped(reached + 1, "default target ")
     elif target < reached:
-        raise RangeError(
-            f"--order: target {target} below the order {reached} the rational description reached"
-        )
+        raise RangeError(f"--order: target {target} below the order {reached} the rational "
+                         "description reached")
+    _named("--order", spec.space, target)  # a default target can trip the overflow guard
     return _control_output(elevate(curve, target - reached), args.format), args.out
 
 
@@ -315,70 +316,53 @@ def _cmd_gallery(args):
     return "\n".join(lines) + "\n", None
 
 
-def _add_spec_flags(sub):
-    sub.add_argument("--spec", required=True, help="path of the JSON spec document")
-    sub.add_argument("--order", help="order n, or comma list for surfaces (default: minimum)")
-    sub.add_argument(
-        "--max-elevations",
-        type=int,
-        default=32,
-        help="elevation budget for rational descriptions (default 32)",
-    )
+# Shared flags, each a (name, help, options) triple for ``add_argument``.
+_REQUIRED = {"required": True}
+_SPACE_FLAGS = (
+    ("--kind", "trig or hyperbolic", _REQUIRED),
+    ("--alpha", "shape parameter (number or pi literal)", _REQUIRED),
+    ("--order", "order n", {"type": int, "required": True}),
+)
+_SPEC_FLAGS = (
+    ("--spec", "path of the JSON spec document", _REQUIRED),
+    ("--order", "order n, or comma list for surfaces (default: minimum)", {}),
+    ("--max-elevations", "elevation budget for rational descriptions (default 32)",
+     {"type": int, "default": 32}),
+)
+_DERIVATIVE = ("--derivative", "derivative order r, or comma list for surfaces", {})
+_OUT = ("--out", "output file (default: stdout)", {})
 
 
-def _add_output_flags(sub, default_format="csv", formats=("csv", "json", "svg", "obj")):
-    sub.add_argument("--out", help="output file (default: stdout)")
-    sub.add_argument(
-        "--format",
-        default=default_format,
-        choices=formats,
-        help=f"output format (default {default_format})",
-    )
+def _format_flag(*formats, default="csv"):
+    options = {"default": default, "choices": formats}
+    return "--format", f"output format (default {default})", options
 
 
-# Command -> its help line and its handler; :func:`_add_flags` adds its flags.
+_FORMAT = _format_flag("csv", "json", "svg", "obj")  # every format
+
+# Command -> its help line, its handler and its flags in the order its help lists them.
 _COMMANDS = {
-    "basis": ("tabulate the basis functions of one space", _cmd_basis),
-    "xform": ("basis-to-canonical transformation matrix", _cmd_xform),
-    "describe": ("control points of a spec document", _cmd_describe),
-    "describe-rational": ("like describe, but requires a rational spec",
-                          lambda args: _cmd_describe(args, require_rational=True)),
-    "subdivide": ("split a curve at an interior parameter", _cmd_subdivide),
-    "elevate": ("order elevate a curve step by step", _cmd_elevate),
-    "sample": ("evaluate a spec document on a uniform grid", _cmd_sample),
-    "gallery": ("regenerate all bundled figures", _cmd_gallery),
+    "basis": ("tabulate the basis functions of one space", _cmd_basis, (
+        *_SPACE_FLAGS, ("--samples", "sample count (default 200)", {"type": int, "default": 200}),
+        _OUT, _format_flag("csv", "json"))),
+    "xform": ("basis-to-canonical transformation matrix", _cmd_xform,
+              (*_SPACE_FLAGS, _OUT, _format_flag("csv", "json"))),
+    "describe": ("control points of a spec document", _cmd_describe,
+                 (*_SPEC_FLAGS, _DERIVATIVE, _OUT, _FORMAT)),
+    "describe-rational": ("like describe, but requires a rational spec", _cmd_describe,
+                          (*_SPEC_FLAGS, ("--derivative", argparse.SUPPRESS, {}), _OUT, _FORMAT)),
+    "subdivide": ("split a curve at an interior parameter", _cmd_subdivide, (
+        *_SPEC_FLAGS, ("--split-at", "split parameter u0 (number or pi literal)", _REQUIRED),
+        _OUT, _format_flag("json", default="json"))),
+    "elevate": ("order elevate a curve step by step", _cmd_elevate,
+                (*_SPEC_FLAGS, _OUT, _format_flag("csv", "json", "svg"))),
+    "sample": ("evaluate a spec document on a uniform grid", _cmd_sample, (
+        *_SPEC_FLAGS, _DERIVATIVE,
+        ("--samples", "samples per direction (default 200)", {"type": int, "default": 200}),
+        _OUT, _FORMAT)),
+    "gallery": ("regenerate all bundled figures", _cmd_gallery,
+                (("--out", "output directory", _REQUIRED),)),
 }
-
-
-def _add_flags(p, command: str):
-    """The flags of ``command`` on its parser ``p``, in the order its help lists them."""
-    if command in ("basis", "xform"):
-        p.add_argument("--kind", required=True, help="trig or hyperbolic")
-        p.add_argument("--alpha", required=True, help="shape parameter (number or pi literal)")
-        p.add_argument("--order", type=int, required=True, help="order n")
-        if command == "basis":
-            p.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
-        return _add_output_flags(p, formats=("csv", "json"))
-    if command == "gallery":
-        return p.add_argument("--out", required=True, help="output directory")
-    _add_spec_flags(p)
-    if command == "subdivide":
-        p.add_argument(
-            "--split-at", required=True, help="split parameter u0 (number or pi literal)"
-        )
-        p.set_defaults(derivative=None)
-        return _add_output_flags(p, default_format="json", formats=("json",))
-    if command in ("describe", "sample"):
-        p.add_argument("--derivative", help="derivative order r, or comma list for surfaces")
-    elif command == "describe-rational":
-        p.add_argument("--derivative", help=argparse.SUPPRESS)
-    if command == "sample":
-        p.add_argument(
-            "--samples", type=int, default=200, help="samples per direction (default 200)"
-        )
-    if command == "elevate":
-        return _add_output_flags(p, formats=("csv", "json", "svg"))
-    _add_output_flags(p)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -398,11 +382,13 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         description="Control point descriptions of trigonometric and hyperbolic geometry.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, handler) in _COMMANDS.items():
+    for name, (help_line, handler, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         if command == name or command not in _COMMANDS:
-            _add_flags(p, name)
-            p.set_defaults(handler=handler)
+            for flag, help_text, options in flags:
+                p.add_argument(flag, help=help_text, **options)
+            p.set_defaults(handler=handler,
+                           memory_refusal="--order: the control net does not fit in memory")
     return parser
 
 
@@ -417,6 +403,9 @@ def main(argv=None) -> int:
             _filed("stdout", "write", print, text, end="", flush=True)
     except (RangeError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # the refusal names --order, or --samples once sampling began
+        print(f"error: {args.memory_refusal}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

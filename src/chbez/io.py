@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _exports
 from ._record import record
-from .bbasis import _MAX_ORDER, BasisKind, _is_count
+from .bbasis import _MAX_ORDER, _OVERFLOW_LIMIT, BasisKind, _is_count
 from .errors import RangeError, SpecError
 
 if TYPE_CHECKING:  # the parsers import the spec types when they first run
@@ -168,7 +168,7 @@ def _parse_curve(raw: dict, rational: bool) -> CurveSpec:
 
     kind, alpha = _parse_direction(raw, "")
     coords = _objects(raw, "coords", "", {"terms"})
-    fns = tuple(_parse_coordinate(c, kind, path) for path, c in coords)
+    fns = tuple(_parse_coordinate(c, kind, alpha, path) for path, c in coords)
     spec = _at("alpha", CurveSpec, kind, alpha, fns)
     if rational and spec.dimension < 2:
         raise SpecError("coords", "a rational curve needs at least 2 coordinates")
@@ -202,7 +202,8 @@ def _parse_surface(raw: dict, rational: bool) -> SurfaceSpec:
                     f"{spath}.factors", f"expected {delta} factors, got {len(s['factors'])}"
                 )
             terms.append(ProductTerm(tuple(
-                _parse_coordinate(f, d.kind, fpath) for d, (fpath, f) in zip(directions, factors)
+                _parse_coordinate(f, d.kind, d.alpha, fpath)
+                for d, (fpath, f) in zip(directions, factors)
             )))
         fns.append(SurfaceCoordinateFunction(tuple(terms)))
     return SurfaceSpec(tuple(directions), count - delta - rational, tuple(fns))
@@ -227,15 +228,20 @@ def _parse_direction(raw: dict, path: str) -> tuple[BasisKind, float]:
     return _KINDS[value], alpha
 
 
-def _parse_coordinate(raw: dict, kind: BasisKind, path: str) -> CoordinateFunction:
-    """A curve coordinate or a patch factor: a list of terms in one direction's kind."""
+def _parse_coordinate(raw: dict, kind: BasisKind, alpha: float, path: str) -> CoordinateFunction:
+    """A curve coordinate or a patch factor: a list of terms in one direction's kind and alpha."""
     from .exact import CoordinateFunction
 
     terms = _objects(raw, "terms", path, {"family", "k", "a", "phase"})
-    return CoordinateFunction(tuple(_parse_term(t, kind, tpath) for tpath, t in terms))
+    return CoordinateFunction(tuple(_parse_term(t, kind, alpha, tpath) for tpath, t in terms))
 
 
-def _parse_term(raw: dict, kind: BasisKind, path: str) -> Term:
+def _parse_term(raw: dict, kind: BasisKind, alpha: float, path: str) -> Term:
+    """A term whose frequency ``k`` fits a space of order k: at most the cap, and within the guard.
+
+    An ``alpha`` that trips the hyperbolic overflow guard alone is left to
+    the check of the direction, which names ``alpha``.
+    """
     from .exact import Term, TermFamily
 
     family_raw = _field(raw, "family", f"{path}.family", str, "a string")
@@ -251,6 +257,9 @@ def _parse_term(raw: dict, kind: BasisKind, path: str) -> Term:
         raise SpecError(f"{path}.k", f"must be a nonnegative integer, got {k!r}")
     if k > _MAX_ORDER:
         raise SpecError(f"{path}.k", f"{k} exceeds the order cap {_MAX_ORDER}")
+    if kind is BasisKind.HYPERBOLIC and k * alpha > _OVERFLOW_LIMIT >= alpha:
+        raise SpecError(f"{path}.k", f"hyperbolic k*alpha = {k * alpha:g} exceeds the overflow "
+                        f"guard {_OVERFLOW_LIMIT:g}")
     a = _number(raw, "a", f"{path}.a")
     phase = _number(raw, "phase", f"{path}.phase", angle=True) if "phase" in raw else 0.0
     family = TermFamily.COSINE if family_raw == families[0] else TermFamily.SINE

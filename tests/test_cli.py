@@ -467,6 +467,10 @@ def _over_cap(order):
     return f"error: --order: {order} exceeds the order cap 32\n"
 
 
+def _over_guard(product):
+    return f"error: --order: hyperbolic n*alpha = {product} exceeds the overflow guard 300\n"
+
+
 # command, figure, extra flags -> exit code and the whole of stderr.
 FAILING_COMMANDS = [
     ("describe", "lemniscate", ["--derivative", "1"], 2, _REFUSED),
@@ -557,6 +561,19 @@ FAILING_COMMANDS = [
      "error: {spec}:coords[0].terms[0].a: must be finite, got inf\n"),
     ("elevate", "hypocycloid_k40", ["--order", "40"], 2,
      "error: {spec}:coords[0].terms[0].k: 40 exceeds the order cap 32\n"),
+    # An order whose hyperbolic space trips the overflow guard names --order,
+    # and so does the default elevation target; a term's frequency names its k.
+    *[
+        (command, "equilateral_hyperbola_alpha_12", ["--order", "26", *flags], 2, _over_guard(312))
+        for command, flags in [("describe", []), ("sample", []), ("elevate", []),
+                               ("subdivide", ["--split-at", "1"])]
+    ],
+    ("sample", "rational_hyperbolic_butterfly", ["--order", "32,32"], 2, _over_guard(320)),
+    ("describe", "rational_hyperbolic_butterfly", ["--order", "31"], 2, _over_guard(310)),
+    ("elevate", "equilateral_hyperbola_alpha_12_k25", [], 2, _over_guard(312)),
+    ("describe", "equilateral_hyperbola_alpha_20_k20", [], 2,
+     "error: {spec}:coords[1].terms[1].k: hyperbolic k*alpha = 400 exceeds the overflow "
+     "guard 300\n"),
     # Described at the cap, a curve has no default elevation target.
     ("elevate", "hypocycloid_k32", [], 2,
      "error: --order: default target 33 exceeds the order cap 32\n"),
@@ -674,6 +691,22 @@ def _k32_tiny_alpha_doc() -> dict:
     return doc
 
 
+def _alpha_12_doc(k: int = 1) -> dict:
+    """equilateral_hyperbola.json with alpha set to 12 and its first frequency set to ``k``."""
+    doc = json.loads(load_figure_text("equilateral_hyperbola"))
+    doc["alpha"] = 12
+    doc["coords"][0]["terms"][0]["k"] = k
+    return doc
+
+
+def _alpha_20_k20_doc() -> dict:
+    """equilateral_hyperbola.json at alpha = 20 with a term cosh(20 u) added to its y."""
+    doc = json.loads(load_figure_text("equilateral_hyperbola"))
+    doc["alpha"] = 20
+    doc["coords"][1]["terms"].append({"family": "cosh", "k": 20, "a": 1})
+    return doc
+
+
 # Documents derived from a bundled figure, by the name FAILING_COMMANDS gives them.
 DERIVED_DOCS = {
     "hypocycloid_k32_tiny_alpha": _k32_tiny_alpha_doc,
@@ -683,6 +716,9 @@ DERIVED_DOCS = {
     "hypocycloid_k40": _k40_doc,
     "hypocycloid_huge_a": _huge_a_doc,
     "equilateral_hyperbola_alpha_200": _alpha_200_doc,
+    "equilateral_hyperbola_alpha_12": _alpha_12_doc,
+    "equilateral_hyperbola_alpha_12_k25": lambda: _alpha_12_doc(25),
+    "equilateral_hyperbola_alpha_20_k20": _alpha_20_k20_doc,
 }
 
 
@@ -733,6 +769,23 @@ def test_samples_out_of_memory_name_the_flag(capsys, monkeypatch, target, argv):
     if argv[0] == "sample":
         argv = [*argv[:-1], str(Path(chbez.__file__).parent / "figures" / f"{argv[-1]}.json")]
     assert run(capsys, *argv) == (2, "", _too_many(200))
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("chbez.exact._describe", ["describe", "--spec", "torus_patch"]),
+        ("chbez.exact._describe", ["sample", "--spec", "torus_patch"]),  # before sampling begins
+        ("chbez.cli.export_table", ["describe-rational", "--spec", "lemniscate"]),
+        ("chbez.curve.elevate", ["elevate", "--spec", "hypocycloid"]),
+        ("chbez.curve.subdivide", ["subdivide", "--spec", "hypocycloid", "--split-at", "1"]),
+    ],
+)
+def test_net_out_of_memory_names_the_order(capsys, monkeypatch, target, argv):
+    """A MemoryError while a control net is described or written is refused at --order."""
+    monkeypatch.setattr(target, _out_of_memory)
+    argv[2] = str(Path(chbez.__file__).parent / "figures" / f"{argv[2]}.json")
+    assert run(capsys, *argv) == (2, "", "error: --order: the control net does not fit in memory\n")
 
 
 class _FullStream:

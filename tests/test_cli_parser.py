@@ -48,6 +48,18 @@ CASES = {
     "flag of another command": ["describe-rational", "--spec", "a.json", "--split-at", "1"],
 }
 
+# One valid argument list per command, parsed but never run.
+VALID = {
+    "basis": ["basis", "--kind", "trig", "--alpha", "pi/2", "--order", "3", "--format", "json"],
+    "xform": ["xform", "--kind", "hyp", "--alpha", "1", "--order", "2"],
+    "describe": ["describe", "--spec", "a.json", "--order", "3,4", "--derivative", "1"],
+    "describe-rational": ["describe-rational", "--spec", "a.json", "--max-elevations", "5"],
+    "subdivide": ["subdivide", "--spec", "a.json", "--split-at", "pi/4"],
+    "elevate": ["elevate", "--spec", "a.json", "--format", "svg", "--out", "e.svg"],
+    "sample": ["sample", "--spec", "a.json", "--samples", "7", "--format", "obj"],
+    "gallery": ["gallery", "--out", "g"],
+}
+
 
 def outcome(parse, argv) -> dict:
     """Exit code, stdout and stderr of ``parse(argv)``, which must exit, at 80 columns."""
@@ -99,6 +111,15 @@ def test_parser_output_is_unchanged(recorded, name):
 @pytest.mark.parametrize("name", CASES)
 def test_parser_of_one_command_prints_what_the_full_parser_prints(name):
     assert outcome(main, CASES[name]) == outcome(full_parser, CASES[name])
+
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_of_one_command_parses_what_the_full_parser_parses(command):
+    """The same Namespace, handler and every default included."""
+    args = _build_parser(command).parse_args(VALID[command])
+    assert args == _build_parser().parse_args(VALID[command])
+    assert args.command == command and callable(args.handler)
 
 
 if __name__ == "__main__":

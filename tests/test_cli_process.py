@@ -262,3 +262,55 @@ def vectorized_loaded(argv) -> bool:
 def test_only_large_exports_load_the_vectorized_formatter(tmp_path, argv, loaded):
     argv = [str(tmp_path) if a == "GALLERY" else a for a in argv]
     assert vectorized_loaded(argv) is loaded
+
+
+# The address space of a child that runs out of memory: numpy and one
+# OpenBLAS thread load in it, and so do the control net of order 20 below and
+# its table (about 1 GB at the peak).
+_ADDRESS_SPACE = 1_500_000_000
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+
+def _patch_4(tmp_path) -> str:
+    """A 4-direction patch, one cos u factor per direction and 4 coordinates.
+
+    Its control net has (2n + 1)^4 points: at order 32, 17.9 million.
+    """
+    factor = {"terms": [{"family": "cos", "k": 1, "a": 1}]}
+    doc = {"version": 1, "type": "surface",
+           "directions": [{"kind": "trigonometric", "alpha": 1}] * 4,
+           "coords": [{"summands": [{"factors": [factor] * 4}]}] * 4}
+    spec = tmp_path / "patch4.json"
+    spec.write_text(json.dumps(doc))
+    return str(spec)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["describe", "--spec", "PATCH_4", "--order", "20"], (0, b"")),
+        (["describe", "--spec", "PATCH_4", "--order", "32"],
+         (2, b"error: --order: the control net does not fit in memory\n")),
+        (["sample", "--spec", str(FIGURES / "trigonometric_volume_1.json"), "--samples", "600"],
+         (2, b"error: --samples: 600 samples do not fit in memory\n")),
+    ],
+    ids=["order-20", "order-32", "volume-samples-600"],
+)
+def test_what_does_not_fit_the_address_space_is_one_error_line(tmp_path, argv, expected):
+    argv = [_patch_4(tmp_path) if a == "PATCH_4" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "chbez.cli", *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        stdin=subprocess.DEVNULL,
+        env=child_env(OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == expected

@@ -323,6 +323,21 @@ SPEC_ERRORS = [
         curve_doc, (("kind",), "hyperbolic"), (("alpha",), 400.0),
         (("coords",), [{"terms": [{"family": "cosh", "k": 1, "a": 1.0}]}])),
      "alpha: hyperbolic n*alpha = 400 exceeds the overflow guard 300"),
+    # The hyperbolic overflow guard: alpha alone is judged at alpha, a term's
+    # frequency with it at the term's k.
+    ("alpha-hyperbolic-range-before-k", derived(
+        curve_doc, (("kind",), "hyperbolic"), (("alpha",), 400.0),
+        (("coords",), [{"terms": [{"family": "cosh", "k": 5, "a": 1.0}]}])),
+     "alpha: hyperbolic n*alpha = 400 exceeds the overflow guard 300"),
+    ("k-hyperbolic-guard", derived(
+        curve_doc, (("kind",), "hyperbolic"), (("alpha",), 20.0),
+        (("coords",), [{"terms": [{"family": "cosh", "k": 0, "a": 1.0},
+                                  {"family": "cosh", "k": 20, "a": 1.0}]}])),
+     "coords[0].terms[1].k: hyperbolic k*alpha = 400 exceeds the overflow guard 300"),
+    ("factor-k-hyperbolic-guard",
+     derived(surface_doc, (("directions", 1, "alpha"), 10.0), (S_TERM + ("k",), 31)),
+     "coords[0].summands[0].factors[1].terms[0].k: hyperbolic k*alpha = 310 exceeds the "
+     "overflow guard 300"),
     # A curve's coordinates and terms.
     ("coords-missing", derived(curve_doc, (("coords",), _DELETE)),
      "coords: must be an array, got None"),
@@ -504,6 +519,12 @@ def test_too_deep_nesting_is_a_spec_error_at_the_root():
 def test_frequency_at_the_order_cap_parses():
     doc = derived(curve_doc, (C_TERM + ("k",), 32))
     assert parse_document(json.dumps(doc)).spec.coords[0].terms[0].frequency == 32
+
+
+def test_frequency_at_the_overflow_guard_parses():
+    doc = derived(surface_doc, (("directions", 1, "alpha"), 10.0), (S_TERM + ("k",), 30))
+    spec = parse_document(json.dumps(doc)).spec
+    assert spec.coords[0].summands[0].factors[1].terms[0].frequency == 30
 
 
 class TestBundledFigures:
