@@ -215,6 +215,15 @@ class TestBasisEvaluation:
         with pytest.raises(RangeError):
             basis_value(space, 0.5, 0.5)
 
+    @pytest.mark.parametrize(
+        "i, message",
+        [(1.5, "basis index must be an integer, got 1.5"), (99, "basis index 99 outside 0..2")],
+    )
+    def test_refused_index_text(self, i, message):
+        with pytest.raises(RangeError) as exc:
+            basis_value(BasisSpace(TRIG, 1, 1.0), i, 0.5)
+        assert str(exc.value) == message
+
     def test_matrix_rejects_bad_batch_shape(self):
         space = BasisSpace(TRIG, 1, 1.0)
         with pytest.raises(RangeError, match="one dimensional"):
@@ -282,3 +291,16 @@ class TestBernstein:
     def test_index_must_be_an_integer(self):
         with pytest.raises(RangeError, match=r"^index must be an integer, got 0\.5$"):
             bernstein_value(2, 0.5, 0.3)
+
+    @pytest.mark.parametrize(
+        "degree, i, message",
+        [
+            (-1, 0, "degree must be a nonnegative integer, got -1"),
+            (2, True, "index must be an integer, got True"),
+            (2, 3, "index 3 outside 0..2"),
+        ],
+    )
+    def test_refusal_text(self, degree, i, message):
+        with pytest.raises(RangeError) as exc:
+            bernstein_value(degree, i, 0.5)
+        assert str(exc.value) == message

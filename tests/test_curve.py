@@ -767,6 +767,13 @@ class TestElevate:
         with pytest.raises(RangeError):
             elevate(crv, 0.5)
 
+    @pytest.mark.parametrize("z", [-1, True])
+    def test_refused_count_text(self, z):
+        crv = random_curve(TRIG, 2, 1.0, seed=21)
+        with pytest.raises(RangeError) as exc:
+            elevate(crv, z)
+        assert str(exc.value) == f"elevation count must be a nonnegative integer, got {z!r}"
+
     @pytest.mark.parametrize("kind", [TRIG, HYP])
     def test_curve_values_invariant(self, kind):
         crv = random_curve(kind, 2, 1.9, seed=22)

@@ -140,6 +140,15 @@ class TestTransformMatrix:
         with pytest.raises(RangeError):
             tm.sine_row(1.0)
 
+    def test_refused_frequency_text(self):
+        tm = transform_matrix(BasisSpace(TRIG, 2, 1.5))
+        with pytest.raises(RangeError) as exc:
+            tm.sine_row(1.5)
+        assert str(exc.value) == "frequency must be an integer, got 1.5"
+        with pytest.raises(RangeError) as exc:
+            tm.cosine_row(np.int64(3))
+        assert str(exc.value) == "frequency 3 outside 0..2"
+
     def test_memoized_and_read_only(self):
         space = BasisSpace(TRIG, 3, 0.9)
         first = transform_matrix(space)
