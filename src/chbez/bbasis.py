@@ -95,6 +95,30 @@ def _is_count(value) -> bool:
     return _is_int(value) and value >= 0
 
 
+# The package's argument rules, each stated once: the value as an int, or a
+# RangeError whose message starts with ``name``.
+def _integer(value, name: str) -> int:
+    """``value`` as an int, if :func:`_is_int` takes it."""
+    if not _is_int(value):
+        raise RangeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int, if :func:`_is_count` takes it."""
+    if not _is_count(value):
+        raise RangeError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
+def _index(value, name: str, top: int) -> int:
+    """``value`` as an int in ``0..top``."""
+    value = _integer(value, name)
+    if not 0 <= value <= top:
+        raise RangeError(f"{name} {value} outside 0..{top}")
+    return value
+
+
 class BasisKind(Enum):
     """Selects the trigonometric or the hyperbolic function space."""
 
@@ -135,9 +159,7 @@ class BasisSpace:
     def _convert(kind, n, alpha):
         if not isinstance(kind, BasisKind):
             raise RangeError(f"kind must be a BasisKind, got {kind!r}")
-        if not _is_int(n):
-            raise RangeError(f"order n must be an integer, got {n!r}")
-        n = int(n)
+        n = _integer(n, "order n")
         if n < 1:
             raise RangeError(f"order n must be >= 1, got {n}")
         if n > _MAX_ORDER:
@@ -147,7 +169,7 @@ class BasisSpace:
             raise RangeError(f"alpha must be positive and finite, got {alpha!r}")
         if kind is BasisKind.TRIGONOMETRIC and alpha >= math.pi:
             raise RangeError(f"trigonometric alpha must lie in (0, pi), got {alpha!r}")
-        if kind is BasisKind.HYPERBOLIC and n * alpha > _OVERFLOW_LIMIT:
+        if n > _top_order(kind, alpha):
             raise RangeError(
                 f"hyperbolic n*alpha = {n * alpha:g} exceeds the "
                 f"overflow guard {_OVERFLOW_LIMIT:g}"
@@ -161,6 +183,22 @@ class BasisSpace:
     @property
     def dimension(self) -> int:
         return 2 * self.n + 1
+
+
+def _top_order(kind: BasisKind, alpha: float) -> int:
+    """The highest order of a space of ``kind`` over ``[0, alpha]``.
+
+    That is the order cap, or for a hyperbolic space the last order whose
+    ``n * alpha`` stays within the overflow guard (0 if none does).
+    """
+    n = _MAX_ORDER
+    if kind is BasisKind.HYPERBOLIC:
+        # The quotient guesses at most one or two high; the product decides, as
+        # in the guard test of BasisSpace.
+        n = int(min(n, _OVERFLOW_LIMIT / alpha + 1.0))
+        while n * alpha > _OVERFLOW_LIMIT:
+            n -= 1
+    return n
 
 
 @record
@@ -272,18 +310,9 @@ def _clamp_param(space: BasisSpace, u: float) -> float:
     return u
 
 
-def _check_index(space: BasisSpace, i: int) -> int:
-    if not _is_int(i):
-        raise RangeError(f"basis index must be an integer, got {i!r}")
-    i = int(i)
-    if not 0 <= i <= space.degree:
-        raise RangeError(f"basis index {i} outside 0..{space.degree}")
-    return i
-
-
 def basis_value(space: BasisSpace, i: int, u: float) -> float:
     """Value of the i-th normalized B-basis function at ``u``: entry i of :func:`basis_vector`."""
-    i = _check_index(space, i)
+    i = _index(i, "basis index", space.degree)
     return basis_matrix(space, [u])[0, i]
 
 
@@ -360,14 +389,8 @@ def _product_table(left: np.ndarray, right: np.ndarray, weights: np.ndarray) -> 
 
 def bernstein_value(degree: int, i: int, v: float) -> float:
     """Bernstein polynomial ``B_i`` of the given degree at ``v`` in [0, 1]."""
-    if not _is_count(degree):
-        raise RangeError(f"degree must be a nonnegative integer, got {degree!r}")
-    degree = int(degree)
-    if not _is_int(i):
-        raise RangeError(f"index must be an integer, got {i!r}")
-    i = int(i)
-    if not 0 <= i <= degree:
-        raise RangeError(f"index {i} outside 0..{degree}")
+    degree = _count(degree, "degree")
+    i = _index(i, "index", degree)
     v = float(v)
     if v < -_PARAM_SLACK or v > 1.0 + _PARAM_SLACK:
         raise RangeError(f"parameter v = {v!r} outside [0, 1]")

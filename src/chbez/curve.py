@@ -48,7 +48,7 @@ import numpy as np
 from . import _exports
 from ._record import record
 from .bbasis import (_FUNCTIONS, _PARAM_SLACK, BasisSpace, _binomials, _clamp_param,
-                     _coefficient_sums, _is_count, _normalizing_values, basis_matrix)
+                     _coefficient_sums, _count, _normalizing_values, basis_matrix)
 from .errors import NumericalError, RangeError
 from .xform import _elevated
 
@@ -337,9 +337,7 @@ def elevate(curve: ControlCurve, z: int = 1) -> ControlCurve:
     projected back.  Elevation preserves the curve exactly; the polygon
     itself moves toward the curve as ``z`` grows.
     """
-    if not _is_count(z):
-        raise RangeError(f"elevation count must be a nonnegative integer, got {z!r}")
-    z = int(z)
+    z = _count(z, "elevation count")
     if z == 0:
         return curve
     lifted, pts = _elevated(curve.space, _folded(curve.points, curve.weights), z)

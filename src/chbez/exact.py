@@ -18,11 +18,15 @@ points here and in :mod:`chbez.surface` are thin wrappers around it.
 Rational shapes carry their denominator as one extra coordinate.  The body
 computes the pre-image net in one higher dimension first; if some of the
 resulting weights fail to be positive, order elevation is applied until
-they are.  The loop stops after ``max_elevations`` steps or at the order
-cap 32 (degree ``MAX_DEGREE``), whichever comes first, and then raises.
-For a curve whose denominator is positive on the whole interval some finite
-order would do, but it can lie beyond the cap: a rational trigonometric
-curve with alpha close to pi (3.135, say) stops at the cap.
+they are.  The loop stops after ``max_elevations`` steps or at the highest
+order a space allows, whichever comes first, and then raises a numerical
+failure.  That order is the cap 32 (degree ``MAX_DEGREE``) or, in a
+hyperbolic direction, the overflow guard: the last order with
+``n * alpha <= 300``.  For a curve whose denominator is positive on the
+whole interval some finite order would do, but it can lie beyond either
+stop: a rational trigonometric curve with alpha close to pi (3.135, say)
+stops at the cap, and a hyperbolic one at alpha 12 can stop at the guard,
+order 25.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ import numpy as np
 
 from . import _exports
 from ._record import record
-from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, _MAX_ORDER, BasisKind, BasisSpace, _is_count,
-                     _is_int)
+from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, BasisKind, BasisSpace, _count, _integer,
+                     _is_count, _top_order)
 from .curve import ControlCurve, _projected
 from .errors import NumericalError, RangeError
 from .xform import _elevated, _transform_rows
@@ -47,9 +51,10 @@ __all__ = _exports(__name__) + ["coordinate_ordinates"]  # not public at top lev
 # positive: tiny weights lower the floor, as weights matter only up to a common scale.
 WEIGHT_POSITIVITY = 1e-12
 
-# Denominator sign is checked on a lattice of this many uniform samples per
-# direction, keyed by the number of directions: dense for a curve, coarse for a patch.
-_DENOMINATOR_SAMPLES = {1: 1001, 2: 33, 3: 33, 4: 33}
+# Denominator sign is checked on a lattice of uniform samples per direction:
+# dense for a curve, coarse for a patch (whatever its number of directions).
+_CURVE_SAMPLES = 1001
+_PATCH_SAMPLES = 33
 
 DEFAULT_MAX_ELEVATIONS = 32
 
@@ -82,10 +87,9 @@ class Term:
     def _convert(family, frequency, amplitude, phase):
         if not isinstance(family, TermFamily):
             raise RangeError(f"family must be a TermFamily, got {family!r}")
-        if not _is_count(frequency):
-            raise RangeError(f"frequency must be a nonnegative integer, got {frequency!r}")
+        frequency = _count(frequency, "frequency")
         amplitude = _finite("amplitude", amplitude)
-        return family, int(frequency), amplitude, _finite("phase", phase)
+        return family, frequency, amplitude, _finite("phase", phase)
 
 
 @record
@@ -214,19 +218,17 @@ def _sequence(values) -> tuple | None:
 def _integers(values, count: int, noun: str, each: str) -> tuple[int, ...]:
     """``values`` as ``count`` ints, the package's rule for one integer per direction.
 
-    Refuses, in this order, a scalar, an entry that :func:`_is_int` refuses
+    Refuses, in this order, a scalar, an entry that :func:`bbasis._integer` refuses
     (bools too) and a wrong count.  The errors name the values ``noun``
     (``"orders"``) and one of them ``each`` (``"order n"``).
     """
     given = _sequence(values)
     if given is None:
         raise RangeError(f"expected a sequence of {count} {noun}, got {values!r}")
-    for v in given:
-        if not _is_int(v):
-            raise RangeError(f"{each} must be an integer, got {v!r}")
+    given = tuple(_integer(v, each) for v in given)
     if len(given) != count:
         raise RangeError(f"expected {count} {noun}, got {len(given)}")
-    return tuple(int(v) for v in given)
+    return given
 
 
 def _check_orders(spec, orders) -> tuple[int, ...]:
@@ -254,9 +256,7 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
     term contributes a combination of the sine-like and cosine-like rows of
     the space's transformation matrix, derived by :func:`_derived`.
     """
-    if not _is_count(r):
-        raise RangeError(f"derivative order must be a nonnegative integer, got {r!r}")
-    r = int(r)
+    r = _count(r, "derivative order")
     if fn.max_frequency() > space.n:
         raise RangeError(
             f"coordinate of frequency {fn.max_frequency()} does not fit order {space.n}"
@@ -385,12 +385,14 @@ def exact_rational_curve(
     """Rational description: last coordinate of ``spec`` is the denominator.
 
     The denominator must be positive on all of ``[0, alpha]``; it is checked
-    at 1001 uniform samples, endpoints included (``_DENOMINATOR_SAMPLES``),
-    so a dip between samples goes unseen.  Whenever the pre-image polygon
-    yields weights that are not strictly positive, the polygon is order
-    elevated.  The loop raises once ``max_elevations`` steps are spent or
-    the next step would pass the order cap 32, whichever comes first; a
-    positive denominator can need more (trigonometric alpha near pi).
+    at 1001 uniform samples, endpoints included (``_CURVE_SAMPLES``), so a
+    dip between samples goes unseen.  Whenever the pre-image polygon yields
+    weights that are not strictly positive, the polygon is order elevated.
+    The loop raises a :class:`NumericalError` once ``max_elevations`` steps
+    are spent or the next step would pass the order cap 32 or, for the
+    hyperbolic kind, the overflow guard ``n * alpha <= 300``, whichever
+    comes first; a positive denominator can need more (trigonometric alpha
+    near pi, hyperbolic alpha above 300 / 32).
     """
     if spec.dimension < 2:
         raise RangeError("rational description needs numerator and denominator coordinates")
@@ -401,15 +403,14 @@ def exact_rational_curve(
 def _check_denominator(spec, max_elevations):
     """Check the elevation budget, then that the denominator (last channel) is positive.
 
-    The denominator is sampled on a lattice of ``_DENOMINATOR_SAMPLES[delta]``
-    points per direction (``delta`` directions), endpoints included; the
-    error names its lowest sample.  This table is the only sampling policy
-    of both rational descriptions.
+    The denominator is sampled on a lattice of ``_CURVE_SAMPLES`` points for
+    a curve and ``_PATCH_SAMPLES`` per direction for a patch, endpoints
+    included; the error names its lowest sample.  This rule is the only
+    sampling policy of both rational descriptions.
     """
-    if not _is_count(max_elevations):
-        raise RangeError(f"max_elevations must be a nonnegative integer, got {max_elevations!r}")
+    _count(max_elevations, "max_elevations")
     directions = spec._directions
-    samples = _DENOMINATOR_SAMPLES[len(directions)]
+    samples = _CURVE_SAMPLES if len(directions) == 1 else _PATCH_SAMPLES
     axes = [np.linspace(0.0, d.alpha, samples) for d in directions]
     den = _lattice(spec._products[-1:], directions, axes)[..., 0]
     if np.any(den <= 0.0):
@@ -425,23 +426,28 @@ def _elevate_until_positive(points: np.ndarray, orders, directions, max_elevatio
 
     ``points`` has one leading axis per direction, whose space at order
     ``n`` is ``directions[j].space(n)``.  Step s raises direction s mod
-    delta by one order with :func:`xform._elevated` along its axis; if that
-    direction is at the cap, the first lowest-order direction takes the
-    step.  One test per pass stops the loop: the weights are positive, or
-    ``max_elevations`` steps are spent, or the chosen direction is at the cap.
+    delta by one order with :func:`xform._elevated` along its axis.  A
+    direction cannot rise past its top order (:func:`bbasis._top_order`):
+    the order cap 32, or for a hyperbolic direction the last order within
+    the overflow guard ``n * alpha <= 300``.  If the direction whose turn it
+    is stands at its top, the first lowest-order direction that can still
+    rise takes the step.  One test per pass stops the loop: the weights are
+    positive, or ``max_elevations`` steps are spent, or the chosen direction
+    is at its top.
     Returns the tensor, the orders and the step count, or raises with the
     indices of the weights still not positive (ints for a curve).
     """
     orders = list(orders)
     delta = len(orders)
+    tops = [_top_order(d.kind, d.alpha) for d in directions]
     steps = 0
     while True:
         weights = points[..., -1]
         bad = weights <= WEIGHT_POSITIVITY * min(1.0, abs(weights).max())
         j = steps % delta
-        if orders[j] >= _MAX_ORDER:
-            j = orders.index(min(orders))
-        if not bad.any() or steps >= max_elevations or orders[j] >= _MAX_ORDER:
+        if orders[j] >= tops[j]:  # directions that can rise first, then the lowest order
+            j = min(range(delta), key=lambda i: (orders[i] >= tops[i], orders[i]))
+        if not bad.any() or steps >= max_elevations or orders[j] >= tops[j]:
             break
         points = _elevated(directions[j].space(orders[j]), points, 1, j)[1]
         orders[j] += 1

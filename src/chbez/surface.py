@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _exports
 from ._record import record
-from .bbasis import BasisKind, BasisSpace, _is_count, basis_matrix
+from .bbasis import BasisKind, BasisSpace, _count, basis_matrix
 from .curve import ControlCurve, _checked_net, _combine, evaluate
 from .errors import NumericalError, RangeError
 from .exact import (DEFAULT_MAX_ELEVATIONS, CoordinateFunction, _describe, _integers, _lattice,
@@ -94,9 +94,7 @@ class SurfaceSpec:
         delta = len(directions)
         if not 2 <= delta <= MAX_DIRECTIONS:
             raise RangeError(f"number of directions must be 2..{MAX_DIRECTIONS}, got {delta}")
-        if not _is_count(kappa):
-            raise RangeError(f"kappa must be a nonnegative integer, got {kappa!r}")
-        kappa = int(kappa)
+        kappa = _count(kappa, "kappa")
         expected = delta + kappa
         if len(coords) not in (expected, expected + 1):
             raise RangeError(
@@ -189,11 +187,13 @@ def exact_rational_surface(
 
     The denominator must be positive on the whole parameter box (sampled on
     a lattice of 33 points per direction, endpoints included; see
-    ``exact._DENOMINATOR_SAMPLES``).  Directions are elevated round
-    robin while some weight fails to be positive; there is no termination
-    guarantee in the tensor product case, so the loop stops after
-    ``max_elevations`` single-direction steps and reports the offending
-    multi-indices.
+    ``exact._PATCH_SAMPLES``).  Directions are elevated round robin while
+    some weight fails to be positive; there is no termination guarantee in
+    the tensor product case, so the loop stops after ``max_elevations``
+    single-direction steps, or once no direction can rise, and reports the
+    offending multi-indices.  A direction cannot rise past the order cap 32
+    or, if hyperbolic, past the overflow guard ``n * alpha <= 300``; its
+    turns go to the lowest-order direction that still can.
     """
     if not spec.is_rational:
         raise RangeError(

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import _exports
 from ._record import record
-from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, _MEMO_SPACES, BasisKind, BasisSpace, _is_int,
+from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, _MEMO_SPACES, BasisKind, BasisSpace, _index,
                      _sums_by_order)
 from .errors import RangeError
 
@@ -70,21 +70,15 @@ class TransformMatrix:
 
     def sine_row(self, k: int) -> np.ndarray:
         """Coefficients of sin(k u) (or sinh).  ``k = 0`` gives zeros."""
-        self._check_frequency(k)
+        k = _index(k, "frequency", self.space.n)
         if k == 0:
             return np.zeros(self.space.dimension)
         return self.rows[2 * k - 1]
 
     def cosine_row(self, k: int) -> np.ndarray:
         """Coefficients of cos(k u) (or cosh).  ``k = 0`` gives the ones row."""
-        self._check_frequency(k)
+        k = _index(k, "frequency", self.space.n)
         return self.rows[2 * k]
-
-    def _check_frequency(self, k: int):
-        if not _is_int(k):
-            raise RangeError(f"frequency must be an integer, got {k!r}")
-        if not 0 <= int(k) <= self.space.n:
-            raise RangeError(f"frequency {k} outside 0..{self.space.n}")
 
 
 def elevation_weights(space: BasisSpace) -> np.ndarray:

@@ -18,6 +18,7 @@ from chbez import (
     bernstein_value,
     normalizing_coefficients,
 )
+from chbez.bbasis import _top_order
 
 TRIG = BasisKind.TRIGONOMETRIC
 HYP = BasisKind.HYPERBOLIC
@@ -57,6 +58,19 @@ class TestBasisSpace:
         BasisSpace(HYP, 1, 100.0)
         with pytest.raises(RangeError, match="overflow"):
             BasisSpace(HYP, 31, 10.0)
+
+    @pytest.mark.parametrize(
+        "alpha", [1e-300, 1.0, 9.375, 9.38, 12.0, 300 / 7, math.nextafter(300 / 7, 0.0), 300.0, 301.0]
+    )
+    def test_top_order_is_the_last_order_built(self, alpha):
+        top = _top_order(HYP, alpha)
+        assert top == max(n for n in range(33) if n * alpha <= 300.0)
+        assert _top_order(TRIG, min(alpha, 3.0)) == 32
+        if top:
+            assert BasisSpace(HYP, top, alpha).n == top
+        if top < 32:
+            with pytest.raises(RangeError, match=r"^hyperbolic n\*alpha = .* exceeds the overflow"):
+                BasisSpace(HYP, top + 1, alpha)
 
     def test_rejects_bad_kind(self):
         with pytest.raises(RangeError):

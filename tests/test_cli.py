@@ -574,6 +574,17 @@ FAILING_COMMANDS = [
     ("describe", "equilateral_hyperbola_alpha_20_k20", [], 2,
      "error: {spec}:coords[1].terms[1].k: hyperbolic k*alpha = 400 exceeds the overflow "
      "guard 300\n"),
+    # The rational repair loop stops at the overflow guard as at the cap: the
+    # hyperbolic curve's weights need an order past 300 / alpha (and past the
+    # cap 32 at alpha 3), and the patch's hyperbolic direction stops at order
+    # 15 while its trigonometric one spends the rest of the budget.
+    *[
+        ("describe", f"guard_stop_alpha_{alpha}", [], 3,
+         f"numerical failure: weights not positive after {steps} elevation(s)\n")
+        for alpha, steps in [(3, 31), (12, 24), (20, 14)]
+    ],
+    ("describe", "guard_stop_hybrid_patch", [], 3,
+     "numerical failure: weights not positive after 32 elevation(s)\n"),
     # Described at the cap, a curve has no default elevation target.
     ("elevate", "hypocycloid_k32", [], 2,
      "error: --order: default target 33 exceeds the order cap 32\n"),
@@ -707,6 +718,31 @@ def _alpha_20_k20_doc() -> dict:
     return doc
 
 
+def _guard_stop_doc(alpha: float) -> dict:
+    """equilateral_hyperbola.json at ``alpha``, without phases, over -0.999 + cosh(u - alpha/2)."""
+    doc = json.loads(load_figure_text("equilateral_hyperbola"))
+    doc["alpha"], doc["rational"] = alpha, True
+    for coord in doc["coords"]:
+        del coord["terms"][0]["phase"]
+    doc["coords"].append({"terms": [{"family": "cosh", "k": 0, "a": -0.999},
+                                    {"family": "cosh", "k": 1, "a": 1, "phase": -alpha / 2}]})
+    return doc
+
+
+def _guard_stop_patch_doc() -> dict:
+    """The alpha 20 guard-stop curve along a hyperbolic u1, times 1 along a trigonometric u2."""
+    curve = _guard_stop_doc(20)
+    one = {"terms": [{"family": "cos", "k": 0, "a": 1}]}
+    return {
+        "version": 1,
+        "type": "surface",
+        "directions": [{"kind": "hyperbolic", "alpha": 20},
+                       {"kind": "trigonometric", "alpha": 1}],
+        "rational": True,
+        "coords": [{"summands": [{"factors": [coord, one]}]} for coord in curve["coords"]],
+    }
+
+
 # Documents derived from a bundled figure, by the name FAILING_COMMANDS gives them.
 DERIVED_DOCS = {
     "hypocycloid_k32_tiny_alpha": _k32_tiny_alpha_doc,
@@ -719,6 +755,9 @@ DERIVED_DOCS = {
     "equilateral_hyperbola_alpha_12": _alpha_12_doc,
     "equilateral_hyperbola_alpha_12_k25": lambda: _alpha_12_doc(25),
     "equilateral_hyperbola_alpha_20_k20": _alpha_20_k20_doc,
+    **{f"guard_stop_alpha_{alpha}": lambda alpha=alpha: _guard_stop_doc(alpha)
+       for alpha in (3, 12, 20)},
+    "guard_stop_hybrid_patch": _guard_stop_patch_doc,
 }
 
 

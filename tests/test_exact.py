@@ -387,6 +387,22 @@ class TestExactRationalCurve:
             exact_rational_curve(dip_denominator_spec(), max_elevations=True)
         assert str(exc.value) == "max_elevations must be a nonnegative integer, got True"
 
+    @pytest.mark.parametrize("alpha, steps", [(12.0, 24), (20.0, 14)])
+    def test_repair_stops_at_the_overflow_guard(self, alpha, steps):
+        """The weights need an order whose n * alpha passes 300: a numerical failure.
+
+        The loop stops at the last order within the guard, 300 / alpha, with
+        the middle weight still not positive, instead of building a space
+        the guard refuses.
+        """
+        x = CoordinateFunction((Term(SIN, 1, 1.0),))
+        y = CoordinateFunction((Term(COS, 1, 1.0),))
+        den = CoordinateFunction((Term(COS, 0, -0.999), Term(COS, 1, 1.0, -0.5 * alpha)))
+        with pytest.raises(NumericalError) as exc:
+            exact_rational_curve(CurveSpec(HYP, alpha, (x, y, den)))
+        assert str(exc.value) == f"weights not positive after {steps} elevation(s)"
+        assert exc.value.indices == [steps + 1]
+
 
 def _hypocycloid_x():
     """hypocycloid.json without its y coordinate: too few coordinates to be rational."""
