@@ -193,8 +193,8 @@ def _top_order(kind: BasisKind, alpha: float) -> int:
     """
     n = _MAX_ORDER
     if kind is BasisKind.HYPERBOLIC:
-        # The quotient guesses at most one or two high; the product decides, as
-        # in the guard test of BasisSpace.
+        # The quotient's guess is at most two high; the product n * alpha, the
+        # guard's own test, decides.
         n = int(min(n, _OVERFLOW_LIMIT / alpha + 1.0))
         while n * alpha > _OVERFLOW_LIMIT:
             n -= 1
