@@ -1,0 +1,168 @@
+"""The pure path: plain curves and transform matrices in Python floats, without numpy.
+
+A one-shot CLI process spends longer importing numpy than ``xform``, or
+``describe``, ``elevate`` and ``subdivide`` of a plain (non-rational)
+curve, take to compute.  ``chbez.cli`` runs these commands here while the
+process has not loaded numpy (``cli._pure_path``).  Each function repeats
+its numpy twin, named in its docstring, operation for operation and in the
+same order.  Every step is a ``math`` function or one IEEE multiply, add or
+divide, which Python floats round as numpy does, so both paths give the
+same bits; sums are left folds, never ``sum``, which compensates from
+Python 3.12 on.  Arrays become lists: a vector a list of floats, a matrix
+a list of rows.  The writers print the bytes of ``io.export_table`` and
+``json.dumps``.  ``tests/test_pure.py`` and ``tools/pure_sweep.py`` run
+both paths and compare them.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+from collections import namedtuple
+from functools import lru_cache, reduce
+from operator import add
+
+from .bbasis import _ADDITION_SIGNS, _FUNCTIONS, _MEMO_SPACES, BasisSpace, _half_functions
+from .errors import NumericalError, RangeError
+from .io import _csv_header
+
+
+# A plain control curve: its space and its control points, one list per point.
+Polygon = namedtuple("Polygon", "space points")
+
+
+def _sums_by_order(space: BasisSpace, orders) -> list:
+    """``bbasis._sums_by_order``, adding each entry's nonzero terms in increasing r onto 0.0.
+
+    The terms are nonnegative, so the zero terms numpy also adds change no bit.
+    """
+    two_c = 2.0 * _half_functions(space)[1]
+    powers = [two_c**k for k in range(space.dimension)]
+    sums = []
+    for m in orders:
+        terms = [[math.comb(m, i - r) * math.comb(i - r, r) * powers[i - 2 * r]
+                  for r in range(max(0, i - m), i // 2 + 1)] for i in range(2 * m + 1)]
+        sums.append([reduce(add, t, 0.0) for t in terms] + [1.0] * (space.dimension - 2 * m - 1))
+    return sums
+
+
+def _step_table(space: BasisSpace, low: int) -> list:
+    """``xform._step_table`` without its padding: step m has rows of 2m + 1 weights."""
+    sums = _sums_by_order(space, [1, *range(low, space.n + 1)])
+    return [[[(s[r] * sums[0][j]) / t[j + r] for r in range(2 * m + 1)] for j in range(3)]
+            for m, s, t in zip(range(low, space.n), sums[1:], sums[2:])]
+
+
+def _raise_order(weights: list, row: list, factor=(1.0, 1.0, 1.0)) -> list:
+    """``xform._raise_order`` of one row, whose factor ``factor[j]`` multiplies ``weights[j]``.
+
+    A factor of 1.0 changes no weight: it stands for a row without a factor.
+    """
+    terms = [[0.0] * j + [w * f * x for w, x in zip(wj, row)] + [0.0] * (2 - j)
+             for j, (wj, f) in enumerate(zip(weights, factor))]
+    return [0.0 + a + b + c for a, b, c in zip(*terms)]
+
+
+@lru_cache(maxsize=_MEMO_SPACES)
+def transform_rows(space: BasisSpace) -> list:
+    """``xform._transform_rows``, whose callers read its memoized rows and never write them.
+
+    The rows are built as there: the known rows, then four product inputs with their factors.
+    """
+    s, c, t = _FUNCTIONS[space.kind]
+    sine, cosine = [0.0, t(0.5 * space.alpha), s(space.alpha)], [1.0, 1.0, c(space.alpha)]
+    factors = [cosine, sine, [x * _ADDITION_SIGNS[space.kind] for x in sine], cosine]
+    rows = [sine, cosine] * 3
+    for m, weights in enumerate(_step_table(space, 1), start=1):
+        rows = [_raise_order(weights, row, f)
+                for row, f in zip(rows, [(1.0, 1.0, 1.0)] * (2 * m) + factors)]
+        rows = rows[: 2 * m] + [[a + b for a, b in zip(*rows[i : i + 2])]
+                                for i in (2 * m, 2 * m + 2)] * 3
+    return [[1.0] * space.dimension] + rows[: space.degree]
+
+
+def _ordinates(fn, space: BasisSpace, r: int) -> list:
+    """``exact.coordinate_ordinates`` of a coordinate whose frequencies fit the space."""
+    from .exact import _derived
+
+    rows = transform_rows(space)
+    out = [0.0] * space.dimension
+    s, c, _ = _FUNCTIONS[space.kind]
+    sign = _ADDITION_SIGNS[space.kind]
+    for t in fn.terms:
+        scale, phase, cosine_like = _derived(t, space.kind, r)
+        if scale == 0.0:
+            continue
+        k = t.frequency  # sin(0 u) has the zero row
+        sine, cosine = rows[2 * k - 1] if k else [0.0] * space.dimension, rows[2 * k]
+        cp, sp = c(phase), s(phase)
+        a, x, b, y = (cp, cosine, sign * sp, sine) if cosine_like else (cp, sine, sp, cosine)
+        out = [o + scale * (a * xi + b * yi) for o, xi, yi in zip(out, x, y)]
+    return out
+
+
+def describe(spec, orders, r) -> Polygon:
+    """``exact._describe`` of a plain curve spec at checked flags (None: minimum, underived)."""
+    from .exact import _check_orders
+
+    space = spec.space(_check_orders(spec, orders)[0])
+    # Ordinates sum onto 0.0, so none is -0.0 and the 0.0 + that numpy adds changes no bit.
+    channels = [_ordinates(fn, space, (r or (0,))[0]) for fn in spec.coords]
+    for ell, channel in enumerate(channels):
+        if not all(map(math.isfinite, channel)):
+            raise RangeError(f"coords[{ell}]: control points overflow double precision")
+    return Polygon(space, [list(p) for p in zip(*channels)])
+
+
+def elevate(curve: Polygon, z: int) -> Polygon:
+    """``curve.elevate`` of a plain polygon by a count whose target order the caller checked.
+
+    The steps are those of ``xform._elevated`` along each channel.
+    """
+    top = BasisSpace(curve.space.kind, curve.space.n + z, curve.space.alpha)
+    channels = [list(c) for c in zip(*curve.points)]
+    for weights in _step_table(top, curve.space.n):
+        channels = [_raise_order(weights, c) for c in channels]
+    if not all(math.isfinite(x) for c in channels for x in c):
+        raise RangeError("control points must be finite")
+    return Polygon(top, [list(p) for p in zip(*channels)])
+
+
+def subdivide(curve: Polygon, u0: float) -> dict:
+    """``curve.subdivide`` of a plain polygon at a checked ``u0``, as the CLI's JSON payload."""
+    from .curve import _half_sines
+
+    space = curve.space
+    b, a = _half_sines(space, u0)
+    stay, v = b / (a + b), a / (a + b)
+    if not (stay > 0.0 and v > 0.0):
+        raise NumericalError(f"split ratio at u0 = {u0!r} rounds to {v:g}")
+    if not min(a, b) >= sys.float_info.min:
+        raise NumericalError(f"split at u0 = {u0!r} leaves a piece too short for its basis")
+    sums = _sums_by_order(space, [space.n])[0]
+    cs = [s / float(math.comb(space.degree, i)) for i, s in enumerate(sums)]
+    level = [[c * x for x in p] + [c] for c, p in zip(cs, curve.points)]
+    levels = [level]
+    while len(level) > 1:
+        level = [[stay * x + v * y for x, y in zip(p, q)] for p, q in zip(level, level[1:])]
+        levels.append(level)
+    left, right = [lv[0] for lv in levels], [lv[-1] for lv in levels]
+    if not all(p[-1] > 0.0 for p in left + right):
+        raise NumericalError(f"degenerate weight pyramid while splitting at u0 = {u0:g}")
+
+    def piece(edge, interval):
+        return {"interval": interval, "points": [[x / p[-1] for x in p[:-1]] for p in edge],
+                "weights": [p[-1] for p in edge]}
+
+    return {"split_ratio": v, "left": piece(left, [0.0, u0]),
+            "right": piece(right[::-1], [u0, space.alpha])}
+
+
+def table(rows: list, fmt: str, columns=None) -> str:
+    """``io.export_table`` of rows of floats, as csv (``repr`` per cell) or json."""
+    if fmt == "json":
+        payload = {"data": rows} if columns is None else {"data": rows, "columns": columns}
+        return json.dumps(payload, indent=2) + "\n"
+    header = "" if columns is None else _csv_header(columns)
+    return header + "".join(",".join(map(repr, row)) + "\n" for row in rows)

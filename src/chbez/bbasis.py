@@ -53,11 +53,11 @@ import sys
 from enum import Enum
 from functools import cache, lru_cache
 
-import numpy as np
-
-from . import _exports
+from . import _exports, _lazy
 from ._record import record
 from .errors import RangeError
+
+np = _lazy.Numpy(globals())
 
 __all__ = _exports(__name__) + ["NormalizingCoefficients"]  # not public at top level
 
@@ -86,8 +86,13 @@ _BLOCK_ROWS = 1000
 
 
 def _is_int(value) -> bool:
-    """Whether ``value`` is an integer (``int`` or a numpy integer); bools are not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """Whether ``value`` is an integer (``int`` or a numpy integer); bools are not.
+
+    Before numpy is loaded no value can be a numpy integer, so this never loads it.
+    """
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    return "numpy" in sys.modules and isinstance(value, sys.modules["numpy"].integer)
 
 
 def _is_count(value) -> bool:
@@ -126,15 +131,13 @@ class BasisKind(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-# Each kind's function family s, c, t: (sin, cos, tan) or (sinh, cosh, tanh),
-# from ``math`` for floats and from numpy for arrays.  Only the order-one
-# transform rows read t; the Bezier parameter reads ``math``'s s
+# Each kind's function family s, c, t from ``math``: (sin, cos, tan) or (sinh,
+# cosh, tanh); arrays take numpy's functions of the same names.  Only the
+# order-one transform rows read t; the Bezier parameter reads ``math``'s s
 # (``curve._half_sines``).
 _FUNCTIONS = {
-    (BasisKind.TRIGONOMETRIC, math): (math.sin, math.cos, math.tan),
-    (BasisKind.TRIGONOMETRIC, np): (np.sin, np.cos),
-    (BasisKind.HYPERBOLIC, math): (math.sinh, math.cosh, math.tanh),
-    (BasisKind.HYPERBOLIC, np): (np.sinh, np.cosh),
+    BasisKind.TRIGONOMETRIC: (math.sin, math.cos, math.tan),
+    BasisKind.HYPERBOLIC: (math.sinh, math.cosh, math.tanh),
 }
 
 # Each kind's sign in the addition identity c(a + b) = c(a) c(b) + sign s(a) s(b):
@@ -211,7 +214,7 @@ class NormalizingCoefficients:
 
 def _half_functions(space: BasisSpace):
     """sin/sinh and cos/cosh of alpha / 2 for the space's kind."""
-    s, c, _ = _FUNCTIONS[space.kind, math]
+    s, c, _ = _FUNCTIONS[space.kind]
     half = 0.5 * space.alpha
     return s(half), c(half)
 
@@ -232,8 +235,10 @@ def _trinomials(n: int) -> np.ndarray:
     return table
 
 
-# Exponent i - 2r of 2c in entry [r, i] of every trinomial table, 0 where negative.
-_EXPONENTS = np.maximum(np.arange(MAX_DEGREE + 1) - 2 * np.arange(_MAX_ORDER + 1)[:, None], 0)
+@cache
+def _exponents(n: int) -> np.ndarray:
+    """Exponent i - 2r of 2c in entry [r, i] of the trinomial table of order n, 0 where negative."""
+    return np.maximum(np.arange(2 * n + 1) - 2 * np.arange(n + 1)[:, None], 0)
 
 
 def _sums_by_order(space: BasisSpace, orders) -> np.ndarray:
@@ -244,7 +249,7 @@ def _sums_by_order(space: BasisSpace, orders) -> np.ndarray:
     two_c = 2.0 * _half_functions(space)[1]
     # Exponents above n reach only absent terms: a zero times a finite power.
     powers = np.array([two_c**k for k in range(space.dimension)])
-    scaled = powers[_EXPONENTS[: space.n + 1, : space.dimension]]
+    scaled = powers[_exponents(space.n)]
     sums = np.ones((len(orders), space.dimension))
     for row, m in zip(sums, orders):
         # numpy reduces the outer axis of a C-contiguous array one row after the
@@ -338,7 +343,7 @@ def basis_matrix(space: BasisSpace, us) -> np.ndarray:
     if us.size and not (us.min() >= -_PARAM_SLACK and us.max() <= space.alpha + _PARAM_SLACK):
         bad = ~((us >= -_PARAM_SLACK) & (us <= space.alpha + _PARAM_SLACK))
         _clamp_param(space, us[np.argmax(bad)])  # raises for the first offender
-    s = _FUNCTIONS[space.kind, np][0]
+    s = np.sin if space.kind is BasisKind.TRIGONOMETRIC else np.sinh
     scale = s(0.5 * space.alpha)
     if not scale >= sys.float_info.min:
         raise RangeError(

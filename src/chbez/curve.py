@@ -40,17 +40,16 @@ not positive.
 
 from __future__ import annotations
 
-import math
 import sys
 
-import numpy as np
-
-from . import _exports
+from . import _exports, _lazy
 from ._record import record
 from .bbasis import (_FUNCTIONS, _PARAM_SLACK, BasisSpace, _binomials, _clamp_param,
                      _coefficient_sums, _count, _normalizing_values, basis_matrix)
 from .errors import NumericalError, RangeError
 from .xform import _elevated
+
+np = _lazy.Numpy(globals())
 
 __all__ = _exports(__name__)
 
@@ -180,7 +179,7 @@ def evaluate(curve: ControlCurve, u):
 
 def _half_sines(space: BasisSpace, u: float) -> tuple[float, float]:
     """``s((alpha - u) / 2)`` and ``s(u / 2)`` by ``math``: the basis rows' factors at ``u``."""
-    s = _FUNCTIONS[space.kind, math][0]
+    s = _FUNCTIONS[space.kind][0]
     return s(0.5 * (space.alpha - u)), s(0.5 * u)
 
 
@@ -220,8 +219,13 @@ class BezierPiece:
     weights: np.ndarray
     u_interval: tuple[float, float]
 
+    # :func:`_restricted` of the piece, kept by the first call that builds it: a piece is immutable.
+    _restriction = None
+
     def evaluate(self, u):
-        lo, sub, omega = _restricted(self)
+        if self._restriction is None:
+            object.__setattr__(self, "_restriction", _restricted(self))
+        lo, sub, omega = self._restriction
         a, b = self.u_interval
         space = self.parent_space
         scalar = np.ndim(u) == 0
@@ -312,14 +316,17 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     if not min(a, b) >= sys.float_info.min:  # the rule of basis_matrix, for each piece's width
         raise NumericalError(f"split at u0 = {u0!r} leaves a piece too short for its basis")
     c = _coefficient_sums(space) / _binomials(space.degree)
-    net = _folded(curve.points, c if curve.weights is None else c * curve.weights)
-    size = len(net)
-    # Level k of the pyramid in the first size - k entries of row k; an edge is one copying index.
-    pyramid = np.empty((size,) + net.shape)
-    pyramid[0] = net
-    for k in range(1, size):
-        level, prev = pyramid[k, : size - k], pyramid[k - 1, : size - k + 1]
-        np.add(np.multiply(stay, prev[:-1], out=level), v * prev[1:], out=level)
+    # A net beyond double range leaves inf or nan in the pieces' points, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        net = _folded(curve.points, c if curve.weights is None else c * curve.weights)
+        size = len(net)
+        # Level k of the pyramid in the first size - k entries of row k; an edge is one
+        # copying index.
+        pyramid = np.empty((size,) + net.shape)
+        pyramid[0] = net
+        for k in range(1, size):
+            level, prev = pyramid[k, : size - k], pyramid[k - 1, : size - k + 1]
+            np.add(np.multiply(stay, prev[:-1], out=level), v * prev[1:], out=level)
     rows = np.arange(size)
     edges = pyramid[rows, 0], pyramid[rows[::-1], rows]
     if not all((edge[:, -1] > 0.0).all() for edge in edges):

@@ -35,15 +35,15 @@ import math
 from enum import Enum
 from functools import reduce
 
-import numpy as np
-
-from . import _exports
+from . import _exports, _lazy
 from ._record import record
 from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, BasisKind, BasisSpace, _count, _integer,
                      _is_count, _top_order)
 from .curve import ControlCurve, _projected
 from .errors import NumericalError, RangeError
 from .xform import _elevated, _transform_rows
+
+np = _lazy.Numpy(globals())
 
 __all__ = _exports(__name__) + ["coordinate_ordinates"]  # not public at top level
 
@@ -109,7 +109,7 @@ class CoordinateFunction:
         """Direct evaluation of the traditional form (used as the reference)."""
         us = np.asarray(us, dtype=float)
         out = np.zeros_like(us)
-        s, c = _FUNCTIONS[kind, np]
+        s, c = (np.sin, np.cos) if kind is BasisKind.TRIGONOMETRIC else (np.sinh, np.cosh)
         for t in self.terms:
             f = c if t.family is TermFamily.COSINE else s
             out += t.amplitude * f(t.frequency * us + t.phase)
@@ -263,7 +263,7 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
         )
     rows = _transform_rows(space)
     out = np.zeros(space.dimension)
-    s, c, _ = _FUNCTIONS[space.kind, math]
+    s, c, _ = _FUNCTIONS[space.kind]
     sign = _ADDITION_SIGNS[space.kind]
     for t in fn.terms:
         scale, phase, cosine_like = _derived(t, space.kind, r)
@@ -273,10 +273,8 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
         sine, cosine = rows[2 * k - 1] if k else np.zeros(space.dimension), rows[2 * k]
         # cos(k u + phase) and sin(k u + phase) by the addition identities.
         cp, sp = c(phase), s(phase)
-        if cosine_like:
-            out += scale * (cp * cosine + sign * sp * sine)
-        else:
-            out += scale * (cp * sine + sp * cosine)
+        a, x, b, y = (cp, cosine, sign * sp, sine) if cosine_like else (cp, sine, sp, cosine)
+        out += scale * (a * x + b * y)
     return out
 
 

@@ -14,15 +14,15 @@ import json
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from . import _exports
+from . import _exports, _lazy
 from ._record import record
 from .curve import _projected
 from .errors import RangeError
 from .exact import _describe, _lattice
 from .io import SpecDocument, SvgPath, export_obj, export_svg, parse_document
 from .surface import _sampled
+
+np = _lazy.Numpy(globals())
 
 __all__ = _exports(__name__) + ["RenderedFigure"]  # not public at top level
 

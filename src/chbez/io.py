@@ -29,9 +29,7 @@ import math
 import re
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _exports
+from . import _exports, _lazy
 from ._record import record
 from .bbasis import _MAX_ORDER, _OVERFLOW_LIMIT, BasisKind, _is_count
 from .errors import RangeError, SpecError
@@ -39,6 +37,8 @@ from .errors import RangeError, SpecError
 if TYPE_CHECKING:  # the parsers import the spec types when they first run
     from .exact import CoordinateFunction, CurveSpec, Term
     from .surface import SurfaceSpec
+
+np = _lazy.Numpy(globals())
 
 __all__ = _exports(__name__)
 

@@ -19,15 +19,15 @@ explicit budget and reports the offending grid indices when it gives up.
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import _exports
+from . import _exports, _lazy
 from ._record import record
 from .bbasis import BasisKind, BasisSpace, _count, basis_matrix
 from .curve import ControlCurve, _checked_net, _combine, evaluate
 from .errors import NumericalError, RangeError
 from .exact import (DEFAULT_MAX_ELEVATIONS, CoordinateFunction, _describe, _integers, _lattice,
                     min_orders)
+
+np = _lazy.Numpy(globals())
 
 __all__ = _exports(__name__)
 

@@ -43,13 +43,13 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
-
-from . import _exports
+from . import _exports, _lazy
 from ._record import record
 from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, _MEMO_SPACES, BasisKind, BasisSpace, _index,
                      _sums_by_order)
 from .errors import RangeError
+
+np = _lazy.Numpy(globals())
 
 __all__ = _exports(__name__)
 
@@ -177,7 +177,7 @@ def elevate_coefficient_vector(space: BasisSpace, coeffs) -> np.ndarray:
 
 
 def _order_one_rows(kind: BasisKind, alpha: float) -> np.ndarray:
-    s, c, t = _FUNCTIONS[kind, math]
+    s, c, t = _FUNCTIONS[kind]
     return np.array([[1.0, 1.0, 1.0], [0.0, t(0.5 * alpha), s(alpha)], [1.0, 1.0, c(alpha)]])
 
 

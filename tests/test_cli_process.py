@@ -103,12 +103,12 @@ def test_gallery_matches_main(capsys, tmp_path):
     assert tree(out) == files
 
 
-# A child that runs a table command and prints, as JSON, whether the
-# collector was on while numpy loaded, its state at each write to stdout
-# during the command, and the exit code.  Its first argument picks the entry:
-# "import" (import chbez.cli, call main), "module" (python -m chbez.cli,
-# through runpy) or "script" (the chbez script's wrapper: import the entry,
-# call it).
+# A child that runs a command and prints, as JSON, whether the collector was
+# on each time numpy loaded, its state at each write to stdout during the
+# command, and the exit code.  Its first argument picks the entry: "import"
+# (import chbez.cli, call main), "module" (python -m chbez.cli, through
+# runpy) or "script" (the chbez script's wrapper: import the entry, call it).
+# Any further arguments are the command, by default a basis table.
 PROBE = r"""
 import gc, io, json, runpy, sys
 
@@ -124,7 +124,7 @@ class Probe(io.StringIO):
         return super().write(text)
 
 
-argv = ["basis", "--kind", "trig", "--alpha", "1", "--order", "2", "--samples", "3"]
+argv = sys.argv[2:] or ["basis", "--kind", "trig", "--alpha", "1", "--order", "2", "--samples", "3"]
 entry, real, sys.stdout = sys.argv[1], sys.stdout, Probe()
 sys.argv = ["chbez", *argv]
 try:
@@ -144,9 +144,9 @@ print(json.dumps({"code": code, "loads": loads, "writes": writes, "table": table
 """
 
 
-def probe(entry: str) -> dict:
+def probe(entry: str, argv=(), head="u,b0,b1,b2,b3,b4\n") -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, entry],
+        [sys.executable, "-c", PROBE, entry, *argv],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -154,7 +154,7 @@ def probe(entry: str) -> dict:
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     result = json.loads(proc.stdout)
-    assert result["code"] == 0 and result["table"].startswith("u,b0,b1,b2,b3,b4\n")
+    assert result["code"] == 0 and result["table"].startswith(head)
     return result
 
 
@@ -174,7 +174,25 @@ def test_module_entry_collects_nothing_while_loading_and_freezes_before_the_comm
 
 def test_script_entry_freezes_before_the_command():
     result = probe("script")
-    assert result["loads"] == [True]  # the script imports its entry before calling it
+    assert result["loads"] == [False]  # numpy loads on first use, inside the entry
+    assert result["writes"] and all(on and frozen > 0 for on, frozen in result["writes"])
+
+
+# A command whose numpy loads only after its spec is read (a rational curve),
+# and one that never loads numpy (the pure path).
+LATE_OR_NEVER = {
+    "rational-curve": (["describe", "--spec", str(FIGURES / "lemniscate.json")], [False],
+                       "x,y,weight\n"),
+    "xform": (["xform", "--kind", "trig", "--alpha", "1", "--order", "2"], [],
+              "1.0,1.0,1.0,1.0,1.0\n"),
+}
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+@pytest.mark.parametrize("argv, loads, head", LATE_OR_NEVER.values(), ids=LATE_OR_NEVER)
+def test_entries_load_numpy_only_with_the_collector_off(entry, argv, loads, head):
+    result = probe(entry, argv, head)
+    assert result["loads"] == loads
     assert result["writes"] and all(on and frozen > 0 for on, frozen in result["writes"])
 
 

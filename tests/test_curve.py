@@ -441,6 +441,30 @@ class TestSubdivide:
         with pytest.raises(RangeError, match=r"piece interval \[0\.5, 0\.5\] is empty"):
             piece.evaluate(0.5)
 
+    def test_empty_piece_interval_is_refused_at_every_call(self):
+        piece = BezierPiece(BasisSpace(TRIG, 1, 1.0), np.eye(3), np.ones(3), (0.5, 0.5))
+        for _ in range(2):  # nothing is kept from a refusal
+            with pytest.raises(RangeError, match="is empty"):
+                piece.evaluate(0.5)
+
+    @pytest.mark.parametrize("kind", [TRIG, HYP], ids=["trig", "hyp"])
+    def test_piece_restriction_is_built_once(self, monkeypatch, kind):
+        import chbez.curve
+
+        calls = []
+
+        def counted(piece):
+            calls.append(piece)
+            return restricted(piece)
+
+        restricted = chbez.curve._restricted
+        monkeypatch.setattr(chbez.curve, "_restricted", counted)
+        left = subdivide(random_curve(kind, 5, 2.0, seed=15, rational=True), 0.7).left
+        first, again = left.evaluate(0.3), left.evaluate(0.3)
+        assert first.tobytes() == again.tobytes()
+        left.evaluate(np.linspace(0.0, 0.7, 9))
+        assert len(calls) == 1 and calls[0] is left
+
     def test_piece_rejects_nan(self):
         res = subdivide(random_curve(HYP, 2, 2.0, seed=14), 0.8)
         with pytest.raises(RangeError, match=r"u = .*nan.* outside the piece interval"):

@@ -86,8 +86,9 @@ def test_table_commands_load_no_spec_modules(tmp_path):
         ["basis", "--kind", "hyp", "--alpha", "1.5", "--order", "2", "--samples", "5"],
     ]
     after = loaded_after(commands, tmp_path)
-    assert after[-1] == ["chbez._record", "chbez.bbasis", "chbez.cli", "chbez.errors",
-                         "chbez.io", "chbez.xform"]  # fmt: skip
+    # xform runs on the pure path, since this process has not loaded numpy yet.
+    assert after[-1] == ["chbez._lazy", "chbez._pure", "chbez._record", "chbez.bbasis",
+                         "chbez.cli", "chbez.errors", "chbez.io"]  # fmt: skip
 
 
 def test_only_gallery_loads_gallery(tmp_path):
@@ -178,3 +179,89 @@ def test_star_import_of_each_module_binds_its_all(module):
     want = {"main"} if module == "cli" else homed | MODULE_ONLY.get(module, set())
     assert set(mod.__all__) == want
     assert len(mod.__all__) == len(want)
+
+
+# A child that runs ``python -m chbez.cli`` on its arguments (through runpy), stdout
+# discarded, and prints on its last stderr line the exit code and whether numpy was loaded.
+NUMPY_PROBE = r"""
+import runpy, sys
+
+sys.argv = ["chbez", *sys.argv[1:]]
+try:
+    runpy.run_module("chbez.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def exit_and_numpy(argv) -> tuple:
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    code, loaded = proc.stderr.splitlines()[-1].split()
+    return int(code), loaded == "True"
+
+
+def _bad_spec(tmp_path) -> list:
+    path = tmp_path / "k40.json"
+    path.write_text(json.dumps({**json.loads((FIGURES / "hypocycloid.json").read_text()),
+                                "coords": [{"terms": [{"family": "cos", "k": 40, "a": 1}]}]}))
+    return ["--spec", str(path)]
+
+
+# Commands that end without numpy: the pure path (xform; describe, elevate and
+# subdivide of plain curves as csv or json), help and every refusal of a flag or a spec.
+WITHOUT_NUMPY = {
+    "xform": (0, ["xform", "--kind", "hyp", "--alpha", "0.5", "--order", "32", "--format", "json"]),
+    **{" ".join([command, figure, *flags]): (0, [command, *spec(figure), *flags])
+       for figure in ("hypocycloid", "quadrifolium", "torus_knot")
+       for command, flags in [
+           ("describe", []), ("describe", ["--derivative", "2", "--format", "json"]),
+           ("elevate", []), ("elevate", ["--order", "9", "--format", "json"]),
+           ("subdivide", ["--split-at", "1"]),
+       ]},
+    "help": (0, ["--help"]),
+    "command help": (0, ["sample", "--help"]),
+    "flag error": (2, ["xform", "--kind", "trig", "--alpha", "4", "--order", "3"]),
+    "parse error": (2, ["describe", "--format", "csv"]),
+    "spec error": (2, ["describe", "BAD_SPEC"]),
+    "not rational": (2, ["describe-rational", *spec("hypocycloid")]),
+}
+
+# Commands that need numpy: a rational curve, svg output, a patch, sampling, the gallery.
+WITH_NUMPY = {
+    "rational": (0, ["describe", *spec("lemniscate")]),
+    "svg": (0, ["describe", *spec("hypocycloid"), "--format", "svg"]),
+    "patch": (0, ["describe", *spec("torus_patch")]),
+    "sample": (0, ["sample", *spec("hypocycloid"), "--samples", "5"]),
+    "basis": (0, ["basis", "--kind", "trig", "--alpha", "1", "--order", "2"]),
+}
+
+
+@pytest.mark.parametrize("code, argv", WITHOUT_NUMPY.values(), ids=WITHOUT_NUMPY)
+def test_commands_that_end_without_numpy(tmp_path, code, argv):
+    argv = [a for arg in argv for a in (_bad_spec(tmp_path) if arg == "BAD_SPEC" else [arg])]
+    assert exit_and_numpy(argv) == (code, False)
+
+
+@pytest.mark.parametrize("code, argv", WITH_NUMPY.values(), ids=WITH_NUMPY)
+def test_commands_that_load_numpy(code, argv):
+    assert exit_and_numpy(argv) == (code, True)
+
+
+def test_a_process_with_numpy_takes_the_numpy_path(tmp_path):
+    # xform imports chbez.xform only on the numpy path.
+    code = f"""
+import json, sys
+import numpy
+from chbez.cli import main
+assert main(["xform", "--kind", "trig", "--alpha", "1", "--order", "3",
+             "--out", {str(tmp_path / "out")!r}]) == 0
+print(json.dumps("chbez.xform" in sys.modules))
+"""
+    assert run_python(code) is True

@@ -1,0 +1,206 @@
+"""The pure path (``chbez._pure``) gives the bits, bytes and refusals of the numpy path.
+
+The CLI takes the pure path for xform, and for describe, elevate and
+subdivide of a plain curve as csv or json, while its process has not loaded
+numpy.  This test process has, so the tests here force the pure path by
+patching ``chbez.cli._numpy_loaded``, or run a child that never loads numpy.
+Random spaces and specs are drawn from seeded generators.
+"""
+
+import json
+import math
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import chbez
+import chbez.cli
+from chbez import BasisKind, BasisSpace, CurveSpec, parse_document
+from chbez import _pure
+from chbez.bbasis import _sums_by_order
+from chbez.cli import main
+from chbez.xform import _step_table, _transform_rows
+from test_cli import DERIVED_DOCS, FAILING_COMMANDS, RAW_SPECS
+from test_cli import test_failing_command as failing_command
+from test_cli_digests import COMMANDS
+from test_cli_process import child_env
+
+FIGURES = Path(chbez.__file__).parent / "figures"
+TRIG, HYP = BasisKind.TRIGONOMETRIC, BasisKind.HYPERBOLIC
+PURE_COMMANDS = ("xform", "describe", "elevate", "subdivide")
+
+
+def random_space(rng: random.Random, kind: BasisKind, n: int) -> BasisSpace:
+    """A space of order n: alpha anywhere, or near pi (trigonometric) or n * alpha = 300."""
+    if kind is TRIG:
+        alpha = rng.choice([rng.uniform(1e-3, 3.1), math.pi * (1.0 - rng.uniform(1e-15, 1e-6))])
+    else:
+        alpha = rng.choice([rng.uniform(1e-3, 300.0 / n), 300.0 / n * rng.uniform(0.99, 1.0)])
+    return BasisSpace(kind, n, alpha)
+
+
+def spaces(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    kinds = [TRIG, HYP]
+    return [random_space(rng, kinds[i % 2], n) for i in range(count) for n in [1 + i % 32]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_transform_rows_match_bit_for_bit(seed):
+    for space in spaces(seed, 64):
+        pure = np.array(_pure.transform_rows(space))
+        assert pure.tobytes() == _transform_rows(space).tobytes(), space
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_sums_and_step_weights_match_bit_for_bit(seed):
+    for space in spaces(10 + seed, 64):
+        orders = [1, *range(1, space.n + 1)]
+        pure = np.array(_pure._sums_by_order(space, orders))
+        assert pure.tobytes() == _sums_by_order(space, orders).tobytes(), space
+        table = _step_table(space, 1)
+        for m, step in enumerate(_pure._step_table(space, 1), start=1):
+            assert np.array(step).tobytes() == table[m - 1, :, : 2 * m + 1].tobytes(), space
+
+
+def run_both(capsys, monkeypatch, argv) -> tuple:
+    """(code, stdout, stderr) of ``argv`` on the numpy path and on the pure path."""
+    results = []
+    for pure in (False, True):
+        monkeypatch.setattr(chbez.cli, "_numpy_loaded", lambda pure=pure: not pure)
+        code = main(list(argv))
+        results.append((code, *capsys.readouterr()))
+    return tuple(results)
+
+
+def random_doc(rng: random.Random) -> dict:
+    """A plain curve document of 1 to 4 coordinates, each a few terms of frequency up to 8."""
+    kind = rng.choice([TRIG, HYP])
+    nu = rng.randint(0, 8)
+    alpha = random_space(rng, kind, max(nu, 1)).alpha
+    names = ("cos", "sin") if kind is TRIG else ("cosh", "sinh")
+    coords = []
+    for _ in range(rng.randint(1, 4)):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            term = {"family": rng.choice(names), "k": rng.randint(0, nu),
+                    "a": rng.choice([0.0, rng.uniform(-10.0, 10.0), rng.uniform(-1e300, 1e300)])}
+            if rng.random() < 0.5:
+                term["phase"] = rng.uniform(-4.0, 4.0)
+            terms.append(term)
+        coords.append({"terms": terms})
+    return {"version": 1, "type": "curve", "kind": kind.value, "alpha": alpha, "coords": coords}
+
+
+def random_argv(rng: random.Random, path: str, doc: dict) -> list:
+    command = rng.choice(["describe", "elevate", "subdivide"])
+    argv = [command, "--spec", path]
+    if rng.random() < 0.6:
+        argv += ["--order", str(rng.randint(0, 33))]
+    if command == "describe" and rng.random() < 0.6:
+        argv += ["--derivative", str(rng.choice([0, 1, 2, 5, 40]))]
+    if command == "subdivide":
+        alpha = doc["alpha"]
+        u0 = rng.choice([rng.uniform(0.0, alpha), alpha * rng.uniform(1e-17, 1e-10), 1e-310])
+        return argv + ["--split-at", repr(u0)]
+    return argv + ["--format", rng.choice(["csv", "json"])]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_specs_give_the_same_bytes_and_refusals(capsys, monkeypatch, tmp_path, seed):
+    rng = random.Random(100 + seed)
+    for i in range(40):
+        doc = random_doc(rng)
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(doc))
+        argv = random_argv(rng, str(path), doc)
+        numpy_path, pure_path = run_both(capsys, monkeypatch, argv)
+        assert pure_path == numpy_path, argv
+
+
+def _eligible(argv) -> bool:
+    """Whether a CLI digest command runs on the pure path in a process without numpy."""
+    if argv[0] == "xform":
+        return True
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
+    if argv[0] not in PURE_COMMANDS or fmt not in ("csv", "json"):
+        return False
+    doc = parse_document(Path(argv[argv.index("--spec") + 1]).read_text())
+    return isinstance(doc.spec, CurveSpec) and not doc.rational
+
+
+ELIGIBLE = {key: argv for key, argv in COMMANDS.items() if _eligible(argv)}
+
+# A child that runs each argument list of its stdin (JSON) through chbez.cli.main
+# and prints, as JSON, each (code, stdout, stderr), and whether numpy was loaded.
+CHILD = r"""
+import contextlib, io, json, sys
+from chbez.cli import main
+
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"numpy": "numpy" in sys.modules, "results": results}))
+"""
+
+
+def test_digest_commands_without_numpy_match_the_numpy_path(capsys):
+    assert len(ELIGIBLE) >= 70
+    assert {argv[0] for argv in ELIGIBLE.values()} == set(PURE_COMMANDS)
+    proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(list(ELIGIBLE.values())),
+                          capture_output=True, text=True, env=child_env(), timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    child = json.loads(proc.stdout)
+    assert child["numpy"] is False
+    for key, argv, result in zip(ELIGIBLE, ELIGIBLE.values(), child["results"]):
+        code = main(list(argv))
+        assert result == [code, *capsys.readouterr()], key
+
+
+PURE_ROWS = [row for row in FAILING_COMMANDS if row[0] in PURE_COMMANDS]
+
+
+def _takes_pure_path(figure: str, flags) -> bool:
+    """Whether a FAILING_COMMANDS row that reaches the selection takes the pure path."""
+    if not figure or figure in RAW_SPECS:
+        return True
+    doc = DERIVED_DOCS[figure]() if figure in DERIVED_DOCS else json.loads(
+        (FIGURES / f"{figure}.json").read_text())
+    plain = doc["type"] == "curve" and not doc.get("rational", False)
+    return plain and "svg" not in flags and "obj" not in flags
+
+
+@pytest.mark.parametrize(
+    "command, figure, flags, code, stderr",
+    PURE_ROWS,
+    ids=[" ".join([c, f, *fl]) for c, f, fl, _, _ in PURE_ROWS],
+)
+def test_failing_command_on_the_pure_path(capsys, monkeypatch, tmp_path, command, figure, flags,
+                                          code, stderr):
+    selected, select = [], chbez.cli._pure_path
+
+    def recorded(*args):
+        pure = select(*args)
+        selected.append(pure is _pure)
+        return pure
+
+    monkeypatch.setattr(chbez.cli, "_numpy_loaded", lambda: False)
+    monkeypatch.setattr(chbez.cli, "_pure_path", recorded)
+    failing_command(capsys, tmp_path, command, figure, flags, code, stderr)
+    assert selected in ([], [_takes_pure_path(figure, flags)])
+    if code == 3:  # a split refused on the pure path, or a rational curve on the numpy path
+        assert selected == [_takes_pure_path(figure, flags)]
+
+
+def test_numpy_loaded_keeps_the_numpy_path():
+    # This process has loaded numpy; no command here takes the pure path.
+    args = chbez.cli._build_parser("xform").parse_args(["xform", "--kind", "trig", "--alpha", "1",
+                                                        "--order", "2"])
+    assert chbez.cli._numpy_loaded() and not chbez.cli._pure_path(args)
