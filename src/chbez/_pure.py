@@ -1,7 +1,7 @@
-"""The pure path: plain curves and transform matrices in Python floats, without numpy.
+"""The pure path: curves and transform matrices in Python floats, without numpy.
 
 A one-shot CLI process spends longer importing numpy than ``xform``, or
-``describe``, ``elevate`` and ``subdivide`` of a plain (non-rational)
+``describe``, ``describe-rational``, ``elevate`` and ``subdivide`` of a
 curve, take to compute.  ``chbez.cli`` runs these commands here while the
 process has not loaded numpy (``cli._pure_path``).  Each function repeats
 its numpy twin, named in its docstring, operation for operation and in the
@@ -12,6 +12,12 @@ Python 3.12 on.  Arrays become lists: a vector a list of floats, a matrix
 a list of rows.  The writers print the bytes of ``io.export_table`` and
 ``json.dumps``.  ``tests/test_pure.py`` and ``tools/pure_sweep.py`` run
 both paths and compare them.
+
+A rational curve has one step whose bits can differ: numpy's check that the
+denominator is positive samples it through numpy's sin, cos, sinh and cosh.
+This path takes only the curves whose check :func:`certified` proves to
+pass; the elevation of the pre-image until its weights are positive, the
+projection and the weight column then repeat the numpy path bit for bit.
 """
 
 from __future__ import annotations
@@ -21,15 +27,17 @@ import math
 import sys
 from collections import namedtuple
 from functools import lru_cache, reduce
+from itertools import chain
 from operator import add
 
-from .bbasis import _ADDITION_SIGNS, _FUNCTIONS, _MEMO_SPACES, BasisSpace, _half_functions
+from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, _MEMO_SPACES, BasisSpace, _half_functions,
+                     _top_order)
 from .errors import NumericalError, RangeError
 from .io import _csv_header
 
 
-# A plain control curve: its space and its control points, one list per point.
-Polygon = namedtuple("Polygon", "space points")
+# A control curve: its space, its control points (a list per point) and its weights (None: plain).
+Polygon = namedtuple("Polygon", "space points weights", defaults=[None])
 
 
 def _sums_by_order(space: BasisSpace, orders) -> list:
@@ -84,53 +92,125 @@ def transform_rows(space: BasisSpace) -> list:
 
 def _ordinates(fn, space: BasisSpace, r: int) -> list:
     """``exact.coordinate_ordinates`` of a coordinate whose frequencies fit the space."""
-    from .exact import _derived
+    from .exact import _term_rows
 
-    rows = transform_rows(space)
     out = [0.0] * space.dimension
-    s, c, _ = _FUNCTIONS[space.kind]
-    sign = _ADDITION_SIGNS[space.kind]
-    for t in fn.terms:
-        scale, phase, cosine_like = _derived(t, space.kind, r)
-        if scale == 0.0:
-            continue
-        k = t.frequency  # sin(0 u) has the zero row
-        sine, cosine = rows[2 * k - 1] if k else [0.0] * space.dimension, rows[2 * k]
-        cp, sp = c(phase), s(phase)
-        a, x, b, y = (cp, cosine, sign * sp, sine) if cosine_like else (cp, sine, sp, cosine)
+    for scale, a, x, b, y in _term_rows(fn, space, r, transform_rows(space), [0.0] * len(out)):
         out = [o + scale * (a * xi + b * yi) for o, xi, yi in zip(out, x, y)]
     return out
 
 
-def describe(spec, orders, r) -> Polygon:
-    """``exact._describe`` of a plain curve spec at checked flags (None: minimum, underived)."""
+def certified(spec) -> bool:
+    """Whether ``exact._check_denominator`` passes a rational curve spec, proven without numpy.
+
+    That check samples the denominator (the last coordinate) through numpy's
+    sin, cos, sinh and cosh, whose bits can differ from ``math``'s by a few
+    ulps.  At each of its samples this asks the sum of the terms, by ``math``,
+    to be a normal double above 2**-30 times the sum of their absolute values,
+    which a few ulps per term cannot bring to 0 or below; only the verdict
+    counts here, not bits, so these sums may be ``sum``.  An overflow, or a
+    value that is not finite, certifies nothing: that spec takes the numpy
+    path, refusals and all.
+    """
+    from .exact import _CURVE_SAMPLES, TermFamily
+
+    s, c, _ = _FUNCTIONS[spec.kind]
+    terms = [(c if t.family is TermFamily.COSINE else s, t) for t in spec.coords[-1].terms]
+    step = spec.alpha / (_CURVE_SAMPLES - 1)  # the samples of np.linspace: i * step, then alpha
+    try:
+        for u in [i * step for i in range(_CURVE_SAMPLES - 1)] + [spec.alpha]:
+            values = [t.amplitude * f(t.frequency * u + t.phase) for f, t in terms]
+            if not sum(values) > max(2**-30 * sum(map(abs, values)), sys.float_info.min):
+                return False
+    except OverflowError:
+        return False
+    return True
+
+
+def _finite_channels(channels: list) -> list:
+    """``exact._finite_channels``: ``channels``, or a range error naming the first not finite."""
+    for ell, channel in enumerate(channels):
+        if not all(map(math.isfinite, channel)):
+            raise RangeError(f"coords[{ell}]: control points overflow double precision")
+    return channels
+
+
+def _projected(channels: list) -> tuple:
+    """``curve._projected``: the numerator channels divided by the weights (the last), and those."""
+    w = channels[-1]
+    return [[x / wi for x, wi in zip(c, w)] for c in channels[:-1]], w
+
+
+def _net(space: BasisSpace, channels: list, weights=None) -> Polygon:
+    """``ControlCurve(space, points, weights)`` of the points in ``channels``, and its refusals.
+
+    The weights, if any, are positive: the callers checked that.
+    """
+    if not all(math.isfinite(x) for c in channels for x in c):
+        raise RangeError("control points must be finite")
+    if weights and not all(map(math.isfinite, weights)):
+        raise RangeError("weights must be finite, nonnegative and not all zero")
+    return Polygon(space, [list(p) for p in zip(*channels)], weights)
+
+
+def _positive(channels: list, space: BasisSpace, max_elevations: int) -> tuple:
+    """``exact._elevate_until_positive`` of a curve's pre-image channels, the weights last."""
+    from .exact import WEIGHT_POSITIVITY
+
+    steps, top = 0, _top_order(space.kind, space.alpha)
+    while True:
+        w = channels[-1]
+        # numpy's max is nan if a weight is, and min(1.0, nan) is 1.0.
+        scale = min(1.0, max(map(abs, w))) if all(x == x for x in w) else 1.0
+        bad = [i for i, x in enumerate(w) if x <= WEIGHT_POSITIVITY * scale]
+        if not bad or steps >= max_elevations or space.n >= top:
+            break
+        space = BasisSpace(space.kind, space.n + 1, space.alpha)
+        (weights,) = _step_table(space, space.n - 1)
+        channels = [_raise_order(weights, c) for c in channels]
+        steps += 1
+    if bad:
+        raise NumericalError(f"weights not positive after {steps} elevation(s)", indices=bad)
+    return channels, space
+
+
+def describe(spec, orders, r, rational: bool, max_elevations: int) -> Polygon:
+    """``exact._describe`` of a curve spec at checked flags (None: minimum, underived).
+
+    A rational spec is one that :func:`certified` passes.
+    """
     from .exact import _check_orders
 
     space = spec.space(_check_orders(spec, orders)[0])
     # Ordinates sum onto 0.0, so none is -0.0 and the 0.0 + that numpy adds changes no bit.
-    channels = [_ordinates(fn, space, (r or (0,))[0]) for fn in spec.coords]
-    for ell, channel in enumerate(channels):
-        if not all(map(math.isfinite, channel)):
-            raise RangeError(f"coords[{ell}]: control points overflow double precision")
-    return Polygon(space, [list(p) for p in zip(*channels)])
+    channels = _finite_channels([_ordinates(fn, space, (r or (0,))[0]) for fn in spec.coords])
+    if not rational:
+        return _net(space, channels)
+    channels, space = _positive(channels, space, max_elevations)
+    numerators, weights = _projected(channels)
+    return _net(space, _finite_channels(numerators), weights)
 
 
 def elevate(curve: Polygon, z: int) -> Polygon:
-    """``curve.elevate`` of a plain polygon by a count whose target order the caller checked.
+    """``curve.elevate`` of a polygon by a positive count whose target order the caller checked.
 
-    The steps are those of ``xform._elevated`` along each channel.
+    The steps are those of ``xform._elevated`` along each channel, a rational
+    curve's along the channels of its pre-image ``(w p, w)``.
     """
     top = BasisSpace(curve.space.kind, curve.space.n + z, curve.space.alpha)
+    w = curve.weights
     channels = [list(c) for c in zip(*curve.points)]
+    if w:
+        channels = [[wi * x for wi, x in zip(w, c)] for c in channels] + [w]
     for weights in _step_table(top, curve.space.n):
         channels = [_raise_order(weights, c) for c in channels]
-    if not all(math.isfinite(x) for c in channels for x in c):
-        raise RangeError("control points must be finite")
-    return Polygon(top, [list(p) for p in zip(*channels)])
+    if w and not all(x > 0.0 for x in channels[-1]):
+        raise NumericalError("degenerate weight after elevation")
+    return _net(top, *_projected(channels)) if w else _net(top, channels)
 
 
 def subdivide(curve: Polygon, u0: float) -> dict:
-    """``curve.subdivide`` of a plain polygon at a checked ``u0``, as the CLI's JSON payload."""
+    """``curve.subdivide`` of a polygon at a checked ``u0``, as the CLI's JSON payload."""
     from .curve import _half_sines
 
     space = curve.space
@@ -142,6 +222,8 @@ def subdivide(curve: Polygon, u0: float) -> dict:
         raise NumericalError(f"split at u0 = {u0!r} leaves a piece too short for its basis")
     sums = _sums_by_order(space, [space.n])[0]
     cs = [s / float(math.comb(space.degree, i)) for i, s in enumerate(sums)]
+    if curve.weights:
+        cs = [c * w for c, w in zip(cs, curve.weights)]
     level = [[c * x for x in p] + [c] for c, p in zip(cs, curve.points)]
     levels = [level]
     while len(level) > 1:
@@ -155,8 +237,10 @@ def subdivide(curve: Polygon, u0: float) -> dict:
         return {"interval": interval, "points": [[x / p[-1] for x in p[:-1]] for p in edge],
                 "weights": [p[-1] for p in edge]}
 
-    return {"split_ratio": v, "left": piece(left, [0.0, u0]),
-            "right": piece(right[::-1], [u0, space.alpha])}
+    pieces = piece(left, [0.0, u0]), piece(right[::-1], [u0, space.alpha])
+    if not all(math.isfinite(x) for pc in pieces for x in chain(pc["weights"], *pc["points"])):
+        raise NumericalError(f"pieces overflow double precision while splitting at u0 = {u0:g}")
+    return {"split_ratio": v, "left": pieces[0], "right": pieces[1]}
 
 
 def table(rows: list, fmt: str, columns=None) -> str:

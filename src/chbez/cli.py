@@ -13,8 +13,10 @@ the control net.
 
 numpy is imported on first use (:mod:`chbez._lazy`).  Help and every
 refusal of a flag or a spec end without it, and while a process has not
-loaded it, xform, and describe, elevate and subdivide of a plain curve as
-csv or json, run on the pure path (:mod:`chbez._pure`), with the same bytes.
+loaded it, xform, and describe, describe-rational, elevate and subdivide of
+a curve as csv or json, run on the pure path (:mod:`chbez._pure`), with the
+same bytes; a rational curve does once its denominator is certified
+positive (:func:`_pure_path`).
 
 A CLI process (``python -m chbez.cli`` or the ``chbez`` script) keeps the
 cyclic garbage collector off while its modules load.  Before the command it
@@ -170,20 +172,23 @@ def _numpy_loaded() -> bool:
 def _pure_path(args, doc: SpecDocument | None = None):
     """The pure path (module :mod:`chbez._pure`) if a command takes it, else None.
 
-    It does for xform, and for describe, elevate and subdivide of a plain
-    (non-rational) curve, written as csv or json, while the process has not
-    loaded numpy; once numpy is loaded, its path is faster.  Importing numpy
-    takes 60-80 ms of a 135-145 ms one-shot process, and the pure transform
-    rows, by far the largest pure step, 0.2, 0.7, 3.7 and 23.5 ms at orders
-    4, 8, 16 and 32 (2-vCPU x86-64 host, one CPU), so no order is too high
-    for the pure path.
+    It does for xform, and for describe, describe-rational, elevate and
+    subdivide of a curve, written as csv or json, while the process has not
+    loaded numpy; once numpy is loaded, its path is faster.  A rational curve
+    takes it only if :func:`chbez._pure.certified` proves that numpy's
+    sampled denominator check passes; any other goes to the numpy path,
+    which gives its refusals.  Importing numpy takes 60-80 ms of a 135-145 ms
+    one-shot process, and the pure transform rows, by far the largest pure
+    step, 0.2, 0.7, 3.7 and 23.5 ms at orders 4, 8, 16 and 32 (2-vCPU x86-64
+    host, one CPU), so no order is too high for the pure path; the
+    certificate costs about 0.7 ms.
     """
-    plain = doc is None or not doc.rational and len(doc.spec._directions) == 1
-    if not (plain and args.format in ("csv", "json")) or _numpy_loaded():
+    curve = doc is None or len(doc.spec._directions) == 1
+    if not (curve and args.format in ("csv", "json")) or _numpy_loaded():
         return None
     from . import _pure
 
-    return _pure
+    return _pure if doc is None or not doc.rational or _pure.certified(doc.spec) else None
 
 
 def _space_flags(args) -> BasisSpace:
@@ -256,7 +261,7 @@ def _described(doc: SpecDocument, args, noun: str = "points", pure=None):
     for k, rj in zip(min_orders(spec), r or ()):
         _named("--derivative", _derivative_scale, k, rj)  # the largest frequency scales most
     if pure:
-        return pure.describe(spec, orders, r)
+        return pure.describe(spec, orders, r, doc.rational, args.max_elevations)
     return _describe(spec, orders, r, doc.rational, args.max_elevations)[0]
 
 
@@ -286,7 +291,10 @@ def _control_output(net, fmt: str, pure=None) -> str:
     With ``pure``, a polygon of the pure path goes through its table writer.
     """
     if pure:
-        return pure.table(net.points, fmt, _coord_names(len(net.points[0])))
+        rows, columns = net.points, _coord_names(len(net.points[0]))
+        if net.weights:
+            rows, columns = [[*p, w] for p, w in zip(rows, net.weights)], [*columns, "weight"]
+        return pure.table(rows, fmt, columns)
     dims = net.points.shape[:-1]
     index = [np.arange(d) for d in dims] if len(dims) > 1 else []
     return _output(net.points, fmt, "polygon", index, "i", net.weights)
@@ -336,7 +344,6 @@ def _piece(p) -> dict:
 
 
 def _cmd_elevate(args):
-    from .curve import elevate
     from .exact import _describe, min_order
 
     doc = _load_document(args)
@@ -347,8 +354,15 @@ def _cmd_elevate(args):
     if target is not None and target < base:
         raise RangeError(f"--order: target {target} below the minimum order {base}")
     pure = _pure_path(args, doc)
-    curve = pure.describe(spec, None, None) if pure else _describe(
-        spec, None, None, doc.rational, args.max_elevations)[0]
+    if pure:
+        describe, elevate = pure.describe, pure.elevate
+    else:
+        from .curve import elevate
+
+        def describe(*given):
+            return _describe(*given)[0]
+
+    curve = describe(spec, None, None, doc.rational, args.max_elevations)
     reached = curve.space.n  # above base when a rational description needed elevation
     if target is None:
         target = _capped(reached + 1, "default target ")
@@ -356,7 +370,7 @@ def _cmd_elevate(args):
         raise RangeError(f"--order: target {target} below the order {reached} the rational "
                          "description reached")
     _named("--order", spec.space, target)  # a default target can trip the overflow guard
-    elevated = (pure.elevate if pure else elevate)(curve, target - reached)
+    elevated = elevate(curve, target - reached) if target > reached else curve
     return _control_output(elevated, args.format, pure), args.out
 
 

@@ -89,9 +89,9 @@ def _folded(points: np.ndarray, weights) -> np.ndarray:
 def _projected(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A pre-image's numerator channels divided by its weights (last channel), and the weights.
 
-    An overflow gives ``inf`` without a warning; the rational descriptions report it.
+    An overflow gives ``inf``, and ``inf / inf`` nan, without a warning; the callers report it.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return points[..., :-1] / points[..., -1:], points[..., -1]
 
 
@@ -303,9 +303,10 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     not lost to ``1 - v``.  The first edge is the left piece and the last
     edge, reversed, the right one; a polynomial curve's outer piece weights
     are exactly 1.  A split is refused where a piece weight is not positive,
-    where a share is 0, which would collapse a piece to a point, and where
-    a piece is too short for the basis of its interval: ``s(w/2)`` of its
-    width ``w`` is not a normal double, the rule of :func:`basis_matrix`.
+    where a share is 0, which would collapse a piece to a point, where
+    a piece is too short for the basis of its interval (``s(w/2)`` of its
+    width ``w`` is not a normal double, the rule of :func:`basis_matrix`),
+    and where a piece point or weight overflows double range.
     """
     space = curve.space
     u0 = _split_point(space, u0)
@@ -316,7 +317,7 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     if not min(a, b) >= sys.float_info.min:  # the rule of basis_matrix, for each piece's width
         raise NumericalError(f"split at u0 = {u0!r} leaves a piece too short for its basis")
     c = _coefficient_sums(space) / _binomials(space.degree)
-    # A net beyond double range leaves inf or nan in the pieces' points, without a warning.
+    # A net beyond double range leaves inf or nan in the pieces, refused below without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         net = _folded(curve.points, c if curve.weights is None else c * curve.weights)
         size = len(net)
@@ -328,11 +329,14 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
             level, prev = pyramid[k, : size - k], pyramid[k - 1, : size - k + 1]
             np.add(np.multiply(stay, prev[:-1], out=level), v * prev[1:], out=level)
     rows = np.arange(size)
-    edges = pyramid[rows, 0], pyramid[rows[::-1], rows]
-    if not all((edge[:, -1] > 0.0).all() for edge in edges):
+    edges = pyramid[[rows, rows[::-1]], [0 * rows, rows]]  # the left edge, then the right one
+    if not (edges[..., -1] > 0.0).all():
         raise NumericalError(f"degenerate weight pyramid while splitting at u0 = {u0:g}")
-    left, right = (BezierPiece(space, *_projected(edge), interval)
-                   for edge, interval in zip(edges, ((0.0, u0), (u0, space.alpha))))
+    points, weights = _projected(edges)
+    if not (np.isfinite(points).all() and np.isfinite(weights).all()):
+        raise NumericalError(f"pieces overflow double precision while splitting at u0 = {u0:g}")
+    left, right = (BezierPiece(space, p, w, interval)
+                   for p, w, interval in zip(points, weights, ((0.0, u0), (u0, space.alpha))))
     return SubdivisionResult(left, right, v)
 
 

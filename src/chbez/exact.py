@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
 
 from . import _exports, _lazy
 from ._record import record
 from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, BasisKind, BasisSpace, _count, _integer,
                      _is_count, _top_order)
-from .curve import ControlCurve, _projected
 from .errors import NumericalError, RangeError
 from .xform import _elevated, _transform_rows
 
@@ -57,6 +56,14 @@ _CURVE_SAMPLES = 1001
 _PATCH_SAMPLES = 33
 
 DEFAULT_MAX_ELEVATIONS = 32
+
+
+@cache
+def _curve():
+    """The module :mod:`chbez.curve`, imported on first use: the pure path describes without it."""
+    from . import curve
+
+    return curve
 
 
 class TermFamily(Enum):
@@ -183,7 +190,7 @@ class CurveSpec:
         return tuple(((fn,),) for fn in self.coords)  # one one-factor product per coordinate
 
     def _net(self, orders, points, weights=None) -> ControlCurve:
-        return ControlCurve(self.space(orders[0]), points, weights)
+        return _curve().ControlCurve(self.space(orders[0]), points, weights)
 
     def evaluate(self, us) -> np.ndarray:
         """Pointwise evaluation of the traditional form, one row per sample."""
@@ -261,8 +268,21 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
         raise RangeError(
             f"coordinate of frequency {fn.max_frequency()} does not fit order {space.n}"
         )
-    rows = _transform_rows(space)
     out = np.zeros(space.dimension)
+    for scale, a, x, b, y in _term_rows(fn, space, r, _transform_rows(space), np.zeros(len(out))):
+        out += scale * (a * x + b * y)
+    return out
+
+
+def _term_rows(fn: CoordinateFunction, space: BasisSpace, r: int, rows, zero):
+    """``(scale, a, x, b, y)`` per nonzero term of the r-th derivative of ``fn``.
+
+    The term adds ``scale * (a * x + b * y)`` to the ordinates: ``x`` and ``y``
+    are rows of the transform ``rows`` (or the row ``zero``), ``a`` and ``b``
+    the cosine and sine of its phase, as the addition identities combine them.
+    A hyperbolic phase past about 710 overflows to inf, as in numpy, so the
+    callers' check refuses its coordinate.
+    """
     s, c, _ = _FUNCTIONS[space.kind]
     sign = _ADDITION_SIGNS[space.kind]
     for t in fn.terms:
@@ -270,12 +290,12 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
         if scale == 0.0:
             continue
         k = t.frequency  # sin(0 u) has the zero row
-        sine, cosine = rows[2 * k - 1] if k else np.zeros(space.dimension), rows[2 * k]
-        # cos(k u + phase) and sin(k u + phase) by the addition identities.
-        cp, sp = c(phase), s(phase)
-        a, x, b, y = (cp, cosine, sign * sp, sine) if cosine_like else (cp, sine, sp, cosine)
-        out += scale * (a * x + b * y)
-    return out
+        sine, cosine = rows[2 * k - 1] if k else zero, rows[2 * k]
+        try:
+            cp, sp = c(phase), s(phase)
+        except OverflowError:
+            cp, sp = math.inf, math.copysign(math.inf, phase)
+        yield (scale, cp, cosine, sign * sp, sine) if cosine_like else (scale, cp, sine, sp, cosine)
 
 
 def _sum_of_products(products, dims: tuple, factor_values) -> np.ndarray:
@@ -339,7 +359,7 @@ def _describe(spec, orders=None, r=None, rational=False, max_elevations=DEFAULT_
     if not rational:
         return spec._net(orders, points), points, 0
     points, orders, steps = _elevate_until_positive(points, orders, directions, max_elevations)
-    numerators, weights = _projected(points)
+    numerators, weights = _curve()._projected(points)
     return spec._net(orders, _finite_channels(numerators), weights), points, steps
 
 
@@ -395,7 +415,7 @@ def exact_rational_curve(
     if spec.dimension < 2:
         raise RangeError("rational description needs numerator and denominator coordinates")
     curve, points, steps = _describe(spec, None if n is None else (n,), None, True, max_elevations)
-    return PreImageResult(ControlCurve(curve.space, points), curve, steps)
+    return PreImageResult(_curve().ControlCurve(curve.space, points), curve, steps)
 
 
 def _check_denominator(spec, max_elevations):

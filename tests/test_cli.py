@@ -599,6 +599,12 @@ FAILING_COMMANDS = [
     # A subnormal s(u0 / 2): the left piece is too short for the basis of its interval.
     ("subdivide", "hypocycloid", ["--split-at", "1e-310"], 3,
      "numerical failure: split at u0 = 1e-310 leaves a piece too short for its basis\n"),
+    # A net beyond double range: both pieces' points would be inf.
+    ("subdivide", "equilateral_hyperbola_huge_y", ["--split-at", "128.9"], 3,
+     "numerical failure: pieces overflow double precision while splitting at u0 = 128.9\n"),
+    # A hyperbolic phase past about 710 overflows cosh and sinh, whatever the amplitude.
+    ("describe", "equilateral_hyperbola_phase_800", [], 2,
+     "error: coords[0]: control points overflow double precision\n"),
     # basis and xform read no spec (figure ""); a range error names the flag at
     # fault, and alpha is judged alone before the order.
     *[
@@ -718,6 +724,22 @@ def _alpha_20_k20_doc() -> dict:
     return doc
 
 
+def _huge_y_doc() -> dict:
+    """equilateral_hyperbola.json at alpha = 139.09 with y the constant 2.8e299."""
+    doc = _alpha_12_doc()
+    doc["alpha"] = 139.09
+    doc["coords"][1]["terms"] = [{"family": "cosh", "k": 0, "a": 2.8e299}]
+    return doc
+
+
+def _phase_800_doc() -> dict:
+    """equilateral_hyperbola.json at alpha = 1 with x = cosh(u + 800)."""
+    doc = _alpha_12_doc()
+    doc["alpha"] = 1
+    doc["coords"][0]["terms"] = [{"family": "cosh", "k": 1, "a": 1, "phase": 800}]
+    return doc
+
+
 def _guard_stop_doc(alpha: float) -> dict:
     """equilateral_hyperbola.json at ``alpha``, without phases, over -0.999 + cosh(u - alpha/2)."""
     doc = json.loads(load_figure_text("equilateral_hyperbola"))
@@ -758,6 +780,8 @@ DERIVED_DOCS = {
     **{f"guard_stop_alpha_{alpha}": lambda alpha=alpha: _guard_stop_doc(alpha)
        for alpha in (3, 12, 20)},
     "guard_stop_hybrid_patch": _guard_stop_patch_doc,
+    "equilateral_hyperbola_huge_y": _huge_y_doc,
+    "equilateral_hyperbola_phase_800": _phase_800_doc,
 }
 
 

@@ -178,11 +178,12 @@ def test_script_entry_freezes_before_the_command():
     assert result["writes"] and all(on and frozen > 0 for on, frozen in result["writes"])
 
 
-# A command whose numpy loads only after its spec is read (a rational curve),
-# and one that never loads numpy (the pure path).
+# A command whose numpy loads only after its spec is read (a rational curve as
+# svg, which the pure path does not write), and one that never loads numpy (the
+# pure path).
 LATE_OR_NEVER = {
-    "rational-curve": (["describe", "--spec", str(FIGURES / "lemniscate.json")], [False],
-                       "x,y,weight\n"),
+    "rational-curve": (["describe", "--spec", str(FIGURES / "lemniscate.json"), "--format", "svg"],
+                       [False], '<?xml version="1.0"'),
     "xform": (["xform", "--kind", "trig", "--alpha", "1", "--order", "2"], [],
               "1.0,1.0,1.0,1.0,1.0\n"),
 }

@@ -91,6 +91,20 @@ def test_table_commands_load_no_spec_modules(tmp_path):
                          "chbez.cli", "chbez.errors", "chbez.io"]  # fmt: skip
 
 
+def test_pure_describe_and_elevate_load_no_curve_module(tmp_path):
+    commands = [
+        ["describe", *spec("hypocycloid")],
+        ["describe-rational", *spec("lemniscate"), "--format", "json"],
+        ["elevate", *spec("torus_knot")],
+        ["elevate", *spec("rational_hyperbolic_arc_a")],
+    ]
+    after = loaded_after(commands, tmp_path)
+    # Each runs on the pure path, which reads the exact module's rules but not curve.
+    assert after[-1] == ["chbez._lazy", "chbez._pure", "chbez._record", "chbez.bbasis",
+                         "chbez.cli", "chbez.errors", "chbez.exact", "chbez.io",
+                         "chbez.xform"]  # fmt: skip
+
+
 def test_only_gallery_loads_gallery(tmp_path):
     commands = [
         ["describe", *spec("hypocycloid")],
@@ -214,8 +228,35 @@ def _bad_spec(tmp_path) -> list:
     return ["--spec", str(path)]
 
 
-# Commands that end without numpy: the pure path (xform; describe, elevate and
-# subdivide of plain curves as csv or json), help and every refusal of a flag or a spec.
+def _dip_spec(tmp_path) -> list:
+    """lemniscate.json over the denominator 0.3 - 0.5 cos(2 u), which is -0.2 at u = 0."""
+    doc = json.loads((FIGURES / "lemniscate.json").read_text())
+    doc["coords"][-1]["terms"][0]["a"] = 0.3
+    path = tmp_path / "dip.json"
+    path.write_text(json.dumps(doc))
+    return ["--spec", str(path)]
+
+
+def _low_spec(tmp_path) -> list:
+    """lemniscate.json at alpha = 3 over 1.05 - cos(u - 1.5): positive weights need order 29."""
+    doc = json.loads((FIGURES / "lemniscate.json").read_text())
+    doc["alpha"] = 3
+    doc["coords"][-1]["terms"] = [{"family": "cos", "k": 0, "a": 1.05},
+                                  {"family": "cos", "k": 1, "a": -1, "phase": -1.5}]
+    path = tmp_path / "low.json"
+    path.write_text(json.dumps(doc))
+    return ["--spec", str(path)]
+
+
+def _specs(argv, tmp_path) -> list:
+    """``argv`` with the spec files its placeholders BAD_SPEC, DIP_SPEC and LOW_SPEC name."""
+    made = {"BAD_SPEC": _bad_spec, "DIP_SPEC": _dip_spec, "LOW_SPEC": _low_spec}
+    return [a for arg in argv for a in (made[arg](tmp_path) if arg in made else [arg])]
+
+
+# Commands that end without numpy: the pure path (xform; describe, describe-rational,
+# elevate and subdivide of curves as csv or json, a rational one over a certified
+# denominator), help and every refusal of a flag or a spec.
 WITHOUT_NUMPY = {
     "xform": (0, ["xform", "--kind", "hyp", "--alpha", "0.5", "--order", "32", "--format", "json"]),
     **{" ".join([command, figure, *flags]): (0, [command, *spec(figure), *flags])
@@ -225,6 +266,15 @@ WITHOUT_NUMPY = {
            ("elevate", []), ("elevate", ["--order", "9", "--format", "json"]),
            ("subdivide", ["--split-at", "1"]),
        ]},
+    **{" ".join([command, figure, *flags]): (0, [command, *spec(figure), *flags])
+       for figure in ("lemniscate", "rational_hyperbolic_arc_a", "rational_hyperbolic_arc_b")
+       for command, flags in [
+           ("describe-rational", []), ("describe", ["--format", "json"]),
+           ("elevate", []), ("elevate", ["--order", "9", "--format", "json"]),
+           ("subdivide", ["--split-at", "1"]),
+       ]},
+    "rational": (0, ["describe", *spec("lemniscate")]),
+    "weights not positive": (3, ["describe-rational", "LOW_SPEC", "--max-elevations", "3"]),
     "help": (0, ["--help"]),
     "command help": (0, ["sample", "--help"]),
     "flag error": (2, ["xform", "--kind", "trig", "--alpha", "4", "--order", "3"]),
@@ -233,9 +283,10 @@ WITHOUT_NUMPY = {
     "not rational": (2, ["describe-rational", *spec("hypocycloid")]),
 }
 
-# Commands that need numpy: a rational curve, svg output, a patch, sampling, the gallery.
+# Commands that need numpy: a rational curve whose denominator dips below 0 (the
+# numpy path refuses it), svg output, a patch, sampling, the gallery.
 WITH_NUMPY = {
-    "rational": (0, ["describe", *spec("lemniscate")]),
+    "rational dip": (3, ["describe-rational", "DIP_SPEC"]),
     "svg": (0, ["describe", *spec("hypocycloid"), "--format", "svg"]),
     "patch": (0, ["describe", *spec("torus_patch")]),
     "sample": (0, ["sample", *spec("hypocycloid"), "--samples", "5"]),
@@ -245,13 +296,12 @@ WITH_NUMPY = {
 
 @pytest.mark.parametrize("code, argv", WITHOUT_NUMPY.values(), ids=WITHOUT_NUMPY)
 def test_commands_that_end_without_numpy(tmp_path, code, argv):
-    argv = [a for arg in argv for a in (_bad_spec(tmp_path) if arg == "BAD_SPEC" else [arg])]
-    assert exit_and_numpy(argv) == (code, False)
+    assert exit_and_numpy(_specs(argv, tmp_path)) == (code, False)
 
 
 @pytest.mark.parametrize("code, argv", WITH_NUMPY.values(), ids=WITH_NUMPY)
-def test_commands_that_load_numpy(code, argv):
-    assert exit_and_numpy(argv) == (code, True)
+def test_commands_that_load_numpy(tmp_path, code, argv):
+    assert exit_and_numpy(_specs(argv, tmp_path)) == (code, True)
 
 
 def test_a_process_with_numpy_takes_the_numpy_path(tmp_path):

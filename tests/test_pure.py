@@ -1,10 +1,11 @@
 """The pure path (``chbez._pure``) gives the bits, bytes and refusals of the numpy path.
 
-The CLI takes the pure path for xform, and for describe, elevate and
-subdivide of a plain curve as csv or json, while its process has not loaded
-numpy.  This test process has, so the tests here force the pure path by
-patching ``chbez.cli._numpy_loaded``, or run a child that never loads numpy.
-Random spaces and specs are drawn from seeded generators.
+The CLI takes the pure path for xform, and for describe, describe-rational,
+elevate and subdivide of a curve as csv or json (a rational one once its
+denominator is certified positive), while its process has not loaded numpy.
+This test process has, so the tests here force the pure path by patching
+``chbez.cli._numpy_loaded``, or run a child that never loads numpy.  Random
+spaces and specs are drawn from seeded generators.
 """
 
 import json
@@ -19,10 +20,11 @@ import pytest
 
 import chbez
 import chbez.cli
-from chbez import BasisKind, BasisSpace, CurveSpec, parse_document
+from chbez import BasisKind, BasisSpace, CurveSpec, NumericalError, parse_document
 from chbez import _pure
 from chbez.bbasis import _sums_by_order
 from chbez.cli import main
+from chbez.exact import _check_denominator
 from chbez.xform import _step_table, _transform_rows
 from test_cli import DERIVED_DOCS, FAILING_COMMANDS, RAW_SPECS
 from test_cli import test_failing_command as failing_command
@@ -31,7 +33,7 @@ from test_cli_process import child_env
 
 FIGURES = Path(chbez.__file__).parent / "figures"
 TRIG, HYP = BasisKind.TRIGONOMETRIC, BasisKind.HYPERBOLIC
-PURE_COMMANDS = ("xform", "describe", "elevate", "subdivide")
+PURE_COMMANDS = ("xform", "describe", "describe-rational", "elevate", "subdivide")
 
 
 def random_space(rng: random.Random, kind: BasisKind, n: int) -> BasisSpace:
@@ -110,6 +112,111 @@ def random_argv(rng: random.Random, path: str, doc: dict) -> list:
     return argv + ["--format", rng.choice(["csv", "json"])]
 
 
+def random_denominator(rng: random.Random, kind: BasisKind, alpha: float) -> dict:
+    """A denominator positive by construction (as ``perfbench/gen.py`` draws one), one that
+    dips below 0, or one whose minimum grazes 0 inside the certification margin or just above it.
+
+    Its lowest point lies inside [0, alpha] or just outside.
+    """
+    a = rng.uniform(0.2, 1.0)
+    lift = rng.choice([rng.uniform(1.5, 3.0), rng.uniform(-1.0, 1.2),
+                       1.0 + 10.0 ** rng.uniform(-13.0, -6.0)])
+    low = rng.uniform(-0.5, alpha + 0.5)
+    if kind is TRIG:  # a (lift - cos(u - low)) when lift > 1
+        terms = [{"family": "cos", "k": 0, "a": lift * a},
+                 {"family": "cos", "k": 1, "a": -a, "phase": -low}]
+    else:  # a (lift - 2 + cosh(u - low)), and perhaps a sinh term
+        terms = [{"family": "cosh", "k": 0, "a": (lift - 2.0) * a},
+                 {"family": "cosh", "k": 1, "a": a, "phase": -low}]
+        if rng.random() < 0.3:
+            terms.append({"family": "sinh", "k": 1, "a": rng.uniform(-0.9, 0.9) * a})
+    return {"terms": terms}
+
+
+def random_rational_doc(rng: random.Random) -> dict:
+    """A random plain curve document with a denominator of :func:`random_denominator` appended."""
+    doc = random_doc(rng)
+    kind = BasisKind(doc["kind"])
+    doc["coords"].append(random_denominator(rng, kind, doc["alpha"]))
+    return {**doc, "rational": True}
+
+
+def random_rational_argv(rng: random.Random, path: str, doc: dict) -> list:
+    command = rng.choice(["describe", "describe-rational", "elevate", "subdivide"])
+    argv = [command, "--spec", path, "--max-elevations", str(rng.randint(0, 3))]
+    if rng.random() < 0.3:
+        argv += ["--order", str(rng.randint(0, 10))]
+    if command == "subdivide":
+        return argv + ["--split-at", repr(rng.uniform(0.0, doc["alpha"]))]
+    return argv + ["--format", rng.choice(["csv", "json"])]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_rational_specs_give_the_same_bytes_and_refusals(capsys, monkeypatch, tmp_path,
+                                                                seed):
+    rng = random.Random(200 + seed)
+    taken = []
+    for i in range(40):
+        doc = random_rational_doc(rng)
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(doc))
+        argv = random_rational_argv(rng, str(path), doc)
+        numpy_path, pure_path = run_both(capsys, monkeypatch, argv)
+        assert pure_path == numpy_path, argv
+        taken.append((_pure.certified(parse_document(path.read_text()).spec), pure_path[0]))
+    # Some certified curves were described, and some were refused by the numpy path.
+    assert {(True, 0), (False, 3)} <= set(taken)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_denominators_pass_the_numpy_check(seed):
+    rng = random.Random(300 + seed)
+    verdicts = []
+    for _ in range(100):
+        spec = parse_document(json.dumps(random_rational_doc(rng))).spec
+        certified = _pure.certified(spec)
+        try:
+            _check_denominator(spec, 0)
+            verdicts.append((certified, True))
+        except NumericalError:
+            verdicts.append((certified, False))
+    assert (True, False) not in verdicts
+    assert {(True, True), (False, False)} <= set(verdicts)  # test_certificate_margin has the rest
+
+
+def margin_spec(kind: BasisKind, slack: float) -> CurveSpec:
+    """A rational curve whose denominator is lowest, 0.5 * slack, at u = 1.
+
+    The denominator check samples u = i * 0.002; u = 1 is sample 500.
+    """
+    alpha = 2.0
+    names = ("cos", "sin") if kind is TRIG else ("cosh", "sinh")
+    wave = [{"family": names[0], "k": 0, "a": 0.5 * (1.0 + slack)},
+            {"family": names[0], "k": 1, "a": -0.5, "phase": -1.0}]
+    if kind is HYP:  # 0.5 (slack - 1 + cosh(u - 1))
+        wave[0]["a"] = 0.5 * (slack - 1.0)
+        wave[1]["a"] = 0.5
+    doc = {"version": 1, "type": "curve", "kind": kind.value, "alpha": alpha, "rational": True,
+           "coords": [{"terms": [{"family": names[1], "k": 1, "a": 1.0}]}, {"terms": wave}]}
+    return parse_document(json.dumps(doc)).spec
+
+
+@pytest.mark.parametrize("kind", [TRIG, HYP])
+def test_certificate_margin(kind):
+    # At its lowest sample the denominator is 0.5 * slack and its terms sum to about 1 in size.
+    assert _pure.certified(margin_spec(kind, 1e-8))
+    assert not _pure.certified(margin_spec(kind, 1e-10))  # below 2**-30: left to numpy
+    _check_denominator(margin_spec(kind, 1e-10), 0)  # which passes it
+    assert not _pure.certified(margin_spec(kind, 0.0))
+    assert not _pure.certified(margin_spec(kind, -1e-8))
+
+
+def test_overflowing_denominator_is_not_certified():
+    doc = json.loads((FIGURES / "rational_hyperbolic_arc_a.json").read_text())
+    doc["coords"][-1]["terms"].append({"family": "cosh", "k": 0, "a": 1e-300, "phase": 800.0})
+    assert not _pure.certified(parse_document(json.dumps(doc)).spec)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_random_specs_give_the_same_bytes_and_refusals(capsys, monkeypatch, tmp_path, seed):
     rng = random.Random(100 + seed)
@@ -129,8 +236,8 @@ def _eligible(argv) -> bool:
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
     if argv[0] not in PURE_COMMANDS or fmt not in ("csv", "json"):
         return False
-    doc = parse_document(Path(argv[argv.index("--spec") + 1]).read_text())
-    return isinstance(doc.spec, CurveSpec) and not doc.rational
+    return isinstance(parse_document(Path(argv[argv.index("--spec") + 1]).read_text()).spec,
+                      CurveSpec)
 
 
 ELIGIBLE = {key: argv for key, argv in COMMANDS.items() if _eligible(argv)}
@@ -152,7 +259,7 @@ print(json.dumps({"numpy": "numpy" in sys.modules, "results": results}))
 
 
 def test_digest_commands_without_numpy_match_the_numpy_path(capsys):
-    assert len(ELIGIBLE) >= 70
+    assert len(ELIGIBLE) >= 90
     assert {argv[0] for argv in ELIGIBLE.values()} == set(PURE_COMMANDS)
     proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(list(ELIGIBLE.values())),
                           capture_output=True, text=True, env=child_env(), timeout=300)
@@ -167,14 +274,18 @@ def test_digest_commands_without_numpy_match_the_numpy_path(capsys):
 PURE_ROWS = [row for row in FAILING_COMMANDS if row[0] in PURE_COMMANDS]
 
 
+# Rational curves of FAILING_COMMANDS whose denominator the pure path cannot certify.
+UNCERTIFIED = {"lemniscate_tiny_denominator"}  # a denominator of about 1e-320
+
+
 def _takes_pure_path(figure: str, flags) -> bool:
     """Whether a FAILING_COMMANDS row that reaches the selection takes the pure path."""
     if not figure or figure in RAW_SPECS:
         return True
     doc = DERIVED_DOCS[figure]() if figure in DERIVED_DOCS else json.loads(
         (FIGURES / f"{figure}.json").read_text())
-    plain = doc["type"] == "curve" and not doc.get("rational", False)
-    return plain and "svg" not in flags and "obj" not in flags
+    curve = doc["type"] == "curve" and figure not in UNCERTIFIED
+    return curve and "svg" not in flags and "obj" not in flags
 
 
 @pytest.mark.parametrize(
@@ -195,7 +306,7 @@ def test_failing_command_on_the_pure_path(capsys, monkeypatch, tmp_path, command
     monkeypatch.setattr(chbez.cli, "_pure_path", recorded)
     failing_command(capsys, tmp_path, command, figure, flags, code, stderr)
     assert selected in ([], [_takes_pure_path(figure, flags)])
-    if code == 3:  # a split refused on the pure path, or a rational curve on the numpy path
+    if code == 3:  # a split or a rational curve refused, after the selection
         assert selected == [_takes_pure_path(figure, flags)]
 
 

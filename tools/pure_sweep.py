@@ -1,24 +1,30 @@
 """Compare the CLI's pure path (``chbez._pure``) with its numpy path on many seeded inputs.
 
 A CLI process that has not loaded numpy runs ``xform``, and ``describe``,
-``elevate`` and ``subdivide`` of a plain curve as csv or json, on the pure
-path; this script loads numpy first and switches between the two paths
+``describe-rational``, ``elevate`` and ``subdivide`` of a curve as csv or
+json, on the pure path (a rational curve once its denominator is certified
+positive); this script loads numpy first and switches between the two paths
 through ``chbez.cli._numpy_loaded``.  Each of ``count`` seeded draws makes
 two commands and runs each through ``chbez.cli.main`` on both paths:
 
 - ``xform`` of a random space: either kind, order 1 to 32, alpha anywhere
   in range, just below pi (trigonometric) or just within the overflow guard
   ``n * alpha <= 300`` (hyperbolic);
-- ``describe`` (with ``--derivative``), ``elevate`` or ``subdivide`` of a
-  random plain curve of 1 to 4 coordinates in such a space, with random
-  ``--order``, ``--split-at`` and ``--format``; amplitudes up to 1e300, so
-  refusals (overflow, split points too close to an end) come up too.
+- ``describe`` (with ``--derivative``), ``describe-rational``, ``elevate``
+  or ``subdivide`` of a random curve of 1 to 4 coordinates in such a space,
+  with random ``--order``, ``--split-at`` and ``--format``; amplitudes up to
+  1e300 and now and then a hyperbolic phase of 800, so refusals (overflow,
+  split points too close to an end) come up too.  A third of the curves are
+  rational, with a denominator that is positive by construction, dips below
+  0 or grazes 0 within the certificate's margin, and a ``--max-elevations``
+  of 0 to 3 half the time.
 
 Exit code, stdout and stderr must be equal, so every float's bits and every
 refusal's text are compared.  On the first difference the script prints the
 command (and writes its spec next to it) and exits 1; otherwise it prints
-how many commands matched.  Uses numpy and the standard library only.  Run
-from the root of the repository:
+how many commands matched, and how many of them were rational curves that
+took the pure path.  Uses numpy and the standard library only.  Run from the
+root of the repository:
 ``python3 tools/pure_sweep.py [count [seed]]`` (defaults 1000 and 0).
 """
 
@@ -38,6 +44,18 @@ import chbez.cli  # noqa: E402
 
 KINDS = ("trigonometric", "hyperbolic")
 
+# The value of each chbez.cli._pure_path call (chbez._pure or None) of the last command run.
+TAKEN = []
+_select = chbez.cli._pure_path
+
+
+def _recorded(*args):
+    TAKEN.append(_select(*args))
+    return TAKEN[-1]
+
+
+chbez.cli._pure_path = _recorded
+
 
 def draw_space(rng: random.Random, kind: str, n: int) -> float:
     """An alpha of a space of order n: anywhere, near pi, or near the overflow guard."""
@@ -46,7 +64,29 @@ def draw_space(rng: random.Random, kind: str, n: int) -> float:
     return rng.choice([rng.uniform(1e-3, 300.0 / n), 300.0 / n * rng.uniform(0.99, 1.0)])
 
 
+def draw_denominator(rng: random.Random, kind: str, alpha: float) -> dict:
+    """A denominator, positive by construction (as ``perfbench/gen.py`` draws one), dipping
+    below 0, or grazing 0 near the margin of the certificate ``chbez._pure.certified``.
+
+    Its lowest point lies inside [0, alpha] or just outside.
+    """
+    a = rng.uniform(0.2, 1.0)
+    lift = rng.choice([rng.uniform(1.5, 3.0), rng.uniform(-1.0, 1.2),
+                       1.0 + 10.0 ** rng.uniform(-12, -7)])
+    low = rng.uniform(-0.5, alpha + 0.5)
+    if kind == "trigonometric":  # a (lift + cos(u + pi - low))
+        terms = [{"family": "cos", "k": 0, "a": lift * a},
+                 {"family": "cos", "k": 1, "a": a, "phase": math.pi - low}]
+    else:  # a (lift - 2 + cosh(u - low)), and perhaps a sinh term
+        terms = [{"family": "cosh", "k": 0, "a": (lift - 2.0) * a},
+                 {"family": "cosh", "k": 1, "a": a, "phase": -low}]
+        if rng.random() < 0.5:
+            terms.append({"family": "sinh", "k": 1, "a": rng.uniform(-0.9, 0.9) * a})
+    return {"terms": terms}
+
+
 def draw_doc(rng: random.Random) -> dict:
+    """A curve of 1 to 4 coordinates, a third of them rational with one coordinate more."""
     kind, nu = rng.choice(KINDS), rng.randint(0, 12)
     names = ("cos", "sin") if kind == "trigonometric" else ("cosh", "sinh")
     coords = []
@@ -56,25 +96,31 @@ def draw_doc(rng: random.Random) -> dict:
             amplitude = rng.choice([0.0, rng.uniform(-10.0, 10.0), rng.uniform(-1e300, 1e300)])
             term = {"family": rng.choice(names), "k": rng.randint(0, nu), "a": amplitude}
             if rng.random() < 0.5:
-                term["phase"] = rng.uniform(-4.0, 4.0)
+                term["phase"] = rng.uniform(-4.0, 4.0) if rng.random() < 0.98 else 800.0
             terms.append(term)
         coords.append({"terms": terms})
     alpha = draw_space(rng, kind, max(nu, 1))
-    return {"version": 1, "type": "curve", "kind": kind, "alpha": alpha, "coords": coords}
+    rational = rng.random() < 1 / 3
+    if rational:
+        coords.append(draw_denominator(rng, kind, alpha))
+    return {"version": 1, "type": "curve", "kind": kind, "alpha": alpha, "rational": rational,
+            "coords": coords}
 
 
 def draw_commands(rng: random.Random, spec: Path) -> list:
-    """An xform command, and a describe, elevate or subdivide command on ``spec``."""
+    """An xform command, and a describe, describe-rational, elevate or subdivide command."""
     kind, n = rng.choice(KINDS), rng.randint(1, 32)
     xform = ["xform", "--kind", kind, "--alpha", repr(draw_space(rng, kind, n)), "--order", str(n),
              "--format", rng.choice(["csv", "json"])]
     doc = draw_doc(rng)
     spec.write_text(json.dumps(doc))
-    command = rng.choice(["describe", "elevate", "subdivide"])
+    command = rng.choice(["describe", "describe-rational", "elevate", "subdivide"])
     argv = [command, "--spec", str(spec)]
     if rng.random() < 0.6:
         argv += ["--order", str(rng.randint(0, 33))]
-    if command == "describe" and rng.random() < 0.6:
+    if doc["rational"] and rng.random() < 0.5:
+        argv += ["--max-elevations", str(rng.randint(0, 3))]
+    if command == "describe" and rng.random() < (0.1 if doc["rational"] else 0.6):
         argv += ["--derivative", str(rng.choice([0, 1, 2, 3, 7, 40]))]
     if command == "subdivide":
         alpha = doc["alpha"]
@@ -88,6 +134,7 @@ def draw_commands(rng: random.Random, spec: Path) -> list:
 def run(argv, pure: bool) -> tuple:
     """Exit code, stdout and stderr of ``chbez.cli.main(argv)`` on one path."""
     chbez.cli._numpy_loaded = lambda: not pure
+    TAKEN.clear()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = chbez.cli.main(argv)
@@ -96,11 +143,12 @@ def run(argv, pure: bool) -> tuple:
 
 def main(count: int, seed: int) -> int:
     rng = random.Random(f"pure-sweep:{seed}")
-    matched = 0
+    matched = rational = 0
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "spec.json"
         for _ in range(count):
-            for argv in draw_commands(rng, spec):
+            xform, command = draw_commands(rng, spec)
+            for argv in (xform, command):
                 numpy_path, pure_path = run(argv, False), run(argv, True)
                 if numpy_path != pure_path:
                     kept = Path("pure_sweep_spec.json")
@@ -110,7 +158,10 @@ def main(count: int, seed: int) -> int:
                     print(f"pure path:  exit {pure_path[0]}, stderr {pure_path[2]!r}")
                     return 1
                 matched += 1
-    print(f"{matched} commands gave the same exit code, stdout and stderr on both paths")
+            # TAKEN holds the choice of the pure run of the command on the spec.
+            rational += json.loads(spec.read_text())["rational"] and any(TAKEN)
+    print(f"{matched} commands gave the same exit code, stdout and stderr on both paths "
+          f"({rational} on rational curves that took the pure path)")
     return 0
 
 
