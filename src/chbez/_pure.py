@@ -2,22 +2,23 @@
 
 A one-shot CLI process spends longer importing numpy than ``xform``, or
 ``describe``, ``describe-rational``, ``elevate`` and ``subdivide`` of a
-curve, take to compute.  ``chbez.cli`` runs these commands here while the
-process has not loaded numpy (``cli._pure_path``).  Each function repeats
+curve, take to compute.  ``chbez.cli`` runs these commands here, written
+as csv or json (``cli._pure_path``).  Each function repeats
 its numpy twin, named in its docstring, operation for operation and in the
 same order.  Every step is a ``math`` function or one IEEE multiply, add or
 divide, which Python floats round as numpy does, so both paths give the
 same bits; sums are left folds, never ``sum``, which compensates from
 Python 3.12 on.  Arrays become lists: a vector a list of floats, a matrix
 a list of rows.  The writers print the bytes of ``io.export_table`` and
-``json.dumps``.  ``tests/test_pure.py`` and ``tools/pure_sweep.py`` run
-both paths and compare them.
+``json.dumps``.  ``tests/test_pure.py`` and ``tools/pure_sweep.py`` compare
+the CLI's bytes with bytes built from the public library.
 
-A rational curve has one step whose bits can differ: numpy's check that the
-denominator is positive samples it through numpy's sin, cos, sinh and cosh.
-This path takes only the curves whose check :func:`certified` proves to
-pass; the elevation of the pre-image until its weights are positive, the
-projection and the weight column then repeat the numpy path bit for bit.
+A rational curve is elevated until its pre-image weights are positive,
+which proves its denominator positive; the elevation, the projection and the
+weight column repeat the numpy path bit for bit.  Only a rational curve whose
+description fails loads numpy: its denominator is then sampled through
+numpy's sin, cos, sinh and cosh, so that a dip at a sample names the failure
+(``exact._denominator_named``).
 """
 
 from __future__ import annotations
@@ -100,33 +101,6 @@ def _ordinates(fn, space: BasisSpace, r: int) -> list:
     return out
 
 
-def certified(spec) -> bool:
-    """Whether ``exact._check_denominator`` passes a rational curve spec, proven without numpy.
-
-    That check samples the denominator (the last coordinate) through numpy's
-    sin, cos, sinh and cosh, whose bits can differ from ``math``'s by a few
-    ulps.  At each of its samples this asks the sum of the terms, by ``math``,
-    to be a normal double above 2**-30 times the sum of their absolute values,
-    which a few ulps per term cannot bring to 0 or below; only the verdict
-    counts here, not bits, so these sums may be ``sum``.  An overflow, or a
-    value that is not finite, certifies nothing: that spec takes the numpy
-    path, refusals and all.
-    """
-    from .exact import _CURVE_SAMPLES, TermFamily
-
-    s, c, _ = _FUNCTIONS[spec.kind]
-    terms = [(c if t.family is TermFamily.COSINE else s, t) for t in spec.coords[-1].terms]
-    step = spec.alpha / (_CURVE_SAMPLES - 1)  # the samples of np.linspace: i * step, then alpha
-    try:
-        for u in [i * step for i in range(_CURVE_SAMPLES - 1)] + [spec.alpha]:
-            values = [t.amplitude * f(t.frequency * u + t.phase) for f, t in terms]
-            if not sum(values) > max(2**-30 * sum(map(abs, values)), sys.float_info.min):
-                return False
-    except OverflowError:
-        return False
-    return True
-
-
 def _finite_channels(channels: list) -> list:
     """``exact._finite_channels``: ``channels``, or a range error naming the first not finite."""
     for ell, channel in enumerate(channels):
@@ -177,8 +151,16 @@ def _positive(channels: list, space: BasisSpace, max_elevations: int) -> tuple:
 def describe(spec, orders, r, rational: bool, max_elevations: int) -> Polygon:
     """``exact._describe`` of a curve spec at checked flags (None: minimum, underived).
 
-    A rational spec is one that :func:`certified` passes.
+    It follows the rule of ``exact._denominator_named``: a rational spec whose
+    description fails has its denominator sampled, through numpy, to name a dip.
     """
+    from .exact import _denominator_named
+
+    return _denominator_named(_polygon)(spec, orders, r, rational, max_elevations)
+
+
+def _polygon(spec, orders, r, rational: bool, max_elevations: int) -> Polygon:
+    """:func:`describe` of a spec whose denominator, if any, is left to the caller."""
     from .exact import _check_orders
 
     space = spec.space(_check_orders(spec, orders)[0])

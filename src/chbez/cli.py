@@ -12,11 +12,11 @@ message names --samples once the command samples, else --order, which sizes
 the control net.
 
 numpy is imported on first use (:mod:`chbez._lazy`).  Help and every
-refusal of a flag or a spec end without it, and while a process has not
-loaded it, xform, and describe, describe-rational, elevate and subdivide of
-a curve as csv or json, run on the pure path (:mod:`chbez._pure`), with the
-same bytes; a rational curve does once its denominator is certified
-positive (:func:`_pure_path`).
+refusal of a flag or a spec end without it, and xform, and describe,
+describe-rational, elevate and subdivide of a curve as csv or json, run on
+the pure path (:mod:`chbez._pure`), with the bytes of the library
+(:func:`_pure_path`); only a rational curve that is refused loads numpy
+there, to sample its denominator.
 
 A CLI process (``python -m chbez.cli`` or the ``chbez`` script) keeps the
 cyclic garbage collector off while its modules load.  Before the command it
@@ -164,31 +164,21 @@ def _sampling(args, delta: int = 1):
         raise MemoryError
 
 
-def _numpy_loaded() -> bool:
-    """Whether this process has imported numpy (tests patch it to run either path)."""
-    return "numpy" in sys.modules
-
-
 def _pure_path(args, doc: SpecDocument | None = None):
     """The pure path (module :mod:`chbez._pure`) if a command takes it, else None.
 
     It does for xform, and for describe, describe-rational, elevate and
-    subdivide of a curve, written as csv or json, while the process has not
-    loaded numpy; once numpy is loaded, its path is faster.  A rational curve
-    takes it only if :func:`chbez._pure.certified` proves that numpy's
-    sampled denominator check passes; any other goes to the numpy path,
-    which gives its refusals.  Importing numpy takes 60-80 ms of a 135-145 ms
-    one-shot process, and the pure transform rows, by far the largest pure
-    step, 0.2, 0.7, 3.7 and 23.5 ms at orders 4, 8, 16 and 32 (2-vCPU x86-64
-    host, one CPU), so no order is too high for the pure path; the
-    certificate costs about 0.7 ms.
+    subdivide of a curve, written as csv or json; svg and obj output and
+    patches take the numpy path.  Importing numpy takes 60-80 ms of a
+    135-145 ms one-shot process, and the pure transform rows, by far the
+    largest pure step, 0.2, 0.7, 3.7 and 23.5 ms at orders 4, 8, 16 and 32
+    (2-vCPU x86-64 host, one CPU), so no order is too high for the pure path.
     """
-    curve = doc is None or len(doc.spec._directions) == 1
-    if not (curve and args.format in ("csv", "json")) or _numpy_loaded():
-        return None
-    from . import _pure
+    if (doc is None or len(doc.spec._directions) == 1) and args.format in ("csv", "json"):
+        from . import _pure
 
-    return _pure if doc is None or not doc.rational or _pure.certified(doc.spec) else None
+        return _pure
+    return None
 
 
 def _space_flags(args) -> BasisSpace:
@@ -210,12 +200,8 @@ def _cmd_basis(args):
 
 def _cmd_xform(args):
     space = _space_flags(args)
-    pure = _pure_path(args)
-    if pure:
-        return pure.table(pure.transform_rows(space), args.format), args.out
-    from .xform import transform_matrix
-
-    return export_table(transform_matrix(space).rows, args.format), args.out
+    pure = _pure_path(args)  # xform writes csv or json only
+    return pure.table(pure.transform_rows(space), args.format), args.out
 
 
 def _derivative_orders(text, delta: int):
@@ -247,7 +233,7 @@ def _described(doc: SpecDocument, args, noun: str = "points", pure=None):
 
     Both flags are checked for shape before a rational document refuses a
     derivative, and --format (for output of ``noun``) before anything is built.
-    With ``pure`` (:func:`_pure_path`), a plain curve is described on the pure path.
+    With ``pure`` (:func:`_pure_path`), a curve is described on the pure path.
     """
     from .exact import _derivative_scale, _describe, min_orders
 
@@ -320,27 +306,15 @@ def _cmd_sample(args):
 
 
 def _cmd_subdivide(args):
-    from .curve import _split_point, subdivide
+    from .curve import _split_point
 
     doc = _load_document(args)
     _require_curve(doc, "subdivide")
-    pure = _pure_path(args, doc)
+    pure = _pure_path(args, doc)  # subdivide writes json only
     curve = _described(doc, args, pure=pure)
     u0 = _named("--split-at", parse_angle, args.split_at)
     u0 = _named("--split-at", _split_point, curve.space, u0)
-    if pure:
-        payload = pure.subdivide(curve, u0)
-    else:
-        result = subdivide(curve, u0)
-        payload = {"split_ratio": result.split_ratio, "left": _piece(result.left),
-                   "right": _piece(result.right)}
-    return json.dumps(payload, indent=2) + "\n", args.out
-
-
-def _piece(p) -> dict:
-    """A piece of a split as subdivide writes it (as ``chbez._pure.subdivide`` builds it)."""
-    return {"interval": list(p.u_interval), "points": p.points.tolist(),
-            "weights": p.weights.tolist()}
+    return json.dumps(pure.subdivide(curve, u0), indent=2) + "\n", args.out
 
 
 def _cmd_elevate(args):
@@ -356,7 +330,7 @@ def _cmd_elevate(args):
     pure = _pure_path(args, doc)
     if pure:
         describe, elevate = pure.describe, pure.elevate
-    else:
+    else:  # svg output
         from .curve import elevate
 
         def describe(*given):

@@ -26,7 +26,10 @@ hyperbolic direction, the overflow guard: the last order with
 whole interval some finite order would do, but it can lie beyond either
 stop: a rational trigonometric curve with alpha close to pi (3.135, say)
 stops at the cap, and a hyperbolic one at alpha 12 can stop at the guard,
-order 25.
+order 25.  Positive weights prove the denominator positive on the whole
+interval, since the normalized B-basis is nonnegative and sums to one; the
+denominator is sampled only to name the failure of a description that
+fails (:func:`_denominator_named`).
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ __all__ = _exports(__name__) + ["coordinate_ordinates"]  # not public at top lev
 # positive: tiny weights lower the floor, as weights matter only up to a common scale.
 WEIGHT_POSITIVITY = 1e-12
 
-# Denominator sign is checked on a lattice of uniform samples per direction:
-# dense for a curve, coarse for a patch (whatever its number of directions).
+# A failed rational description samples its denominator on a lattice of uniform
+# samples per direction: dense for a curve, coarse for a patch (whatever its
+# number of directions).
 _CURVE_SAMPLES = 1001
 _PATCH_SAMPLES = 33
 
@@ -134,9 +138,10 @@ class CoordinateFunction:
 def _derivative_scale(k: int, r: int) -> float:
     """``k**r`` as a float, or a range error when it exceeds double range.
 
-    The bound is checked on ``r * log2(k)``, before the exact integer is built.
+    The bound is checked on ``r * log2(k)``, before the exact integer is built,
+    and on ``r`` itself first, since ``k >= 2`` overflows from ``r = 1024`` on.
     """
-    if k > 1 and r * math.log2(k) >= 1024.0:
+    if k > 1 and (r >= 1024 or r * math.log2(k) >= 1024.0):
         raise RangeError(f"derivative order {r} overflows: {k}**{r} exceeds double range")
     return float(k**r)
 
@@ -146,12 +151,18 @@ def _derived(t: Term, kind: BasisKind, r: int) -> tuple[float, float, bool]:
 
     The derivative rule: each derivative scales by the frequency k (with
     ``0**0 = 1``, so constants survive the underived case), shifts a
-    trigonometric phase by pi/2 and swaps a hyperbolic term's family.
+    trigonometric phase by pi/2 and swaps a hyperbolic term's family.  A
+    shift that overflows is taken modulo a full turn: by ``r % 4`` quarters.
     """
     amplitude = t.amplitude * _derivative_scale(t.frequency, r)
     cosine_like = t.family is TermFamily.COSINE
     if kind is BasisKind.TRIGONOMETRIC:
-        return amplitude, t.phase + 0.5 * math.pi * r, cosine_like
+        try:
+            shift = 0.5 * math.pi * r
+        except OverflowError:  # r is past float range
+            shift = math.inf
+        phase = t.phase + (shift if shift < math.inf else 0.5 * math.pi * (r % 4))
+        return amplitude, phase, cosine_like
     return amplitude, t.phase, cosine_like ^ (r % 2 == 1)
 
 
@@ -336,16 +347,36 @@ def _lattice(products, directions, axes) -> np.ndarray:
     return _sum_of_products(products, dims, lambda j, f: f.values(directions[j].kind, axes[j]))
 
 
-def _describe(spec, orders=None, r=None, rational=False, max_elevations=DEFAULT_MAX_ELEVATIONS):
+def _denominator_named(describe):
+    """``describe`` (spec, orders, r, rational, max_elevations), the rule of every description.
+
+    A rational spec's ``max_elevations`` is checked first.  Its positive
+    weights prove its denominator positive, so the denominator is sampled
+    (:func:`_check_denominator`) only when the description raises: a dip at
+    a sample is then the refusal, and any other failure is raised unchanged.
+    """
+    def checked(spec, orders=None, r=None, rational=False, max_elevations=DEFAULT_MAX_ELEVATIONS):
+        if rational:
+            _count(max_elevations, "max_elevations")
+        try:
+            return describe(spec, orders, r, rational, max_elevations)
+        except Exception:
+            if rational:
+                _check_denominator(spec)
+            raise
+
+    return checked
+
+
+@_denominator_named
+def _describe(spec, orders, r, rational, max_elevations):
     """Described net of a curve or patch spec, its pre-image tensor and the elevation steps.
 
     ``orders`` and ``r`` give one order and one derivative order per
     direction (None: the minimum orders, no derivative).  A rational spec's
-    last channel is its denominator: it is checked positive, the pre-image
-    is elevated until its weights are positive and the net is its projection.
+    last channel is its denominator: the pre-image is elevated until its
+    weights are positive and the net is its projection.
     """
-    if rational:
-        _check_denominator(spec, max_elevations)
     orders = _check_orders(spec, orders)
     directions = spec._directions
     delta = len(directions)
@@ -402,15 +433,17 @@ def exact_rational_curve(
 ) -> PreImageResult:
     """Rational description: last coordinate of ``spec`` is the denominator.
 
-    The denominator must be positive on all of ``[0, alpha]``; it is checked
-    at 1001 uniform samples, endpoints included (``_CURVE_SAMPLES``), so a
-    dip between samples goes unseen.  Whenever the pre-image polygon yields
-    weights that are not strictly positive, the polygon is order elevated.
-    The loop raises a :class:`NumericalError` once ``max_elevations`` steps
-    are spent or the next step would pass the order cap 32 or, for the
-    hyperbolic kind, the overflow guard ``n * alpha <= 300``, whichever
-    comes first; a positive denominator can need more (trigonometric alpha
-    near pi, hyperbolic alpha above 300 / 32).
+    The denominator must be positive on all of ``[0, alpha]``.  Whenever the
+    pre-image polygon yields weights that are not strictly positive, the
+    polygon is order elevated; positive weights prove the denominator
+    positive.  The loop raises a :class:`NumericalError` once
+    ``max_elevations`` steps are spent or the next step would pass the order
+    cap 32 or, for the hyperbolic kind, the overflow guard
+    ``n * alpha <= 300``, whichever comes first; a positive denominator can
+    need more (trigonometric alpha near pi, hyperbolic alpha above 300 / 32).
+    A description that fails samples the denominator at 1001 uniform points,
+    endpoints included (``_CURVE_SAMPLES``), and a sample at or below 0 names
+    the failure instead; a dip between samples ends in the elevation failure.
     """
     if spec.dimension < 2:
         raise RangeError("rational description needs numerator and denominator coordinates")
@@ -418,15 +451,15 @@ def exact_rational_curve(
     return PreImageResult(_curve().ControlCurve(curve.space, points), curve, steps)
 
 
-def _check_denominator(spec, max_elevations):
-    """Check the elevation budget, then that the denominator (last channel) is positive.
+def _check_denominator(spec):
+    """Refuse a denominator (last channel) that is not positive at some sample.
 
-    The denominator is sampled on a lattice of ``_CURVE_SAMPLES`` points for
-    a curve and ``_PATCH_SAMPLES`` per direction for a patch, endpoints
-    included; the error names its lowest sample.  This rule is the only
-    sampling policy of both rational descriptions.
+    It is sampled on a lattice of ``_CURVE_SAMPLES`` points for a curve and
+    ``_PATCH_SAMPLES`` per direction for a patch, endpoints included; the
+    error names its lowest sample.  Only a failed description runs this
+    (:func:`_denominator_named`): the samples name a failure, and positive
+    weights, not the samples, prove a denominator positive.
     """
-    _count(max_elevations, "max_elevations")
     directions = spec._directions
     samples = _CURVE_SAMPLES if len(directions) == 1 else _PATCH_SAMPLES
     axes = [np.linspace(0.0, d.alpha, samples) for d in directions]

@@ -185,15 +185,17 @@ def exact_rational_surface(
 ) -> ControlGrid:
     """Rational description of a patch whose last coordinate is the denominator.
 
-    The denominator must be positive on the whole parameter box (sampled on
-    a lattice of 33 points per direction, endpoints included; see
-    ``exact._PATCH_SAMPLES``).  Directions are elevated round robin while
-    some weight fails to be positive; there is no termination guarantee in
-    the tensor product case, so the loop stops after ``max_elevations``
-    single-direction steps, or once no direction can rise, and reports the
-    offending multi-indices.  A direction cannot rise past the order cap 32
-    or, if hyperbolic, past the overflow guard ``n * alpha <= 300``; its
-    turns go to the lowest-order direction that still can.
+    The denominator must be positive on the whole parameter box.  Directions
+    are elevated round robin while some weight fails to be positive, and
+    positive weights prove the denominator positive; there is no termination
+    guarantee in the tensor product case, so the loop stops after
+    ``max_elevations`` single-direction steps, or once no direction can rise,
+    and reports the offending multi-indices.  A direction cannot rise past
+    the order cap 32 or, if hyperbolic, past the overflow guard
+    ``n * alpha <= 300``; its turns go to the lowest-order direction that
+    still can.  A description that fails samples the denominator on a lattice
+    of 33 points per direction, endpoints included (``exact._PATCH_SAMPLES``),
+    and a sample at or below 0 names the failure instead.
     """
     if not spec.is_rational:
         raise RangeError(

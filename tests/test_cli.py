@@ -520,6 +520,9 @@ FAILING_COMMANDS = [
      "error: --derivative: derivative order 1000 overflows: 4**1000 exceeds double range\n"),
     ("sample", "star_surface", ["--derivative", "400,0"], 2,
      "error: --derivative: derivative order 400 overflows: 6**400 exceeds double range\n"),
+    ("describe", "hypocycloid", ["--derivative", str(10**400)], 2,
+     f"error: --derivative: derivative order {10**400} overflows: 4**{10**400} exceeds double "
+     "range\n"),
     ("subdivide", "torus_patch", ["--split-at", "1"], 2,
      "error: subdivide works on curve specs only\n"),
     ("elevate", "torus_patch", [], 2, "error: elevate works on curve specs only\n"),
@@ -585,6 +588,24 @@ FAILING_COMMANDS = [
     ],
     ("describe", "guard_stop_hybrid_patch", [], 3,
      "numerical failure: weights not positive after 32 elevation(s)\n"),
+    # Positive weights prove a denominator positive, and its samples name a dip only once
+    # the description fails: one that dips between samples, and one that stays positive,
+    # both keep weights that are not positive up to the cap.
+    *[
+        ("describe", figure, [], 3,
+         "numerical failure: weights not positive after 12 elevation(s)\n")
+        for figure in ("dip_between_samples", "positive_past_the_cap")
+    ],
+    # A denominator that dips at a sample is the refusal, whatever else fails.
+    *[
+        (command, figure, flags, 3,
+         "numerical failure: denominator is not positive on [0, 2.0944] (fails near u = 0)\n")
+        for command, figure, flags in [
+            ("describe-rational", "lemniscate_negative_denominator", ["--order", "1"]),
+            ("describe", "lemniscate_negative_denominator_huge_x", []),
+            ("subdivide", "lemniscate_negative_denominator_huge_x", ["--split-at", "1"]),
+        ]
+    ],
     # Described at the cap, a curve has no default elevation target.
     ("elevate", "hypocycloid_k32", [], 2,
      "error: --order: default target 33 exceeds the order cap 32\n"),
@@ -671,6 +692,29 @@ def _dip_denominator_doc() -> dict:
         {"family": "cos", "k": 1, "a": -1.0, "phase": -1.5},
     ]
     return doc
+
+
+def _negative_denominator_doc(huge_x: bool = False) -> dict:
+    """lemniscate.json over 0.3 - 0.5 cos(2 u), which is -0.2 at u = 0.
+
+    With ``huge_x`` its x is 2e308 cos u, written as two terms, whose control points overflow.
+    """
+    doc = json.loads(load_figure_text("lemniscate"))
+    doc["coords"][-1]["terms"][0]["a"] = 0.3
+    if huge_x:
+        doc["coords"][0]["terms"] = [{"family": "cos", "k": 1, "a": 1e308}] * 2
+    return doc
+
+
+def _narrow_denominator_doc(lift: float) -> dict:
+    """x = cos u on [0, 2.5] over lift - cos(20 (u - 1.2345678)), lowest at lift - 1.
+
+    At lift 1 - 1e-6 it dips below 0 between the 1001 samples, at 1 + 1e-3 it stays positive.
+    """
+    wave = {"family": "cos", "k": 20, "a": -1, "phase": -20 * 1.2345678}
+    return {"version": 1, "type": "curve", "kind": "trigonometric", "alpha": 2.5,
+            "rational": True, "coords": [{"terms": [{"family": "cos", "k": 1, "a": 1}]},
+                                         {"terms": [{"family": "cos", "k": 0, "a": lift}, wave]}]}
 
 
 def _k40_doc() -> dict:
@@ -771,6 +815,10 @@ DERIVED_DOCS = {
     "hypocycloid_k32": _k32_doc,
     "lemniscate_tiny_denominator": _tiny_denominator_doc,
     "lemniscate_dip_denominator": _dip_denominator_doc,
+    "lemniscate_negative_denominator": _negative_denominator_doc,
+    "lemniscate_negative_denominator_huge_x": lambda: _negative_denominator_doc(huge_x=True),
+    "dip_between_samples": lambda: _narrow_denominator_doc(1 - 1e-6),
+    "positive_past_the_cap": lambda: _narrow_denominator_doc(1 + 1e-3),
     "hypocycloid_k40": _k40_doc,
     "hypocycloid_huge_a": _huge_a_doc,
     "equilateral_hyperbola_alpha_200": _alpha_200_doc,
@@ -839,9 +887,9 @@ def test_samples_out_of_memory_name_the_flag(capsys, monkeypatch, target, argv):
     [
         ("chbez.exact._describe", ["describe", "--spec", "torus_patch"]),
         ("chbez.exact._describe", ["sample", "--spec", "torus_patch"]),  # before sampling begins
-        ("chbez.cli.export_table", ["describe-rational", "--spec", "lemniscate"]),
-        ("chbez.curve.elevate", ["elevate", "--spec", "hypocycloid"]),
-        ("chbez.curve.subdivide", ["subdivide", "--spec", "hypocycloid", "--split-at", "1"]),
+        ("chbez._pure.table", ["describe-rational", "--spec", "lemniscate"]),
+        ("chbez._pure.elevate", ["elevate", "--spec", "hypocycloid"]),
+        ("chbez._pure.subdivide", ["subdivide", "--spec", "hypocycloid", "--split-at", "1"]),
     ],
 )
 def test_net_out_of_memory_names_the_order(capsys, monkeypatch, target, argv):
@@ -883,6 +931,18 @@ def test_derivative_scale_is_judged_per_direction(capsys):
     code, out, err = run(capsys, "describe", "--spec", path, "--derivative", "0,1100")
     assert (code, err) == (0, "")
     assert out.startswith("i1,i2,x,y,z\n")
+
+
+@pytest.mark.parametrize("command", ["describe", "sample"])
+def test_derivative_past_float_range_turns_the_phase_by_whole_turns(capsys, tmp_path, command):
+    # Each derivative of cos u and sin u turns the phase a quarter: 10**400 of them, whole turns.
+    doc = {"version": 1, "type": "curve", "kind": "trigonometric", "alpha": 2,
+           "coords": [{"terms": [{"family": "cos", "k": 1, "a": 1}]},
+                      {"terms": [{"family": "sin", "k": 1, "a": 1}]}]}
+    path = write_doc(tmp_path, "circle.json", doc)
+    underived = run(capsys, command, "--spec", path, "--derivative", "0")
+    assert underived[0] == 0
+    assert run(capsys, command, "--spec", path, "--derivative", str(10**400)) == underived
 
 
 def _unreachable(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Tests for exact curve descriptions in the B-basis."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,8 +417,17 @@ def _torus_over_z():
     return SurfaceSpec(spec.directions, 0, spec.coords)
 
 
+def _hypocycloid_huge_x():
+    """hypocycloid.json with the amplitudes of its x set to 1e308: its control points overflow."""
+    spec = load_figure("hypocycloid").spec
+    x = CoordinateFunction(tuple(Term(t.family, t.frequency, 1e308, t.phase)
+                                 for t in spec.coords[0].terms))
+    return CurveSpec(spec.kind, spec.alpha, (x, *spec.coords[1:]))
+
+
 # Specs a DESCRIBE_ERRORS row may name besides the bundled figures.
-DERIVED_SPECS = {"hypocycloid_x": _hypocycloid_x, "torus_over_z": _torus_over_z}
+DERIVED_SPECS = {"hypocycloid_x": _hypocycloid_x, "torus_over_z": _torus_over_z,
+                 "hypocycloid_huge_x": _hypocycloid_huge_x}
 
 _INTEGER = "order n must be an integer, got "
 _CAP = "degree 2n = 80 exceeds the supported cap 64"
@@ -529,6 +539,10 @@ DESCRIBE_ERRORS = [
      RangeError, f"{_BUDGET}True"),
     ("curve-denominator-before-order", exact_rational_curve, "hypocycloid", (0,),
      NumericalError, _CURVE_DEN),
+    ("curve-denominator-before-overflow", exact_rational_curve, "hypocycloid_huge_x", (),
+     NumericalError, _CURVE_DEN),
+    ("curve-overflow", exact_curve, "hypocycloid_huge_x", (), RangeError,
+     "coords[0]: control points overflow double precision"),
     ("patch-denominator-before-order", exact_rational_surface, "torus_over_z", ((0, 0),),
      NumericalError, _PATCH_DEN),
     ("patch-integer-before-count", exact_surface, "torus_patch", ((2.5,),), RangeError,
@@ -553,6 +567,24 @@ def test_describe_error_text(entry, figure, args, error, message):
     with pytest.raises(Exception) as exc:
         entry(spec, *args)
     assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+def _sampled(spec):
+    raise AssertionError("an accepted description sampled its denominator")
+
+
+def test_accepted_rational_descriptions_never_sample_the_denominator(monkeypatch, capsys):
+    # Their positive weights prove the denominator positive, in the library and the CLI alike.
+    from chbez import exact
+    from chbez.cli import main
+
+    monkeypatch.setattr(exact, "_check_denominator", _sampled)
+    assert exact_rational_curve(load_figure("lemniscate").spec).elevations == 0
+    grid = exact_rational_surface(load_figure("rational_trigonometric_patch").spec)
+    assert (grid.weights > 0).all()
+    figure = Path(exact.__file__).parent / "figures" / "lemniscate.json"
+    assert main(["describe-rational", "--spec", str(figure)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_patch_orders_and_derivative_orders_may_be_iterators():

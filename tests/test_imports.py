@@ -248,15 +248,35 @@ def _low_spec(tmp_path) -> list:
     return ["--spec", str(path)]
 
 
+def _cancel_spec(tmp_path) -> list:
+    """The circle cos u, sin u at alpha = 2 over 1 + 2**31 cos u - 2**31 cos u.
+
+    Its weights are all 1 at order 1, though its terms' absolute sum is 2**32 times the
+    denominator's value.
+    """
+    doc = json.loads((FIGURES / "lemniscate.json").read_text())
+    doc["alpha"] = 2
+    doc["coords"] = [{"terms": [{"family": "cos", "k": 1, "a": 1}]},
+                     {"terms": [{"family": "sin", "k": 1, "a": 1}]},
+                     {"terms": [{"family": "cos", "k": 0, "a": 1},
+                                {"family": "cos", "k": 1, "a": 2**31},
+                                {"family": "cos", "k": 1, "a": -(2**31)}]}]
+    path = tmp_path / "cancel.json"
+    path.write_text(json.dumps(doc))
+    return ["--spec", str(path)]
+
+
 def _specs(argv, tmp_path) -> list:
-    """``argv`` with the spec files its placeholders BAD_SPEC, DIP_SPEC and LOW_SPEC name."""
-    made = {"BAD_SPEC": _bad_spec, "DIP_SPEC": _dip_spec, "LOW_SPEC": _low_spec}
+    """``argv`` with the spec files its placeholders BAD_SPEC, DIP_SPEC, LOW_SPEC and
+    CANCEL_SPEC name."""
+    made = {"BAD_SPEC": _bad_spec, "DIP_SPEC": _dip_spec, "LOW_SPEC": _low_spec,
+            "CANCEL_SPEC": _cancel_spec}
     return [a for arg in argv for a in (made[arg](tmp_path) if arg in made else [arg])]
 
 
 # Commands that end without numpy: the pure path (xform; describe, describe-rational,
-# elevate and subdivide of curves as csv or json, a rational one over a certified
-# denominator), help and every refusal of a flag or a spec.
+# elevate and subdivide of curves as csv or json, a rational one once its weights are
+# positive), help and every refusal of a flag or a spec.
 WITHOUT_NUMPY = {
     "xform": (0, ["xform", "--kind", "hyp", "--alpha", "0.5", "--order", "32", "--format", "json"]),
     **{" ".join([command, figure, *flags]): (0, [command, *spec(figure), *flags])
@@ -274,7 +294,7 @@ WITHOUT_NUMPY = {
            ("subdivide", ["--split-at", "1"]),
        ]},
     "rational": (0, ["describe", *spec("lemniscate")]),
-    "weights not positive": (3, ["describe-rational", "LOW_SPEC", "--max-elevations", "3"]),
+    "cancelling denominator": (0, ["describe-rational", "CANCEL_SPEC", "--format", "json"]),
     "help": (0, ["--help"]),
     "command help": (0, ["sample", "--help"]),
     "flag error": (2, ["xform", "--kind", "trig", "--alpha", "4", "--order", "3"]),
@@ -283,10 +303,11 @@ WITHOUT_NUMPY = {
     "not rational": (2, ["describe-rational", *spec("hypocycloid")]),
 }
 
-# Commands that need numpy: a rational curve whose denominator dips below 0 (the
-# numpy path refuses it), svg output, a patch, sampling, the gallery.
+# Commands that need numpy: a rational curve that is refused (its denominator is
+# sampled through numpy, to name a dip), svg output, a patch, sampling, the gallery.
 WITH_NUMPY = {
     "rational dip": (3, ["describe-rational", "DIP_SPEC"]),
+    "weights not positive": (3, ["describe-rational", "LOW_SPEC", "--max-elevations", "3"]),
     "svg": (0, ["describe", *spec("hypocycloid"), "--format", "svg"]),
     "patch": (0, ["describe", *spec("torus_patch")]),
     "sample": (0, ["sample", *spec("hypocycloid"), "--samples", "5"]),
@@ -304,8 +325,8 @@ def test_commands_that_load_numpy(tmp_path, code, argv):
     assert exit_and_numpy(_specs(argv, tmp_path)) == (code, True)
 
 
-def test_a_process_with_numpy_takes_the_numpy_path(tmp_path):
-    # xform imports chbez.xform only on the numpy path.
+def test_a_process_with_numpy_takes_the_pure_path(tmp_path):
+    # The path does not depend on whether numpy is loaded: xform still needs no chbez.xform.
     code = f"""
 import json, sys
 import numpy
@@ -314,4 +335,4 @@ assert main(["xform", "--kind", "trig", "--alpha", "1", "--order", "3",
              "--out", {str(tmp_path / "out")!r}]) == 0
 print(json.dumps("chbez.xform" in sys.modules))
 """
-    assert run_python(code) is True
+    assert run_python(code) is False

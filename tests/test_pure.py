@@ -1,11 +1,11 @@
-"""The pure path (``chbez._pure``) gives the bits, bytes and refusals of the numpy path.
+"""The pure path (``chbez._pure``) gives the bits, bytes and refusals of the public library.
 
 The CLI takes the pure path for xform, and for describe, describe-rational,
-elevate and subdivide of a curve as csv or json (a rational one once its
-denominator is certified positive), while its process has not loaded numpy.
-This test process has, so the tests here force the pure path by patching
-``chbez.cli._numpy_loaded``, or run a child that never loads numpy.  Random
-spaces and specs are drawn from seeded generators.
+elevate and subdivide of a curve as csv or json, whether or not its process
+has loaded numpy.  The tests here compare its kernels with the library's
+bits, and run each command twice: as it is, and with ``pure_sweep.LIBRARY``
+(the public library behind the pure path's interface) in place of
+``chbez._pure``.  Random spaces and specs are drawn from seeded generators.
 """
 
 import json
@@ -20,16 +20,18 @@ import pytest
 
 import chbez
 import chbez.cli
-from chbez import BasisKind, BasisSpace, CurveSpec, NumericalError, parse_document
+from chbez import BasisKind, BasisSpace, CurveSpec, NumericalError, RangeError, parse_document
 from chbez import _pure
 from chbez.bbasis import _sums_by_order
-from chbez.cli import main
-from chbez.exact import _check_denominator
+from chbez.exact import _check_denominator, _describe
 from chbez.xform import _step_table, _transform_rows
 from test_cli import DERIVED_DOCS, FAILING_COMMANDS, RAW_SPECS
 from test_cli import test_failing_command as failing_command
 from test_cli_digests import COMMANDS
 from test_cli_process import child_env
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import pure_sweep  # noqa: E402
 
 FIGURES = Path(chbez.__file__).parent / "figures"
 TRIG, HYP = BasisKind.TRIGONOMETRIC, BasisKind.HYPERBOLIC
@@ -69,14 +71,12 @@ def test_sums_and_step_weights_match_bit_for_bit(seed):
             assert np.array(step).tobytes() == table[m - 1, :, : 2 * m + 1].tobytes(), space
 
 
-def run_both(capsys, monkeypatch, argv) -> tuple:
-    """(code, stdout, stderr) of ``argv`` on the numpy path and on the pure path."""
-    results = []
-    for pure in (False, True):
-        monkeypatch.setattr(chbez.cli, "_numpy_loaded", lambda pure=pure: not pure)
-        code = main(list(argv))
-        results.append((code, *capsys.readouterr()))
-    return tuple(results)
+def run_both(argv) -> tuple:
+    """(code, stdout, stderr) of ``argv`` with the library in place of the pure path, then as it
+    is, and whether each path selection of the second run took the pure path."""
+    library, _ = pure_sweep.run(argv, True)
+    pure, taken = pure_sweep.run(argv, False)
+    return library, pure, all(path is _pure for path in taken)
 
 
 def random_doc(rng: random.Random) -> dict:
@@ -114,7 +114,7 @@ def random_argv(rng: random.Random, path: str, doc: dict) -> list:
 
 def random_denominator(rng: random.Random, kind: BasisKind, alpha: float) -> dict:
     """A denominator positive by construction (as ``perfbench/gen.py`` draws one), one that
-    dips below 0, or one whose minimum grazes 0 inside the certification margin or just above it.
+    dips below 0, or one whose minimum grazes 0 from above, by 1e-13 to 1e-6 of its size.
 
     Its lowest point lies inside [0, alpha] or just outside.
     """
@@ -152,85 +152,58 @@ def random_rational_argv(rng: random.Random, path: str, doc: dict) -> list:
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_random_rational_specs_give_the_same_bytes_and_refusals(capsys, monkeypatch, tmp_path,
-                                                                seed):
+def test_random_rational_specs_give_the_same_bytes_and_refusals(tmp_path, seed):
     rng = random.Random(200 + seed)
-    taken = []
+    outcomes = set()
     for i in range(40):
         doc = random_rational_doc(rng)
         path = tmp_path / f"spec{i}.json"
         path.write_text(json.dumps(doc))
         argv = random_rational_argv(rng, str(path), doc)
-        numpy_path, pure_path = run_both(capsys, monkeypatch, argv)
-        assert pure_path == numpy_path, argv
-        taken.append((_pure.certified(parse_document(path.read_text()).spec), pure_path[0]))
-    # Some certified curves were described, and some were refused by the numpy path.
-    assert {(True, 0), (False, 3)} <= set(taken)
+        library, pure, took_pure = run_both(argv)
+        assert (pure, took_pure) == (library, True), argv
+        outcomes.add(pure[2].split(" on [")[0].split(" after")[0] if pure[0] == 3 else pure[0])
+    # Some curves were described, some dipped at a sample and some kept weights not positive.
+    assert {0, "numerical failure: denominator is not positive",
+            "numerical failure: weights not positive"} <= outcomes
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_certified_denominators_pass_the_numpy_check(seed):
+    # Positive weights are the certificate: every denominator whose rational description
+    # succeeds, and so is never sampled, passes the sampled check too.
     rng = random.Random(300 + seed)
     verdicts = []
     for _ in range(100):
         spec = parse_document(json.dumps(random_rational_doc(rng))).spec
-        certified = _pure.certified(spec)
         try:
-            _check_denominator(spec, 0)
+            _describe(spec, rational=True, max_elevations=3)
+            certified = True
+        except (NumericalError, RangeError):
+            certified = False
+        try:
+            _check_denominator(spec)
             verdicts.append((certified, True))
         except NumericalError:
             verdicts.append((certified, False))
     assert (True, False) not in verdicts
-    assert {(True, True), (False, False)} <= set(verdicts)  # test_certificate_margin has the rest
-
-
-def margin_spec(kind: BasisKind, slack: float) -> CurveSpec:
-    """A rational curve whose denominator is lowest, 0.5 * slack, at u = 1.
-
-    The denominator check samples u = i * 0.002; u = 1 is sample 500.
-    """
-    alpha = 2.0
-    names = ("cos", "sin") if kind is TRIG else ("cosh", "sinh")
-    wave = [{"family": names[0], "k": 0, "a": 0.5 * (1.0 + slack)},
-            {"family": names[0], "k": 1, "a": -0.5, "phase": -1.0}]
-    if kind is HYP:  # 0.5 (slack - 1 + cosh(u - 1))
-        wave[0]["a"] = 0.5 * (slack - 1.0)
-        wave[1]["a"] = 0.5
-    doc = {"version": 1, "type": "curve", "kind": kind.value, "alpha": alpha, "rational": True,
-           "coords": [{"terms": [{"family": names[1], "k": 1, "a": 1.0}]}, {"terms": wave}]}
-    return parse_document(json.dumps(doc)).spec
-
-
-@pytest.mark.parametrize("kind", [TRIG, HYP])
-def test_certificate_margin(kind):
-    # At its lowest sample the denominator is 0.5 * slack and its terms sum to about 1 in size.
-    assert _pure.certified(margin_spec(kind, 1e-8))
-    assert not _pure.certified(margin_spec(kind, 1e-10))  # below 2**-30: left to numpy
-    _check_denominator(margin_spec(kind, 1e-10), 0)  # which passes it
-    assert not _pure.certified(margin_spec(kind, 0.0))
-    assert not _pure.certified(margin_spec(kind, -1e-8))
-
-
-def test_overflowing_denominator_is_not_certified():
-    doc = json.loads((FIGURES / "rational_hyperbolic_arc_a.json").read_text())
-    doc["coords"][-1]["terms"].append({"family": "cosh", "k": 0, "a": 1e-300, "phase": 800.0})
-    assert not _pure.certified(parse_document(json.dumps(doc)).spec)
+    assert {(True, True), (False, True), (False, False)} <= set(verdicts)
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_random_specs_give_the_same_bytes_and_refusals(capsys, monkeypatch, tmp_path, seed):
+def test_random_specs_give_the_same_bytes_and_refusals(tmp_path, seed):
     rng = random.Random(100 + seed)
     for i in range(40):
         doc = random_doc(rng)
         path = tmp_path / f"spec{i}.json"
         path.write_text(json.dumps(doc))
         argv = random_argv(rng, str(path), doc)
-        numpy_path, pure_path = run_both(capsys, monkeypatch, argv)
-        assert pure_path == numpy_path, argv
+        library, pure, took_pure = run_both(argv)
+        assert (pure, took_pure) == (library, True), argv
 
 
 def _eligible(argv) -> bool:
-    """Whether a CLI digest command runs on the pure path in a process without numpy."""
+    """Whether a CLI digest command takes the pure path."""
     if argv[0] == "xform":
         return True
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
@@ -258,7 +231,8 @@ print(json.dumps({"numpy": "numpy" in sys.modules, "results": results}))
 """
 
 
-def test_digest_commands_without_numpy_match_the_numpy_path(capsys):
+def test_digest_commands_without_numpy_match_the_numpy_path():
+    # The child runs without numpy; the reference, the library, runs on numpy.
     assert len(ELIGIBLE) >= 90
     assert {argv[0] for argv in ELIGIBLE.values()} == set(PURE_COMMANDS)
     proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(list(ELIGIBLE.values())),
@@ -267,15 +241,10 @@ def test_digest_commands_without_numpy_match_the_numpy_path(capsys):
     child = json.loads(proc.stdout)
     assert child["numpy"] is False
     for key, argv, result in zip(ELIGIBLE, ELIGIBLE.values(), child["results"]):
-        code = main(list(argv))
-        assert result == [code, *capsys.readouterr()], key
+        assert tuple(result) == pure_sweep.run(argv, True)[0], key
 
 
 PURE_ROWS = [row for row in FAILING_COMMANDS if row[0] in PURE_COMMANDS]
-
-
-# Rational curves of FAILING_COMMANDS whose denominator the pure path cannot certify.
-UNCERTIFIED = {"lemniscate_tiny_denominator"}  # a denominator of about 1e-320
 
 
 def _takes_pure_path(figure: str, flags) -> bool:
@@ -284,8 +253,7 @@ def _takes_pure_path(figure: str, flags) -> bool:
         return True
     doc = DERIVED_DOCS[figure]() if figure in DERIVED_DOCS else json.loads(
         (FIGURES / f"{figure}.json").read_text())
-    curve = doc["type"] == "curve" and figure not in UNCERTIFIED
-    return curve and "svg" not in flags and "obj" not in flags
+    return doc["type"] == "curve" and "svg" not in flags and "obj" not in flags
 
 
 @pytest.mark.parametrize(
@@ -295,23 +263,17 @@ def _takes_pure_path(figure: str, flags) -> bool:
 )
 def test_failing_command_on_the_pure_path(capsys, monkeypatch, tmp_path, command, figure, flags,
                                           code, stderr):
+    # The row takes the path _takes_pure_path names, and the library in place of the pure
+    # path gives its refusal too (test_failing_command runs it on the pure path).
     selected, select = [], chbez.cli._pure_path
 
     def recorded(*args):
         pure = select(*args)
         selected.append(pure is _pure)
-        return pure
+        return pure_sweep.LIBRARY if pure else None
 
-    monkeypatch.setattr(chbez.cli, "_numpy_loaded", lambda: False)
     monkeypatch.setattr(chbez.cli, "_pure_path", recorded)
     failing_command(capsys, tmp_path, command, figure, flags, code, stderr)
     assert selected in ([], [_takes_pure_path(figure, flags)])
     if code == 3:  # a split or a rational curve refused, after the selection
         assert selected == [_takes_pure_path(figure, flags)]
-
-
-def test_numpy_loaded_keeps_the_numpy_path():
-    # This process has loaded numpy; no command here takes the pure path.
-    args = chbez.cli._build_parser("xform").parse_args(["xform", "--kind", "trig", "--alpha", "1",
-                                                        "--order", "2"])
-    assert chbez.cli._numpy_loaded() and not chbez.cli._pure_path(args)

@@ -1,11 +1,14 @@
-"""Compare the CLI's pure path (``chbez._pure``) with its numpy path on many seeded inputs.
+"""Compare the CLI's pure path (``chbez._pure``) with the public library on many seeded inputs.
 
-A CLI process that has not loaded numpy runs ``xform``, and ``describe``,
-``describe-rational``, ``elevate`` and ``subdivide`` of a curve as csv or
-json, on the pure path (a rational curve once its denominator is certified
-positive); this script loads numpy first and switches between the two paths
-through ``chbez.cli._numpy_loaded``.  Each of ``count`` seeded draws makes
-two commands and runs each through ``chbez.cli.main`` on both paths:
+The CLI runs ``xform``, and ``describe``, ``describe-rational``, ``elevate``
+and ``subdivide`` of a curve as csv or json, on the pure path, whether or
+not its process has loaded numpy.  This script runs each command through
+``chbez.cli.main`` twice: as it is, and with :data:`LIBRARY` in place of
+``chbez._pure``, which builds the same output from the public library
+(``transform_matrix``, ``exact_curve``, ``exact_rational_curve``,
+``elevate``, ``subdivide`` and ``export_table``).  The flags are checked by
+the same CLI code on both runs.  Each of ``count`` seeded draws makes two
+commands:
 
 - ``xform`` of a random space: either kind, order 1 to 32, alpha anywhere
   in range, just below pi (trigonometric) or just within the overflow guard
@@ -16,15 +19,15 @@ two commands and runs each through ``chbez.cli.main`` on both paths:
   1e300 and now and then a hyperbolic phase of 800, so refusals (overflow,
   split points too close to an end) come up too.  A third of the curves are
   rational, with a denominator that is positive by construction, dips below
-  0 or grazes 0 within the certificate's margin, and a ``--max-elevations``
-  of 0 to 3 half the time.
+  0 or grazes 0, and a ``--max-elevations`` of 0 to 3 half the time.
 
 Exit code, stdout and stderr must be equal, so every float's bits and every
-refusal's text are compared.  On the first difference the script prints the
-command (and writes its spec next to it) and exits 1; otherwise it prints
-how many commands matched, and how many of them were rational curves that
-took the pure path.  Uses numpy and the standard library only.  Run from the
-root of the repository:
+refusal's text are compared, and every command that reaches the CLI's path
+selection must select ``chbez._pure``.  On the first difference or other
+selection the script prints the command (and writes its spec next to it)
+and exits 1; otherwise it prints how many commands matched, and how many of
+them were rational curves that took the pure path.  Uses numpy and the
+standard library only.  Run from the root of the repository:
 ``python3 tools/pure_sweep.py [count [seed]]`` (defaults 1000 and 0).
 """
 
@@ -36,25 +39,82 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
-import numpy  # noqa: F401  (loaded first: chbez.cli then takes the numpy path by default)
+import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import chbez._pure  # noqa: E402
 import chbez.cli  # noqa: E402
+from chbez import (ControlCurve, elevate, exact_curve, exact_rational_curve,  # noqa: E402
+                   export_table, subdivide, transform_matrix)
 
 KINDS = ("trigonometric", "hyperbolic")
 
-# The value of each chbez.cli._pure_path call (chbez._pure or None) of the last command run.
-TAKEN = []
-_select = chbez.cli._pure_path
+
+def _polygon(net: ControlCurve):
+    """A control curve of the library as a polygon of the pure path (lists of floats)."""
+    weights = None if net.weights is None else net.weights.tolist()
+    return chbez._pure.Polygon(net.space, net.points.tolist(), weights)
 
 
-def _recorded(*args):
-    TAKEN.append(_select(*args))
-    return TAKEN[-1]
+def _curve(polygon) -> ControlCurve:
+    """A polygon of the pure path as a control curve of the library."""
+    weights = None if polygon.weights is None else np.array(polygon.weights)
+    return ControlCurve(polygon.space, np.array(polygon.points), weights)
 
 
-chbez.cli._pure_path = _recorded
+def _describe(spec, orders, r, rational, max_elevations):
+    n = None if orders is None else orders[0]
+    if rational:
+        return _polygon(exact_rational_curve(spec, n, max_elevations).curve)
+    return _polygon(exact_curve(spec, n, (r or (0,))[0]))
+
+
+def _piece(p) -> dict:
+    """A piece of a split as ``subdivide`` writes it."""
+    return {"interval": list(p.u_interval), "points": p.points.tolist(),
+            "weights": p.weights.tolist()}
+
+
+def _subdivide(polygon, u0: float) -> dict:
+    result = subdivide(_curve(polygon), u0)
+    return {"split_ratio": result.split_ratio, "left": _piece(result.left),
+            "right": _piece(result.right)}
+
+
+# What chbez.cli calls of chbez._pure, built from the public library: the reference.
+LIBRARY = SimpleNamespace(
+    transform_rows=lambda space: transform_matrix(space).rows,
+    table=lambda rows, fmt, columns=None: export_table(np.array(rows, dtype=float), fmt, columns),
+    describe=_describe,
+    elevate=lambda polygon, z: _polygon(elevate(_curve(polygon), z)),
+    subdivide=_subdivide,
+)
+
+_SELECT = chbez.cli._pure_path
+
+
+def run(argv, library: bool) -> tuple:
+    """``chbez.cli.main(argv)`` on the pure path, or with :data:`LIBRARY` in its place.
+
+    Returns the exit code, stdout and stderr, and the list of the values that
+    the CLI's path selection (``chbez.cli._pure_path``) returned.
+    """
+    taken = []
+
+    def select(*args):
+        taken.append(_SELECT(*args))
+        return LIBRARY if library and taken[-1] is chbez._pure else taken[-1]
+
+    out, err = io.StringIO(), io.StringIO()
+    chbez.cli._pure_path = select
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = chbez.cli.main(list(argv))
+    finally:
+        chbez.cli._pure_path = _SELECT
+    return (code, out.getvalue(), err.getvalue()), taken
 
 
 def draw_space(rng: random.Random, kind: str, n: int) -> float:
@@ -66,7 +126,7 @@ def draw_space(rng: random.Random, kind: str, n: int) -> float:
 
 def draw_denominator(rng: random.Random, kind: str, alpha: float) -> dict:
     """A denominator, positive by construction (as ``perfbench/gen.py`` draws one), dipping
-    below 0, or grazing 0 near the margin of the certificate ``chbez._pure.certified``.
+    below 0, or grazing 0 from above by 1e-12 to 1e-7 of its size.
 
     Its lowest point lies inside [0, alpha] or just outside.
     """
@@ -131,16 +191,6 @@ def draw_commands(rng: random.Random, spec: Path) -> list:
     return [xform, argv]
 
 
-def run(argv, pure: bool) -> tuple:
-    """Exit code, stdout and stderr of ``chbez.cli.main(argv)`` on one path."""
-    chbez.cli._numpy_loaded = lambda: not pure
-    TAKEN.clear()
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = chbez.cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def main(count: int, seed: int) -> int:
     rng = random.Random(f"pure-sweep:{seed}")
     matched = rational = 0
@@ -149,19 +199,18 @@ def main(count: int, seed: int) -> int:
         for _ in range(count):
             xform, command = draw_commands(rng, spec)
             for argv in (xform, command):
-                numpy_path, pure_path = run(argv, False), run(argv, True)
-                if numpy_path != pure_path:
+                (cli, taken), (library, _) = run(argv, False), run(argv, True)
+                if cli != library or any(path is not chbez._pure for path in taken):
                     kept = Path("pure_sweep_spec.json")
                     kept.write_text(spec.read_text())
                     print(f"mismatch: {' '.join(argv)} (spec kept as {kept})")
-                    print(f"numpy path: exit {numpy_path[0]}, stderr {numpy_path[2]!r}")
-                    print(f"pure path:  exit {pure_path[0]}, stderr {pure_path[2]!r}")
+                    print(f"pure path: exit {cli[0]}, stderr {cli[2]!r}, selected {taken}")
+                    print(f"library:   exit {library[0]}, stderr {library[2]!r}")
                     return 1
                 matched += 1
-            # TAKEN holds the choice of the pure run of the command on the spec.
-            rational += json.loads(spec.read_text())["rational"] and any(TAKEN)
-    print(f"{matched} commands gave the same exit code, stdout and stderr on both paths "
-          f"({rational} on rational curves that took the pure path)")
+            rational += json.loads(spec.read_text())["rational"] and bool(taken)
+    print(f"{matched} commands gave the library's exit code, stdout and stderr on the pure path "
+          f"({rational} on rational curves)")
     return 0
 
 
