@@ -2,8 +2,10 @@
 
 A one-shot CLI process spends longer importing numpy than ``xform``, or
 ``describe``, ``describe-rational``, ``elevate`` and ``subdivide`` of a
-curve, take to compute.  ``chbez.cli`` runs these commands here, written
-as csv or json (``cli._pure_path``).  Each function repeats
+curve, take to compute.  ``chbez.cli`` runs ``xform`` here and describes,
+elevates and splits every curve here, in every format and for every
+command; svg and obj output and ``sample`` then load numpy only to draw or
+to sample the polygon.  Each function repeats
 its numpy twin, named in its docstring, operation for operation and in the
 same order.  Every step is a ``math`` function or one IEEE multiply, add or
 divide, which Python floats round as numpy does, so both paths give the
@@ -25,14 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import chain
 from operator import add
 
 from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, _MEMO_SPACES, BasisSpace, _half_functions,
-                     _top_order)
+                     _shares, _top_order)
 from .errors import NumericalError, RangeError
 from .io import _csv_header
 
@@ -193,15 +194,8 @@ def elevate(curve: Polygon, z: int) -> Polygon:
 
 def subdivide(curve: Polygon, u0: float) -> dict:
     """``curve.subdivide`` of a polygon at a checked ``u0``, as the CLI's JSON payload."""
-    from .curve import _half_sines
-
     space = curve.space
-    b, a = _half_sines(space, u0)
-    stay, v = b / (a + b), a / (a + b)
-    if not (stay > 0.0 and v > 0.0):
-        raise NumericalError(f"split ratio at u0 = {u0!r} rounds to {v:g}")
-    if not min(a, b) >= sys.float_info.min:
-        raise NumericalError(f"split at u0 = {u0!r} leaves a piece too short for its basis")
+    stay, v = _shares(space, u0)
     sums = _sums_by_order(space, [space.n])[0]
     cs = [s / float(math.comb(space.degree, i)) for i, s in enumerate(sums)]
     if curve.weights:

@@ -44,6 +44,11 @@ holds one block of scratch, no full-size temporary.  The scalar
 :func:`basis_value` is the one-row case of that kernel and
 :func:`bernstein_value` the one-row case of the Bernstein table, so a scalar
 equals its batch entry bit for bit.
+
+The split rule of a curve is stated here too, for both split paths
+(``curve.subdivide`` and the CLI's ``_pure.subdivide``): :func:`_split_point`
+checks the split parameter and :func:`_shares` gives the two de Casteljau
+shares from the half-angle sines of :func:`_half_sines`, or refuses the split.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from functools import cache, lru_cache
 
 from . import _exports, _lazy
 from ._record import record
-from .errors import RangeError
+from .errors import NumericalError, RangeError
 
 np = _lazy.Numpy(globals())
 
@@ -134,7 +139,7 @@ class BasisKind(Enum):
 # Each kind's function family s, c, t from ``math``: (sin, cos, tan) or (sinh,
 # cosh, tanh); arrays take numpy's functions of the same names.  Only the
 # order-one transform rows read t; the Bezier parameter reads ``math``'s s
-# (``curve._half_sines``).
+# (:func:`_half_sines`).
 _FUNCTIONS = {
     BasisKind.TRIGONOMETRIC: (math.sin, math.cos, math.tan),
     BasisKind.HYPERBOLIC: (math.sinh, math.cosh, math.tanh),
@@ -313,6 +318,40 @@ def _clamp_param(space: BasisSpace, u: float) -> float:
             return space.alpha
         raise RangeError(f"parameter u = {u!r} above alpha = {space.alpha!r}")
     return u
+
+
+def _half_sines(space: BasisSpace, u: float) -> tuple[float, float]:
+    """``s((alpha - u) / 2)`` and ``s(u / 2)`` by ``math``: the basis rows' factors at ``u``."""
+    s = _FUNCTIONS[space.kind][0]
+    return s(0.5 * (space.alpha - u)), s(0.5 * u)
+
+
+def _split_point(space: BasisSpace, u0: float) -> float:
+    """``u0`` as a float, or a range error unless it lies strictly inside ``(0, alpha)``."""
+    u0 = float(u0)
+    if not 0.0 < u0 < space.alpha:
+        raise RangeError(
+            f"split parameter u0 = {u0!r} must lie strictly inside (0, {space.alpha:g})"
+        )
+    return u0
+
+
+def _shares(space: BasisSpace, u0: float) -> tuple[float, float]:
+    """The shares ``1 - v`` and ``v`` of a split at a checked ``u0``, the rule of every split.
+
+    Each share is its own quotient of the half-angle sines, so a tiny share
+    is not lost to ``1 - v``.  Refused are a share that rounds to 0, which
+    would collapse a piece to a point, and a piece too short for the basis
+    of its interval: ``s(w/2)`` of its width ``w`` is not a normal double,
+    the rule of :func:`basis_matrix`.
+    """
+    b, a = _half_sines(space, u0)
+    stay, v = b / (a + b), a / (a + b)
+    if not (stay > 0.0 and v > 0.0):
+        raise NumericalError(f"split ratio at u0 = {u0!r} rounds to {v:g}")
+    if not min(a, b) >= sys.float_info.min:
+        raise NumericalError(f"split at u0 = {u0!r} leaves a piece too short for its basis")
+    return stay, v
 
 
 def basis_value(space: BasisSpace, i: int, u: float) -> float:

@@ -12,11 +12,16 @@ message names --samples once the command samples, else --order, which sizes
 the control net.
 
 numpy is imported on first use (:mod:`chbez._lazy`).  Help and every
-refusal of a flag or a spec end without it, and xform, and describe,
-describe-rational, elevate and subdivide of a curve as csv or json, run on
-the pure path (:mod:`chbez._pure`), with the bytes of the library
-(:func:`_pure_path`); only a rational curve that is refused loads numpy
-there, to sample its denominator.
+refusal of a flag or a spec end without it.  The document's shape alone
+picks the description path: xform, and every curve, run on the pure path
+(:mod:`chbez._pure`), with the bytes of the library, and every patch on
+numpy.  A curve's csv and json end without numpy; svg and obj output and
+sample load it to draw or to sample the polygon, and a rational curve that
+is refused loads it to sample its denominator.  Importing numpy takes
+60-80 ms of a 135-145 ms one-shot process, and the pure transform rows, by
+far the largest pure step, 0.2, 0.7, 3.7 and 23.5 ms at orders 4, 8, 16
+and 32 (2-vCPU x86-64 host, one CPU), so no order is too high for the pure
+path.
 
 A CLI process (``python -m chbez.cli`` or the ``chbez`` script) keeps the
 cyclic garbage collector off while its modules load.  Before the command it
@@ -40,7 +45,7 @@ if __name__ == "__main__":
     gc.disable()  # until _process_entry freezes what the imports below make
 
 from . import _lazy
-from .bbasis import _MAX_ORDER, BasisKind, BasisSpace, basis_matrix
+from .bbasis import _MAX_ORDER, BasisKind, BasisSpace, _split_point, basis_matrix
 from .errors import NumericalError, RangeError, SpecError
 from .io import (
     _KINDS,
@@ -164,23 +169,6 @@ def _sampling(args, delta: int = 1):
         raise MemoryError
 
 
-def _pure_path(args, doc: SpecDocument | None = None):
-    """The pure path (module :mod:`chbez._pure`) if a command takes it, else None.
-
-    It does for xform, and for describe, describe-rational, elevate and
-    subdivide of a curve, written as csv or json; svg and obj output and
-    patches take the numpy path.  Importing numpy takes 60-80 ms of a
-    135-145 ms one-shot process, and the pure transform rows, by far the
-    largest pure step, 0.2, 0.7, 3.7 and 23.5 ms at orders 4, 8, 16 and 32
-    (2-vCPU x86-64 host, one CPU), so no order is too high for the pure path.
-    """
-    if (doc is None or len(doc.spec._directions) == 1) and args.format in ("csv", "json"):
-        from . import _pure
-
-        return _pure
-    return None
-
-
 def _space_flags(args) -> BasisSpace:
     """The space of --kind, --alpha and --order; alpha is checked alone first."""
     kind, alpha = _kind_flag(args.kind), _named("--alpha", parse_angle, args.alpha)
@@ -199,9 +187,10 @@ def _cmd_basis(args):
 
 
 def _cmd_xform(args):
+    from . import _pure
+
     space = _space_flags(args)
-    pure = _pure_path(args)  # xform writes csv or json only
-    return pure.table(pure.transform_rows(space), args.format), args.out
+    return _pure.table(_pure.transform_rows(space), args.format), args.out
 
 
 def _derivative_orders(text, delta: int):
@@ -228,14 +217,15 @@ def _check_format(doc: SpecDocument, fmt: str, noun: str):
         raise RangeError(f"--format: obj needs 3-d {noun}")
 
 
-def _described(doc: SpecDocument, args, noun: str = "points", pure=None):
-    """Control curve or grid of a document, honoring --order, --derivative and rational.
+def _described(doc: SpecDocument, args, noun: str = "points"):
+    """Control polygon of a curve (pure path) or grid of a patch, honoring the flags.
 
     Both flags are checked for shape before a rational document refuses a
     derivative, and --format (for output of ``noun``) before anything is built.
-    With ``pure`` (:func:`_pure_path`), a curve is described on the pure path.
+    An order below the minimum names --order, unless a rational document's
+    denominator dips at a sample, the refusal that comes first.
     """
-    from .exact import _derivative_scale, _describe, min_orders
+    from .exact import _check_orders, _denominator_named, _derivative_scale, _describe, min_orders
 
     spec = doc.spec
     derivative = getattr(args, "derivative", None)  # subdivide has no --derivative
@@ -246,9 +236,13 @@ def _described(doc: SpecDocument, args, noun: str = "points", pure=None):
     _check_format(doc, args.format, noun)
     for k, rj in zip(min_orders(spec), r or ()):
         _named("--derivative", _derivative_scale, k, rj)  # the largest frequency scales most
-    if pure:
-        return pure.describe(spec, orders, r, doc.rational, args.max_elevations)
-    return _describe(spec, orders, r, doc.rational, args.max_elevations)[0]
+    given = (spec, orders, r, doc.rational, args.max_elevations)
+    _named("--order", _denominator_named(lambda s, orders, *_: _check_orders(s, orders)), *given)
+    if len(spec._directions) > 1:
+        return _describe(*given)[0]
+    from . import _pure
+
+    return _pure.describe(*given)
 
 
 def _output(values, fmt: str, role: str, axes, lead: str, weights=None) -> str:
@@ -271,54 +265,60 @@ def _output(values, fmt: str, role: str, axes, lead: str, weights=None) -> str:
     return export_table(np.hstack(blocks), fmt, columns)
 
 
-def _control_output(net, fmt: str, pure=None) -> str:
-    """A control polygon, or a grid with its multi-index, through :func:`_output`.
+def _control_output(net, fmt: str) -> str:
+    """A control polygon of the pure path, or a grid with its multi-index, as ``fmt``.
 
-    With ``pure``, a polygon of the pure path goes through its table writer.
+    A polygon's table goes through the pure path's writer; svg and obj, and a
+    grid, go through :func:`_output`.
     """
-    if pure:
+    if isinstance(net.points, list) and fmt in ("csv", "json"):
+        from . import _pure
+
         rows, columns = net.points, _coord_names(len(net.points[0]))
         if net.weights:
             rows, columns = [[*p, w] for p, w in zip(rows, net.weights)], [*columns, "weight"]
-        return pure.table(rows, fmt, columns)
-    dims = net.points.shape[:-1]
+        return _pure.table(rows, fmt, columns)
+    points = np.asarray(net.points)
+    dims = points.shape[:-1]
     index = [np.arange(d) for d in dims] if len(dims) > 1 else []
-    return _output(net.points, fmt, "polygon", index, "i", net.weights)
+    return _output(points, fmt, "polygon", index, "i", net.weights)
 
 
 def _cmd_describe(args):
     doc = _load_document(args)
     if args.command == "describe-rational" and not doc.rational:
         raise SpecError("rational", "describe-rational needs a spec with rational = true")
-    pure = _pure_path(args, doc)
-    return _control_output(_described(doc, args, pure=pure), args.format, pure), args.out
+    return _control_output(_described(doc, args), args.format), args.out
 
 
 def _cmd_sample(args):
+    from .curve import ControlCurve
     from .surface import _sampled
 
     _check_samples(args.samples)
     doc = _load_document(args)
     net = _described(doc, args, "samples")
+    if len(doc.spec._directions) == 1:
+        net = ControlCurve(*net)  # the polygon of the pure path
     _sampling(args, len(doc.spec._directions))
     axes, values = _sampled(net, doc.spec, args.samples)
     return _output(values, args.format, "curve", axes, "u"), args.out
 
 
 def _cmd_subdivide(args):
-    from .curve import _split_point
+    from . import _pure
 
     doc = _load_document(args)
     _require_curve(doc, "subdivide")
-    pure = _pure_path(args, doc)  # subdivide writes json only
-    curve = _described(doc, args, pure=pure)
+    curve = _described(doc, args)
     u0 = _named("--split-at", parse_angle, args.split_at)
     u0 = _named("--split-at", _split_point, curve.space, u0)
-    return json.dumps(pure.subdivide(curve, u0), indent=2) + "\n", args.out
+    return json.dumps(_pure.subdivide(curve, u0), indent=2) + "\n", args.out
 
 
 def _cmd_elevate(args):
-    from .exact import _describe, min_order
+    from . import _pure
+    from .exact import min_order
 
     doc = _load_document(args)
     spec = _require_curve(doc, "elevate")
@@ -327,16 +327,7 @@ def _cmd_elevate(args):
     target = (_order_flag(args, spec) or (None,))[0]
     if target is not None and target < base:
         raise RangeError(f"--order: target {target} below the minimum order {base}")
-    pure = _pure_path(args, doc)
-    if pure:
-        describe, elevate = pure.describe, pure.elevate
-    else:  # svg output
-        from .curve import elevate
-
-        def describe(*given):
-            return _describe(*given)[0]
-
-    curve = describe(spec, None, None, doc.rational, args.max_elevations)
+    curve = _pure.describe(spec, None, None, doc.rational, args.max_elevations)
     reached = curve.space.n  # above base when a rational description needed elevation
     if target is None:
         target = _capped(reached + 1, "default target ")
@@ -344,8 +335,8 @@ def _cmd_elevate(args):
         raise RangeError(f"--order: target {target} below the order {reached} the rational "
                          "description reached")
     _named("--order", spec.space, target)  # a default target can trip the overflow guard
-    elevated = elevate(curve, target - reached) if target > reached else curve
-    return _control_output(elevated, args.format, pure), args.out
+    elevated = _pure.elevate(curve, target - reached) if target > reached else curve
+    return _control_output(elevated, args.format), args.out
 
 
 def _cmd_gallery(args):

@@ -12,7 +12,9 @@ cutting subdivision at an arbitrary interior parameter, and order elevation.
 The Bezier map is stated once, by the two half-angle sines whose powers
 make the basis rows: ``v(u) = s(u/2) / (s(u/2) + s((alpha - u)/2))``, ``s``
 sin or sinh.  One de Casteljau pyramid with the shares ``1 - v`` and ``v``,
-each its own quotient of the sines, splits a curve.  It runs on the
+each its own quotient of the sines, splits a curve; the shares and their
+refusals are ``bbasis._shares``, which the CLI's split calls too.  The
+pyramid runs on the
 homogeneous net ``(c p, c)``, ``c_i`` the coefficient sum of the curve's
 space over ``C(2n, i)`` (times the curve's rational weight); its two edges,
 projected back, are the pieces.  A piece is kept in rational Bezier form:
@@ -40,12 +42,11 @@ not positive.
 
 from __future__ import annotations
 
-import sys
-
 from . import _exports, _lazy
 from ._record import record
-from .bbasis import (_FUNCTIONS, _PARAM_SLACK, BasisSpace, _binomials, _clamp_param,
-                     _coefficient_sums, _count, _normalizing_values, basis_matrix)
+from .bbasis import (_PARAM_SLACK, BasisSpace, _binomials, _clamp_param, _coefficient_sums,
+                     _count, _half_sines, _normalizing_values, _shares, _split_point,
+                     basis_matrix)
 from .errors import NumericalError, RangeError
 from .xform import _elevated
 
@@ -177,12 +178,6 @@ def evaluate(curve: ControlCurve, u):
     return values[0] if scalar else values
 
 
-def _half_sines(space: BasisSpace, u: float) -> tuple[float, float]:
-    """``s((alpha - u) / 2)`` and ``s(u / 2)`` by ``math``: the basis rows' factors at ``u``."""
-    s = _FUNCTIONS[space.kind][0]
-    return s(0.5 * (space.alpha - u)), s(0.5 * u)
-
-
 def reparametrize(space: BasisSpace, u: float) -> float:
     """Map ``u`` in ``[0, alpha]`` to the Bezier parameter ``v`` in ``[0, 1]``.
 
@@ -282,16 +277,6 @@ class SubdivisionResult:
     split_ratio: float
 
 
-def _split_point(space: BasisSpace, u0: float) -> float:
-    """``u0`` as a float, or a range error unless it lies strictly inside ``(0, alpha)``."""
-    u0 = float(u0)
-    if not 0.0 < u0 < space.alpha:
-        raise RangeError(
-            f"split parameter u0 = {u0!r} must lie strictly inside (0, {space.alpha:g})"
-        )
-    return u0
-
-
 def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     """Split the curve at interior parameter ``u0`` by corner cutting.
 
@@ -299,23 +284,16 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
     ``c_i = S_i / C(2n, i)`` (the coefficient sums over the binomials, the
     Bezier weights times ``s(alpha/2)**2n``) times the curve's weights (if
     any).  Its shares ``1 - v`` and ``v``, ``v = reparametrize(space, u0)``,
-    are each their own quotient of the half-angle sines, so a tiny share is
-    not lost to ``1 - v``.  The first edge is the left piece and the last
-    edge, reversed, the right one; a polynomial curve's outer piece weights
-    are exactly 1.  A split is refused where a piece weight is not positive,
-    where a share is 0, which would collapse a piece to a point, where
-    a piece is too short for the basis of its interval (``s(w/2)`` of its
-    width ``w`` is not a normal double, the rule of :func:`basis_matrix`),
-    and where a piece point or weight overflows double range.
+    and their refusals, a share of 0 and a piece too short for the basis of
+    its interval, are the split rule ``bbasis._shares``.  The first edge is
+    the left piece and the last edge, reversed, the right one; a polynomial
+    curve's outer piece weights are exactly 1.  A split is refused too where
+    a piece weight is not positive and where a piece point or weight
+    overflows double range.
     """
     space = curve.space
     u0 = _split_point(space, u0)
-    b, a = _half_sines(space, u0)
-    stay, v = b / (a + b), a / (a + b)
-    if not (stay > 0.0 and v > 0.0):
-        raise NumericalError(f"split ratio at u0 = {u0!r} rounds to {v:g}")
-    if not min(a, b) >= sys.float_info.min:  # the rule of basis_matrix, for each piece's width
-        raise NumericalError(f"split at u0 = {u0!r} leaves a piece too short for its basis")
+    stay, v = _shares(space, u0)
     c = _coefficient_sums(space) / _binomials(space.degree)
     # A net beyond double range leaves inf or nan in the pieces, refused below without a warning.
     with np.errstate(over="ignore", invalid="ignore"):

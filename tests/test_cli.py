@@ -504,12 +504,17 @@ FAILING_COMMANDS = [
      "error: --order: expected 2 orders, got 3\n"),
     ("sample", "rational_trigonometric_patch", ["--order", "2,2,2"], 2,
      "error: --order: expected 2 orders, got 3\n"),
+    # An order below the minimum names --order, for curves and patches alike.
     ("describe", "hypocycloid", ["--order", "0"], 2,
-     "error: order 0 below the curve's minimum order 4\n"),
+     "error: --order: order 0 below the curve's minimum order 4\n"),
+    ("sample", "hypocycloid", ["--order", "3"], 2,
+     "error: --order: order 3 below the curve's minimum order 4\n"),
+    ("subdivide", "hypocycloid", ["--order", "0", "--split-at", "1"], 2,
+     "error: --order: order 0 below the curve's minimum order 4\n"),
     ("describe", "lemniscate", ["--order", "0"], 2,
-     "error: order 0 below the curve's minimum order 2\n"),
+     "error: --order: order 0 below the curve's minimum order 2\n"),
     ("describe", "torus_patch", ["--order", "0"], 2,
-     "error: order 0 in direction 0 below the minimum 1\n"),
+     "error: --order: order 0 in direction 0 below the minimum 1\n"),
     ("describe", "torus_patch", ["--derivative", "1,1,1"], 2,
      "error: --derivative: expected 2 orders, got 3\n"),
     ("describe", "hypocycloid", ["--derivative", "1,1"], 2,

@@ -134,6 +134,28 @@ def test_cli_output_matches_frozen_digest(key):
     assert stdout_digest(COMMANDS[key]) == FROZEN["sha256"][key]
 
 
+def _numpy_describer(*args):
+    raise AssertionError("a curve was described by exact._describe")
+
+
+# Curves drawn or sampled through numpy: the polygon still comes from the pure path.
+DRAWN_CURVES = ["describe hypocycloid svg", "describe torus_knot obj", "elevate hypocycloid svg",
+                "sample hypocycloid csv", "sample hypocycloid svg", "sample torus_knot obj",
+                "sample lemniscate svg"]
+
+
+@pytest.mark.parametrize("key", DRAWN_CURVES)
+def test_curves_are_described_on_the_pure_path_in_every_format(monkeypatch, key):
+    monkeypatch.setattr("chbez.exact._describe", _numpy_describer)
+    test_cli_output_matches_frozen_digest(key)
+
+
+def test_patches_are_described_on_numpy(monkeypatch):
+    monkeypatch.setattr("chbez.exact._describe", _numpy_describer)
+    with pytest.raises(AssertionError, match="exact._describe"):
+        main(["describe", "--spec", str(FIGURES / "torus_patch.json")])
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps(record(), indent=1, sort_keys=False) + "\n")
     print(f"wrote {len(COMMANDS)} digests to {DATA}", file=sys.stderr)

@@ -179,8 +179,8 @@ def test_script_entry_freezes_before_the_command():
 
 
 # A command whose numpy loads only after its spec is read (a rational curve as
-# svg, which the pure path does not write), and one that never loads numpy (the
-# pure path).
+# svg: the pure path describes it and numpy draws it), and one that never loads
+# numpy (the pure path).
 LATE_OR_NEVER = {
     "rational-curve": (["describe", "--spec", str(FIGURES / "lemniscate.json"), "--format", "svg"],
                        [False], '<?xml version="1.0"'),

@@ -31,8 +31,8 @@ from chbez import (
     reparametrize,
     subdivide,
 )
-from chbez.bbasis import _binomials, _coefficient_sums
-from chbez.curve import SubdivisionResult, _folded, _half_sines, _projected, _split_point
+from chbez.bbasis import _binomials, _coefficient_sums, _half_sines, _split_point
+from chbez.curve import SubdivisionResult, _folded, _projected
 
 TRIG = BasisKind.TRIGONOMETRIC
 HYP = BasisKind.HYPERBOLIC

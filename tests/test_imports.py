@@ -105,6 +105,17 @@ def test_pure_describe_and_elevate_load_no_curve_module(tmp_path):
                          "chbez.xform"]  # fmt: skip
 
 
+def test_subdivide_loads_no_curve_module(tmp_path):
+    commands = [
+        ["subdivide", *spec("quadrifolium"), "--split-at", "1"],
+        ["subdivide", *spec("lemniscate"), "--split-at", "1"],
+    ]
+    after = loaded_after(commands, tmp_path)
+    # Both splits, plain and rational, run on the pure path under the split rule of bbasis.
+    assert "chbez._pure" in after[-1]
+    assert "chbez.curve" not in after[-1]
+
+
 def test_only_gallery_loads_gallery(tmp_path):
     commands = [
         ["describe", *spec("hypocycloid")],
@@ -274,8 +285,8 @@ def _specs(argv, tmp_path) -> list:
     return [a for arg in argv for a in (made[arg](tmp_path) if arg in made else [arg])]
 
 
-# Commands that end without numpy: the pure path (xform; describe, describe-rational,
-# elevate and subdivide of curves as csv or json, a rational one once its weights are
+# Commands that end without numpy: xform, and describe, describe-rational, elevate and
+# subdivide of curves as csv or json (the pure path, a rational curve once its weights are
 # positive), help and every refusal of a flag or a spec.
 WITHOUT_NUMPY = {
     "xform": (0, ["xform", "--kind", "hyp", "--alpha", "0.5", "--order", "32", "--format", "json"]),
@@ -304,11 +315,13 @@ WITHOUT_NUMPY = {
 }
 
 # Commands that need numpy: a rational curve that is refused (its denominator is
-# sampled through numpy, to name a dip), svg output, a patch, sampling, the gallery.
+# sampled through numpy, to name a dip), svg or obj output of a curve's polygon of the pure
+# path, sampling, a patch, basis and the gallery.
 WITH_NUMPY = {
     "rational dip": (3, ["describe-rational", "DIP_SPEC"]),
     "weights not positive": (3, ["describe-rational", "LOW_SPEC", "--max-elevations", "3"]),
     "svg": (0, ["describe", *spec("hypocycloid"), "--format", "svg"]),
+    "obj": (0, ["describe", *spec("torus_knot"), "--format", "obj"]),
     "patch": (0, ["describe", *spec("torus_patch")]),
     "sample": (0, ["sample", *spec("hypocycloid"), "--samples", "5"]),
     "basis": (0, ["basis", "--kind", "trig", "--alpha", "1", "--order", "2"]),

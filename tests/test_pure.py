@@ -1,11 +1,12 @@
 """The pure path (``chbez._pure``) gives the bits, bytes and refusals of the public library.
 
-The CLI takes the pure path for xform, and for describe, describe-rational,
-elevate and subdivide of a curve as csv or json, whether or not its process
-has loaded numpy.  The tests here compare its kernels with the library's
-bits, and run each command twice: as it is, and with ``pure_sweep.LIBRARY``
-(the public library behind the pure path's interface) in place of
-``chbez._pure``.  Random spaces and specs are drawn from seeded generators.
+The CLI takes the pure path for xform, and describes, elevates and splits
+every curve on it, in every format and for every command, sample included.
+The tests here compare its kernels with the library's bits, and run each
+command twice: as it is, and with ``pure_sweep.LIBRARY`` (the public
+library behind the pure path's interface) in place of the package
+attribute ``chbez._pure``.  Random spaces and specs are drawn from seeded
+generators.
 """
 
 import json
@@ -19,7 +20,6 @@ import numpy as np
 import pytest
 
 import chbez
-import chbez.cli
 from chbez import BasisKind, BasisSpace, CurveSpec, NumericalError, RangeError, parse_document
 from chbez import _pure
 from chbez.bbasis import _sums_by_order
@@ -73,10 +73,10 @@ def test_sums_and_step_weights_match_bit_for_bit(seed):
 
 def run_both(argv) -> tuple:
     """(code, stdout, stderr) of ``argv`` with the library in place of the pure path, then as it
-    is, and whether each path selection of the second run took the pure path."""
+    is, and whether the second run, if it succeeded, read the pure path."""
     library, _ = pure_sweep.run(argv, True)
     pure, taken = pure_sweep.run(argv, False)
-    return library, pure, all(path is _pure for path in taken)
+    return library, pure, pure[0] != 0 or bool(taken)
 
 
 def random_doc(rng: random.Random) -> dict:
@@ -203,7 +203,7 @@ def test_random_specs_give_the_same_bytes_and_refusals(tmp_path, seed):
 
 
 def _eligible(argv) -> bool:
-    """Whether a CLI digest command takes the pure path."""
+    """Whether a CLI digest command runs without numpy: xform, or a curve written as csv or json."""
     if argv[0] == "xform":
         return True
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
@@ -244,16 +244,32 @@ def test_digest_commands_without_numpy_match_the_numpy_path():
         assert tuple(result) == pure_sweep.run(argv, True)[0], key
 
 
-PURE_ROWS = [row for row in FAILING_COMMANDS if row[0] in PURE_COMMANDS]
+# Digest commands of curves that load numpy to draw or to sample the polygon.
+DRAWN = {key: argv for key, argv in COMMANDS.items()
+         if "--spec" in argv and not _eligible(argv) and isinstance(
+             parse_document(Path(argv[argv.index("--spec") + 1]).read_text()).spec, CurveSpec)}
 
 
-def _takes_pure_path(figure: str, flags) -> bool:
-    """Whether a FAILING_COMMANDS row that reaches the selection takes the pure path."""
+def test_drawn_and_sampled_digest_commands_match_the_library():
+    # svg and obj output and sample of a curve draw or sample the polygon of the pure path.
+    assert {argv[0] for argv in DRAWN.values()} == {"describe", "elevate", "sample"}
+    assert {argv[argv.index("--format") + 1] for argv in DRAWN.values() if "--format" in argv} \
+        == {"csv", "svg", "obj"}
+    for key, argv in DRAWN.items():
+        library, pure, took_pure = run_both(argv)
+        assert (pure, took_pure) == (library, True), key
+
+
+PURE_ROWS = [row for row in FAILING_COMMANDS if row[0] in (*PURE_COMMANDS, "sample")]
+
+
+def _takes_pure_path(figure: str) -> bool:
+    """Whether a FAILING_COMMANDS row that reaches the description takes the pure path."""
     if not figure or figure in RAW_SPECS:
         return True
     doc = DERIVED_DOCS[figure]() if figure in DERIVED_DOCS else json.loads(
         (FIGURES / f"{figure}.json").read_text())
-    return doc["type"] == "curve" and "svg" not in flags and "obj" not in flags
+    return doc["type"] == "curve"
 
 
 @pytest.mark.parametrize(
@@ -263,17 +279,13 @@ def _takes_pure_path(figure: str, flags) -> bool:
 )
 def test_failing_command_on_the_pure_path(capsys, monkeypatch, tmp_path, command, figure, flags,
                                           code, stderr):
-    # The row takes the path _takes_pure_path names, and the library in place of the pure
-    # path gives its refusal too (test_failing_command runs it on the pure path).
-    selected, select = [], chbez.cli._pure_path
-
-    def recorded(*args):
-        pure = select(*args)
-        selected.append(pure is _pure)
-        return pure_sweep.LIBRARY if pure else None
-
-    monkeypatch.setattr(chbez.cli, "_pure_path", recorded)
+    # Only a row of a curve or of xform reads the pure path, and the library in its place
+    # gives the row's refusal too (test_failing_command runs it on the pure path).
+    reads = pure_sweep.Reads(pure_sweep.LIBRARY)
+    monkeypatch.setattr(chbez, "_pure", reads)
     failing_command(capsys, tmp_path, command, figure, flags, code, stderr)
-    assert selected in ([], [_takes_pure_path(figure, flags)])
-    if code == 3:  # a split or a rational curve refused, after the selection
-        assert selected == [_takes_pure_path(figure, flags)]
+    assert not reads.names or _takes_pure_path(figure)
+    # A split or weights refused come from the description; a dip of the denominator can be
+    # named before it, where an order below the minimum is refused.
+    if code == 3 and "denominator" not in stderr:
+        assert bool(reads.names) == _takes_pure_path(figure)

@@ -1,33 +1,37 @@
 """Compare the CLI's pure path (``chbez._pure``) with the public library on many seeded inputs.
 
-The CLI runs ``xform``, and ``describe``, ``describe-rational``, ``elevate``
-and ``subdivide`` of a curve as csv or json, on the pure path, whether or
-not its process has loaded numpy.  This script runs each command through
-``chbez.cli.main`` twice: as it is, and with :data:`LIBRARY` in place of
-``chbez._pure``, which builds the same output from the public library
-(``transform_matrix``, ``exact_curve``, ``exact_rational_curve``,
-``elevate``, ``subdivide`` and ``export_table``).  The flags are checked by
-the same CLI code on both runs.  Each of ``count`` seeded draws makes two
-commands:
+The CLI runs ``xform`` on the pure path, and describes, elevates and splits
+every curve there, in every format and for every command, ``sample``
+included.  This script runs each command through ``chbez.cli.main`` twice:
+as it is, and with :data:`LIBRARY` in place of the package attribute
+``chbez._pure``, which the CLI reads when it runs.  :data:`LIBRARY` builds
+the same output from the public library (``transform_matrix``,
+``exact_curve``, ``exact_rational_curve``, ``elevate``, ``subdivide`` and
+``export_table``).  The flags are checked, and svg and obj drawn and curves
+sampled, by the same CLI code on both runs.  Each of ``count`` seeded draws
+makes two commands:
 
 - ``xform`` of a random space: either kind, order 1 to 32, alpha anywhere
   in range, just below pi (trigonometric) or just within the overflow guard
   ``n * alpha <= 300`` (hyperbolic);
-- ``describe`` (with ``--derivative``), ``describe-rational``, ``elevate``
-  or ``subdivide`` of a random curve of 1 to 4 coordinates in such a space,
-  with random ``--order``, ``--split-at`` and ``--format``; amplitudes up to
-  1e300 and now and then a hyperbolic phase of 800, so refusals (overflow,
-  split points too close to an end) come up too.  A third of the curves are
-  rational, with a denominator that is positive by construction, dips below
-  0 or grazes 0, and a ``--max-elevations`` of 0 to 3 half the time.
+- ``describe`` (with ``--derivative``), ``describe-rational``, ``elevate``,
+  ``subdivide`` or ``sample`` (with ``--derivative`` and ``--samples``) of
+  a random curve of 1 to 4 coordinates in such a space, with random
+  ``--order``, ``--split-at`` and ``--format``: csv or json, and svg for a
+  planar curve or obj for a 3-d one where the command writes them;
+  amplitudes up to 1e300 and now and then a hyperbolic phase of 800, so
+  refusals (overflow, split points too close to an end) come up too.  A
+  third of the curves are rational, with a denominator that is positive by
+  construction, dips below 0 or grazes 0, and a ``--max-elevations`` of 0
+  to 3 half the time.
 
 Exit code, stdout and stderr must be equal, so every float's bits and every
-refusal's text are compared, and every command that reaches the CLI's path
-selection must select ``chbez._pure``.  On the first difference or other
-selection the script prints the command (and writes its spec next to it)
-and exits 1; otherwise it prints how many commands matched, and how many of
-them were rational curves that took the pure path.  Uses numpy and the
-standard library only.  Run from the root of the repository:
+refusal's text are compared, and every command that succeeds must have read
+``chbez._pure``.  On the first difference, or a success that did not read
+the pure path, the script prints the command (and writes its spec next to
+it) and exits 1; otherwise it prints how many commands matched, and how
+many of them were rational curves that took the pure path.  Uses numpy and
+the standard library only.  Run from the root of the repository:
 ``python3 tools/pure_sweep.py [count [seed]]`` (defaults 1000 and 0).
 """
 
@@ -50,12 +54,13 @@ from chbez import (ControlCurve, elevate, exact_curve, exact_rational_curve,  # 
                    export_table, subdivide, transform_matrix)
 
 KINDS = ("trigonometric", "hyperbolic")
+PURE = chbez._pure
 
 
 def _polygon(net: ControlCurve):
     """A control curve of the library as a polygon of the pure path (lists of floats)."""
     weights = None if net.weights is None else net.weights.tolist()
-    return chbez._pure.Polygon(net.space, net.points.tolist(), weights)
+    return PURE.Polygon(net.space, net.points.tolist(), weights)
 
 
 def _curve(polygon) -> ControlCurve:
@@ -92,29 +97,32 @@ LIBRARY = SimpleNamespace(
     subdivide=_subdivide,
 )
 
-_SELECT = chbez.cli._pure_path
+class Reads:
+    """``module`` in the place of ``chbez._pure``, listing in ``names`` what the CLI reads of it."""
+
+    def __init__(self, module):
+        self.module, self.names = module, []
+
+    def __getattr__(self, name):
+        self.names.append(name)
+        return getattr(self.module, name)
 
 
 def run(argv, library: bool) -> tuple:
     """``chbez.cli.main(argv)`` on the pure path, or with :data:`LIBRARY` in its place.
 
-    Returns the exit code, stdout and stderr, and the list of the values that
-    the CLI's path selection (``chbez.cli._pure_path``) returned.
+    Returns the exit code, stdout and stderr, and the names the CLI read of
+    ``chbez._pure``.
     """
-    taken = []
-
-    def select(*args):
-        taken.append(_SELECT(*args))
-        return LIBRARY if library and taken[-1] is chbez._pure else taken[-1]
-
+    reads = Reads(LIBRARY if library else PURE)
     out, err = io.StringIO(), io.StringIO()
-    chbez.cli._pure_path = select
+    chbez._pure = reads
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = chbez.cli.main(list(argv))
     finally:
-        chbez.cli._pure_path = _SELECT
-    return (code, out.getvalue(), err.getvalue()), taken
+        chbez._pure = PURE
+    return (code, out.getvalue(), err.getvalue()), reads.names
 
 
 def draw_space(rng: random.Random, kind: str, n: int) -> float:
@@ -167,27 +175,37 @@ def draw_doc(rng: random.Random) -> dict:
             "coords": coords}
 
 
+def draw_format(rng: random.Random, command: str, channels: int) -> str:
+    """csv or json, or svg for a planar curve or obj for a 3-d one where ``command`` writes it."""
+    drawn = {2: "svg", 3: "obj"}.get(channels)
+    if drawn == "obj" and command == "elevate":
+        drawn = None
+    return rng.choice(["csv", "json", drawn] if drawn else ["csv", "json"])
+
+
 def draw_commands(rng: random.Random, spec: Path) -> list:
-    """An xform command, and a describe, describe-rational, elevate or subdivide command."""
+    """An xform command, and a describe, describe-rational, elevate, subdivide or sample command."""
     kind, n = rng.choice(KINDS), rng.randint(1, 32)
     xform = ["xform", "--kind", kind, "--alpha", repr(draw_space(rng, kind, n)), "--order", str(n),
              "--format", rng.choice(["csv", "json"])]
     doc = draw_doc(rng)
     spec.write_text(json.dumps(doc))
-    command = rng.choice(["describe", "describe-rational", "elevate", "subdivide"])
+    command = rng.choice(["describe", "describe-rational", "elevate", "subdivide", "sample"])
     argv = [command, "--spec", str(spec)]
     if rng.random() < 0.6:
         argv += ["--order", str(rng.randint(0, 33))]
     if doc["rational"] and rng.random() < 0.5:
         argv += ["--max-elevations", str(rng.randint(0, 3))]
-    if command == "describe" and rng.random() < (0.1 if doc["rational"] else 0.6):
+    if command in ("describe", "sample") and rng.random() < (0.1 if doc["rational"] else 0.6):
         argv += ["--derivative", str(rng.choice([0, 1, 2, 3, 7, 40]))]
+    if command == "sample":
+        argv += ["--samples", str(rng.randint(2, 40))]
     if command == "subdivide":
         alpha = doc["alpha"]
         u0 = rng.choice([rng.uniform(0.0, alpha), alpha * rng.uniform(1e-17, 1e-10), 1e-310])
         argv += ["--split-at", repr(u0)]
     else:
-        argv += ["--format", rng.choice(["csv", "json"])]
+        argv += ["--format", draw_format(rng, command, len(doc["coords"]) - doc["rational"])]
     return [xform, argv]
 
 
@@ -200,11 +218,11 @@ def main(count: int, seed: int) -> int:
             xform, command = draw_commands(rng, spec)
             for argv in (xform, command):
                 (cli, taken), (library, _) = run(argv, False), run(argv, True)
-                if cli != library or any(path is not chbez._pure for path in taken):
+                if cli != library or (cli[0] == 0 and not taken):
                     kept = Path("pure_sweep_spec.json")
                     kept.write_text(spec.read_text())
                     print(f"mismatch: {' '.join(argv)} (spec kept as {kept})")
-                    print(f"pure path: exit {cli[0]}, stderr {cli[2]!r}, selected {taken}")
+                    print(f"pure path: exit {cli[0]}, stderr {cli[2]!r}, read {taken}")
                     print(f"library:   exit {library[0]}, stderr {library[2]!r}")
                     return 1
                 matched += 1
