@@ -28,12 +28,12 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain
 from operator import add
 
-from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, _MEMO_SPACES, BasisSpace, _half_functions,
-                     _shares, _top_order)
+from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, BasisSpace, _half_functions, _shares,
+                     _top_order)
 from .errors import NumericalError, RangeError
 from .io import _csv_header
 
@@ -74,9 +74,8 @@ def _raise_order(weights: list, row: list, factor=(1.0, 1.0, 1.0)) -> list:
     return [0.0 + a + b + c for a, b, c in zip(*terms)]
 
 
-@lru_cache(maxsize=_MEMO_SPACES)
 def transform_rows(space: BasisSpace) -> list:
-    """``xform._transform_rows``, whose callers read its memoized rows and never write them.
+    """``xform._transform_rows``, built afresh: a one-shot process builds a space's rows once.
 
     The rows are built as there: the known rows, then four product inputs with their factors.
     """
@@ -92,12 +91,15 @@ def transform_rows(space: BasisSpace) -> list:
     return [[1.0] * space.dimension] + rows[: space.degree]
 
 
-def _ordinates(fn, space: BasisSpace, r: int) -> list:
-    """``exact.coordinate_ordinates`` of a coordinate whose frequencies fit the space."""
+def _ordinates(fn, space: BasisSpace, r: int, rows: list) -> list:
+    """``exact.coordinate_ordinates`` of a coordinate whose frequencies fit the space.
+
+    ``rows`` are the space's :func:`transform_rows`, which the caller builds once per curve.
+    """
     from .exact import _term_rows
 
     out = [0.0] * space.dimension
-    for scale, a, x, b, y in _term_rows(fn, space, r, transform_rows(space), [0.0] * len(out)):
+    for scale, a, x, b, y in _term_rows(fn, space, r, rows, [0.0] * len(out)):
         out = [o + scale * (a * xi + b * yi) for o, xi, yi in zip(out, x, y)]
     return out
 
@@ -165,8 +167,9 @@ def _polygon(spec, orders, r, rational: bool, max_elevations: int) -> Polygon:
     from .exact import _check_orders
 
     space = spec.space(_check_orders(spec, orders)[0])
+    rows, derivative = transform_rows(space), (r or (0,))[0]
     # Ordinates sum onto 0.0, so none is -0.0 and the 0.0 + that numpy adds changes no bit.
-    channels = _finite_channels([_ordinates(fn, space, (r or (0,))[0]) for fn in spec.coords])
+    channels = _finite_channels([_ordinates(fn, space, derivative, rows) for fn in spec.coords])
     if not rational:
         return _net(space, channels)
     channels, space = _positive(channels, space, max_elevations)

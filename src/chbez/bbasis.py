@@ -79,7 +79,9 @@ _OVERFLOW_LIMIT = 300.0
 # rejected; within the slack they are clamped to the nearest endpoint.
 _PARAM_SLACK = 1e-12
 
-_MEMO_SPACES = 128  # per-space memos here and in ``xform`` keep the spaces used last
+# The per-space memos, coefficient sums here and transform rows in ``xform``, keep the spaces
+# used last: every workload asks both for a space again, across jobs or directions.
+_MEMO_SPACES = 128
 
 # Parameters per block of a basis or Bernstein table.  The block of the largest
 # table (order 32, 65 columns), which holds the left powers first, and one
@@ -280,8 +282,8 @@ def _coefficient_sums(space: BasisSpace) -> np.ndarray:
     return sums
 
 
-@lru_cache(maxsize=_MEMO_SPACES)
 def _normalizing_values(space: BasisSpace) -> np.ndarray:
+    """The normalizing coefficients, :func:`_coefficient_sums` over ``s(alpha/2)**2n``."""
     s, _ = _half_functions(space)
     # For tiny trigonometric alpha s**2n underflows to 0; the overflow is
     # reported below as a RangeError, not as a floating point warning.

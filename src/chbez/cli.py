@@ -21,7 +21,9 @@ is refused loads it to sample its denominator.  Importing numpy takes
 60-80 ms of a 135-145 ms one-shot process, and the pure transform rows, by
 far the largest pure step, 0.2, 0.7, 3.7 and 23.5 ms at orders 4, 8, 16
 and 32 (2-vCPU x86-64 host, one CPU), so no order is too high for the pure
-path.
+path of csv and json.  svg, obj and sample of a curve load numpy anyway,
+and at order 32 they pay 12-20 ms more for the pure rows than numpy's
+would cost.
 
 A CLI process (``python -m chbez.cli`` or the ``chbez`` script) keeps the
 cyclic garbage collector off while its modules load.  Before the command it

@@ -214,13 +214,8 @@ class BezierPiece:
     weights: np.ndarray
     u_interval: tuple[float, float]
 
-    # :func:`_restricted` of the piece, kept by the first call that builds it: a piece is immutable.
-    _restriction = None
-
     def evaluate(self, u):
-        if self._restriction is None:
-            object.__setattr__(self, "_restriction", _restricted(self))
-        lo, sub, omega = self._restriction
+        lo, sub, omega = _restricted(self)
         a, b = self.u_interval
         space = self.parent_space
         scalar = np.ndim(u) == 0
@@ -300,7 +295,8 @@ def subdivide(curve: ControlCurve, u0: float) -> SubdivisionResult:
         net = _folded(curve.points, c if curve.weights is None else c * curve.weights)
         size = len(net)
         # Level k of the pyramid in the first size - k entries of row k; an edge is one
-        # copying index.
+        # copying index.  A list of levels keeping the two edges was 1.03-1.18x slower
+        # (2-vCPU x86-64 host, one CPU).
         pyramid = np.empty((size,) + net.shape)
         pyramid[0] = net
         for k in range(1, size):

@@ -363,9 +363,12 @@ def export_svg(paths, margin: float = 0.05) -> str:
 
     stacked = np.vstack([pts for _, pts in flipped])
     lo, hi = stacked.min(axis=0), stacked.max(axis=0)
-    extent = float(max(hi[0] - lo[0], hi[1] - lo[1])) or 1.0
-    pad = margin * extent
-    width, height = hi - lo + 2.0 * pad
+    with np.errstate(over="ignore"):  # refused here: a finite box bounds every drawn number
+        extent = float(max(hi[0] - lo[0], hi[1] - lo[1])) or 1.0
+        pad = margin * extent
+        width, height = hi - lo + 2.0 * pad
+        if not np.isfinite([*(lo - pad), width, height]).all():
+            raise RangeError("points span beyond double range: the viewBox overflows")
     f = format_float
     stroke, radius, font = extent / 300.0, extent / 120.0, extent / 30.0
 

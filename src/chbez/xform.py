@@ -32,10 +32,10 @@ loop ``exact._elevate_until_positive`` (one step along the axis of the
 direction whose turn it is).
 
 Caches: the alpha-free table ``C(n, i - r) C(i - r, r)`` is kept per order.
-The coefficient sums, the normalizing coefficients and the transform rows
-are kept per space ``(kind, n, alpha)`` a caller passes in, for the last 128
-spaces; step weight tables are built per call and not kept.  Arrays are
-read-only.
+The coefficient sums (``bbasis``) and the transform rows are kept per space
+``(kind, n, alpha)`` a caller passes in, for the last 128 spaces; the
+normalizing coefficients and the step weight tables are built per call and
+not kept.  Arrays are read-only.
 """
 
 from __future__ import annotations

@@ -608,6 +608,13 @@ class TestExportSvg:
         with pytest.raises(RangeError, match="unknown role"):
             export_svg([SvgPath(np.zeros((2, 2)), role="axis")])
 
+    @pytest.mark.parametrize("pts", [[[0.0, -1e308], [1.0, 1e308]], [[0.0, 0.0], [1.79e308, 1.0]],
+                                     [[-1.79e308, 0.0], [-1e308, 1.0]]],
+                             ids=["extent", "width", "corner"])
+    def test_refuses_a_viewbox_beyond_double_range(self, pts):
+        with np.errstate(all="raise"), pytest.raises(RangeError, match="^points span beyond"):
+            export_svg([SvgPath(np.array(pts), role="polygon")])
+
 
 class TestExportObj:
     def test_polyline_golden(self):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from chbez import bbasis, curve, exact, gallery, io, surface, xform
+from chbez import _record, bbasis, curve, exact, gallery, io, surface, xform
 from chbez.bbasis import MAX_DEGREE, BasisKind, _is_count
 from chbez.errors import RangeError
 from chbez.exact import TermFamily
@@ -602,3 +602,54 @@ def test_hash_keys_caches_across_equal_spaces():
     assert a == b and hash(a) == hash(b) == hash((TRIG, 3, 1.25))
     assert a != bbasis.BasisSpace(TRIG, 3, 1.5)
     assert len({a, b}) == 1
+
+
+def _reached_records():
+    """One instance of each record the public API returns, after the calls made on it.
+
+    Every method and property of an instance is called before it is returned,
+    so a value that a call leaves behind on the instance would show in ``vars``.
+    """
+    from chbez import (elevate, evaluate, evaluate_surface, exact_curve, exact_rational_curve,
+                       exact_surface, normalizing_coefficients, parse_document, render_figure,
+                       sample_lattice, subdivide, transform_matrix)
+
+    curve_doc = parse_document(gallery.load_figure_text("hypocycloid"))
+    rational = exact_rational_curve(parse_document(gallery.load_figure_text("lemniscate")).spec)
+    patch_doc = parse_document(gallery.load_figure_text("torus_patch"))
+    spec, patch = curve_doc.spec, patch_doc.spec
+    spec.evaluate(np.linspace(0.0, spec.alpha, 3))
+    spec.differentiated()
+    crv = exact_curve(spec)
+    evaluate(crv, 0.5)
+    elevate(crv, 2)
+    split = subdivide(crv, 0.5 * crv.space.alpha)
+    piece = split.left
+    piece.evaluate(0.25 * crv.space.alpha)
+    piece.evaluate(np.linspace(0.0, 0.5 * crv.space.alpha, 5))
+    assert rational.order >= 1 and rational.weights.min() > 0.0
+    xf = transform_matrix(crv.space)
+    assert xf.sine_row(1).shape == xf.cosine_row(1).shape
+    fn = spec.coords[0]
+    assert fn.max_frequency() >= 1 and fn.values(spec.kind, [0.0]).shape == (1,)
+    fn.differentiated(spec.kind)
+    grid = exact_surface(patch)
+    sample_lattice(grid, patch.directions, [3] * patch.delta)
+    evaluate_surface(grid, patch.directions, [0.0] * patch.delta)
+    patch.evaluate([0.0] * patch.delta)
+    patch.directions[0].space(1)
+    svg = io.SvgPath(np.zeros((2, 2)), "curve")
+    io.export_svg([svg])
+    return [crv.space, normalizing_coefficients(crv.space), xf, curve_doc, spec, fn, fn.terms[0],
+            crv, piece, split, rational, patch, patch.directions[0], patch.coords[0],
+            patch.coords[0].summands[0], grid, svg, render_figure("hypocycloid")]
+
+
+def test_records_carry_only_their_fields():
+    made = {cls for module in (bbasis, curve, exact, gallery, io, surface, xform)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__dict__.get("__setattr__") is _record._refuse_set}
+    instances = _reached_records()
+    assert {type(x) for x in instances} == made == set(PACKAGE.values())
+    for x in instances:
+        assert list(vars(x)) == list(type(x).__annotations__), type(x).__name__

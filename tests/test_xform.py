@@ -16,14 +16,14 @@ from chbez import (
     normalizing_coefficients,
     transform_matrix,
 )
-from chbez.bbasis import _MEMO_SPACES, _normalizing_values
+from chbez.bbasis import _MEMO_SPACES, _coefficient_sums
 from chbez.xform import _transform_rows
 
 TRIG = BasisKind.TRIGONOMETRIC
 HYP = BasisKind.HYPERBOLIC
 
 # The per-space memos: each is keyed by one BasisSpace.
-MEMOS = (_normalizing_values, _transform_rows)
+MEMOS = (_coefficient_sums, _transform_rows)
 
 
 class TestElevationWeights:
