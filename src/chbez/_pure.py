@@ -1,19 +1,23 @@
-"""The pure path: curves and transform matrices in Python floats, without numpy.
+"""The pure path: curves, transform matrices and trigonometric basis tables in Python floats.
 
-A one-shot CLI process spends longer importing numpy than ``xform``, or
-``describe``, ``describe-rational``, ``elevate`` and ``subdivide`` of a
-curve, take to compute.  ``chbez.cli`` runs ``xform`` here and describes,
-elevates and splits every curve here, in every format and for every
-command; svg and obj output and ``sample`` then load numpy only to draw or
-to sample the polygon.  Each function repeats
-its numpy twin, named in its docstring, operation for operation and in the
-same order.  Every step is a ``math`` function or one IEEE multiply, add or
+A one-shot CLI process spends longer importing numpy (about 70 ms) than
+``xform``, a trigonometric ``basis`` table of the sizes the CLI builds here,
+or ``describe``, ``describe-rational``, ``elevate`` and ``subdivide`` of a
+curve, take to compute.  ``chbez.cli`` runs ``xform`` here, builds
+trigonometric ``basis`` tables of up to ``cli._PURE_BASIS_CELLS`` cells
+here, and describes, elevates and splits every curve here, in every format
+and for every command; svg and obj output and ``sample`` then load numpy
+only to draw or to sample the polygon.  Each function repeats its numpy
+twin, named in its docstring, operation for operation and in the same
+order.  Every step is a ``math`` function or one IEEE multiply, add or
 divide, which Python floats round as numpy does, so both paths give the
-same bits; sums are left folds, never ``sum``, which compensates from
-Python 3.12 on.  Arrays become lists: a vector a list of floats, a matrix
-a list of rows.  The writers print the bytes of ``io.export_table`` and
-``json.dumps``.  ``tests/test_pure.py`` and ``tools/pure_sweep.py`` compare
-the CLI's bytes with bytes built from the public library.
+same bits (``np.sin`` equals ``math.sin`` bit for bit; ``np.sinh`` differs
+from ``math.sinh`` on some CPUs, so hyperbolic tables stay on numpy); sums
+are left folds, never ``sum``, which compensates from Python 3.12 on.
+Arrays become lists: a vector a list of floats, a matrix a list of rows.
+The writers print the bytes of ``io.export_table`` and ``json.dumps``.
+``tests/test_pure.py`` and ``tools/pure_sweep.py`` compare the CLI's bytes
+with bytes built from the public library.
 
 A rational curve is elevated until its pre-image weights are positive,
 which proves its denominator positive; the elevation, the projection and the
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import namedtuple
 from functools import reduce
 from itertools import chain
@@ -220,6 +225,33 @@ def subdivide(curve: Polygon, u0: float) -> dict:
     if not all(math.isfinite(x) for pc in pieces for x in chain(pc["weights"], *pc["points"])):
         raise NumericalError(f"pieces overflow double precision while splitting at u0 = {u0:g}")
     return {"split_ratio": v, "left": pieces[0], "right": pieces[1]}
+
+
+def _ladder(x: float, degree: int) -> list:
+    """``bbasis._ladder``: ``x**k`` for k = 0 .. degree, ``P[k] = P[h] * P[k - h]``."""
+    powers = [1.0, x]
+    for k in range(2, degree + 1):
+        h = 1 << (k - 1).bit_length() - 1
+        powers.append(powers[h] * powers[k - h])
+    return powers
+
+
+def basis_table(space: BasisSpace, samples: int) -> list:
+    """``basis_matrix`` of a trigonometric space on ``np.linspace(0, alpha, samples)``.
+
+    Each row leads with its parameter, as the CLI's ``basis`` table does.
+    """
+    alpha, degree = space.alpha, space.degree
+    scale = math.sin(0.5 * alpha)
+    if not scale >= sys.float_info.min:
+        raise RangeError(f"alpha = {alpha!r} too small: sin(alpha/2) is not a normal double")
+    step, weights = alpha / (samples - 1), _sums_by_order(space, [space.n])[0]
+    rows = []
+    for u in [i * step for i in range(samples - 1)] + [alpha]:
+        lefts = _ladder(math.sin(0.5 * (alpha - u)) / scale, degree)[::-1]
+        rights = _ladder(math.sin(0.5 * u) / scale, degree)
+        rows.append([u, *[w * (r * x) for w, r, x in zip(weights, rights, lefts)]])
+    return rows
 
 
 def table(rows: list, fmt: str, columns=None) -> str:

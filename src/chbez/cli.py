@@ -12,18 +12,22 @@ message names --samples once the command samples, else --order, which sizes
 the control net.
 
 numpy is imported on first use (:mod:`chbez._lazy`).  Help and every
-refusal of a flag or a spec end without it.  The document's shape alone
-picks the description path: xform, and every curve, run on the pure path
-(:mod:`chbez._pure`), with the bytes of the library, and every patch on
-numpy.  A curve's csv and json end without numpy; svg and obj output and
-sample load it to draw or to sample the polygon, and a rational curve that
-is refused loads it to sample its denominator.  Importing numpy takes
-60-80 ms of a 135-145 ms one-shot process, and the pure transform rows, by
-far the largest pure step, 0.2, 0.7, 3.7 and 23.5 ms at orders 4, 8, 16
-and 32 (2-vCPU x86-64 host, one CPU), so no order is too high for the pure
-path of csv and json.  svg, obj and sample of a curve load numpy anyway,
-and at order 32 they pay 12-20 ms more for the pure rows than numpy's
-would cost.
+refusal of a flag or a spec end without it.  xform, a trigonometric basis
+table of up to :data:`_PURE_BASIS_CELLS` cells and every curve run on the
+pure path (:mod:`chbez._pure`), with the bytes of the library; hyperbolic
+and larger basis tables, and every patch, run on numpy.  So xform, those
+basis tables and a curve's csv and json end without numpy; svg and obj
+output and sample load it to draw or to sample the polygon, and a rational
+curve that is refused loads it to sample its denominator.  Importing numpy
+takes 68-78 ms (9 runs) of a one-shot process: a trigonometric basis table
+of order 32 and 200 samples takes 102 ms in a pure process and 164 ms
+through numpy.  The pure transform rows, by far the largest pure step of a
+curve, take 0.2, 0.8, 3.5 and 19.5 ms at orders 4, 8, 16 and 32, and a pure
+200-sample basis table 0.8 and 4.0 ms at orders 4 and 32, with 1.5 and
+11.3 ms more for its csv (2-vCPU x86-64 host, one CPU).  So no order is
+too high for the pure path of csv and json.  svg, obj and sample of a curve
+load numpy anyway, and at order 32 they pay 12-20 ms more for the pure rows
+than numpy's would cost.
 
 A CLI process (``python -m chbez.cli`` or the ``chbez`` script) keeps the
 cyclic garbage collector off while its modules load.  Before the command it
@@ -167,7 +171,7 @@ def _sampling(args, delta: int = 1):
     refused before anything is allocated.
     """
     args.memory_refusal = f"--samples: {args.samples} samples do not fit in memory"
-    if args.samples**delta > np.iinfo(np.intp).max // 8:
+    if args.samples**delta > sys.maxsize // 8:  # sys.maxsize is numpy's intp max
         raise MemoryError
 
 
@@ -178,13 +182,29 @@ def _space_flags(args) -> BasisSpace:
     return _named("--order", BasisSpace, kind, _capped(args.order), alpha)
 
 
+# The most cells (the u column included) of a basis table built on the pure path.  Whole
+# trigonometric processes, pure vs numpy (medians of 7 alternating pairs, one CPU of a 2-vCPU
+# x86-64 host): 13,200 cells 102 vs 164 ms, 59,400 154 vs 167, 66,000 161 vs 160 (order 1
+# 172 vs 170) and 79,200 187 vs 183 (order 2 226 vs 203).
+_PURE_BASIS_CELLS = 60_000
+
+
 def _cmd_basis(args):
+    """A trigonometric table of up to :data:`_PURE_BASIS_CELLS` cells is built on the pure path.
+
+    Hyperbolic tables stay on numpy: its vectorized sinh differs from math.sinh on some CPUs.
+    """
     _check_samples(args.samples)
     space = _space_flags(args)
     _sampling(args)
+    columns = ["u"] + [f"b{i}" for i in range(space.dimension)]
+    if space.kind is BasisKind.TRIGONOMETRIC and args.samples * len(columns) <= _PURE_BASIS_CELLS:
+        from . import _pure
+
+        rows = _named("--alpha", _pure.basis_table, space, args.samples)
+        return _pure.table(rows, args.format, columns), args.out
     us = np.linspace(0.0, space.alpha, args.samples)
     mat = _named("--alpha", basis_matrix, space, us)  # a tiny alpha has no normal s(alpha/2)
-    columns = ["u"] + [f"b{i}" for i in range(space.dimension)]
     return export_table(np.hstack([us[:, None], mat]), args.format, columns), args.out
 
 

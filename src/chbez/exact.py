@@ -37,13 +37,13 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cache, reduce
+from importlib import import_module
 
 from . import _exports, _lazy
 from ._record import record
 from .bbasis import (_ADDITION_SIGNS, _FUNCTIONS, BasisKind, BasisSpace, _count, _integer,
                      _is_count, _top_order)
 from .errors import NumericalError, RangeError
-from .xform import _elevated, _transform_rows
 
 np = _lazy.Numpy(globals())
 
@@ -62,14 +62,13 @@ _PATCH_SAMPLES = 33
 DEFAULT_MAX_ELEVATIONS = 32
 
 
-# Local imports in its three callers instead made the exact layer 1.07-1.10x slower
+# Local imports in its callers instead made the exact layer 1.07-1.10x slower
 # (curve_kernel jobs, 2-vCPU x86-64 host, one CPU).
 @cache
-def _curve():
-    """The module :mod:`chbez.curve`, imported on first use: the pure path describes without it."""
-    from . import curve
-
-    return curve
+def _module(name: str):
+    """The module ``chbez.<name>``, imported on first use: the pure path describes a curve
+    without :mod:`chbez.curve` and :mod:`chbez.xform`."""
+    return import_module(f".{name}", __package__)
 
 
 class TermFamily(Enum):
@@ -203,7 +202,7 @@ class CurveSpec:
         return tuple(((fn,),) for fn in self.coords)  # one one-factor product per coordinate
 
     def _net(self, orders, points, weights=None) -> ControlCurve:
-        return _curve().ControlCurve(self.space(orders[0]), points, weights)
+        return _module("curve").ControlCurve(self.space(orders[0]), points, weights)
 
     def evaluate(self, us) -> np.ndarray:
         """Pointwise evaluation of the traditional form, one row per sample."""
@@ -282,7 +281,8 @@ def coordinate_ordinates(fn: CoordinateFunction, space: BasisSpace, r: int = 0) 
             f"coordinate of frequency {fn.max_frequency()} does not fit order {space.n}"
         )
     out = np.zeros(space.dimension)
-    for scale, a, x, b, y in _term_rows(fn, space, r, _transform_rows(space), np.zeros(len(out))):
+    rows = _module("xform")._transform_rows(space)
+    for scale, a, x, b, y in _term_rows(fn, space, r, rows, np.zeros(len(out))):
         out += scale * (a * x + b * y)
     return out
 
@@ -392,7 +392,7 @@ def _describe(spec, orders, r, rational, max_elevations):
     if not rational:
         return spec._net(orders, points), points, 0
     points, orders, steps = _elevate_until_positive(points, orders, directions, max_elevations)
-    numerators, weights = _curve()._projected(points)
+    numerators, weights = _module("curve")._projected(points)
     return spec._net(orders, _finite_channels(numerators), weights), points, steps
 
 
@@ -450,7 +450,7 @@ def exact_rational_curve(
     if spec.dimension < 2:
         raise RangeError("rational description needs numerator and denominator coordinates")
     curve, points, steps = _describe(spec, None if n is None else (n,), None, True, max_elevations)
-    return PreImageResult(_curve().ControlCurve(curve.space, points), curve, steps)
+    return PreImageResult(_module("curve").ControlCurve(curve.space, points), curve, steps)
 
 
 def _check_denominator(spec):
@@ -502,7 +502,7 @@ def _elevate_until_positive(points: np.ndarray, orders, directions, max_elevatio
             j = min(range(delta), key=lambda i: (orders[i] >= tops[i], orders[i]))
         if not bad.any() or steps >= max_elevations or orders[j] >= tops[j]:
             break
-        points = _elevated(directions[j].space(orders[j]), points, 1, j)[1]
+        points = _module("xform")._elevated(directions[j].space(orders[j]), points, 1, j)[1]
         orders[j] += 1
         steps += 1
     if bad.any():

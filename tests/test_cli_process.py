@@ -108,7 +108,7 @@ def test_gallery_matches_main(capsys, tmp_path):
 # command, and the exit code.  Its first argument picks the entry: "import"
 # (import chbez.cli, call main), "module" (python -m chbez.cli, through
 # runpy) or "script" (the chbez script's wrapper: import the entry, call it).
-# Any further arguments are the command, by default a basis table.
+# Any further arguments are the command, by default a hyperbolic basis table (numpy's).
 PROBE = r"""
 import gc, io, json, runpy, sys
 
@@ -124,7 +124,7 @@ class Probe(io.StringIO):
         return super().write(text)
 
 
-argv = sys.argv[2:] or ["basis", "--kind", "trig", "--alpha", "1", "--order", "2", "--samples", "3"]
+argv = sys.argv[2:] or ["basis", "--kind", "hyp", "--alpha", "1", "--order", "2", "--samples", "3"]
 entry, real, sys.stdout = sys.argv[1], sys.stdout, Probe()
 sys.argv = ["chbez", *argv]
 try:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import chbez
+from chbez.cli import _PURE_BASIS_CELLS
 
 SRC = Path(chbez.__file__).resolve().parent.parent
 FIGURES = SRC / "chbez" / "figures"
@@ -99,10 +100,10 @@ def test_pure_describe_and_elevate_load_no_curve_module(tmp_path):
         ["elevate", *spec("rational_hyperbolic_arc_a")],
     ]
     after = loaded_after(commands, tmp_path)
-    # Each runs on the pure path, which reads the exact module's rules but not curve.
+    # Each runs on the pure path, which reads the exact module's rules but neither curve
+    # nor xform.
     assert after[-1] == ["chbez._lazy", "chbez._pure", "chbez._record", "chbez.bbasis",
-                         "chbez.cli", "chbez.errors", "chbez.exact", "chbez.io",
-                         "chbez.xform"]  # fmt: skip
+                         "chbez.cli", "chbez.errors", "chbez.exact", "chbez.io"]  # fmt: skip
 
 
 def test_subdivide_loads_no_curve_module(tmp_path):
@@ -285,11 +286,14 @@ def _specs(argv, tmp_path) -> list:
     return [a for arg in argv for a in (made[arg](tmp_path) if arg in made else [arg])]
 
 
-# Commands that end without numpy: xform, and describe, describe-rational, elevate and
-# subdivide of curves as csv or json (the pure path, a rational curve once its weights are
-# positive), help and every refusal of a flag or a spec.
+# Commands that end without numpy: xform, a trigonometric basis table of up to
+# _PURE_BASIS_CELLS cells, and describe, describe-rational, elevate and subdivide of curves
+# as csv or json (the pure path, a rational curve once its weights are positive), help and
+# every refusal of a flag or a spec.
 WITHOUT_NUMPY = {
     "xform": (0, ["xform", "--kind", "hyp", "--alpha", "0.5", "--order", "32", "--format", "json"]),
+    "trig basis": (0, ["basis", "--kind", "trig", "--alpha", "pi/2", "--order", "32",
+                       "--samples", "200"]),
     **{" ".join([command, figure, *flags]): (0, [command, *spec(figure), *flags])
        for figure in ("hypocycloid", "quadrifolium", "torus_knot")
        for command, flags in [
@@ -316,7 +320,8 @@ WITHOUT_NUMPY = {
 
 # Commands that need numpy: a rational curve that is refused (its denominator is
 # sampled through numpy, to name a dip), svg or obj output of a curve's polygon of the pure
-# path, sampling, a patch, basis and the gallery.
+# path, sampling, a patch, a hyperbolic basis table or a trigonometric one of more than
+# _PURE_BASIS_CELLS cells, and the gallery.
 WITH_NUMPY = {
     "rational dip": (3, ["describe-rational", "DIP_SPEC"]),
     "weights not positive": (3, ["describe-rational", "LOW_SPEC", "--max-elevations", "3"]),
@@ -324,7 +329,9 @@ WITH_NUMPY = {
     "obj": (0, ["describe", *spec("torus_knot"), "--format", "obj"]),
     "patch": (0, ["describe", *spec("torus_patch")]),
     "sample": (0, ["sample", *spec("hypocycloid"), "--samples", "5"]),
-    "basis": (0, ["basis", "--kind", "trig", "--alpha", "1", "--order", "2"]),
+    "basis": (0, ["basis", "--kind", "hyp", "--alpha", "1", "--order", "2"]),
+    "trig basis past the cut-off": (0, ["basis", "--kind", "trig", "--alpha", "pi/2", "--order",
+                                        "32", "--samples", str(_PURE_BASIS_CELLS // 66 + 1)]),
 }
 
 

@@ -1,7 +1,8 @@
 """The pure path (``chbez._pure``) gives the bits, bytes and refusals of the public library.
 
-The CLI takes the pure path for xform, and describes, elevates and splits
-every curve on it, in every format and for every command, sample included.
+The CLI takes the pure path for xform and for trigonometric basis tables up
+to a cell cut-off, and describes, elevates and splits every curve on it, in
+every format and for every command, sample included.
 The tests here compare its kernels with the library's bits, and run each
 command twice: as it is, and with ``pure_sweep.LIBRARY`` (the public
 library behind the pure path's interface) in place of the package
@@ -20,9 +21,11 @@ import numpy as np
 import pytest
 
 import chbez
-from chbez import BasisKind, BasisSpace, CurveSpec, NumericalError, RangeError, parse_document
+from chbez import (BasisKind, BasisSpace, CurveSpec, NumericalError, RangeError, export_table,
+                   parse_document)
 from chbez import _pure
 from chbez.bbasis import _sums_by_order
+from chbez.cli import _PURE_BASIS_CELLS
 from chbez.exact import _check_denominator, _describe
 from chbez.xform import _step_table, _transform_rows
 from test_cli import DERIVED_DOCS, FAILING_COMMANDS, RAW_SPECS
@@ -35,7 +38,7 @@ import pure_sweep  # noqa: E402
 
 FIGURES = Path(chbez.__file__).parent / "figures"
 TRIG, HYP = BasisKind.TRIGONOMETRIC, BasisKind.HYPERBOLIC
-PURE_COMMANDS = ("xform", "describe", "describe-rational", "elevate", "subdivide")
+PURE_COMMANDS = ("xform", "basis", "describe", "describe-rational", "elevate", "subdivide")
 
 
 def random_space(rng: random.Random, kind: BasisKind, n: int) -> BasisSpace:
@@ -74,8 +77,8 @@ def test_sums_and_step_weights_match_bit_for_bit(seed):
 def run_both(argv) -> tuple:
     """(code, stdout, stderr) of ``argv`` with the library in place of the pure path, then as it
     is, and whether the second run, if it succeeded, read the pure path."""
-    library, _ = pure_sweep.run(argv, True)
-    pure, taken = pure_sweep.run(argv, False)
+    library = pure_sweep.run(argv, True)[0]
+    pure, taken, _ = pure_sweep.run(argv, False)
     return library, pure, pure[0] != 0 or bool(taken)
 
 
@@ -202,10 +205,40 @@ def test_random_specs_give_the_same_bytes_and_refusals(tmp_path, seed):
         assert (pure, took_pure) == (library, True), argv
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_random_trig_basis_tables_give_the_same_bytes_and_refusals(seed):
+    rng = random.Random(f"pure-basis:{500 + seed}")
+    for _ in range(30):
+        argv = pure_sweep.draw_basis(rng)
+        (library, _, _), (pure, taken, numpy_read) = (pure_sweep.run(argv, True),
+                                                      pure_sweep.run(argv, False))
+        assert pure == library, argv
+        assert pure_sweep.on_path(argv, pure, taken, numpy_read), argv
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("order", [1, 32])
+def test_basis_tables_on_both_sides_of_the_cut_off_give_the_library_bytes(order, fmt):
+    # No workload draws a table past the cut-off, so this test covers the numpy side.
+    space = BasisSpace(TRIG, order, 2.5)
+    columns = ["u"] + [f"b{i}" for i in range(space.dimension)]
+    rows = _PURE_BASIS_CELLS // len(columns)
+    for samples, pure in [(rows, True), (rows + 1, False)]:
+        argv = ["basis", "--kind", "trig", "--alpha", "2.5", "--order", str(order),
+                "--samples", str(samples), "--format", fmt]
+        result, taken, numpy_read = pure_sweep.run(argv, False)
+        expected = export_table(pure_sweep.basis_table(space, samples), fmt, columns)
+        assert result == (0, expected, "")
+        assert (bool(taken), bool(numpy_read)) == (pure, not pure)
+
+
 def _eligible(argv) -> bool:
-    """Whether a CLI digest command runs without numpy: xform, or a curve written as csv or json."""
+    """Whether a CLI digest command runs without numpy: xform, a trigonometric basis table, or
+    a curve written as csv or json."""
     if argv[0] == "xform":
         return True
+    if argv[0] == "basis":
+        return pure_sweep.pure_basis(argv)
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
     if argv[0] not in PURE_COMMANDS or fmt not in ("csv", "json"):
         return False

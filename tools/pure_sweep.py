@@ -1,15 +1,17 @@
 """Compare the CLI's pure path (``chbez._pure``) with the public library on many seeded inputs.
 
-The CLI runs ``xform`` on the pure path, and describes, elevates and splits
-every curve there, in every format and for every command, ``sample``
-included.  This script runs each command through ``chbez.cli.main`` twice:
-as it is, and with :data:`LIBRARY` in place of the package attribute
-``chbez._pure``, which the CLI reads when it runs.  :data:`LIBRARY` builds
-the same output from the public library (``transform_matrix``,
-``exact_curve``, ``exact_rational_curve``, ``elevate``, ``subdivide`` and
-``export_table``).  The flags are checked, and svg and obj drawn and curves
-sampled, by the same CLI code on both runs.  Each of ``count`` seeded draws
-makes two commands:
+The CLI runs ``xform`` and trigonometric ``basis`` tables of up to
+``cli._PURE_BASIS_CELLS`` cells on the pure path, and describes, elevates
+and splits every curve there, in every format and for every command,
+``sample`` included.  This script runs each command through
+``chbez.cli.main`` twice: as it is, and with :data:`LIBRARY` in place of the
+package attribute ``chbez._pure``, which the CLI reads when it runs.
+:data:`LIBRARY` builds the same output from the public library
+(``transform_matrix``, ``basis_matrix``, ``exact_curve``,
+``exact_rational_curve``, ``elevate``, ``subdivide`` and ``export_table``).
+The flags are checked, and svg and obj drawn and curves sampled, by the
+same CLI code on both runs.  Each of ``count`` seeded draws makes three
+commands:
 
 - ``xform`` of a random space: either kind, order 1 to 32, alpha anywhere
   in range, just below pi (trigonometric) or just within the overflow guard
@@ -23,15 +25,22 @@ makes two commands:
   refusals (overflow, split points too close to an end) come up too.  A
   third of the curves are rational, with a denominator that is positive by
   construction, dips below 0 or grazes 0, and a ``--max-elevations`` of 0
-  to 3 half the time.
+  to 3 half the time;
+- ``basis`` of a random trigonometric space, drawn from a generator of its
+  own so the two commands above keep their streams: order 1 to 32, alpha
+  from the "too small" refusal to just below pi, 2 to a few hundred
+  samples, or now and then the most rows of the cut-off or one row more,
+  as csv or json.
 
 Exit code, stdout and stderr must be equal, so every float's bits and every
-refusal's text are compared, and every command that succeeds must have read
-``chbez._pure``.  On the first difference, or a success that did not read
-the pure path, the script prints the command (and writes its spec next to
-it) and exits 1; otherwise it prints how many commands matched, and how
-many of them were rational curves that took the pure path.  Uses numpy and
-the standard library only.  Run from the root of the repository:
+refusal's text are compared.  Every command that succeeds must have read
+``chbez._pure``, except a ``basis`` table past the cut-off, which must not;
+and a ``basis`` table that reads it must not read the CLI's numpy.  On the
+first difference, or a success on the wrong path, the script prints the
+command (and writes its spec next to it) and exits 1; otherwise it prints
+how many commands matched, and how many of them were rational curves and
+basis commands that took the pure path.  Uses numpy and the standard library
+only.  Run from the root of the repository:
 ``python3 tools/pure_sweep.py [count [seed]]`` (defaults 1000 and 0).
 """
 
@@ -50,8 +59,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import chbez._pure  # noqa: E402
 import chbez.cli  # noqa: E402
-from chbez import (ControlCurve, elevate, exact_curve, exact_rational_curve,  # noqa: E402
-                   export_table, subdivide, transform_matrix)
+from chbez import (BasisSpace, ControlCurve, basis_matrix, elevate, exact_curve,  # noqa: E402
+                   exact_rational_curve, export_table, subdivide, transform_matrix)
+from chbez.cli import _PURE_BASIS_CELLS  # noqa: E402
 
 KINDS = ("trigonometric", "hyperbolic")
 PURE = chbez._pure
@@ -88,9 +98,16 @@ def _subdivide(polygon, u0: float) -> dict:
             "right": _piece(result.right)}
 
 
+def basis_table(space: BasisSpace, samples: int):
+    """The table of ``basis``: each parameter of the grid, then the basis values there."""
+    us = np.linspace(0.0, space.alpha, samples)
+    return np.hstack([us[:, None], basis_matrix(space, us)])
+
+
 # What chbez.cli calls of chbez._pure, built from the public library: the reference.
 LIBRARY = SimpleNamespace(
     transform_rows=lambda space: transform_matrix(space).rows,
+    basis_table=basis_table,
     table=lambda rows, fmt, columns=None: export_table(np.array(rows, dtype=float), fmt, columns),
     describe=_describe,
     elevate=lambda polygon, z: _polygon(elevate(_curve(polygon), z)),
@@ -111,18 +128,18 @@ class Reads:
 def run(argv, library: bool) -> tuple:
     """``chbez.cli.main(argv)`` on the pure path, or with :data:`LIBRARY` in its place.
 
-    Returns the exit code, stdout and stderr, and the names the CLI read of
-    ``chbez._pure``.
+    Returns the exit code, stdout and stderr, the names the CLI read of
+    ``chbez._pure`` and the names it read of its own numpy (``chbez.cli.np``).
     """
-    reads = Reads(LIBRARY if library else PURE)
+    reads, numpy_reads = Reads(LIBRARY if library else PURE), Reads(np)
     out, err = io.StringIO(), io.StringIO()
-    chbez._pure = reads
+    chbez._pure, stand_in, chbez.cli.np = reads, chbez.cli.np, numpy_reads
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = chbez.cli.main(list(argv))
     finally:
-        chbez._pure = PURE
-    return (code, out.getvalue(), err.getvalue()), reads.names
+        chbez._pure, chbez.cli.np = PURE, stand_in
+    return (code, out.getvalue(), err.getvalue()), reads.names, numpy_reads.names
 
 
 def draw_space(rng: random.Random, kind: str, n: int) -> float:
@@ -209,26 +226,56 @@ def draw_commands(rng: random.Random, spec: Path) -> list:
     return [xform, argv]
 
 
+def draw_basis(rng: random.Random) -> list:
+    """A basis command of a trigonometric space, its table at most one row past the cut-off."""
+    n = rng.randint(1, 32)
+    alpha = rng.choice([rng.uniform(1e-3, 3.14), math.pi * (1.0 - rng.uniform(1e-15, 1e-6)),
+                        10.0 ** rng.uniform(-310.0, -305.0)])
+    rows = _PURE_BASIS_CELLS // (2 * n + 2)
+    samples = rng.choices([rng.randint(2, 400), rows, rows + 1], [48, 1, 1])[0]
+    return ["basis", "--kind", "trig", "--alpha", repr(alpha), "--order", str(n),
+            "--samples", str(samples), "--format", rng.choice(["csv", "json"])]
+
+
+def pure_basis(argv) -> bool:
+    """Whether a basis command that succeeds writes its table on the pure path."""
+    samples, n = int(argv[argv.index("--samples") + 1]), int(argv[argv.index("--order") + 1])
+    trig = argv[argv.index("--kind") + 1] in ("trig", "trigonometric")
+    return trig and samples * (2 * n + 2) <= _PURE_BASIS_CELLS
+
+
+def on_path(argv, result, taken, numpy_read) -> bool:
+    """Whether a command that succeeded read the pure path as the CLI's rule says it must."""
+    if result[0] != 0:
+        return True
+    if argv[0] != "basis":
+        return bool(taken)
+    return bool(taken) == pure_basis(argv) and not (taken and numpy_read)
+
+
 def main(count: int, seed: int) -> int:
-    rng = random.Random(f"pure-sweep:{seed}")
-    matched = rational = 0
+    rng, basis_rng = random.Random(f"pure-sweep:{seed}"), random.Random(f"pure-basis:{seed}")
+    matched = rational = tables = 0
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "spec.json"
         for _ in range(count):
             xform, command = draw_commands(rng, spec)
-            for argv in (xform, command):
-                (cli, taken), (library, _) = run(argv, False), run(argv, True)
-                if cli != library or (cli[0] == 0 and not taken):
+            for argv in (xform, command, draw_basis(basis_rng)):
+                (cli, taken, numpy_read), (library, _, _) = run(argv, False), run(argv, True)
+                if cli != library or not on_path(argv, cli, taken, numpy_read):
                     kept = Path("pure_sweep_spec.json")
                     kept.write_text(spec.read_text())
                     print(f"mismatch: {' '.join(argv)} (spec kept as {kept})")
-                    print(f"pure path: exit {cli[0]}, stderr {cli[2]!r}, read {taken}")
+                    print(f"pure path: exit {cli[0]}, stderr {cli[2]!r}, read {taken}, "
+                          f"numpy read {numpy_read}")
                     print(f"library:   exit {library[0]}, stderr {library[2]!r}")
                     return 1
                 matched += 1
-            rational += json.loads(spec.read_text())["rational"] and bool(taken)
+                tables += argv[0] == "basis" and bool(taken)
+                if argv is command:
+                    rational += json.loads(spec.read_text())["rational"] and bool(taken)
     print(f"{matched} commands gave the library's exit code, stdout and stderr on the pure path "
-          f"({rational} on rational curves)")
+          f"({rational} on rational curves, {tables} basis commands)")
     return 0
 
 
