@@ -1,15 +1,33 @@
 """Command line front end.
 
-Every subcommand validates its flags before computing anything and exits
-with 0 on success, 2 on a validation error (bad flag, malformed spec) and 3
-on a numerical failure (non-positive denominator, exhausted elevation
-budget).  A --spec file that cannot be read as UTF-8 and an --out path that
-cannot be written are validation errors too.  Output goes to stdout unless
-``--out`` names a file; ``gallery`` treats ``--out`` as a directory and
-prints its error report to stdout.  A stdout that cannot be written is a
-validation error as well, and so is a command that runs out of memory: its
-message names --samples once the command samples, else --order, which sizes
-the control net.
+Every subcommand exits with 0 on success, 2 on a validation error (bad
+flag, malformed spec) and 3 on a numerical failure (non-positive
+denominator, exhausted elevation budget).  A --spec file that cannot be read
+as UTF-8 and an --out path that cannot be written are validation errors too.
+Output goes to stdout unless ``--out`` names a file; ``gallery`` treats
+``--out`` as a directory and prints its error report to stdout.  A stdout
+that cannot be written is a validation error as well, and so is a command
+that runs out of memory: its message names --samples once the command
+samples, else --order, which sizes the control net.
+
+A command with several faults is refused at the first of them, in one
+order.  basis judges --samples first; basis and xform judge --kind and
+--alpha alone, then --order with them.  describe, describe-rational,
+sample, subdivide and elevate share one front end (:func:`_described`),
+which refuses
+
+1. the flags that need no document: --samples, then --max-elevations;
+2. the document: --spec read and parsed, then what the command needs of it
+   (describe-rational a rational spec, subdivide and elevate a curve);
+3. the flags checked against it: --order (its count, the order cap, the
+   overflow guard), --derivative (its count and sign, a rational spec, the
+   double range of k**r), --split-at read as an angle literal, --format;
+4. the description: an order, or elevate's target, below the minimum
+   (named at --order), then what describing refuses; a rational spec whose
+   denominator dips at a sample is refused for the dip instead of either;
+5. what needs the description: elevate's target against the order the
+   rational description reached (a default target against the cap and the
+   guard), and the split point's range and shares.
 
 numpy is imported on first use (:mod:`chbez._lazy`).  Help and every
 refusal of a flag or a spec end without it.  xform, a trigonometric basis
@@ -106,18 +124,26 @@ def _capped(order: int, noun: str = "") -> int:
     return order
 
 
-def _int_list_flag(text: str, flag: str) -> tuple[int, ...]:
+def _per_direction(text, flag: str, delta: int):
+    """--order or --derivative as one int per direction of ``delta``, or None when not given.
+
+    One value stands for every direction, but a curve takes one --order.
+    """
+    if text is None:
+        return None
     try:
-        return tuple(int(part) for part in text.split(","))
+        values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise RangeError(f"{flag}: expected an integer or comma list, got {text!r}") from None
+    if flag == "--order" and delta == 1 and len(values) != 1:
+        raise RangeError(f"--order: a curve takes one order, got {len(values)}")
+    if len(values) not in (1, delta):
+        raise RangeError(f"{flag}: expected {delta} orders, got {len(values)}")
+    return values * (delta // len(values))
 
 
-def _load_document(args) -> SpecDocument:
-    """The --spec document, once --max-elevations is known to be valid."""
-    if args.max_elevations < 0:
-        raise RangeError(f"--max-elevations: must be nonnegative, got {args.max_elevations}")
-    path = Path(args.spec)
+def _load_document(path: Path) -> SpecDocument:
+    """The --spec document at ``path``; a spec error names the file first."""
     text = _filed("--spec", f"read {path}", path.read_text, "utf-8")
     try:
         return parse_document(text)
@@ -127,35 +153,6 @@ def _load_document(args) -> SpecDocument:
 
 def _coord_names(count: int) -> list[str]:
     return ["x", "y", "z"][:count] if count <= 3 else [f"c{i + 1}" for i in range(count)]
-
-
-def _order_flag(args, spec):
-    """--order: an int per direction of ``spec`` (one repeats; a curve takes one), or None.
-
-    Refused are an order above the cap, and a positive one whose hyperbolic
-    space trips the overflow guard.
-    """
-    if args.order is None:
-        return None
-    directions = spec._directions
-    delta = len(directions)
-    orders = _int_list_flag(args.order, "--order")
-    if delta == 1 and len(orders) != 1:
-        raise RangeError(f"--order: a curve takes one order, got {len(orders)}")
-    if len(orders) not in (1, delta):
-        raise RangeError(f"--order: expected {delta} orders, got {len(orders)}")
-    _capped(max(orders))
-    orders = orders * delta if len(orders) == 1 else orders
-    for direction, n in zip(directions, orders):
-        if n > 0:  # a smaller order is refused against the minimum order when described
-            _named("--order", direction.space, n)
-    return orders
-
-
-def _require_curve(doc: SpecDocument, command: str):
-    if len(doc.spec._directions) != 1:
-        raise RangeError(f"{command} works on curve specs only")
-    return doc.spec
 
 
 def _check_samples(count: int):
@@ -176,7 +173,7 @@ def _sampling(args, delta: int = 1):
 
 
 def _space_flags(args) -> BasisSpace:
-    """The space of --kind, --alpha and --order; alpha is checked alone first."""
+    """The space of --kind, --alpha and --order."""
     kind, alpha = _kind_flag(args.kind), _named("--alpha", parse_angle, args.alpha)
     _named("--alpha", BasisSpace, kind, 1, alpha)
     return _named("--order", BasisSpace, kind, _capped(args.order), alpha)
@@ -215,19 +212,6 @@ def _cmd_xform(args):
     return _pure.table(_pure.transform_rows(space), args.format), args.out
 
 
-def _derivative_orders(text, delta: int):
-    if text is None:
-        return None
-    orders = _int_list_flag(text, "--derivative")
-    if len(orders) == 1 and delta > 1:
-        orders = orders * delta
-    if len(orders) != delta:
-        raise RangeError(f"--derivative: expected {delta} orders, got {len(orders)}")
-    if any(r < 0 for r in orders):
-        raise RangeError(f"--derivative: orders must be nonnegative, got {text!r}")
-    return orders
-
-
 def _check_format(doc: SpecDocument, fmt: str, noun: str):
     """Refuse svg output of a patch, and svg or obj output whose channel count does not fit."""
     channels = len(doc.spec._products) - doc.rational
@@ -239,32 +223,59 @@ def _check_format(doc: SpecDocument, fmt: str, noun: str):
         raise RangeError(f"--format: obj needs 3-d {noun}")
 
 
-def _described(doc: SpecDocument, args, noun: str = "points"):
-    """Control polygon of a curve (pure path) or grid of a patch, honoring the flags.
+def _described(args, noun: str = "points"):
+    """The spec of a spec command and its control polygon (pure path) or grid.
 
-    Both flags are checked for shape before a rational document refuses a
-    derivative, and --format (for output of ``noun``) before anything is built.
-    An order below the minimum names --order, unless a rational document's
-    denominator dips at a sample, the refusal that comes first.
+    The front end of every spec command, which refuses in the order the module
+    docstring states; --format refuses output of ``noun``.  The values read
+    replace the text of --order and --split-at in ``args``.  elevate's --order
+    is its target, so elevate describes at the minimum order.
     """
     from .exact import _check_orders, _denominator_named, _derivative_scale, _describe, min_orders
 
-    spec = doc.spec
-    derivative = getattr(args, "derivative", None)  # subdivide has no --derivative
-    r = _derivative_orders(derivative, len(spec._directions))
-    orders = _order_flag(args, spec)
-    if doc.rational and r is not None and any(r):
+    if hasattr(args, "samples"):
+        _check_samples(args.samples)
+    if args.max_elevations < 0:
+        raise RangeError(f"--max-elevations: must be nonnegative, got {args.max_elevations}")
+    doc = _load_document(Path(args.spec))
+    spec, command, elevating = doc.spec, args.command, args.command == "elevate"
+    delta, minimum = len(spec._directions), min_orders(spec)
+    if command == "describe-rational" and not doc.rational:
+        raise SpecError("rational", "describe-rational needs a spec with rational = true")
+    if command in ("subdivide", "elevate") and delta > 1:
+        raise RangeError(f"{command} works on curve specs only")
+    args.order = orders = _per_direction(args.order, "--order", delta)
+    if orders:
+        _capped(max(orders))
+    for direction, n in zip(spec._directions, orders or ()):
+        if n > 0:  # a smaller order is refused against the minimum order when described
+            _named("--order", direction.space, n)
+    derivative = getattr(args, "derivative", None)  # subdivide and elevate have no --derivative
+    r = _per_direction(derivative, "--derivative", delta)
+    if r and min(r) < 0:
+        raise RangeError(f"--derivative: orders must be nonnegative, got {derivative!r}")
+    if r and any(r) and doc.rational:
         raise RangeError("--derivative: not supported for rational specs")
-    _check_format(doc, args.format, noun)
-    for k, rj in zip(min_orders(spec), r or ()):
+    for k, rj in zip(minimum, r or ()):
         _named("--derivative", _derivative_scale, k, rj)  # the largest frequency scales most
-    given = (spec, orders, r, doc.rational, args.max_elevations)
-    _named("--order", _denominator_named(lambda s, orders, *_: _check_orders(s, orders)), *given)
-    if len(spec._directions) > 1:
-        return _describe(*given)[0]
+    if command == "subdivide":
+        args.split_at = _named("--split-at", parse_angle, args.split_at)
+    _check_format(doc, args.format, noun)
+
+    def at_least_minimum(spec, orders, *_):
+        if elevating and orders and orders[0] < minimum[0]:
+            raise RangeError(f"target {orders[0]} below the minimum order {minimum[0]}")
+        _check_orders(spec, orders)
+
+    given = [spec, orders, r, doc.rational, args.max_elevations]
+    _named("--order", _denominator_named(at_least_minimum), *given)
+    if elevating:
+        given[1] = None
+    if delta > 1:
+        return spec, _describe(*given)[0]
     from . import _pure
 
-    return _pure.describe(*given)
+    return spec, _pure.describe(*given)
 
 
 def _output(values, fmt: str, role: str, axes, lead: str, weights=None) -> str:
@@ -307,53 +318,36 @@ def _control_output(net, fmt: str) -> str:
 
 
 def _cmd_describe(args):
-    doc = _load_document(args)
-    if args.command == "describe-rational" and not doc.rational:
-        raise SpecError("rational", "describe-rational needs a spec with rational = true")
-    return _control_output(_described(doc, args), args.format), args.out
+    return _control_output(_described(args)[1], args.format), args.out
 
 
 def _cmd_sample(args):
     from .curve import ControlCurve
     from .surface import _sampled
 
-    _check_samples(args.samples)
-    doc = _load_document(args)
-    net = _described(doc, args, "samples")
-    if len(doc.spec._directions) == 1:
+    spec, net = _described(args, "samples")
+    if len(spec._directions) == 1:
         net = ControlCurve(*net)  # the polygon of the pure path
-    _sampling(args, len(doc.spec._directions))
-    axes, values = _sampled(net, doc.spec, args.samples)
+    _sampling(args, len(spec._directions))
+    axes, values = _sampled(net, spec, args.samples)
     return _output(values, args.format, "curve", axes, "u"), args.out
 
 
 def _cmd_subdivide(args):
     from . import _pure
 
-    doc = _load_document(args)
-    _require_curve(doc, "subdivide")
-    curve = _described(doc, args)
-    u0 = _named("--split-at", parse_angle, args.split_at)
-    u0 = _named("--split-at", _split_point, curve.space, u0)
+    curve = _described(args)[1]
+    u0 = _named("--split-at", _split_point, curve.space, args.split_at)
     return json.dumps(_pure.subdivide(curve, u0), indent=2) + "\n", args.out
 
 
 def _cmd_elevate(args):
     from . import _pure
-    from .exact import min_order
 
-    doc = _load_document(args)
-    spec = _require_curve(doc, "elevate")
-    _check_format(doc, args.format, "points")
-    base = min_order(spec)
-    target = (_order_flag(args, spec) or (None,))[0]
-    if target is not None and target < base:
-        raise RangeError(f"--order: target {target} below the minimum order {base}")
-    curve = _pure.describe(spec, None, None, doc.rational, args.max_elevations)
-    reached = curve.space.n  # above base when a rational description needed elevation
-    if target is None:
-        target = _capped(reached + 1, "default target ")
-    elif target < reached:
+    spec, curve = _described(args)
+    reached = curve.space.n  # above the minimum when a rational description needed elevation
+    target = args.order[0] if args.order else _capped(reached + 1, "default target ")
+    if target < reached:
         raise RangeError(f"--order: target {target} below the order {reached} the rational "
                          "description reached")
     _named("--order", spec.space, target)  # a default target can trip the overflow guard

@@ -492,6 +492,9 @@ FAILING_COMMANDS = [
      "error: --format: svg needs 2-d samples\n"),
     ("elevate", "torus_knot", ["--format", "svg"], 2,
      "error: --format: svg needs 2-d points\n"),
+    # --order is read before --format, by elevate as by describe.
+    ("elevate", "torus_knot", ["--format", "svg", "--order", "1,2"], 2,
+     "error: --order: a curve takes one order, got 2\n"),
     ("describe", "hypocycloid", ["--order", "3,4"], 2,
      "error: --order: a curve takes one order, got 2\n"),
     ("sample", "lemniscate", ["--order", "2,2"], 2,
@@ -609,8 +612,12 @@ FAILING_COMMANDS = [
             ("describe-rational", "lemniscate_negative_denominator", ["--order", "1"]),
             ("describe", "lemniscate_negative_denominator_huge_x", []),
             ("subdivide", "lemniscate_negative_denominator_huge_x", ["--split-at", "1"]),
+            ("elevate", "lemniscate_negative_denominator", ["--order", "1"]),
         ]
     ],
+    # --split-at is read before the document is described.
+    ("subdivide", "lemniscate_negative_denominator", ["--split-at", "abc"], 2,
+     "error: --split-at: cannot parse angle literal 'abc'\n"),
     # Described at the cap, a curve has no default elevation target.
     ("elevate", "hypocycloid_k32", [], 2,
      "error: --order: default target 33 exceeds the order cap 32\n"),
@@ -854,15 +861,51 @@ def test_failing_command(capsys, tmp_path, command, figure, flags, code, stderr)
     if not figure:
         assert run(capsys, command, *flags) == (code, "", stderr)
         return
-    if figure in DERIVED_DOCS:
-        path = write_doc(tmp_path, f"{figure}.json", DERIVED_DOCS[figure]())
-    else:
-        path = str(Path(chbez.__file__).parent / "figures" / f"{figure}.json")
-    if figure in RAW_SPECS:
-        path = str(tmp_path / f"{figure}.json")
-        Path(path).write_bytes(RAW_SPECS[figure])
+    path = spec_path(tmp_path, figure)
     stderr = stderr.replace("{spec}", path)  # a spec error names the file first
     assert run(capsys, command, "--spec", path, *flags) == (code, "", stderr)
+
+
+def spec_path(tmp_path, figure: str) -> str:
+    """The path of a bundled figure, or of a document of DERIVED_DOCS or RAW_SPECS written out."""
+    if figure in DERIVED_DOCS:
+        return write_doc(tmp_path, f"{figure}.json", DERIVED_DOCS[figure]())
+    if figure in RAW_SPECS:
+        path = tmp_path / f"{figure}.json"
+        path.write_bytes(RAW_SPECS[figure])
+        return str(path)
+    return str(Path(chbez.__file__).parent / "figures" / f"{figure}.json")
+
+
+# Two faults on the flags that describe, sample, subdivide and elevate share, and whether
+# elevate, whose --order is a target, words the first refusal with a noun of its own.
+FAULT_PAIRS = [
+    ("hypocycloid_huge_a", ["--order", "3,4"], False),  # the document, then the count
+    ("hypocycloid_huge_a", ["--max-elevations=-1"], False),  # --max-elevations, then the document
+    ("equilateral_hyperbola_alpha_12", ["--order", "26", "--max-elevations=-1"], False),
+    ("lemniscate_negative_denominator", ["--order", "1,2"], False),  # the count, then the dip
+    ("lemniscate_negative_denominator", ["--order", "40"], False),  # the cap, then the dip
+    ("lemniscate_negative_denominator", ["--order", "1"], False),  # the dip, then the minimum
+    ("hypocycloid", ["--order", "3", "--out", "/nonexistent/dir/x.csv"], True),  # the minimum
+    ("equilateral_hyperbola_alpha_12", ["--order", "26", "--out", "/nonexistent/dir/x"], False),
+]
+SHARED_FRONT_END = {"describe": [], "sample": [], "subdivide": ["--split-at", "1"], "elevate": []}
+
+
+@pytest.mark.parametrize("figure, flags, noun", FAULT_PAIRS,
+                         ids=[" ".join([f, *fl]) for f, fl, _ in FAULT_PAIRS])
+def test_commands_refuse_the_same_fault_first(capsys, tmp_path, figure, flags, noun):
+    path = spec_path(tmp_path, figure)
+    results = {command: run(capsys, command, "--spec", path, *flags, *extra)
+               for command, extra in SHARED_FRONT_END.items()}
+    code, out, stderr = results["describe"]
+    assert code in (2, 3) and out == ""
+    for command, result in results.items():
+        if noun and command == "elevate":  # the exit code and the flag named
+            assert result[:2] == (code, "")
+            assert result[2].split(": ")[:2] == stderr.split(": ")[:2] and result[2] != stderr
+        else:
+            assert result == (code, "", stderr), command
 
 
 def _out_of_memory(*args, **kwargs):
